@@ -1,6 +1,9 @@
-"""Client side of the ground-solver protocol: a subprocess speaking SMT-LIB2
-over stdin/stdout.  The bundled solver (``loopacc-smt``) is the default; any
-compatible external solver can be used via ``--backend`` / LOOPACC_BACKEND.
+"""Client side of the ground-solver protocol: SMT-LIB2 text, one command at a
+time.  By default the bundled solver answers in-process (a
+``solver.server.Session`` fed the same text); ``--backend CMD`` /
+LOOPACC_BACKEND instead runs CMD as a subprocess speaking SMT-LIB2 over
+stdin/stdout.  The bundled solver out of process is
+``--backend 'python -m loopacc.solver.server'`` (also ``loopacc-smt``).
 
 Every emitted query is quantifier-free linear integer arithmetic plus arrays
 (nested one-dimensional, full-index selects only) and divisibility, encoded as
@@ -14,7 +17,6 @@ import os
 import queue
 import shlex
 import subprocess
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -24,6 +26,7 @@ from .expr import (
     Sel, Var, arity_of, fresh_var,
 )
 from .sexpr import to_text
+from .solver.server import Session, SmtError, balanced, error_text, parse_forms
 
 ENV_BACKEND = "LOOPACC_BACKEND"
 DEFAULT_TIMEOUT = 2.0
@@ -37,16 +40,12 @@ class EncodingUnsupported(BackendError):
     """Formula outside the backend fragment (e.g. non-constant divisor)."""
 
 
-def default_command(timeout: float) -> list[str]:
-    return [sys.executable, "-m", "loopacc.solver.server", "--timeout", str(timeout)]
-
-
-def resolve_command(backend: str | None, timeout: float) -> list[str]:
+def resolve_command(backend: str | None) -> list[str] | None:
+    """The external solver command from ``backend`` or LOOPACC_BACKEND; None
+    selects the bundled solver in-process."""
     if backend is None:
         backend = os.environ.get(ENV_BACKEND)
-    if backend is None:
-        return default_command(timeout)
-    return shlex.split(backend)
+    return None if backend is None else shlex.split(backend)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +171,8 @@ class Model:
 class SatResult:
     status: str  # sat | unsat | unknown
     model: Model | None = None
-    diagnostic: str = ""
+    diagnostic: str = ""  # the solver's answer behind an unknown, or the error
+    reason: str = ""  # the solver's :reason-unknown after an "unknown" answer
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +180,20 @@ class SatResult:
 
 
 class BackendSession:
-    """One subprocess per session; push/pop-scoped queries; not thread-safe --
-    use one session per thread."""
+    """Push/pop-scoped queries as SMT-LIB2 text.  Without ``backend`` or
+    LOOPACC_BACKEND the bundled solver's ``Session`` answers in-process, with
+    ``timeout`` as its deadline per check-sat; otherwise the command runs as
+    one subprocess per session, restarted if it dies.  Both transports share
+    the encoding, the ``smt_log`` dialogue and the answer parsing.  Not
+    thread-safe -- use one session per thread."""
 
     def __init__(self, backend: str | None = None, timeout: float = DEFAULT_TIMEOUT,
                  div_encoding: str = "divisible", smt_log: str | None = None):
         self.timeout = timeout
         self.div_encoding = div_encoding
-        self.command = resolve_command(backend, timeout)
+        self.command = resolve_command(backend)
         self.proc: subprocess.Popen | None = None
+        self.server: Session | None = None
         self.declared: dict[str, int] = {}
         self._log = open(smt_log, "a") if smt_log else None
         self._cache: dict = {}
@@ -196,24 +201,41 @@ class BackendSession:
 
     # -- low-level protocol --
 
+    def _alive(self) -> bool:
+        return self.server is not None or (self.proc is not None and self.proc.poll() is None)
+
     def _ensure(self):
-        if self.proc is None or self.proc.poll() is not None:
+        if self._alive():
+            return
+        self.declared = {}
+        self._lines = queue.Queue()
+        if self.command is None:
+            self.server = Session(timeout=self.timeout)
+        else:
             self.proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL, text=True,
             )
-            self.declared = {}
-            self._lines = queue.Queue()
             t = threading.Thread(target=_pump, args=(self.proc.stdout, self._lines), daemon=True)
             t.start()
-            self._send("(set-option :produce-models true)")
-            self._send("(set-logic ALL)")
+        self._send("(set-option :produce-models true)")
+        self._send("(set-logic ALL)")
 
     def _send(self, line: str):
+        """One command; its answer, if any, is queued for _read_line."""
         self._ensure()
         if self._log:
             self._log.write(line + "\n")
             self._log.flush()
+        if self.server is not None:
+            try:
+                (form,) = parse_forms(line)
+                answer = self.server.command(form)
+            except SmtError as exc:
+                answer = error_text(str(exc))
+            if answer:
+                self._lines.put(answer)
+            return
         try:
             self.proc.stdin.write(line + "\n")
             self.proc.stdin.flush()
@@ -235,7 +257,7 @@ class BackendSession:
             if ch is None:
                 raise BackendError("backend closed its output")
             out += ch
-            if out.strip() and _balanced(out):
+            if out.strip() and balanced(out):
                 if self._log:
                     self._log.write("; <- " + out.strip().replace("\n", " ") + "\n")
                     self._log.flush()
@@ -248,6 +270,7 @@ class BackendSession:
             except OSError:
                 pass
             self.proc = None
+        self.server = None
         if self._log:
             self._log.flush()
 
@@ -294,16 +317,22 @@ class BackendSession:
                     return SatResult("sat", model)
                 if status in ("sat", "unsat"):
                     return SatResult(status)
-                return SatResult("unknown", diagnostic=status)
+                reason = ""
+                if status == "unknown":
+                    self._send("(get-info :reason-unknown)")
+                    reason = _reason_text(self._read_line(self.timeout + 10.0))
+                return SatResult("unknown", diagnostic=status, reason=reason)
             finally:
-                if self.proc is not None and self.proc.poll() is None:
+                if self._alive():
                     self._send("(pop 1)")
         except (BackendError, EncodingUnsupported) as exc:
             return SatResult("unknown", diagnostic=str(exc))
 
     def is_valid(self, f: Formula) -> bool | None:
         """Validity via unsatisfiability of the negation; None when unknown.
-        Simplification discharges most queries without a round trip."""
+        Simplification discharges most queries without a round trip.  Only
+        definite answers are cached: an unknown (say, a timeout) is asked
+        again."""
         from .simplify import simplify_formula
 
         g = simplify_formula(f)
@@ -316,14 +345,13 @@ class BackendSession:
             return self._cache[key]
         res = self.check([Not(g)], want_model=False)
         out = {"unsat": True, "sat": False}.get(res.status)
-        self._cache[key] = out
+        if out is not None:
+            self._cache[key] = out
         return out
 
     # -- model parsing --
 
     def _parse_model(self, text: str) -> Model:
-        from .solver.server import parse_forms
-
         forms = parse_forms(text)
         if len(forms) == 1 and isinstance(forms[0], list):
             forms = forms[0]
@@ -350,10 +378,21 @@ def _pump(stream, out: queue.Queue):
     out.put(None)
 
 
-def _balanced(text: str) -> bool:
-    from .solver.server import balanced
-
-    return balanced(text)
+def _reason_text(answer: str) -> str:
+    """The value of a (:reason-unknown ...) answer; any other answer (an error
+    or ``unsupported`` from an external solver) as it is."""
+    try:
+        forms = parse_forms(answer)
+    except SmtError:
+        return answer
+    if (len(forms) == 1 and isinstance(forms[0], list) and len(forms[0]) == 2
+            and forms[0][0] == ":reason-unknown"):
+        value = forms[0][1]
+        if isinstance(value, tuple):  # a string literal
+            return value[1]
+        if isinstance(value, str):
+            return value
+    return answer
 
 
 def _sort_arity(sort) -> int:

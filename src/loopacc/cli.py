@@ -8,8 +8,9 @@
 
 `check` prints unsafe / safe-bounded / unknown with exit codes 0 / 1 / 2.
 Every command accepts --json for a machine-readable report (schema 1).  The
-backend defaults to the bundled solver; --backend or LOOPACC_BACKEND selects
-an external SMT-LIB2 solver command.
+bundled solver answers queries in-process by default; --backend or
+LOOPACC_BACKEND names an SMT-LIB2 solver command to run as a subprocess
+instead.
 """
 
 from __future__ import annotations
@@ -227,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("file", help="problem file (s-expression syntax)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--backend", default=None,
-                       help="external SMT-LIB2 solver command (default: bundled)")
+                       help="SMT-LIB2 solver command to run as a subprocess "
+                            "(default: the bundled solver, in-process)")
         p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
                        help="seconds per backend query")
         p.add_argument("--smt-log", default=None, help="dump the SMT dialogue to a file")

@@ -16,19 +16,23 @@ Pipeline per check-sat:
 from __future__ import annotations
 
 import itertools
+import time
 
 from ..expr import (
     And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
     Sel, State, Var, arity_of, conj, eval_formula, sv,
 )
 from ..simplify import as_int_const, linearize, poly_to_expr, simplify_formula
-from .presburger import PresburgerSolver, Unsupported, div_atom, fand, f_or, gt_atom, padd, pscale
+from .presburger import (
+    PresburgerSolver, SolverTimeout, Unsupported, div_atom, fand, f_or, gt_atom, padd, pscale,
+)
 
 
 class GroundProblem:
-    def __init__(self, formulas: list[Formula], declared: dict[Var, int]):
+    def __init__(self, formulas: list[Formula], declared: dict[Var, int], deadline=None):
         self.inputs = list(formulas)
         self.declared = dict(declared)  # Var -> arity
+        self.deadline = deadline
         self._fresh = itertools.count()
         self.defs: list[Formula] = []
         self.term_map: dict = {}
@@ -42,6 +46,12 @@ class GroundProblem:
 
     def fresh(self, base: str) -> Var:
         return Var(f".{base}{next(self._fresh)}", 0)
+
+    def tick(self):
+        """Every stage before the Cooper search can grow quadratically in the
+        selects, so each one keeps the deadline too."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise SolverTimeout("timeout")
 
     # -- step 1: term hoisting ------------------------------------------------
 
@@ -88,6 +98,7 @@ class GroundProblem:
         raise Unsupported(f"term not supported: {e!r}")
 
     def hoist_formula(self, f: Formula) -> Formula:
+        self.tick()
         if isinstance(f, BoolConst):
             return f
         if isinstance(f, Rel):
@@ -122,6 +133,7 @@ class GroundProblem:
         return self.eq_vars[key]
 
     def ackermannize(self, f: Formula) -> Formula:
+        self.tick()
         if isinstance(f, BoolConst):
             return f
         if isinstance(f, Rel):
@@ -172,6 +184,7 @@ class GroundProblem:
                 seen.add(u)
                 stack.extend(adj.get(u, ()))
             for a, b in itertools.combinations(sorted(comp, key=lambda w: w.name), 2):
+                self.tick()
                 if a.arity == b.arity:
                     self.eq_var(a, b)
 
@@ -182,6 +195,7 @@ class GroundProblem:
         for arr, table in self.selects.items():
             entries = list(table.values())
             for (v1, i1), (v2, i2) in itertools.combinations(entries, 2):
+                self.tick()
                 out.append(Or((Not(vec_eq(i1, i2)), Rel("=", sv(v1), sv(v2)))))
         # equality variables: range, cross-array congruence, transitivity
         for (a, b), bvar in self.eq_vars.items():
@@ -190,11 +204,14 @@ class GroundProblem:
             eq = Rel("=", sv(bvar), Const(1))
             for (v1, i1) in self.selects.get(a, {}).values():
                 for (v2, i2) in self.selects.get(b, {}).values():
+                    self.tick()
                     out.append(Or((Not(eq), Not(vec_eq(i1, i2)), Rel("=", sv(v1), sv(v2)))))
         # transitivity where all three pairs are tracked
         arrs = sorted({x for pair in self.eq_vars for x in pair}, key=lambda v: v.name)
         pairs = set(self.eq_vars)
         for a, b, c in itertools.combinations(arrs, 3):
+            self.tick()
+
             def key(u, v):
                 return (u, v) if u.name <= v.name else (v, u)
             if key(a, b) in pairs and key(b, c) in pairs and key(a, c) in pairs:
@@ -215,6 +232,7 @@ class GroundProblem:
         while changed:
             changed = False
             for i, f in enumerate(work):
+                self.tick()
                 if not (isinstance(f, Rel) and f.op == "="):
                     continue
                 try:
@@ -237,8 +255,12 @@ class GroundProblem:
                 img = poly_to_expr({_mono(k): _frac(-v * c) for k, v in rest.items()})
                 self.presolve_log.append((x, img))
                 sub = {x: img}
-                work = [simplify_formula(substitute(g, sub)) for g in work]
-                work = [g for g in work if g != BoolConst(True)]
+                done, work = work, []
+                for g in done:
+                    self.tick()
+                    g = simplify_formula(substitute(g, sub))
+                    if g != BoolConst(True):
+                        work.append(g)
                 changed = True
                 break
         return work
@@ -346,22 +368,29 @@ def _nnf(f: Formula, neg: bool, products: dict | None = None):
 
 def check(formulas: list[Formula], declared: dict[Var, int], deadline=None):
     """Returns ("sat", State) or ("unsat", None).  Raises Unsupported or
-    SolverTimeout for out-of-fragment or over-budget problems.  The model is
-    verified against the input conjunction before being returned."""
-    gp = GroundProblem(formulas, declared)
+    SolverTimeout for out-of-fragment or over-budget problems; the deadline
+    (a time.monotonic() value) is kept by every stage, not only the search.
+    The model is verified against the input conjunction before being
+    returned."""
+    gp = GroundProblem(formulas, declared, deadline)
     hoisted = [gp.hoist_formula(simplify_formula(f)) for f in formulas]
     acked = [gp.ackermannize(f) for f in hoisted]
     acked += [gp.ackermannize(gp.hoist_formula(d)) for d in gp.defs]
     acked += gp.array_axioms()
     conjuncts = []
     for f in acked:
+        gp.tick()
         f = simplify_formula(f)
         if isinstance(f, And):
             conjuncts.extend(f.args)
         else:
             conjuncts.append(f)
     conjuncts = gp.presolve(conjuncts)
-    linear = fand([to_linear(f, gp.products) for f in conjuncts])
+    parts = []
+    for f in conjuncts:
+        gp.tick()
+        parts.append(to_linear(f, gp.products))
+    linear = fand(parts)
     solver = PresburgerSolver(deadline=deadline)
     m = solver.find_model(linear)
     if m is None:

@@ -44,9 +44,14 @@ def tokenize(text: str):
             i = j + 1
         elif c == '"':
             j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            yield ("str", text[i + 1: j])
+            while True:  # "" inside a string literal is an escaped quote
+                j = text.find('"', j)
+                if j < 0:
+                    raise SmtError("unterminated string literal")
+                if text[j + 1: j + 2] != '"':
+                    break
+                j += 2
+            yield ("str", text[i + 1: j].replace('""', '"'))
             i = j + 1
         else:
             j = i
@@ -94,6 +99,15 @@ def balanced(text: str) -> bool:
     return depth <= 0 and not in_bar and not in_str
 
 
+def smt_string(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
+def error_text(message: str) -> str:
+    """The (error "...") answer to a command the session rejected."""
+    return f"(error {smt_string(message)})"
+
+
 def parse_sort(form) -> int:
     """Arity of a sort: Int -> 0, (Array Int S) -> 1 + arity(S)."""
     if form == "Int":
@@ -116,6 +130,7 @@ class Session:
         self.model: State | None = None
         self.timeout = timeout
         self.print_success = False
+        self.reason = ""  # why the last check-sat answered unknown
 
     # -- term parsing ----------------------------------------------------------
 
@@ -271,6 +286,8 @@ class Session:
             return self.format_model()
         if head == "get-value":
             return self.get_value(form[1])
+        if head == "get-info":
+            return self.get_info(form[1])
         if head == "echo":
             return form[1][1] if isinstance(form[1], tuple) else str(form[1])
         if head == "exit":
@@ -282,16 +299,28 @@ class Session:
 
     def check_sat(self) -> str:
         self.model = None
+        self.reason = ""
         declared = {Var(n, a): a for n, a in self.decls.items()}
         deadline = time.monotonic() + self.timeout if self.timeout else None
         try:
             status, model = check(self.asserts(), declared, deadline=deadline)
-        except (Unsupported, SolverTimeout):
+        except SolverTimeout as exc:  # "timeout" or "branch budget exhausted"
+            self.reason = str(exc)
+            return "unknown"
+        except Unsupported as exc:
+            self.reason = f"unsupported: {exc}"
             return "unknown"
         if status == "sat":
             self.model = model
             return "sat"
         return "unsat"
+
+    def get_info(self, key) -> str:
+        """Answers :reason-unknown (an empty reason unless the last check-sat
+        answered unknown); other keywords are unsupported."""
+        if key == ":reason-unknown":
+            return f"(:reason-unknown {smt_string(self.reason)})"
+        return "unsupported"
 
     def format_model(self) -> str:
         if self.model is None:
@@ -375,7 +404,7 @@ def main(argv=None) -> int:
         try:
             forms = parse_forms(buf)
         except SmtError as exc:
-            print(f'(error "{exc}")', flush=True)
+            print(error_text(str(exc)), flush=True)
             buf = ""
             continue
         buf = ""
@@ -383,10 +412,10 @@ def main(argv=None) -> int:
             try:
                 out = session.command(form)
             except SmtError as exc:
-                print(f'(error "{exc}")', flush=True)
+                print(error_text(str(exc)), flush=True)
                 continue
             except Exception as exc:  # never die mid-protocol
-                print(f'(error "internal: {exc}")', flush=True)
+                print(error_text(f"internal: {exc}"), flush=True)
                 continue
             if out is None:
                 return 0

@@ -2,18 +2,27 @@
 enumeration, array reasoning, the SMT-LIB server loop, and model parsing."""
 
 import itertools
+import json
 import random
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from loopacc.backend import BackendSession
+from loopacc import cli
+from loopacc.backend import BackendSession, SatResult
 from loopacc.expr import (
     And, Bin, Const, Ite, Not, Or, Rel, Sel, State, Var, eval_formula, sv,
 )
+from loopacc.solver import server
 from loopacc.solver.ground import check
 from loopacc.solver.presburger import Unsupported
+
+# the bundled solver as an external command: the subprocess transport
+SERVER = f"{sys.executable} -m loopacc.solver.server"
+EXAMPLES = sorted((Path(__file__).parent.parent / "examples_problems").glob("*.loop"))
 
 
 def _rand_poly(rnd, xs):
@@ -167,7 +176,7 @@ class TestBackendSession:
 
     def test_timeout_recovery(self):
         # a dead backend must surface as unknown, and the session must recover
-        with BackendSession(timeout=2.0) as s:
+        with BackendSession(backend=SERVER, timeout=2.0) as s:
             i = Var("i")
             assert s.check([Rel("=", sv(i), Const(1))]).status == "sat"
             s.proc.kill()
@@ -206,3 +215,102 @@ def test_model_parse_store_chain():
     m = s._parse_model(text)
     assert m.scalars["x"] == -7
     assert m.arrays["a"]((2,)) == 9 and m.arrays["a"]((5,)) == 1
+
+
+def test_string_literal_escapes():
+    text = server.smt_string('say "hi"')
+    assert server.balanced(text)
+    assert server.parse_forms(text) == [("str", 'say "hi"')]
+
+
+def test_is_valid_asks_again_after_unknown():
+    # an unknown (say, a timeout) is no final answer: the next call asks again
+    i, k = Var("i"), Var("k")
+    with BackendSession() as s:
+        real = s.check
+        stubbed = [SatResult("unknown", diagnostic="unknown", reason="timeout")]
+
+        def check_once_unknown(formulas, want_model=True):
+            return stubbed.pop() if stubbed else real(formulas, want_model)
+
+        s.check = check_once_unknown
+        f = Rel("<", sv(i), sv(k))
+        assert s.is_valid(f) is None
+        assert s.is_valid(f) is False
+
+
+def _many_selects(n: int):
+    """n selects at distinct unknown indices: quadratic work in Ackermann
+    reduction and presolve before the search starts."""
+    a = Var("a", 1)
+    return [Rel("=", Sel(a, (sv(Var(f"i{k}")),)), Bin("+", sv(Var(f"i{k}")), Const(1)))
+            for k in range(n)]
+
+
+def test_deadline_holds_before_the_search():
+    with BackendSession(timeout=0.05) as s:
+        s.check([Rel("=", sv(Var("x")), Const(0))])  # session started
+        t0 = time.monotonic()
+        r = s.check(_many_selects(30))
+        elapsed = time.monotonic() - t0
+    assert r.status == "unknown" and r.reason == "timeout"
+    assert elapsed < 0.5
+
+
+@pytest.fixture(params=["in-process", "subprocess"])
+def open_session(request):
+    """BackendSession factory for one transport, with a per-check timeout."""
+    def make(timeout: float) -> BackendSession:
+        if request.param == "in-process":
+            return BackendSession(timeout=timeout)
+        return BackendSession(backend=f"{SERVER} --timeout {timeout}", timeout=timeout)
+    return make
+
+
+def test_reason_unknown_timeout(open_session):
+    with open_session(0.05) as s:
+        r = s.check(_many_selects(30))
+    assert (r.status, r.diagnostic, r.reason) == ("unknown", "unknown", "timeout")
+
+
+def test_reason_unknown_nonlinear(open_session):
+    x, y = Var("x"), Var("y")
+    with open_session(5.0) as s:
+        r = s.check([Rel("=", Bin("*", sv(x), sv(y)), Const(6))])
+        assert (r.status, r.diagnostic) == ("unknown", "unknown")
+        assert r.reason.startswith("unsupported: ")
+        assert s.check([Rel("=", sv(x), Const(6))]).reason == ""
+
+
+def _verdict(path: Path, capsys, *options) -> str:
+    cli.main(["check", str(path), "--json", *options])
+    out = capsys.readouterr().out
+    return json.loads(out)["result"] if out else "no post"
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_transport_parity(path, capsys):
+    assert _verdict(path, capsys) == _verdict(path, capsys, "--backend", SERVER)
+
+
+def test_smt_log_replays(tmp_path, capsys):
+    # the in-process dialogue, fed to a fresh server session, gets the same answers
+    compared = 0
+    for path in EXAMPLES:
+        log = tmp_path / f"{path.stem}.smt2"
+        if _verdict(path, capsys, "--smt-log", str(log)) == "no post":
+            continue
+        logged, replayed, session = [], [], None
+        for line in log.read_text().splitlines():
+            if line.startswith("; <- "):
+                logged.append(line[5:])
+                continue
+            (form,) = server.parse_forms(line)
+            if form == ["set-option", ":produce-models", "true"]:
+                session = server.Session(timeout=10.0)
+            answer = session.command(form)
+            if answer:
+                replayed.append(answer.replace("\n", " "))
+        assert replayed == logged, path.name
+        compared += len(logged)
+    assert compared > 0
