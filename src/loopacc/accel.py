@@ -17,9 +17,10 @@ from .expr import (
     conj, free_vars, lval_set, substitute, substitute_lvalues, sv,
 )
 from .arrayform import ArrayFormError, closed_form_array
-from .classify import LvalueClass, classify_lvalue
+from .backend import validity
+from .classify import LvalueClass, classify_lvalue, monotonicity
 from .closedform import ClosedFormError, ClosedFormTable, ClosedForms, Failure, closed_forms_all
-from .loop import Loop, UpdateSubstitution, build_up
+from .loop import Loop, UpdateSubstitution, build_up, validate_loop
 from .recurrence import N
 from .simplify import simplify, simplify_formula
 
@@ -58,9 +59,6 @@ def _closed_form_for(lv: Sel, loop: Loop, table: ClosedFormTable,
         return table.of(lv)
     if not (free_vars(lv) & loop.written_vars()):
         return lv
-    direction = None
-    from .classify import monotonicity
-
     direction = monotonicity(loop, lv.arr, up, session)
     c = classify_lvalue(loop, lv, direction, up, session)
     if c.label == LvalueClass.TRIVIAL:
@@ -87,7 +85,7 @@ def guard_characterize(loop: Loop, table: ClosedFormTable,
     out = []
     for atom in _guard_atoms(loop.guard):
         post = up.apply(atom)
-        post_implies_pre = _validity(Or((Not(post), atom)), session)
+        post_implies_pre = validity(Or((Not(post), atom)), session)
         if post_implies_pre:
             mapping = {}
             failed = None
@@ -103,7 +101,7 @@ def guard_characterize(loop: Loop, table: ClosedFormTable,
             shifted = substitute(shifted, {N: Bin("-", sv(N), Const(1))})
             out.append(simplify_formula(shifted))
             continue
-        pre_implies_post = _validity(Or((Not(atom), post)), session)
+        pre_implies_post = validity(Or((Not(atom), post)), session)
         if pre_implies_post:
             out.append(simplify_formula(atom))
             continue
@@ -113,23 +111,10 @@ def guard_characterize(loop: Loop, table: ClosedFormTable,
     return conj(out)
 
 
-def _validity(f: Formula, session) -> bool | None:
-    g = simplify_formula(f)
-    if g == BoolConst(True):
-        return True
-    if g == BoolConst(False):
-        return False
-    if session is None:
-        return None
-    return session.is_valid(g)
-
-
 def accelerate(loop: Loop, session=None,
                forms: ClosedForms | Failure | None = None) -> AcceleratedTransition | Failure:
     """n > 0, the guard characterization, and x' = x^(n) for every loop
     variable (unwritten variables keep x' = x so models stay total)."""
-    from .loop import validate_loop
-
     validation = validate_loop(loop, session)
     if not validation.ok:
         detail = "inconclusive" if validation.inconclusive else f"pair {validation.violation}"

@@ -1,14 +1,17 @@
 """Client side of the ground-solver protocol: SMT-LIB2 text, one command at a
-time.  By default the bundled solver answers in-process (a
-``solver.server.Session`` fed the same text); ``--backend CMD`` /
-LOOPACC_BACKEND instead runs CMD as a subprocess speaking SMT-LIB2 over
-stdin/stdout.  The bundled solver out of process is
-``--backend 'python -m loopacc.solver.server'`` (also ``loopacc-smt``).
+time, written and read with the helpers of ``sexpr``.  By default the bundled
+solver answers in-process (a ``solver.server.Session`` fed the same text);
+``--backend CMD`` / LOOPACC_BACKEND instead runs CMD as a subprocess speaking
+SMT-LIB2 over stdin/stdout, killed and answered ``unknown`` (reason
+``timeout``) when it takes more than the timeout plus a one-second grace.  The
+bundled solver out of process is ``--backend 'python -m loopacc.solver.server'``
+(also ``loopacc-smt``).
 
 Every emitted query is quantifier-free linear integer arithmetic plus arrays
 (nested one-dimensional, full-index selects only) and divisibility, encoded as
-``(_ divisible k)`` by default or with fresh quotient variables in
-``quotient`` mode.  Lambdas must be abstracted away before reaching here.
+``(_ divisible k)``.  Lambdas must be abstracted away before reaching here.
+``validity`` is the one validity question of the pipeline: the session's
+answer, or the simplifier's alone when there is no session.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from dataclasses import dataclass, field
 
 from .expr import (
     And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
-    Sel, Var, arity_of, fresh_var,
+    Sel, State, Var, arity_of, free_vars,
 )
-from .sexpr import to_text
-from .solver.server import Session, SmtError, balanced, error_text, parse_forms
+from .sexpr import ParseError, balanced, read_all, smt_int, smt_symbol, sort_arity, sort_text
+from .simplify import as_int_const, simplify_formula
+from .solver.server import Session, error_text
 
 ENV_BACKEND = "LOOPACC_BACKEND"
 DEFAULT_TIMEOUT = 2.0
+TIMEOUT_GRACE = 1.0  # seconds a --backend command may take beyond the timeout
 
 
 class BackendError(Exception):
@@ -38,6 +43,10 @@ class BackendError(Exception):
 
 class EncodingUnsupported(BackendError):
     """Formula outside the backend fragment (e.g. non-constant divisor)."""
+
+
+class BackendTimeout(BackendError):
+    """A --backend command did not answer within the timeout and grace."""
 
 
 def resolve_command(backend: str | None) -> list[str] | None:
@@ -52,31 +61,12 @@ def resolve_command(backend: str | None) -> list[str] | None:
 # encoding
 
 
-def smt_symbol(name: str) -> str:
-    if name and all(c.isalnum() or c in "~!@$%^&*_+=<>.?/-" for c in name):
-        return name
-    return "|" + name + "|"
-
-
-def sort_text(arity: int) -> str:
-    return "Int" if arity == 0 else f"(Array Int {sort_text(arity - 1)})"
-
-
 class Encoder:
-    def __init__(self, div_encoding: str = "divisible"):
-        if div_encoding not in ("divisible", "quotient"):
-            raise ValueError(div_encoding)
-        self.div_encoding = div_encoding
-        self.extra_decls: list[Var] = []
-        self.extra_asserts: list[str] = []
-
     def term(self, e) -> str:
         if isinstance(e, Const):
-            return str(e.value) if e.value >= 0 else f"(- {-e.value})"
+            return smt_int(e.value)
         if isinstance(e, Bin):
             if e.op == "div":
-                from .simplify import as_int_const
-
                 d = as_int_const(e.right)
                 if d is None or d == 0:
                     raise EncodingUnsupported("division by a non-constant")
@@ -88,8 +78,6 @@ class Encoder:
         if isinstance(e, Sel):
             if isinstance(e.arr, Lam):
                 raise EncodingUnsupported("lambda in backend query")
-            if e.arr.arity == 0:
-                return smt_symbol(e.arr.name)
             out = smt_symbol(e.arr.name)
             for i in e.idx:
                 out = f"(select {out} {self.term(i)})"
@@ -115,28 +103,14 @@ class Encoder:
 
     def atom(self, f: Rel, negated: bool) -> str:
         if f.op == "divides":
-            from .simplify import as_int_const
-
             d = as_int_const(f.left)
             if d is None:
                 raise EncodingUnsupported("divisibility by a non-constant")
             if d == 0:
                 body = f"(= {self.term(f.right)} 0)"
-                return f"(not {body})" if negated else body
-            if self.div_encoding == "divisible":
+            else:
                 body = f"((_ divisible {abs(d)}) {self.term(f.right)})"
-                return f"(not {body})" if negated else body
-            # quotient mode: satisfiability-side encoding with fresh variables
-            q = fresh_var("q")
-            self.extra_decls.append(q)
-            if not negated:
-                return f"(= {self.term(f.right)} (* {abs(d)} {smt_symbol(q.name)}))"
-            r = fresh_var("rm")
-            self.extra_decls.append(r)
-            self.extra_asserts.append(f"(<= 1 {smt_symbol(r.name)})")
-            self.extra_asserts.append(f"(<= {smt_symbol(r.name)} {abs(d) - 1})")
-            return (f"(= {self.term(f.right)} (+ (* {abs(d)} {smt_symbol(q.name)})"
-                    f" {smt_symbol(r.name)}))")
+            return f"(not {body})" if negated else body
         ops = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=", "!=": "distinct"}
         neg = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "distinct", "!=": "="}
         op = neg[f.op] if negated else ops[f.op]
@@ -161,9 +135,7 @@ class Model:
             return self.scalars.get(x.name, 0)
         return self.arrays.get(x.name, FiniteFn.const(x.arity, 0))
 
-    def as_state(self, variables) -> "State":
-        from .expr import State
-
+    def as_state(self, variables) -> State:
         return State({x: self.value(x) for x in variables})
 
 
@@ -183,20 +155,19 @@ class BackendSession:
     """Push/pop-scoped queries as SMT-LIB2 text.  Without ``backend`` or
     LOOPACC_BACKEND the bundled solver's ``Session`` answers in-process, with
     ``timeout`` as its deadline per check-sat; otherwise the command runs as
-    one subprocess per session, restarted if it dies.  Both transports share
-    the encoding, the ``smt_log`` dialogue and the answer parsing.  Not
-    thread-safe -- use one session per thread."""
+    one subprocess per session, restarted if it dies or overruns.  Both
+    transports share the encoding, the ``smt_log`` dialogue and the answer
+    parsing.  Not thread-safe -- use one session per thread."""
 
     def __init__(self, backend: str | None = None, timeout: float = DEFAULT_TIMEOUT,
-                 div_encoding: str = "divisible", smt_log: str | None = None):
+                 smt_log: str | None = None):
         self.timeout = timeout
-        self.div_encoding = div_encoding
         self.command = resolve_command(backend)
         self.proc: subprocess.Popen | None = None
         self.server: Session | None = None
         self.declared: dict[str, int] = {}
         self._log = open(smt_log, "a") if smt_log else None
-        self._cache: dict = {}
+        self._cache: dict[Formula, bool] = {}
         self._lines: queue.Queue = queue.Queue()
 
     # -- low-level protocol --
@@ -207,6 +178,7 @@ class BackendSession:
     def _ensure(self):
         if self._alive():
             return
+        self._stop()  # reap a child that died
         self.declared = {}
         self._lines = queue.Queue()
         if self.command is None:
@@ -229,9 +201,9 @@ class BackendSession:
             self._log.flush()
         if self.server is not None:
             try:
-                (form,) = parse_forms(line)
+                (form,) = read_all(line)
                 answer = self.server.command(form)
-            except SmtError as exc:
+            except ParseError as exc:
                 answer = error_text(str(exc))
             if answer:
                 self._lines.put(answer)
@@ -242,14 +214,16 @@ class BackendSession:
         except BrokenPipeError as exc:
             raise BackendError(f"backend died: {exc}") from exc
 
-    def _read_line(self, budget: float) -> str:
-        deadline = time.monotonic() + budget
+    def _read_line(self) -> str:
+        """The next answer; a child that overruns the timeout and its grace
+        is killed (the next command restarts it)."""
+        deadline = time.monotonic() + self.timeout + TIMEOUT_GRACE
         out = ""
         while True:
             remain = deadline - time.monotonic()
             if remain <= 0:
-                self.close()
-                raise BackendError("backend timed out")
+                self._stop()
+                raise BackendTimeout("timeout")
             try:
                 ch = self._lines.get(timeout=min(remain, 0.2))
             except queue.Empty:
@@ -263,16 +237,23 @@ class BackendSession:
                     self._log.flush()
                 return out.strip()
 
-    def close(self):
+    def _stop(self):
+        """Kill and reap the solver child, or drop the in-process solver."""
         if self.proc is not None:
+            self.proc.kill()
+            self.proc.wait()
             try:
-                self.proc.kill()
-            except OSError:
+                self.proc.stdin.close()
+            except OSError:  # unflushed input to a dead child
                 pass
             self.proc = None
         self.server = None
+
+    def close(self):
+        self._stop()
         if self._log:
-            self._log.flush()
+            self._log.close()
+            self._log = None
 
     def __enter__(self):
         return self
@@ -295,37 +276,36 @@ class BackendSession:
     def check(self, formulas, want_model: bool = True) -> SatResult:
         """Satisfiability of the conjunction within a fresh push/pop scope.
         Declarations stay in the outer scope so they survive the pop."""
-        from .expr import free_vars
-
         formulas = list(formulas)
         try:
             self._ensure()
-            enc = Encoder(self.div_encoding)
+            enc = Encoder()
             texts = [enc.formula(f) for f in formulas]
             for f in formulas:
                 self.declare(free_vars(f))
-            self.declare(enc.extra_decls)
             self._send("(push 1)")
             try:
-                for t in enc.extra_asserts + texts:
+                for t in texts:
                     self._send(f"(assert {t})")
                 self._send("(check-sat)")
-                status = self._read_line(self.timeout + 10.0)
+                status = self._read_line()
                 if status == "sat" and want_model:
                     self._send("(get-model)")
-                    model = self._parse_model(self._read_line(self.timeout + 10.0))
+                    model = self._parse_model(self._read_line())
                     return SatResult("sat", model)
                 if status in ("sat", "unsat"):
                     return SatResult(status)
                 reason = ""
                 if status == "unknown":
                     self._send("(get-info :reason-unknown)")
-                    reason = _reason_text(self._read_line(self.timeout + 10.0))
+                    reason = _reason_text(self._read_line())
                 return SatResult("unknown", diagnostic=status, reason=reason)
             finally:
                 if self._alive():
                     self._send("(pop 1)")
-        except (BackendError, EncodingUnsupported) as exc:
+        except BackendTimeout:
+            return SatResult("unknown", diagnostic="unknown", reason="timeout")
+        except (BackendError, ParseError) as exc:
             return SatResult("unknown", diagnostic=str(exc))
 
     def is_valid(self, f: Formula) -> bool | None:
@@ -333,26 +313,21 @@ class BackendSession:
         Simplification discharges most queries without a round trip.  Only
         definite answers are cached: an unknown (say, a timeout) is asked
         again."""
-        from .simplify import simplify_formula
-
         g = simplify_formula(f)
-        if g == BoolConst(True):
-            return True
-        if g == BoolConst(False):
-            return False
-        key = (to_text(g), "valid")
-        if key in self._cache:
-            return self._cache[key]
+        if isinstance(g, BoolConst):
+            return g.value
+        if g in self._cache:
+            return self._cache[g]
         res = self.check([Not(g)], want_model=False)
         out = {"unsat": True, "sat": False}.get(res.status)
         if out is not None:
-            self._cache[key] = out
+            self._cache[g] = out
         return out
 
     # -- model parsing --
 
     def _parse_model(self, text: str) -> Model:
-        forms = parse_forms(text)
+        forms = read_all(text)
         if len(forms) == 1 and isinstance(forms[0], list):
             forms = forms[0]
         if forms and forms[0] == "model":  # older printers prefix with 'model'
@@ -367,14 +342,23 @@ class BackendSession:
             if sort == "Int":
                 model.scalars[name] = _int_value(body)
             else:
-                arity = _sort_arity(sort)
-                model.arrays[name] = _array_value(body, arity)
+                model.arrays[name] = _array_value(body, sort_arity(sort))
         return model
 
 
+def validity(f: Formula, session: BackendSession | None) -> bool | None:
+    """Whether f is valid: the session's answer, or without a session the
+    simplifier's; None when neither can decide."""
+    if session is not None:
+        return session.is_valid(f)
+    g = simplify_formula(f)
+    return g.value if isinstance(g, BoolConst) else None
+
+
 def _pump(stream, out: queue.Queue):
-    for line in iter(stream.readline, ""):
-        out.put(line)
+    with stream:  # closed here, after the child's last line
+        for line in iter(stream.readline, ""):
+            out.put(line)
     out.put(None)
 
 
@@ -382,8 +366,8 @@ def _reason_text(answer: str) -> str:
     """The value of a (:reason-unknown ...) answer; any other answer (an error
     or ``unsupported`` from an external solver) as it is."""
     try:
-        forms = parse_forms(answer)
-    except SmtError:
+        forms = read_all(answer)
+    except ParseError:
         return answer
     if (len(forms) == 1 and isinstance(forms[0], list) and len(forms[0]) == 2
             and forms[0][0] == ":reason-unknown"):
@@ -393,14 +377,6 @@ def _reason_text(answer: str) -> str:
         if isinstance(value, str):
             return value
     return answer
-
-
-def _sort_arity(sort) -> int:
-    if sort == "Int":
-        return 0
-    if isinstance(sort, list) and len(sort) == 3 and sort[0] == "Array":
-        return 1 + _sort_arity(sort[2])
-    raise BackendError(f"unsupported sort in model: {sort!r}")
 
 
 def _int_value(body) -> int:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .expr import (
-    BoolConst, Formula, Rel, Sel, Var, conj, disj, free_vars, lval_set,
-)
+from .backend import validity
+from .expr import Formula, Rel, Sel, Var, conj, disj, free_vars, lval_set
 from .loop import Loop, UpdateSubstitution, build_up
-from .simplify import simplify_formula
+from .sexpr import to_text
 
 
 class LvalueClass(enum.Enum):
@@ -47,17 +46,6 @@ def lex_le(u: tuple, v: tuple) -> Formula:
     return disj([lex_lt(u, v), eq])
 
 
-def _validity(f: Formula, session) -> bool | None:
-    g = simplify_formula(f)
-    if g == BoolConst(True):
-        return True
-    if g == BoolConst(False):
-        return False
-    if session is None:
-        return None
-    return session.is_valid(g)
-
-
 def compute_L(loop: Loop) -> list[Sel]:
     """Least set containing the rhs lvalues and closed under lvalues of index
     vectors; deterministic order for reproducible reports."""
@@ -80,8 +68,6 @@ def compute_L(loop: Loop) -> list[Sel]:
 
 
 def _lv_key(lv: Sel) -> str:
-    from .sexpr import to_text
-
     return to_text(lv)
 
 
@@ -96,8 +82,8 @@ def monotonicity(loop: Loop, x: Var, up: UpdateSubstitution | None = None,
         upped = tuple(up.apply(ix) for ix in lv.idx)
         inc_parts.append(lex_le(lv.idx, upped))
         dec_parts.append(lex_le(upped, lv.idx))
-    inc = _validity(conj(inc_parts), session)
-    dec = _validity(conj(dec_parts), session)
+    inc = validity(conj(inc_parts), session)
+    dec = validity(conj(dec_parts), session)
     if inc and dec:
         return Monotonicity.BOTH
     if inc:
@@ -119,8 +105,6 @@ def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
     semantic index equality (up(r) is rarely syntactically identical to a
     written index); displacing flips the strict comparison for decreasing
     variables."""
-    from .sexpr import to_text
-
     up = up or build_up(loop)
     written = loop.written_vars()
     if not (free_vars(lv) & written):
@@ -129,7 +113,7 @@ def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
     upped = tuple(up.apply(ix) for ix in lv.idx)
     for wlv, _ in loop.writes_to(x):
         eq = conj(Rel("=", a, b) for a, b in zip(wlv.idx, upped))
-        if _validity(eq, session):
+        if validity(eq, session):
             just = f"{x.name}[up(r)] = {to_text(wlv)} is written"
             return Classification(LvalueClass.INDUCTIVE, just)
     writes = loop.writes_to(x)
@@ -142,7 +126,7 @@ def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
         sides.append(("r' > up(r)", lambda w: lex_lt(upped, w)))
     inconclusive = False
     for name, mk in sides:
-        verdict = _validity(conj(mk(wlv.idx) for wlv, _ in writes), session)
+        verdict = validity(conj(mk(wlv.idx) for wlv, _ in writes), session)
         if verdict:
             return Classification(LvalueClass.DISPLACING,
                                   f"{name} valid for every write to {x.name}")
@@ -167,8 +151,6 @@ def check_a_solvable(loop: Loop, session=None) -> SolvabilityVerdict:
     """Monotonic + full classification of the closure + per-rhs condition:
     (a) only trivial/inductive reads or (b) only displacing reads (trivial
     lvalues count as displacing)."""
-    from .sexpr import to_text
-
     up = build_up(loop)
     verdict = SolvabilityVerdict(False)
     for x in sorted(loop.variables(), key=lambda v: v.name):

@@ -182,8 +182,9 @@ def cmd_check(args) -> int:
         if res.status == "unsat":
             _emit(args, "safe-bounded", {"result": "safe-bounded", "lemmas": res.lemmas})
             return 1
-        _emit(args, f"unknown ({res.diagnostic})",
-              {"result": "unknown", "detail": res.diagnostic, "lemmas": res.lemmas})
+        why = f"{res.diagnostic}: {res.reason}" if res.reason else res.diagnostic
+        _emit(args, f"unknown ({why})", {"result": "unknown", "detail": res.diagnostic,
+                                         "reason": res.reason, "lemmas": res.lemmas})
         return 2
 
 
@@ -223,9 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="problem file (s-expression syntax)")
+    def common(p, **file_options):
+        p.add_argument("file", help="problem file (s-expression syntax)", **file_options)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--backend", default=None,
                        help="SMT-LIB2 solver command to run as a subprocess "
@@ -255,11 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("oracle", help="differential testing against the interpreter")
-    p.add_argument("file", nargs="?", default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--backend", default=None)
-    p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
-    p.add_argument("--smt-log", default=None)
+    common(p, nargs="?", default=None)
     p.add_argument("--fuzz", type=int, default=0, metavar="K",
                    help="generate and test K random a-solvable loops")
     p.add_argument("--n-max", type=int, default=8)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Const, Expr, Sel, lval_set, substitute, substitute_lvalues
+from .expr import Const, Expr, Sel, free_vars, lval_set, substitute, substitute_lvalues
 from .classify import LvalueClass, SolvabilityVerdict, check_a_solvable
 from .loop import Loop
 from .recurrence import (
-    N, RecSolution, RecurrenceSystem, Unsolvable, build_rec, solve_rec,
-    verify_solution,
+    N, RecSolution, RecurrenceError, RecurrenceSystem, Unsolvable, build_rec,
+    solve_rec, verify_solution,
 )
 from .simplify import simplify
 
@@ -60,8 +60,6 @@ def closed_form_inductive(lv: Sel, system: RecurrenceSystem, sol: RecSolution) -
     variable replacement."""
     rec = system.sigma.symbol(lv)
     body = sol.of(rec)
-    from .expr import free_vars
-
     allowed = set(system.sigma.symbols()) | {N}
     extra = free_vars(body) - allowed
     if extra:
@@ -95,7 +93,7 @@ def closed_forms_all(loop: Loop, session=None,
         return Failure("classification", verdict.reason)
     try:
         system = build_rec(loop, verdict, session=session)
-    except Exception as exc:
+    except RecurrenceError as exc:
         return Failure("rec", str(exc))
     sol = solve_rec(system)
     if isinstance(sol, Unsolvable):

@@ -667,26 +667,3 @@ def eval_formula(f: Formula, s: State) -> bool:
     if isinstance(f, Or):
         return any(eval_formula(a, s) for a in f.args)
     raise TypeError(f"not a formula: {f!r}")
-
-
-# convenience constructors used all over the tests and pipeline
-
-
-def add(l, r):
-    return Bin("+", l, r)
-
-
-def sub(l, r):
-    return Bin("-", l, r)
-
-
-def mul(l, r):
-    return Bin("*", l, r)
-
-
-def intdiv(l, r):
-    return Bin("div", l, r)
-
-
-def rel(op, l, r):
-    return Rel(op, l, r)

@@ -30,6 +30,7 @@ class SolveResult:
     model: "LambdaModel | None" = None
     diagnostic: str = ""
     lemmas: int = 0
+    reason: str = ""  # the backend's reason behind an unknown check
 
 
 @dataclass
@@ -141,13 +142,15 @@ class LambdaAbstraction:
     residual lambdas consistently with the initial pass."""
 
     def __init__(self):
-        self.table: dict[str, Var] = {}
+        self.table: dict[Lam, Var] = {}
         self.reverse: dict[Var, Lam] = {}
 
-    def _key(self, lam: Lam) -> str:
-        renaming = {p: sv(Var(f"%{k}", 0)) for k, p in enumerate(lam.params)}
-        body = substitute(lam.body, renaming)
-        return to_text(Lam(tuple(Var(f"%{k}", 0) for k in range(len(lam.params))), body))
+    def _key(self, lam: Lam) -> Lam:
+        """lam with its parameters renamed %0, %1, ...: alpha-equivalent
+        lambdas give equal keys."""
+        params = tuple(Var(f"%{k}", 0) for k in range(len(lam.params)))
+        renaming = {p: sv(q) for p, q in zip(lam.params, params)}
+        return Lam(params, substitute(lam.body, renaming))
 
     def apply(self, e):
         if isinstance(e, Lam):
@@ -297,7 +300,7 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
     for lam in abstraction.reverse.values():
         all_vars |= free_vars(lam)
 
-    tried: set[tuple[int, tuple]] = set()
+    tried: set[tuple[int, tuple[Expr, ...]]] = set()
     lemmas = 0
     bound = (len(equalities) * max(1, len(idx))) + 1
     for _round in range(bound + 1):
@@ -306,7 +309,7 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
             return SolveResult("unsat", lemmas=lemmas)
         if res.status != "sat":
             return SolveResult("unknown", diagnostic=res.diagnostic or "backend unknown",
-                               lemmas=lemmas)
+                               lemmas=lemmas, reason=res.reason)
         model = res.model
         for x in sorted(all_vars, key=lambda v: v.name):
             if x.arity == 0:
@@ -324,7 +327,7 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
         for k, (f, p, q) in enumerate(equalities):
             par = arity_of(p)
             for e in idx:
-                if len(e) != par or (k, _key(e)) in tried:
+                if len(e) != par or (k, e) in tried:
                     continue
                 try:
                     lv = _eval_apply(p, e, state)
@@ -332,7 +335,7 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
                 except EvalError:
                     continue
                 if lv != rv:
-                    tried.add((k, _key(e)))
+                    tried.add((k, e))
                     lemma = simplify_formula(Rel("=",
                                                  beta_reduce(Sel(p, e)),
                                                  beta_reduce(Sel(q, e))))
@@ -342,10 +345,6 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
         if not progress:
             return SolveResult("unknown", diagnostic="refinement failed", lemmas=lemmas)
     return SolveResult("unknown", diagnostic="lemma bound exhausted", lemmas=lemmas)
-
-
-def _key(e: tuple) -> tuple:
-    return tuple(to_text(x) for x in e)
 
 
 def _eval_apply(p, e: tuple, state: State) -> int:

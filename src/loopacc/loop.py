@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .backend import validity
 from .expr import (
-    BoolConst, EvalError, Expr, FiniteFn, Formula, Ite, Lam, Rel, Sel, State,
-    Var, beta_reduce, conj, disj, eval_expr, eval_formula, free_vars,
-    fresh_var, is_lvalue, is_rvalue, substitute, sv,
+    EvalError, Expr, FiniteFn, Formula, Ite, Lam, Rel, Sel, State, Var,
+    beta_reduce, conj, disj, eval_expr, eval_formula, free_vars, fresh_var,
+    is_lvalue, is_rvalue, substitute, sv,
 )
-from .simplify import simplify, simplify_formula
+from .simplify import simplify
 
 
 class LoopError(Exception):
@@ -136,23 +137,12 @@ def validate_loop(loop: Loop, session=None) -> ValidationResult:
             if li.arr != lj.arr:
                 continue
             diseq = disj(Rel("!=", a, b) for a, b in zip(li.idx, lj.idx))
-            verdict = _validity(diseq, session)
+            verdict = validity(diseq, session)
             if verdict is None:
                 return ValidationResult(False, inconclusive=True, violation=(i, j))
             if not verdict:
                 return ValidationResult(False, violation=(i, j))
     return ValidationResult(True)
-
-
-def _validity(f: Formula, session) -> bool | None:
-    g = simplify_formula(f)
-    if g == BoolConst(True):
-        return True
-    if g == BoolConst(False):
-        return False
-    if session is None:
-        return None
-    return session.is_valid(g)
 
 
 # ---------------------------------------------------------------------------

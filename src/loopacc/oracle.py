@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .arrayform import ArrayFormError, closed_form_array
 from .closedform import Failure, closed_forms_all
-from .expr import Const, FiniteFn, State, Var, eval_expr, substitute
+from .expr import Const, EvalError, FiniteFn, State, Var, eval_expr, substitute
 from .loop import Loop, build_up, run_n
 from .recurrence import N
 from .sexpr import to_text
@@ -37,6 +37,7 @@ class OracleReport:
     mismatches: list[Mismatch] = field(default_factory=list)
     failure: Failure | None = None
     checked: int = 0
+    skipped: int = 0  # cells whose closed form or state does not evaluate
     elapsed: float = 0.0
 
     @property
@@ -50,6 +51,7 @@ class OracleReport:
             "n_max": self.n_max,
             "window": self.window,
             "checked": self.checked,
+            "skipped": self.skipped,
             "elapsed": round(self.elapsed, 3),
             "ok": self.ok,
             "mismatches": [
@@ -142,8 +144,9 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                 try:
                     expected = eval_expr(lv, r.state)
                     got = eval_expr(substitute(cf, n_sub), state)
-                except Exception:
-                    continue  # e.g. division by zero in a probed cell
+                except EvalError:  # e.g. division by zero in a probed cell
+                    report.skipped += 1
+                    continue
                 report.checked += 1
                 if expected != got:
                     report.mismatches.append(

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Expr, Rel, Sel, Var, free_vars, fresh_var, lval_set, sv
+from .backend import validity
+from .expr import (
+    Expr, Rel, Sel, Var, free_vars, fresh_var, lval_set, substitute, substitute_lvalues, sv,
+)
 from .loop import Loop, UpdateSubstitution, build_up
 from .classify import LvalueClass, SolvabilityVerdict
 from .simplify import Poly, linearize, poly_add, poly_mul, poly_scale, poly_to_expr
@@ -46,13 +49,9 @@ class LvalueSubstitution:
         raise KeyError(f"no lvalue for {rec!r}")
 
     def apply(self, e: Expr) -> Expr:
-        from .expr import substitute_lvalues
-
         return substitute_lvalues(e, {l: sv(r) for l, r in self.pairs})
 
     def unapply(self, e: Expr) -> Expr:
-        from .expr import substitute
-
         return substitute(e, {r: l for l, r in self.pairs})
 
     def symbols(self):
@@ -96,8 +95,6 @@ def build_rec(loop: Loop, verdict: SolvabilityVerdict,
     """One equation per inductive lvalue x[r]: the next value is what the loop
     writes to x[up(r)] this iteration, with every top-level lvalue replaced by
     its rec symbol."""
-    from .simplify import polys_equal
-
     up = up or build_up(loop)
     sigma = LvalueSubstitution.over(verdict.closure)
     known = set(verdict.closure)
@@ -108,7 +105,7 @@ def build_rec(loop: Loop, verdict: SolvabilityVerdict,
         upped = tuple(up.apply(ix) for ix in lv.idx)
         rhs = None
         for wlv, wr in loop.writes_to(lv.arr):
-            if all(_index_eq(a, b, session) for a, b in zip(wlv.idx, upped)):
+            if all(validity(Rel("=", a, b), session) for a, b in zip(wlv.idx, upped)):
                 rhs = wr
                 break
         if rhs is None:
@@ -118,16 +115,6 @@ def build_rec(loop: Loop, verdict: SolvabilityVerdict,
             raise RecurrenceError(f"rhs reads lvalues outside the closure: {missing!r}")
         equations[sigma.symbol(lv)] = sigma.apply(rhs)
     return RecurrenceSystem(equations, sigma)
-
-
-def _index_eq(a, b, session) -> bool:
-    from .simplify import polys_equal
-
-    if polys_equal(a, b):
-        return True
-    if session is None:
-        return False
-    return bool(session.is_valid(Rel("=", a, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +249,12 @@ def verify_solution(system: RecurrenceSystem, sol: RecSolution, session=None):
         shifted = compose(th, {"n": n_plus_1})
         image = compose(linearize(e), images)
         if poly_add(shifted, image, sign=-1):
-            if not _valid_eq(poly_to_expr(shifted), poly_to_expr(image), session):
+            if not validity(Rel("=", poly_to_expr(shifted), poly_to_expr(image)), session):
                 return f"theta({rec.name})[n/n+1] != theta(rhs)"
         at0 = compose(th, {"n": {}})
         rec_poly: Poly = {((rec.name, sv(rec)),): Fraction(1)}
         if poly_add(at0, rec_poly, sign=-1):
-            if not _valid_eq(poly_to_expr(at0), sv(rec), session):
+            if not validity(Rel("=", poly_to_expr(at0), sv(rec)), session):
                 return f"theta({rec.name})[n/0] != {rec.name}"
     return None
 
-
-def _valid_eq(a: Expr, b: Expr, session) -> bool:
-    if session is None:
-        return False
-    return bool(session.is_valid(Rel("=", a, b)))

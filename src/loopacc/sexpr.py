@@ -1,7 +1,13 @@
-"""Textual s-expression syntax for expressions and formulas, used by all CLI
-I/O and by the backend protocol layer.
+"""S-expression text: the one reader and the SMT-LIB helpers shared by the
+problem files, the CLI and both sides of the solver protocol, plus the
+expression syntax of problem files.
 
-Grammar (EBNF-ish; see README for the full write-up):
+The reader follows the concrete syntax of SMT-LIB 2.6: ``;`` comments,
+``|quoted|`` symbols and string literals in which ``""`` is an escaped quote.
+Symbols and numerals are read as str, lists as Python lists, and string
+literals as ``("str", text)`` pairs, which no expression accepts.
+
+Expression grammar (EBNF-ish; see README for the full write-up):
 
     expr    ::= INT | SYMBOL                      ; SYMBOL must be scalar
               | "(" op expr expr ")"              ; op in + - * div
@@ -39,6 +45,9 @@ class ParseError(ExprError):
 
 
 def tokenize(text: str):
+    """(token, offset) pairs.  A token is "(", ")", a simple symbol or a
+    numeral, ("sym", name) for a |quoted| symbol, or ("str", text) for a
+    string literal."""
     i, n = 0, len(text)
     while i < n:
         c = text[i]
@@ -50,16 +59,33 @@ def tokenize(text: str):
         elif c in "()":
             yield c, i
             i += 1
+        elif c == "|":
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise ParseError("unterminated |symbol|", i)
+            yield ("sym", text[i + 1: j]), i
+            i = j + 1
+        elif c == '"':
+            j = i + 1
+            while True:  # "" inside a string literal is an escaped quote
+                j = text.find('"', j)
+                if j < 0:
+                    raise ParseError("unterminated string literal", i)
+                if text[j + 1: j + 2] != '"':
+                    break
+                j += 2
+            yield ("str", text[i + 1: j].replace('""', '"')), i
+            i = j + 1
         else:
             j = i
-            while j < n and text[j] not in " \t\r\n();":
+            while j < n and text[j] not in ' \t\r\n();|"':
                 j += 1
             yield text[i:j], i
             i = j
 
 
 def read_all(text: str) -> list:
-    """Parse every top-level form; atoms are str, lists are Python lists."""
+    """Parse every top-level form; a quoted symbol reads as its name."""
     out, stack = [], []
     for tok, pos in tokenize(text):
         if tok == "(":
@@ -70,10 +96,33 @@ def read_all(text: str) -> list:
             done = stack.pop()
             (stack[-1] if stack else out).append(done)
         else:
+            if isinstance(tok, tuple) and tok[0] == "sym":
+                tok = tok[1]
             (stack[-1] if stack else out).append(tok)
     if stack:
         raise ParseError("unbalanced '('")
     return out
+
+
+def balanced(text: str) -> bool:
+    """Whether text closes every form it opens (outside |symbols| and
+    strings): a line-by-line reader has whole commands at that point."""
+    depth = 0
+    in_bar = in_str = False
+    for c in text:
+        if in_bar:
+            in_bar = c != "|"
+        elif in_str:
+            in_str = c != '"'
+        elif c == "|":
+            in_bar = True
+        elif c == '"':
+            in_str = True
+        elif c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+    return depth <= 0 and not in_bar and not in_str
 
 
 def read_one(text: str):
@@ -85,6 +134,35 @@ def read_one(text: str):
 
 def _is_int(tok: str) -> bool:
     return tok.lstrip("-").isdigit() and tok not in ("-", "")
+
+
+# ---------------------------------------------------------------------------
+# SMT-LIB symbols, numerals and sorts (Int, nested (Array Int ...))
+
+
+def smt_symbol(name: str) -> str:
+    if name and all(c.isalnum() or c in "~!@$%^&*_+=<>.?/-" for c in name):
+        return name
+    return f"|{name}|"
+
+
+def smt_int(v: int) -> str:
+    return str(v) if v >= 0 else f"(- {-v})"
+
+
+def sort_text(arity: int) -> str:
+    return "Int" if arity == 0 else f"(Array Int {sort_text(arity - 1)})"
+
+
+def sort_arity(form) -> int:
+    """Arity of a read sort: Int -> 0, (Array Int S) -> 1 + arity(S)."""
+    if form == "Int":
+        return 0
+    if isinstance(form, list) and len(form) == 3 and form[0] == "Array":
+        if form[1] != "Int":
+            raise ParseError("array index sort must be Int")
+        return 1 + sort_arity(form[2])
+    raise ParseError(f"unsupported sort {form!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +226,8 @@ class ArityEnv:
 
 
 def parse_expr(form, env: ArityEnv, nondet_sink=None):
+    if isinstance(form, tuple):
+        raise ParseError(f"string literal {form[1]!r} is not an expression")
     if isinstance(form, str):
         if _is_int(form):
             return Const(int(form))
@@ -218,8 +298,8 @@ def parse_formula(form, env: ArityEnv, nondet_sink=None) -> Formula:
         return BoolConst(True)
     if form == "false":
         return BoolConst(False)
-    if isinstance(form, str):
-        raise ParseError(f"expected a formula, got atom '{form}'")
+    if isinstance(form, (str, tuple)):
+        raise ParseError(f"expected a formula, got atom {form!r}")
     if not form:
         raise ParseError("empty formula")
     head = form[0]

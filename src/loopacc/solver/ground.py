@@ -10,7 +10,7 @@ Pipeline per check-sat:
      variables with congruence across arrays and transitivity;
   3. equality presolve (substitute single-variable equalities);
   4. NNF into linear atoms; Cooper search for a model;
-  5. rebuild scalar and array values und verify the original conjunction.
+  5. rebuild scalar and array values and verify the original conjunction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 
 from ..expr import (
     And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
-    Sel, State, Var, arity_of, conj, eval_formula, sv,
+    Sel, State, Var, arity_of, conj, eval_expr, eval_formula, free_vars, substitute, sv,
 )
 from ..simplify import as_int_const, linearize, poly_to_expr, simplify_formula
 from .presburger import (
@@ -121,10 +121,9 @@ class GroundProblem:
 
     def select_var(self, arr: Var, idx: tuple) -> Var:
         table = self.selects.setdefault(arr, {})
-        key = tuple(_canon(i) for i in idx)
-        if key not in table:
-            table[key] = (self.fresh(f"s_{arr.name}_"), idx)
-        return table[key][0]
+        if idx not in table:
+            table[idx] = self.fresh(f"s_{arr.name}_")
+        return table[idx]
 
     def eq_var(self, a: Var, b: Var) -> Var:
         key = (a, b) if a.name <= b.name else (b, a)
@@ -167,22 +166,12 @@ class GroundProblem:
 
         # close the tracked-equality graph: chained equalities (a=b, b=c) need
         # eq vars and congruence for the implied pairs too
-        adj: dict[Var, set[Var]] = {}
-        for (a, b) in list(self.eq_vars):
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        seen: set[Var] = set()
-        for v in list(adj):
-            if v in seen:
-                continue
-            comp, stack = set(), [v]
-            while stack:
-                u = stack.pop()
-                if u in comp:
-                    continue
-                comp.add(u)
-                seen.add(u)
-                stack.extend(adj.get(u, ()))
+        tracked = list(self.eq_vars)
+        find = _union_find(tracked)
+        classes: dict[Var, set[Var]] = {}
+        for v in (x for pair in tracked for x in pair):
+            classes.setdefault(find(v), set()).add(v)
+        for comp in classes.values():
             for a, b in itertools.combinations(sorted(comp, key=lambda w: w.name), 2):
                 self.tick()
                 if a.arity == b.arity:
@@ -193,8 +182,7 @@ class GroundProblem:
 
         # per-array functional congruence
         for arr, table in self.selects.items():
-            entries = list(table.values())
-            for (v1, i1), (v2, i2) in itertools.combinations(entries, 2):
+            for (i1, v1), (i2, v2) in itertools.combinations(table.items(), 2):
                 self.tick()
                 out.append(Or((Not(vec_eq(i1, i2)), Rel("=", sv(v1), sv(v2)))))
         # equality variables: range, cross-array congruence, transitivity
@@ -202,8 +190,8 @@ class GroundProblem:
             out.append(Rel(">=", sv(bvar), Const(0)))
             out.append(Rel("<=", sv(bvar), Const(1)))
             eq = Rel("=", sv(bvar), Const(1))
-            for (v1, i1) in self.selects.get(a, {}).values():
-                for (v2, i2) in self.selects.get(b, {}).values():
+            for i1, v1 in self.selects.get(a, {}).items():
+                for i2, v2 in self.selects.get(b, {}).items():
                     self.tick()
                     out.append(Or((Not(eq), Not(vec_eq(i1, i2)), Rel("=", sv(v1), sv(v2)))))
         # transitivity where all three pairs are tracked
@@ -225,8 +213,6 @@ class GroundProblem:
     # -- step 3: equality presolve ---------------------------------------------
 
     def presolve(self, conjuncts: list[Formula]) -> list[Formula]:
-        from ..expr import free_vars, substitute
-
         work = list(conjuncts)
         changed = True
         while changed:
@@ -279,8 +265,6 @@ def _mono(key):
 
 
 def _var_by_name(name: str, formulas) -> Var | None:
-    from ..expr import free_vars
-
     for f in formulas:
         for v in free_vars(f):
             if v.name == name and v.arity == 0:
@@ -288,10 +272,24 @@ def _var_by_name(name: str, formulas) -> Var | None:
     return None
 
 
-def _canon(e) -> str:
-    from ..sexpr import to_text
+def _union_find(pairs):
+    """find() over the equivalence classes that pairs generate.  Unions run in
+    the order of pairs, the second root becoming the parent, so each class's
+    representative is deterministic."""
+    parent: dict = {}
 
-    return to_text(e)
+    def find(v):
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return find
 
 
 def _linpoly(e, products: dict | None = None) -> dict:
@@ -424,8 +422,6 @@ def rebuild_model(gp: GroundProblem, m: dict) -> State:
     values: dict[str, int] = dict(m)
 
     def eval_lin(e) -> int:
-        from ..expr import eval_expr, free_vars
-
         env = {v: values.get(v.name, 0) for v in free_vars(e) if v.arity == 0}
         return eval_expr(e, State(env))
 
@@ -433,27 +429,12 @@ def rebuild_model(gp: GroundProblem, m: dict) -> State:
         values[x.name] = eval_lin(img)
 
     # equality classes over array variables
-    parent: dict[Var, Var] = {}
-
-    def find(v):
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for (a, b), bvar in gp.eq_vars.items():
-        if values.get(bvar.name, 0) == 1:
-            union(a, b)
+    find = _union_find(pair for pair, bvar in gp.eq_vars.items()
+                       if values.get(bvar.name, 0) == 1)
 
     arrays: dict[Var, dict[tuple[int, ...], int]] = {}
     for arr, table in gp.selects.items():
-        for (v, idx) in table.values():
+        for idx, v in table.items():
             point = tuple(eval_lin(i) for i in idx)
             arrays.setdefault(find(arr), {})[point] = values.get(v.name, 0)
 

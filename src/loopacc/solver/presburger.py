@@ -191,31 +191,6 @@ def fvars(f, out=None):
     return out
 
 
-def subst_var(f, x, p):
-    """f[x := p] with renormalization."""
-    if f is True or f is False:
-        return f
-    tag = f[0]
-    if tag == "and":
-        return fand([subst_var(g, x, p) for g in f[1]])
-    if tag == "or":
-        return f_or([subst_var(g, x, p) for g in f[1]])
-    if tag == "gt":
-        q = f[1]
-        if x not in q:
-            return f
-        c = q[x]
-        q = {k: v for k, v in q.items() if k != x}
-        return gt_atom(padd(q, pscale(p, c)))
-    d = f[1]
-    q = f[2]
-    if x not in q:
-        return f
-    c = q[x]
-    q = {k: v for k, v in q.items() if k != x}
-    return div_atom(d, padd(q, pscale(p, c)), neg=(tag == "ndiv"))
-
-
 def _lcm(a, b):
     return a * b // gcd(a, b)
 

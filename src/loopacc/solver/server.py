@@ -14,89 +14,17 @@ import sys
 import time
 
 from ..expr import (
-    And, Bin, BoolConst, Const, FiniteFn, Ite, Not, Or, Rel, Sel, State, Var, sv,
+    And, Bin, BoolConst, Const, FiniteFn, Ite, Not, Or, Rel, Sel, State, Var, eval_expr, sv,
+)
+from ..sexpr import (
+    ParseError, balanced, read_all as parse_forms, smt_int, smt_symbol, sort_arity, sort_text,
 )
 from .ground import check
 from .presburger import SolverTimeout, Unsupported
 
 
-class SmtError(Exception):
-    pass
-
-
-def tokenize(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            yield c
-            i += 1
-        elif c == "|":
-            j = text.find("|", i + 1)
-            if j < 0:
-                raise SmtError("unterminated |symbol|")
-            yield ("sym", text[i + 1: j])
-            i = j + 1
-        elif c == '"':
-            j = i + 1
-            while True:  # "" inside a string literal is an escaped quote
-                j = text.find('"', j)
-                if j < 0:
-                    raise SmtError("unterminated string literal")
-                if text[j + 1: j + 2] != '"':
-                    break
-                j += 2
-            yield ("str", text[i + 1: j].replace('""', '"'))
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in ' \t\r\n();|"':
-                j += 1
-            yield text[i:j]
-            i = j
-
-
-def parse_forms(text: str):
-    out, stack = [], []
-    for tok in tokenize(text):
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            if not stack:
-                raise SmtError("unbalanced ')'")
-            done = stack.pop()
-            (stack[-1] if stack else out).append(done)
-        else:
-            if isinstance(tok, tuple):
-                tok = tok[1] if tok[0] == "sym" else ("str", tok[1])
-            (stack[-1] if stack else out).append(tok)
-    if stack:
-        raise SmtError("unbalanced '('")
-    return out
-
-
-def balanced(text: str) -> bool:
-    depth = 0
-    in_bar = in_str = False
-    for c in text:
-        if in_bar:
-            in_bar = c != "|"
-        elif in_str:
-            in_str = c != '"'
-        elif c == "|":
-            in_bar = True
-        elif c == '"':
-            in_str = True
-        elif c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-    return depth <= 0 and not in_bar and not in_str
+class SmtError(ParseError):
+    """A command the session cannot carry out."""
 
 
 def smt_string(text: str) -> str:
@@ -106,21 +34,6 @@ def smt_string(text: str) -> str:
 def error_text(message: str) -> str:
     """The (error "...") answer to a command the session rejected."""
     return f"(error {smt_string(message)})"
-
-
-def parse_sort(form) -> int:
-    """Arity of a sort: Int -> 0, (Array Int S) -> 1 + arity(S)."""
-    if form == "Int":
-        return 0
-    if isinstance(form, list) and len(form) == 3 and form[0] == "Array":
-        if form[1] != "Int":
-            raise SmtError("array index sort must be Int")
-        return 1 + parse_sort(form[2])
-    raise SmtError(f"unsupported sort {form!r}")
-
-
-def sort_text(arity: int) -> str:
-    return "Int" if arity == 0 else f"(Array Int {sort_text(arity - 1)})"
 
 
 class Session:
@@ -254,13 +167,13 @@ class Session:
             return self._ok()
         if head == "declare-const":
             name, sort = form[1], form[2]
-            self.decls[name] = parse_sort(sort)
+            self.decls[name] = sort_arity(sort)
             return self._ok()
         if head == "declare-fun":
             name, args, sort = form[1], form[2], form[3]
             if args:
                 raise SmtError("only 0-ary declare-fun is supported")
-            self.decls[name] = parse_sort(sort)
+            self.decls[name] = sort_arity(sort)
             return self._ok()
         if head == "assert":
             self.stack[-1].append(self.parse_formula(form[1]))
@@ -332,11 +245,11 @@ class Session:
             val = self.model.get(v)
             if ar == 0:
                 val = 0 if val is None else val
-                lines.append(f"  (define-fun {smt_sym(name)} () Int {smt_int(val)})")
+                lines.append(f"  (define-fun {smt_symbol(name)} () Int {smt_int(val)})")
             else:
                 fn = val if isinstance(val, FiniteFn) else FiniteFn.const(ar, 0)
                 lines.append(
-                    f"  (define-fun {smt_sym(name)} () {sort_text(ar)} {array_text(fn)})"
+                    f"  (define-fun {smt_symbol(name)} () {sort_text(ar)} {array_text(fn)})"
                 )
         lines.append(")")
         return "\n".join(lines)
@@ -344,23 +257,11 @@ class Session:
     def get_value(self, forms) -> str:
         if self.model is None:
             raise SmtError("no model available")
-        from ..expr import eval_expr
-
         parts = []
         for f in forms:
             term = self.parse_term(f)
             parts.append(f"({term_text(f)} {smt_int(eval_expr(term, self.model))})")
         return "(" + " ".join(parts) + ")"
-
-
-def smt_int(v: int) -> str:
-    return str(v) if v >= 0 else f"(- {-v})"
-
-
-def smt_sym(name: str) -> str:
-    if all(c.isalnum() or c in "~!@$%^&*_+=<>.?/-" for c in name):
-        return name
-    return f"|{name}|"
 
 
 def term_text(form) -> str:
@@ -403,7 +304,7 @@ def main(argv=None) -> int:
             continue
         try:
             forms = parse_forms(buf)
-        except SmtError as exc:
+        except ParseError as exc:
             print(error_text(str(exc)), flush=True)
             buf = ""
             continue
@@ -411,7 +312,7 @@ def main(argv=None) -> int:
         for form in forms:
             try:
                 out = session.command(form)
-            except SmtError as exc:
+            except ParseError as exc:
                 print(error_text(str(exc)), flush=True)
                 continue
             except Exception as exc:  # never die mid-protocol

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 from loopacc import cli
-from loopacc.backend import BackendSession, SatResult
+from loopacc.backend import BackendSession, SatResult, validity
 from loopacc.expr import (
     And, Bin, Const, Ite, Not, Or, Rel, Sel, State, Var, eval_formula, sv,
 )
 from loopacc.solver import server
 from loopacc.solver.ground import check
+from loopacc.lamsolve import SolveResult
 from loopacc.solver.presburger import Unsupported
 
 # the bundled solver as an external command: the subprocess transport
@@ -193,21 +194,6 @@ def test_smt_log_written(tmp_path):
     assert "; <- sat" in text
 
 
-def test_quotient_mode_validity():
-    # divisibility through the fresh-quotient encoding, both polarities on the
-    # negated (satisfiability) side of validity queries
-    from loopacc.expr import Or
-
-    with BackendSession(timeout=5.0, div_encoding="quotient") as s:
-        x = Var("x")
-        f = Or((Not(Rel("divides", Const(2), sv(x))),
-                Rel("divides", Const(2), Bin("*", Const(3), sv(x)))))
-        assert s.is_valid(f) is True  # 2 | x implies 2 | 3x
-        g = Or((Not(Rel("divides", Const(4), sv(x))),
-                Rel("divides", Const(8), sv(x))))
-        assert s.is_valid(g) is False  # x = 4 is a counterexample
-
-
 def test_model_parse_store_chain():
     text = ("((define-fun x () Int (- 7))")
     text += "(define-fun a () (Array Int Int) (store ((as const (Array Int Int)) 1) 2 9)))"
@@ -314,3 +300,51 @@ def test_smt_log_replays(tmp_path, capsys):
         assert replayed == logged, path.name
         compared += len(logged)
     assert compared > 0
+
+
+def test_validity_without_session_uses_the_simplifier():
+    i, k = sv(Var("i")), sv(Var("k"))
+    assert validity(Rel("<=", i, Bin("+", i, Const(1))), None) is True
+    assert validity(Rel("<", i, i), None) is False
+    assert validity(Rel("<", i, k), None) is None
+
+
+def test_unsupported_model_sort_is_unknown():
+    x = Var("x")
+    with BackendSession() as s:
+        s._ensure()
+        for sort in ("Real", "(Array Bool Int)"):
+            s.server.format_model = lambda: f"((define-fun x () {sort} 1))"
+            r = s.check([Rel("=", sv(x), Const(1))])
+            assert (r.status, r.model) == ("unknown", None)
+            assert "sort" in r.diagnostic
+
+
+def test_backend_command_gets_a_deadline():
+    # the bundled server without --timeout: the client's timeout still holds
+    with BackendSession(backend=SERVER, timeout=0.5) as s:
+        t0 = time.monotonic()
+        r = s.check(_many_selects(40))
+        elapsed = time.monotonic() - t0
+        assert (r.status, r.diagnostic, r.reason) == ("unknown", "unknown", "timeout")
+        assert elapsed < 3.0
+        assert s.check([Rel("=", sv(Var("x")), Const(0))]).status == "sat"  # restarted
+
+
+def test_close_releases_the_log_and_the_child(tmp_path):
+    with BackendSession(backend=SERVER, smt_log=str(tmp_path / "d.smt2")) as s:
+        s.check([Rel("=", sv(Var("x")), Const(3))])
+        log, proc = s._log, s.proc
+    assert log.closed
+    assert proc.returncode is not None
+
+
+def test_check_prints_the_reason_for_unknown(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve", lambda lits, ses: SolveResult(
+        "unknown", diagnostic="unknown", reason="timeout"))
+    path = str(EXAMPLES[0].parent / "overview.loop")
+    assert cli.main(["check", path]) == 2
+    assert capsys.readouterr().out.strip() == "unknown (unknown: timeout)"
+    cli.main(["check", path, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert (out["detail"], out["reason"]) == ("unknown", "timeout")

@@ -4,10 +4,13 @@ progress."""
 
 import random
 
+import pytest
+
+from loopacc import closedform
 from loopacc.closedform import Failure, closed_forms_all
 from loopacc.expr import Bin, Const, Sel, State, eval_expr, substitute, sv
 from loopacc.loop import Loop, Rel, run_n, up_pow
-from loopacc.recurrence import N
+from loopacc.recurrence import N, RecurrenceError
 from loopacc.simplify import simplify
 
 from conftest import A, B, I, J, K, decrement_loop, mixing_loop, plus, random_array, swap_loop
@@ -102,3 +105,16 @@ def test_pick_progress_on_chained_displacing():
         assert cf.phase in ("classification", "rec")
     else:
         assert all(lv in cf.table for lv in cf.verdict.closure)
+
+
+def test_only_recurrence_errors_become_failures(monkeypatch):
+    def raising(exc):
+        def build_rec(*args, **kwargs):
+            raise exc
+        return build_rec
+
+    monkeypatch.setattr(closedform, "build_rec", raising(RecurrenceError("no matching write")))
+    assert closed_forms_all(decrement_loop()) == Failure("rec", "no matching write")
+    monkeypatch.setattr(closedform, "build_rec", raising(ZeroDivisionError("a bug")))
+    with pytest.raises(ZeroDivisionError):
+        closed_forms_all(decrement_loop())

@@ -3,12 +3,12 @@ self-test against a deliberately corrupted closed form."""
 
 from loopacc.classify import check_a_solvable
 from loopacc.closedform import closed_forms_all
-from loopacc.expr import Bin, Const, Sel
+from loopacc.expr import Bin, Const, Rel, Sel, Var, sv
 from loopacc.gen import GenConfig, gen_loop
-from loopacc.loop import validate_loop
+from loopacc.loop import Loop, validate_loop
 from loopacc.oracle import check_loop
 
-from conftest import I, swap_loop
+from conftest import A, I, J, K, plus, swap_loop
 
 
 def test_generator_postcondition_is_total():
@@ -64,3 +64,14 @@ def test_oracle_json_shape():
     data = rep.to_json()
     assert data["ok"] is True and data["loop"] == "swap"
     assert set(data) >= {"seeds", "n_max", "checked", "mismatches"}
+
+
+def test_oracle_counts_cells_that_do_not_evaluate():
+    # x accumulates a[k div j]: the states with j = 0 cannot evaluate that cell
+    x = Var("x")
+    loop = Loop(guard=Rel("<", sv(I), sv(K)),
+                lvalues=(Sel(I, ()), Sel(x, ())),
+                rhs=(plus(sv(I), 1), Bin("+", sv(x), Sel(A, (Bin("div", sv(K), sv(J)),)))))
+    rep = check_loop(loop, seeds=40)
+    assert rep.ok and rep.skipped > 0
+    assert rep.to_json()["skipped"] == rep.skipped

@@ -9,8 +9,9 @@ from loopacc.expr import (
     Bin, Const, FiniteFn, Ite, Lam, Or, Rel, Sel, State, Var, eval_expr,
     eval_formula, sv,
 )
+from loopacc.backend import SatResult
 from loopacc.lamsolve import (
-    abstract_lambdas, check_model, collect_idx, eliminate_diseq,
+    LambdaAbstraction, abstract_lambdas, check_model, collect_idx, eliminate_diseq,
     propagate_and_reduce, solve, verify_model,
 )
 
@@ -235,3 +236,21 @@ def test_scalar_solve_matches_enumeration(session):
         if r.status == "model":
             got = r.model.scalars["u"]
             assert all(eval_formula(l, State({u: got})) for l in lits)
+
+
+def test_alpha_equivalent_lambdas_share_one_variable():
+    p, q = Var("p"), Var("q")
+    abstraction = LambdaAbstraction()
+    first = abstraction.apply(Lam((p,), Sel(A, (plus(sv(p), 1),))))
+    renamed = abstraction.apply(Lam((q,), Sel(A, (plus(sv(q), 1),))))
+    other = abstraction.apply(Lam((q,), Sel(A, (sv(q),))))
+    assert first == renamed != other
+    assert len(abstraction.reverse) == 2
+
+
+def test_solve_passes_on_the_backend_reason(session, monkeypatch):
+    monkeypatch.setattr(session, "check", lambda formulas, want_model=True: SatResult(
+        "unknown", diagnostic="unknown", reason="branch budget exhausted"))
+    res = solve([Rel("=", sv(X), Const(1))], session)
+    assert (res.status, res.diagnostic, res.reason) == (
+        "unknown", "unknown", "branch budget exhausted")

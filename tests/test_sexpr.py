@@ -5,7 +5,10 @@ import random
 import pytest
 
 from loopacc.expr import And, Lam, Not, Or, Rel, Var
-from loopacc.sexpr import ArityEnv, ParseError, parse_expr, parse_formula, read_one, to_text
+from loopacc.problem import parse_problem
+from loopacc.sexpr import (
+    ArityEnv, ParseError, parse_expr, parse_formula, read_all, read_one, smt_symbol, to_text,
+)
 
 from test_expr import AR, SC, gen_expr, gen_formula
 
@@ -74,3 +77,25 @@ def test_array_literal_parses():
 def test_comments_ignored():
     f = parse_formula(read_one("; note\n(and true (< i k)) ; trailing"), ENV)
     assert f == parse_formula(read_one("(and true (< i k))"), ENV)
+
+
+def test_problem_rejects_string_literal():
+    text = '(declare (i 0)) (loop (update ((lhs i) (rhs "one"))))'
+    with pytest.raises(ParseError, match="string literal"):
+        parse_problem(text, is_path=False)
+    with pytest.raises(ParseError):
+        parse_formula(read_one('"true"'), ENV)
+
+
+def test_quoted_symbol_round_trips():
+    name = "i'"
+    assert smt_symbol(name) == "|i'|" and smt_symbol("i") == "i"
+    assert read_all(f"(declare-const {smt_symbol(name)} Int)") == [["declare-const", name, "Int"]]
+    assert read_all('(echo "a ""b"" c")') == [["echo", ("str", 'a "b" c')]]
+
+
+def test_unterminated_tokens_report_their_offset():
+    for text, pos in (("(echo |abc)", 6), ('(echo "abc)', 6)):
+        with pytest.raises(ParseError) as info:
+            read_all(text)
+        assert info.value.pos == pos
