@@ -574,9 +574,6 @@ class State:
     def get(self, x: Var, default=None):
         return self._m.get(x, default)
 
-    def vars(self):
-        return set(self._m)
-
     def items(self):
         return self._m.items()
 

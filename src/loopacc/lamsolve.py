@@ -1,7 +1,9 @@
 """Theory solver for literal conjunctions with lambda array terms, layered
 over the ground backend: eliminate array disequalities through extensionality,
-propagate equalities and beta-reduce to a fixpoint, abstract remaining lambdas
-by fresh array variables, then refine the abstraction with instantiation
+propagate equalities and beta-reduce to a fixpoint (``simplify.eliminate``,
+which the ground solver's presolve shares; only the rule for which literal
+defines which variable is this module's), abstract remaining lambdas by fresh
+array variables, then refine the abstraction with instantiation
 lemmas p[e] = q[e] at syntactic index vectors until the backend model lifts,
 the abstraction is unsatisfiable, or no refinement is left (unknown).
 """
@@ -17,7 +19,7 @@ from .expr import (
     eval_formula, free_vars, fresh_var, lval_set, substitute, sv,
 )
 from .sexpr import to_text
-from .simplify import simplify, simplify_formula
+from .simplify import eliminate, simplify, simplify_formula
 
 
 class SolveError(Exception):
@@ -93,47 +95,31 @@ def propagate_and_reduce(lits: list[Formula]) -> Propagated:
     """Fixpoint of equality propagation and beta reduction.  Propagated
     literals turn into p = p and are simplified away; the ordered log lets a
     model re-derive the removed variables afterwards."""
-    work = [beta_reduce(f) for f in lits]
-    log: list[tuple[Var, object]] = []
-    changed = True
-    while changed:
-        changed = False
-        for idx, f in enumerate(work):
-            if not (isinstance(f, Rel) and f.op == "="):
-                continue
-            x = img = None
-            for side, other in ((f.left, f.right), (f.right, f.left)):
-                if isinstance(side, Sel) and isinstance(side.arr, Var) and not side.idx:
-                    cand = side.arr
-                elif isinstance(side, Var):
-                    cand = side
-                else:
-                    continue
-                if cand.arity == 0:
-                    if isinstance(other, (Var, Lam)):
-                        continue  # ill-typed; leave for the backend
-                elif not isinstance(other, (Var, Lam)) or arity_of(other) != cand.arity:
-                    continue
-                if cand in free_vars(other):
-                    continue
-                x, img = cand, other
-                break
-            if x is None:
-                continue
-            work = [beta_reduce(substitute(g, {x: img})) for g in work]
-            log.append((x, img))
-            changed = True
-            break
-        simplified = []
-        for f in work:
-            g = simplify_formula(f)
-            if g == BoolConst(True):
-                continue
-            simplified.append(g if is_literal(g) or isinstance(g, BoolConst) else f)
-        if len(simplified) != len(work):
-            changed = True
-        work = simplified
-    return Propagated(work, log)
+    return Propagated(*eliminate([simplify_formula(beta_reduce(f)) for f in lits], _definition))
+
+
+def _definition(f: Formula):
+    """(x, t) for an equality x = t or t = x, tried left side first, that
+    propagation may substitute: a scalar x and an integer term t, or an array
+    x and an array variable or lambda t of its arity; x not free in t."""
+    if not (isinstance(f, Rel) and f.op == "="):
+        return None
+    for side, other in ((f.left, f.right), (f.right, f.left)):
+        if isinstance(side, Sel) and isinstance(side.arr, Var) and not side.idx:
+            cand = side.arr
+        elif isinstance(side, Var):
+            cand = side
+        else:
+            continue
+        if cand.arity == 0:
+            if isinstance(other, (Var, Lam)):
+                continue  # ill-typed; leave for the backend
+        elif not isinstance(other, (Var, Lam)) or arity_of(other) != cand.arity:
+            continue
+        if cand in free_vars(other):
+            continue
+        return cand, other
+    return None
 
 
 class LambdaAbstraction:

@@ -134,9 +134,14 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
     for s_idx in range(seeds):
         rnd = random.Random(seed0 + s_idx)
         state = random_state(loop, rnd)
-        runs = [run_n(loop, state, n) for n in range(n_max + 1)]
+        runs = []
         for n in range(n_max + 1):
-            r = runs[n]
+            try:
+                runs.append(run_n(loop, state, n))
+            except EvalError:  # the interpreter fails from this n on
+                report.skipped += 1
+                break
+        for n, r in enumerate(runs):
             if r.stuck_at is not None and r.stuck_at < n:
                 break
             n_sub = {N: Const(n)}
@@ -156,9 +161,13 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                 fn = eval_expr(lam_n, state)
                 target = r.state[x]
                 for pt in sorted(probe_points(loop, r, state, x, margin)):
+                    try:
+                        expected = target(pt)
+                        got = fn(pt)
+                    except EvalError:
+                        report.skipped += 1
+                        continue
                     report.checked += 1
-                    expected = target(pt)
-                    got = fn(pt)
                     if expected != got:
                         report.mismatches.append(
                             Mismatch(s_idx, n, x.name, pt, expected, got))

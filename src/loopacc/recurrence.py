@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .backend import validity
 from .expr import (
@@ -82,10 +83,6 @@ class RecSolution:
     def of(self, rec: Var) -> Expr:
         return poly_to_expr(self.poly_of(rec))
 
-    @property
-    def theta(self) -> dict[Var, Expr]:
-        return {rec: poly_to_expr(p) for rec, p in self.polys.items()}
-
 
 N = Var("n", 0)
 
@@ -124,8 +121,6 @@ def build_rec(loop: Loop, verdict: SolvabilityVerdict,
 def _power_sum(d: int) -> Poly:
     """sum_{k=0}^{n-1} k^d as a polynomial in n with Fraction coefficients,
     via the Faulhaber recursion  (d+1) S_d = n^(d+1) - sum_j C(d+1,j) S_j."""
-    from math import comb
-
     n_poly = {(("n", sv(N)),): Fraction(1)}
     sums: list[Poly] = [dict(n_poly)]  # S_0 = n
     for m in range(1, d + 1):

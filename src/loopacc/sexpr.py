@@ -10,26 +10,33 @@ literals as ``("str", text)`` pairs, which no expression accepts.
 Expression grammar (EBNF-ish; see README for the full write-up):
 
     expr    ::= INT | SYMBOL                      ; SYMBOL must be scalar
-              | "(" op expr expr ")"              ; op in + - * div
+              | "(" op expr expr+ ")"             ; op in + - *, left-associative
+              | "(-" expr ")"                     ; 0 - expr
+              | "(div" expr expr ")"
               | "(select" array expr* ")"         ; full index vector
+              | "(select" "(select" ... ")" expr* ")"  ; = one select, indices in order
               | "(ite" formula expr expr ")"
     array   ::= SYMBOL | "(lambda" "(" SYMBOL* ")" expr ")"
     formula ::= "true" | "false"
               | "(" relop expr expr ")"           ; relop in < <= > >= =
               | "(distinct" expr expr ")"         ; inequality
               | "(divides" expr expr ")"          ; divisor first
+              | "((_ divisible" INT ")" expr ")"  ; = (divides INT expr)
               | "(and" formula* ")" | "(or" formula* ")" | "(not" formula ")"
-              | "(=>" formula formula ")" | "(<=>" formula formula ")"
+              | "(=>" formula formula+ ")"        ; right-associative
+              | "(<=>" formula formula ")"
 
-``=>`` and ``<=>`` are parsed as sugar (desugared to not/or/and), so printing
-always round-trips.  Parsing requires an arity environment mapping names to
-dimensions; lambda parameters shadow it with scalars.
+The n-ary, unary, nested-select and divisible forms are the SMT-LIB spellings
+the backend client sends, so the solver reads its queries with this parser
+too.  ``=>`` and ``<=>`` are parsed as sugar (desugared to not/or/and), so
+printing always round-trips.  Parsing requires an arity environment mapping
+names to dimensions; lambda parameters shadow it with scalars.
 """
 
 from __future__ import annotations
 
 from .expr import (
-    And, ArityMismatch, Bin, BoolConst, Const, ExprError, Formula, Ite, Lam,
+    And, Bin, BoolConst, Const, ExprError, Formula, Ite, Lam,
     Not, Or, Rel, Sel, Var, conj, disj,
 )
 
@@ -240,16 +247,29 @@ def parse_expr(form, env: ArityEnv, nondet_sink=None):
     if not form:
         raise ParseError("empty form")
     head = form[0]
+    if not isinstance(head, str):
+        raise ParseError(f"unknown expression head {head!r}")
     if head in _ARITH:
-        if len(form) != 3:
-            raise ParseError(f"({head} ...) takes two arguments")
-        return Bin(head, parse_expr(form[1], env, nondet_sink),
-                   parse_expr(form[2], env, nondet_sink))
+        args = [parse_expr(a, env, nondet_sink) for a in form[1:]]
+        if head == "-" and len(args) == 1:
+            return Bin("-", Const(0), args[0])
+        if len(args) < 2 or (head == "div" and len(args) != 2):
+            raise ParseError(f"wrong number of arguments to {head}")
+        # SMT-LIB div is euclidean; the backend client encodes floor division
+        # as euclidean div with a positive divisor, so plain floor matches here
+        out = args[0]
+        for a in args[1:]:  # n-ary operators associate to the left
+            out = Bin(head, out, a)
+        return out
     if head == "select":
         if len(form) < 2:
             raise ParseError("(select ...) needs an array")
-        arr = parse_array(form[1], env, nondet_sink)
-        idx = tuple(parse_expr(x, env, nondet_sink) for x in form[2:])
+        arr_form, idx_forms = form[1], form[2:]
+        # SMT-LIB selects one index at a time: (select (select a i) j)
+        while isinstance(arr_form, list) and len(arr_form) > 1 and arr_form[0] == "select":
+            arr_form, idx_forms = arr_form[1], arr_form[2:] + idx_forms
+        arr = parse_array(arr_form, env, nondet_sink)
+        idx = tuple(parse_expr(x, env, nondet_sink) for x in idx_forms)
         ar = arr.arity if isinstance(arr, Var) else len(arr.params)
         if len(idx) != ar:
             raise ParseError(f"select on arity-{ar} array with {len(idx)} indices")
@@ -303,6 +323,11 @@ def parse_formula(form, env: ArityEnv, nondet_sink=None) -> Formula:
     if not form:
         raise ParseError("empty formula")
     head = form[0]
+    if isinstance(head, list):  # SMT-LIB's ((_ divisible k) e)
+        if len(head) != 3 or head[:2] != ["_", "divisible"] or not _is_int(head[2]) \
+                or len(form) != 2:
+            raise ParseError(f"unknown formula head {head!r}")
+        return Rel("divides", Const(int(head[2])), parse_expr(form[1], env, nondet_sink))
     if head in _REL or head == "distinct":
         if len(form) != 3:
             raise ParseError(f"({head} ...) takes two arguments")
@@ -322,7 +347,7 @@ def parse_formula(form, env: ArityEnv, nondet_sink=None) -> Formula:
             la = l.arity if isinstance(l, Var) else len(l.params)
             ra = r.arity if isinstance(r, Var) else len(r.params)
             if la != ra:
-                raise ArityMismatch(f"array literal with arities {la} and {ra}")
+                raise ParseError(f"array literal with arities {la} and {ra}")
             return Rel(op, l, r)
         return Rel(op, parse_expr(form[1], env, nondet_sink),
                    parse_expr(form[2], env, nondet_sink))
@@ -340,10 +365,13 @@ def parse_formula(form, env: ArityEnv, nondet_sink=None) -> Formula:
             raise ParseError("(not f)")
         return Not(parse_formula(form[1], env, nondet_sink))
     if head == "=>":
-        if len(form) != 3:
-            raise ParseError("(=> f g)")
-        return Or((Not(parse_formula(form[1], env, nondet_sink)),
-                   parse_formula(form[2], env, nondet_sink)))
+        if len(form) < 3:
+            raise ParseError("(=> f g ...)")
+        parts = [parse_formula(a, env, nondet_sink) for a in form[1:]]
+        out = parts[-1]
+        for a in reversed(parts[:-1]):  # associates to the right
+            out = Or((Not(a), out))
+        return out
     if head == "<=>":
         if len(form) != 3:
             raise ParseError("(<=> f g)")

@@ -15,8 +15,9 @@ from math import gcd
 
 from .expr import (
     And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, Not, Or, Rel, Sel,
-    TRUE, Var, conj, disj,
+    TRUE, Var, beta_reduce, conj, disj, free_vars, substitute,
 )
+from .sexpr import to_text
 
 # A polynomial is a map from monomials to Fraction coefficients.  A monomial is
 # a sorted tuple of opaque atom expressions (Sel / Ite / non-constant div);
@@ -26,8 +27,6 @@ Poly = dict
 
 
 def _atom_key(e) -> str:
-    from .sexpr import to_text  # deferred: sexpr imports nothing from here
-
     return to_text(e)
 
 
@@ -250,6 +249,41 @@ def simplify_formula(f: Formula) -> Formula:
                 flat.append(a)
         return disj(_dedupe(flat))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def eliminate(literals: list[Formula], definition, tick=lambda: None):
+    """Solve-and-substitute to a fixpoint over simplified literals: true
+    literals are dropped; the first literal for which definition(lit) gives
+    (x, t), x free in lit but not in t, is solved, and t replaces x in every
+    literal that mentions x, which alone are re-simplified (and dropped once
+    true).  Returns the remaining literals and the (x, t) log in elimination
+    order.  tick is called for every literal visited (a deadline check)."""
+    work = [f for f in literals if f != TRUE]
+    log: list[tuple[Var, object]] = []
+    start = 0
+    while True:
+        for i in range(start, len(work)):
+            tick()
+            found = definition(work[i])
+            if found is not None:
+                break
+        else:
+            return work, log
+        x, t = found
+        log.append(found)
+        done, work = work, []
+        start = None
+        for g in done:
+            if x in free_vars(g):
+                tick()
+                if start is None:
+                    # the literals before the first changed one were scanned
+                    # unchanged and define nothing
+                    start = len(work)
+                g = simplify_formula(beta_reduce(substitute(g, {x: t})))
+                if g == TRUE:
+                    continue
+            work.append(g)
 
 
 def _dedupe(parts):

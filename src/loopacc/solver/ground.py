@@ -8,7 +8,9 @@ Pipeline per check-sat:
   2. Ackermann reduction: one fresh integer per (array, index vector) select,
      congruence implications per select pair; array equalities become 0/1
      variables with congruence across arrays and transitivity;
-  3. equality presolve (substitute single-variable equalities);
+  3. equality presolve: simplify.eliminate, the routine lamsolve's
+     propagation shares, solves an equality with a +-1 coefficient for its
+     variable and substitutes it;
   4. NNF into linear atoms; Cooper search for a model;
   5. rebuild scalar and array values and verify the original conjunction.
 """
@@ -20,9 +22,9 @@ import time
 
 from ..expr import (
     And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
-    Sel, State, Var, arity_of, conj, eval_expr, eval_formula, free_vars, substitute, sv,
+    Sel, State, Var, arity_of, conj, eval_expr, eval_formula, free_vars, sv,
 )
-from ..simplify import as_int_const, linearize, poly_to_expr, simplify_formula
+from ..simplify import as_int_const, eliminate, linearize, poly_to_expr, simplify_formula
 from .presburger import (
     PresburgerSolver, SolverTimeout, Unsupported, div_atom, fand, f_or, gt_atom, padd, pscale,
 )
@@ -213,63 +215,30 @@ class GroundProblem:
     # -- step 3: equality presolve ---------------------------------------------
 
     def presolve(self, conjuncts: list[Formula]) -> list[Formula]:
-        work = list(conjuncts)
-        changed = True
-        while changed:
-            changed = False
-            for i, f in enumerate(work):
-                self.tick()
-                if not (isinstance(f, Rel) and f.op == "="):
-                    continue
-                try:
-                    p = padd(_linpoly(f.left, self.products),
-                             pscale(_linpoly(f.right, self.products), -1))
-                except Unsupported:
-                    continue
-                target = None
-                for name, c in p.items():
-                    if name is not None and abs(c) == 1:
-                        target = (name, c)
-                        break
-                if target is None:
-                    continue
-                name, c = target
-                x = _var_by_name(name, work)
-                if x is None:
-                    continue
-                rest = {k: v for k, v in p.items() if k != name}
-                img = poly_to_expr({_mono(k): _frac(-v * c) for k, v in rest.items()})
-                self.presolve_log.append((x, img))
-                sub = {x: img}
-                done, work = work, []
-                for g in done:
-                    self.tick()
-                    g = simplify_formula(substitute(g, sub))
-                    if g != BoolConst(True):
-                        work.append(g)
-                changed = True
-                break
+        work, log = eliminate(conjuncts, self._definition, self.tick)
+        self.presolve_log += log
         return work
 
-
-def _frac(v):
-    from fractions import Fraction
-
-    return Fraction(v)
-
-
-def _mono(key):
-    if key is None:
-        return ()
-    return ((key, Sel(Var(key, 0), ())),)
-
-
-def _var_by_name(name: str, formulas) -> Var | None:
-    for f in formulas:
-        for v in free_vars(f):
-            if v.name == name and v.arity == 0:
-                return v
-    return None
+    def _definition(self, f: Formula):
+        """(x, t) for an equality whose linear form has a variable x with
+        coefficient +-1, the first such one, solved for; a literal whose
+        first such name is an abstracted product defines nothing."""
+        if not (isinstance(f, Rel) and f.op == "="):
+            return None
+        try:
+            p = padd(_linpoly(f.left, self.products),
+                     pscale(_linpoly(f.right, self.products), -1))
+        except Unsupported:
+            return None
+        name, c = next(((k, c) for k, c in p.items() if k is not None and abs(c) == 1),
+                       (None, 0))
+        if name is None or name in self.products.values():
+            return None
+        # the image over the linear form's names: an abstracted product
+        # stays the variable that to_linear reads it as
+        image = {((k, sv(Var(k, 0))),) if k is not None else (): -v * c
+                 for k, v in p.items() if k != name}
+        return Var(name, 0), poly_to_expr(image)
 
 
 def _union_find(pairs):

@@ -3,8 +3,9 @@
 Supports the fragment the acceleration pipeline emits: quantifier-free linear
 integer arithmetic with ite, floor div by constants, ((_ divisible k) t),
 (possibly nested) integer arrays with full-index selects, and array equality
-between array constants.  Run as ``loopacc-smt`` or ``python -m
-loopacc.solver.server``.
+between array constants.  Asserted formulas and get-value terms are read
+by the problem-file parser of sexpr.py against the declarations.  Run as
+``loopacc-smt`` or ``python -m loopacc.solver.server``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import argparse
 import sys
 import time
 
-from ..expr import (
-    And, Bin, BoolConst, Const, FiniteFn, Ite, Not, Or, Rel, Sel, State, Var, eval_expr, sv,
-)
+from ..expr import FiniteFn, State, Var, eval_expr
 from ..sexpr import (
-    ParseError, balanced, read_all as parse_forms, smt_int, smt_symbol, sort_arity, sort_text,
+    ArityEnv, ParseError, balanced, parse_expr, parse_formula, read_all as parse_forms, smt_int,
+    smt_symbol, sort_arity, sort_text,
 )
 from .ground import check
 from .presburger import SolverTimeout, Unsupported
@@ -38,124 +38,12 @@ def error_text(message: str) -> str:
 
 class Session:
     def __init__(self, timeout: float | None = None):
-        self.decls: dict[str, int] = {}
+        self.env = ArityEnv()  # the declarations: name -> arity
         self.stack: list[list] = [[]]
         self.model: State | None = None
         self.timeout = timeout
         self.print_success = False
         self.reason = ""  # why the last check-sat answered unknown
-
-    # -- term parsing ----------------------------------------------------------
-
-    def var(self, name: str) -> Var:
-        if name not in self.decls:
-            raise SmtError(f"undeclared symbol {name}")
-        return Var(name, self.decls[name])
-
-    def parse_term(self, form):
-        if isinstance(form, str):
-            if form.lstrip("-").isdigit() and form not in ("-",):
-                return Const(int(form))
-            v = self.var(form)
-            if v.arity != 0:
-                raise SmtError(f"array {form} used as an integer")
-            return sv(v)
-        if not form:
-            raise SmtError("empty term")
-        head = form[0]
-        if head == "-" and len(form) == 2:
-            return Bin("-", Const(0), self.parse_term(form[1]))
-        if head in ("+", "*"):
-            args = [self.parse_term(a) for a in form[1:]]
-            if not args:
-                raise SmtError(f"({head}) needs arguments")
-            out = args[0]
-            for a in args[1:]:
-                out = Bin(head, out, a)
-            return out
-        if head == "-":
-            args = [self.parse_term(a) for a in form[1:]]
-            out = args[0]
-            for a in args[1:]:
-                out = Bin("-", out, a)
-            return out
-        if head == "div":
-            if len(form) != 3:
-                raise SmtError("div is binary")
-            # SMT-LIB div is euclidean; the client encodes floor division as
-            # euclidean div with positive divisor, so plain floor matches here
-            return Bin("div", self.parse_term(form[1]), self.parse_term(form[2]))
-        if head == "ite":
-            return Ite(self.parse_formula(form[1]), self.parse_term(form[2]),
-                       self.parse_term(form[3]))
-        if head == "select":
-            arr, idx = self.parse_select(form)
-            if len(idx) != arr.arity:
-                raise SmtError("partial array select")
-            return Sel(arr, tuple(idx))
-        raise SmtError(f"unsupported term {form!r}")
-
-    def parse_select(self, form):
-        inner = form[1]
-        if isinstance(inner, list) and inner and inner[0] == "select":
-            arr, idx = self.parse_select(inner)
-        else:
-            if not isinstance(inner, str):
-                raise SmtError(f"unsupported array term {inner!r}")
-            arr, idx = self.var(inner), []
-        return arr, idx + [self.parse_term(a) for a in form[2:]]
-
-    def parse_formula(self, form):
-        if form == "true":
-            return BoolConst(True)
-        if form == "false":
-            return BoolConst(False)
-        if isinstance(form, str):
-            raise SmtError(f"boolean variables are not supported: {form}")
-        head = form[0]
-        if head in ("and", "or"):
-            parts = tuple(self.parse_formula(a) for a in form[1:])
-            if not parts:
-                return BoolConst(head == "and")
-            if len(parts) == 1:
-                return parts[0]
-            return And(parts) if head == "and" else Or(parts)
-        if head == "not":
-            return Not(self.parse_formula(form[1]))
-        if head == "=>":
-            parts = [self.parse_formula(a) for a in form[1:]]
-            out = parts[-1]
-            for a in reversed(parts[:-1]):
-                out = Or((Not(a), out))
-            return out
-        if head in ("<", "<=", ">", ">="):
-            if len(form) != 3:
-                raise SmtError(f"{head} must be binary")
-            return Rel(head, self.parse_term(form[1]), self.parse_term(form[2]))
-        if head in ("=", "distinct"):
-            op = "=" if head == "=" else "!="
-            sides = form[1:]
-            if len(sides) != 2:
-                raise SmtError(f"{head} must be binary")
-            parsed = []
-            for s in sides:
-                if isinstance(s, str) and s in self.decls and self.decls[s] > 0:
-                    parsed.append(self.var(s))
-                else:
-                    parsed.append(self.parse_term(s))
-            a, b = parsed
-            if isinstance(a, Var) != isinstance(b, Var):
-                raise SmtError("array compared with integer")
-            return Rel(op, a, b)
-        if isinstance(head, list) and len(head) == 3 and head[0] == "_" and head[1] == "divisible":
-            k = int(head[2])
-            return Rel("divides", Const(k), self.parse_term(form[1]))
-        raise SmtError(f"unsupported formula {form!r}")
-
-    # -- commands ---------------------------------------------------------------
-
-    def asserts(self):
-        return [f for frame in self.stack for f in frame]
 
     def command(self, form) -> str | None:
         head = form[0] if isinstance(form, list) and form else form
@@ -167,16 +55,16 @@ class Session:
             return self._ok()
         if head == "declare-const":
             name, sort = form[1], form[2]
-            self.decls[name] = sort_arity(sort)
+            self.env.base[name] = sort_arity(sort)
             return self._ok()
         if head == "declare-fun":
             name, args, sort = form[1], form[2], form[3]
             if args:
                 raise SmtError("only 0-ary declare-fun is supported")
-            self.decls[name] = sort_arity(sort)
+            self.env.base[name] = sort_arity(sort)
             return self._ok()
         if head == "assert":
-            self.stack[-1].append(self.parse_formula(form[1]))
+            self.stack[-1].append(parse_formula(form[1], self.env))
             return self._ok()
         if head == "push":
             k = int(form[1]) if len(form) > 1 else 1
@@ -213,10 +101,11 @@ class Session:
     def check_sat(self) -> str:
         self.model = None
         self.reason = ""
-        declared = {Var(n, a): a for n, a in self.decls.items()}
+        asserts = [f for frame in self.stack for f in frame]
+        declared = {Var(n, a): a for n, a in self.env.base.items()}
         deadline = time.monotonic() + self.timeout if self.timeout else None
         try:
-            status, model = check(self.asserts(), declared, deadline=deadline)
+            status, model = check(asserts, declared, deadline=deadline)
         except SolverTimeout as exc:  # "timeout" or "branch budget exhausted"
             self.reason = str(exc)
             return "unknown"
@@ -239,8 +128,8 @@ class Session:
         if self.model is None:
             raise SmtError("no model available")
         lines = ["("]
-        for name in sorted(self.decls):
-            ar = self.decls[name]
+        for name in sorted(self.env.base):
+            ar = self.env.base[name]
             v = Var(name, ar)
             val = self.model.get(v)
             if ar == 0:
@@ -259,7 +148,7 @@ class Session:
             raise SmtError("no model available")
         parts = []
         for f in forms:
-            term = self.parse_term(f)
+            term = parse_expr(f, self.env)
             parts.append(f"({term_text(f)} {smt_int(eval_expr(term, self.model))})")
         return "(" + " ".join(parts) + ")"
 

@@ -16,8 +16,9 @@ from loopacc.backend import BackendSession, SatResult, validity
 from loopacc.expr import (
     And, Bin, Const, Ite, Not, Or, Rel, Sel, State, Var, eval_formula, sv,
 )
+from loopacc.sexpr import ParseError
 from loopacc.solver import server
-from loopacc.solver.ground import check
+from loopacc.solver.ground import GroundProblem, check
 from loopacc.lamsolve import SolveResult
 from loopacc.solver.presburger import Unsupported
 
@@ -120,6 +121,25 @@ def test_ite_and_div_terms():
         Rel("=", sv(x), Const(9)),
     ], {x: 0, v: 0})
     assert status == "sat" and m[v] == 4
+
+
+def test_presolve_definition_skips_a_product():
+    x, y, z = (sv(Var(n)) for n in "xyz")
+    gp = GroundProblem([], {})
+    # the first +-1 coefficient is on x*y: the literal defines nothing
+    assert gp._definition(Rel("=", Bin("+", Bin("*", x, y), z), Const(0))) is None
+    v, image = gp._definition(Rel("=", Bin("+", z, Bin("*", x, y)), Const(0)))
+    assert v == Var("z") and image == Bin("-", Const(0), sv(Var(".prod0")))
+
+
+@pytest.mark.parametrize("text", ["(assert (= (-) 0))", "(assert (= a m))"])
+def test_session_rejects_malformed_terms(text):
+    s = server.Session()
+    for form in server.parse_forms("(declare-const a (Array Int Int))"
+                                   "(declare-const m (Array Int (Array Int Int)))"):
+        s.command(form)
+    with pytest.raises(ParseError):
+        s.command(server.parse_forms(text)[0])
 
 
 class TestServerProtocol:
@@ -322,9 +342,10 @@ def test_unsupported_model_sort_is_unknown():
 
 def test_backend_command_gets_a_deadline():
     # the bundled server without --timeout: the client's timeout still holds
+    # (60 selects take the server several seconds, well past timeout + grace)
     with BackendSession(backend=SERVER, timeout=0.5) as s:
         t0 = time.monotonic()
-        r = s.check(_many_selects(40))
+        r = s.check(_many_selects(60))
         elapsed = time.monotonic() - t0
         assert (r.status, r.diagnostic, r.reason) == ("unknown", "unknown", "timeout")
         assert elapsed < 3.0

@@ -75,3 +75,15 @@ def test_oracle_counts_cells_that_do_not_evaluate():
     rep = check_loop(loop, seeds=40)
     assert rep.ok and rep.skipped > 0
     assert rep.to_json()["skipped"] == rep.skipped
+
+
+def test_oracle_skips_runs_the_interpreter_cannot_finish():
+    # a[i] <- 10 div (j - j) fails whenever the loop runs: the interpreter
+    # and the array closed form both divide by zero
+    zero = Bin("-", sv(J), sv(J))
+    loop = Loop(guard=Rel("<", sv(I), sv(K)),
+                lvalues=(Sel(A, (sv(I),)), Sel(I, ())),
+                rhs=(Bin("div", Const(10), zero), plus(sv(I), 1)))
+    rep = check_loop(loop, seeds=10, seed0=41)
+    assert rep.failure is None and not rep.mismatches
+    assert rep.skipped > 0

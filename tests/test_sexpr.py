@@ -49,6 +49,55 @@ def test_iff_desugars():
     assert isinstance(f, Or) and all(isinstance(a, And) for a in f.args)
 
 
+@pytest.mark.parametrize("smt, plain", [
+    ("(+ i k 1)", "(+ (+ i k) 1)"),
+    ("(- i k 1)", "(- (- i k) 1)"),
+    ("(* 2 i k)", "(* (* 2 i) k)"),
+    ("(- 5)", "(- 0 5)"),
+    ("(- (select a i))", "(- 0 (select a i))"),
+    ("(select (select m i) k)", "(select m i k)"),
+])
+def test_smtlib_term_forms(smt, plain):
+    env = ArityEnv({"m": 2}, ENV)
+    assert parse_expr(read_one(smt), env) == parse_expr(read_one(plain), env)
+
+
+@pytest.mark.parametrize("smt, plain", [
+    ("((_ divisible 3) (+ i 1))", "(divides 3 (+ i 1))"),
+    ("(=> (< i k) (<= i k) (< i 5))", "(=> (< i k) (=> (<= i k) (< i 5)))"),
+])
+def test_smtlib_formula_forms(smt, plain):
+    assert parse_formula(read_one(smt), ENV) == parse_formula(read_one(plain), ENV)
+
+
+def test_smtlib_forms_in_a_problem_file():
+    smt = parse_problem("""(declare (i 0) (k 0) (m 2))
+        (loop (guard (< i (- k 1 1)))
+              (update ((lhs i) (rhs (+ i 1 (select (select m i) k))))))
+        (post ((_ divisible 2) i))""", is_path=False)
+    plain = parse_problem("""(declare (i 0) (k 0) (m 2))
+        (loop (guard (< i (- (- k 1) 1)))
+              (update ((lhs i) (rhs (+ (+ i 1) (select m i k))))))
+        (post (divides 2 i))""", is_path=False)
+    assert (smt.loop, smt.post) == (plain.loop, plain.post)
+
+
+@pytest.mark.parametrize("text", [
+    "(-)", "(+ i)", "(* 2)", "(div i 2 3)", "(select (select) i)", "((_ divisible 2) i)",
+])
+def test_malformed_arithmetic_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_expr(read_one(text), ENV)
+
+
+@pytest.mark.parametrize("text", [
+    "((_ divisible k) i)", "((_ divisible 2) i k)", "(=> true)", "(= a m)",
+])
+def test_malformed_formula_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        parse_formula(read_one(text), ArityEnv({"m": 2}, ENV))
+
+
 def test_malformed_paren_has_position():
     with pytest.raises(ParseError):
         read_one("(+ i 1))")

@@ -4,9 +4,9 @@ rewrites must preserve evaluation on the fuzz corpus."""
 import random
 
 from loopacc.expr import (
-    And, Bin, BoolConst, Const, EvalError, Ite, Rel, Sel, Var, sv,
+    And, Bin, BoolConst, Const, EvalError, Ite, Rel, Sel, TRUE, Var, sv,
 )
-from loopacc.simplify import as_int_const, polys_equal, simplify, simplify_formula
+from loopacc.simplify import as_int_const, eliminate, polys_equal, simplify, simplify_formula
 
 from conftest import A, I, J, K, plus
 from test_expr import AR, SC, fuzz_state, gen_expr, gen_formula, _try_eval
@@ -107,3 +107,28 @@ def test_simplify_formula_preservation_fuzz():
         assert got == want
         checked += 1
     assert checked >= 800
+
+
+def _constant_definition(f):
+    """x = k defines x."""
+    if isinstance(f, Rel) and f.op == "=" and isinstance(f.right, Const) \
+            and isinstance(f.left, Sel) and not f.left.idx:
+        return f.left.arr, f.right
+    return None
+
+
+def test_eliminate_takes_an_earlier_literal_a_substitution_made_definable():
+    x, y, w = Var("x"), Var("y"), Var("w")
+    lits = [Rel(">=", sv(I), Const(0)),
+            simplify_formula(Rel("=", Bin("+", sv(x), sv(y)), Const(3))),
+            Rel("=", sv(y), Const(1)),
+            Rel("=", sv(w), Const(5))]
+    rest, log = eliminate(lits, _constant_definition)
+    # y = 1 turns x + y = 3 into x = 2, which comes before w = 5
+    assert log == [(y, Const(1)), (x, Const(2)), (w, Const(5))]
+    assert rest == [Rel(">=", sv(I), Const(0))]
+
+
+def test_eliminate_drops_true_literals_without_a_definition():
+    lit = Rel(">=", sv(I), Const(0))
+    assert eliminate([TRUE, lit, TRUE], lambda f: None) == ([lit], [])
