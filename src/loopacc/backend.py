@@ -1,6 +1,6 @@
 """Client side of the ground-solver protocol: SMT-LIB2 text, one command at a
 time, written and read with the helpers of ``sexpr``.  By default the bundled
-solver answers in-process (a ``solver.server.Session`` fed the same text);
+solver answers in-process (a ``solver.session.Session`` fed the same text);
 ``--backend CMD`` / LOOPACC_BACKEND instead runs CMD as a subprocess speaking
 SMT-LIB2 over stdin/stdout, killed and answered ``unknown`` (reason
 ``timeout``) when it takes more than the timeout plus a one-second grace.  The
@@ -30,7 +30,7 @@ from .expr import (
 )
 from .sexpr import ParseError, balanced, read_all, smt_int, smt_symbol, sort_arity, sort_text
 from .simplify import as_int_const, simplify_formula
-from .solver.server import Session, error_text
+from .solver.session import Session, error_text
 
 ENV_BACKEND = "LOOPACC_BACKEND"
 DEFAULT_TIMEOUT = 2.0

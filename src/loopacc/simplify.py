@@ -259,6 +259,7 @@ def eliminate(literals: list[Formula], definition, tick=lambda: None):
     true).  Returns the remaining literals and the (x, t) log in elimination
     order.  tick is called for every literal visited (a deadline check)."""
     work = [f for f in literals if f != TRUE]
+    names = [free_vars(f) for f in work]  # each literal's, kept until it changes
     log: list[tuple[Var, object]] = []
     start = 0
     while True:
@@ -271,10 +272,10 @@ def eliminate(literals: list[Formula], definition, tick=lambda: None):
             return work, log
         x, t = found
         log.append(found)
-        done, work = work, []
+        done, work, done_names, names = work, [], names, []
         start = None
-        for g in done:
-            if x in free_vars(g):
+        for g, vs in zip(done, done_names):
+            if x in vs:
                 tick()
                 if start is None:
                     # the literals before the first changed one were scanned
@@ -283,7 +284,9 @@ def eliminate(literals: list[Formula], definition, tick=lambda: None):
                 g = simplify_formula(beta_reduce(substitute(g, {x: t})))
                 if g == TRUE:
                     continue
+                vs = free_vars(g)
             work.append(g)
+            names.append(vs)
 
 
 def _dedupe(parts):

@@ -11,7 +11,10 @@ Pipeline per check-sat:
   3. equality presolve: simplify.eliminate, the routine lamsolve's
      propagation shares, solves an equality with a +-1 coefficient for its
      variable and substitutes it;
-  4. NNF into linear atoms; Cooper search for a model;
+  4. NNF into linear atoms; presburger.find_model case-splits over the
+     disjunctions (ite definitions, congruences, disequalities) guided by
+     candidate models, and decides each conjunction of atoms it assumes with
+     Cooper's search;
   5. rebuild scalar and array values and verify the original conjunction.
 """
 

@@ -1,10 +1,5 @@
-"""SMT-LIB2 server over stdin/stdout backed by the bundled ground solver.
-
-Supports the fragment the acceleration pipeline emits: quantifier-free linear
-integer arithmetic with ite, floor div by constants, ((_ divisible k) t),
-(possibly nested) integer arrays with full-index selects, and array equality
-between array constants.  Asserted formulas and get-value terms are read
-by the problem-file parser of sexpr.py against the declarations.  Run as
+"""SMT-LIB2 server over stdin/stdout backed by the bundled ground solver: one
+``session.Session`` answers the commands read from stdin.  Run as
 ``loopacc-smt`` or ``python -m loopacc.solver.server``.
 """
 
@@ -12,172 +7,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-from ..expr import FiniteFn, State, Var, eval_expr
-from ..sexpr import (
-    ArityEnv, ParseError, balanced, parse_expr, parse_formula, read_all as parse_forms, smt_int,
-    smt_symbol, sort_arity, sort_text,
-)
-from .ground import check
-from .presburger import SolverTimeout, Unsupported
-
-
-class SmtError(ParseError):
-    """A command the session cannot carry out."""
-
-
-def smt_string(text: str) -> str:
-    return '"' + text.replace('"', '""') + '"'
-
-
-def error_text(message: str) -> str:
-    """The (error "...") answer to a command the session rejected."""
-    return f"(error {smt_string(message)})"
-
-
-class Session:
-    def __init__(self, timeout: float | None = None):
-        self.env = ArityEnv()  # the declarations: name -> arity
-        self.stack: list[list] = [[]]
-        self.model: State | None = None
-        self.timeout = timeout
-        self.print_success = False
-        self.reason = ""  # why the last check-sat answered unknown
-
-    def command(self, form) -> str | None:
-        head = form[0] if isinstance(form, list) and form else form
-        if head in ("set-logic", "set-info"):
-            return self._ok()
-        if head == "set-option":
-            if len(form) >= 3 and form[1] == ":print-success":
-                self.print_success = form[2] == "true"
-            return self._ok()
-        if head == "declare-const":
-            name, sort = form[1], form[2]
-            self.env.base[name] = sort_arity(sort)
-            return self._ok()
-        if head == "declare-fun":
-            name, args, sort = form[1], form[2], form[3]
-            if args:
-                raise SmtError("only 0-ary declare-fun is supported")
-            self.env.base[name] = sort_arity(sort)
-            return self._ok()
-        if head == "assert":
-            self.stack[-1].append(parse_formula(form[1], self.env))
-            return self._ok()
-        if head == "push":
-            k = int(form[1]) if len(form) > 1 else 1
-            for _ in range(k):
-                self.stack.append([])
-            return self._ok()
-        if head == "pop":
-            k = int(form[1]) if len(form) > 1 else 1
-            for _ in range(k):
-                if len(self.stack) == 1:
-                    raise SmtError("pop on empty stack")
-                self.stack.pop()
-            return self._ok()
-        if head == "reset":
-            self.__init__(self.timeout)
-            return self._ok()
-        if head == "check-sat":
-            return self.check_sat()
-        if head == "get-model":
-            return self.format_model()
-        if head == "get-value":
-            return self.get_value(form[1])
-        if head == "get-info":
-            return self.get_info(form[1])
-        if head == "echo":
-            return form[1][1] if isinstance(form[1], tuple) else str(form[1])
-        if head == "exit":
-            return None
-        raise SmtError(f"unsupported command {head!r}")
-
-    def _ok(self):
-        return "success" if self.print_success else ""
-
-    def check_sat(self) -> str:
-        self.model = None
-        self.reason = ""
-        asserts = [f for frame in self.stack for f in frame]
-        declared = {Var(n, a): a for n, a in self.env.base.items()}
-        deadline = time.monotonic() + self.timeout if self.timeout else None
-        try:
-            status, model = check(asserts, declared, deadline=deadline)
-        except SolverTimeout as exc:  # "timeout" or "branch budget exhausted"
-            self.reason = str(exc)
-            return "unknown"
-        except Unsupported as exc:
-            self.reason = f"unsupported: {exc}"
-            return "unknown"
-        if status == "sat":
-            self.model = model
-            return "sat"
-        return "unsat"
-
-    def get_info(self, key) -> str:
-        """Answers :reason-unknown (an empty reason unless the last check-sat
-        answered unknown); other keywords are unsupported."""
-        if key == ":reason-unknown":
-            return f"(:reason-unknown {smt_string(self.reason)})"
-        return "unsupported"
-
-    def format_model(self) -> str:
-        if self.model is None:
-            raise SmtError("no model available")
-        lines = ["("]
-        for name in sorted(self.env.base):
-            ar = self.env.base[name]
-            v = Var(name, ar)
-            val = self.model.get(v)
-            if ar == 0:
-                val = 0 if val is None else val
-                lines.append(f"  (define-fun {smt_symbol(name)} () Int {smt_int(val)})")
-            else:
-                fn = val if isinstance(val, FiniteFn) else FiniteFn.const(ar, 0)
-                lines.append(
-                    f"  (define-fun {smt_symbol(name)} () {sort_text(ar)} {array_text(fn)})"
-                )
-        lines.append(")")
-        return "\n".join(lines)
-
-    def get_value(self, forms) -> str:
-        if self.model is None:
-            raise SmtError("no model available")
-        parts = []
-        for f in forms:
-            term = parse_expr(f, self.env)
-            parts.append(f"({term_text(f)} {smt_int(eval_expr(term, self.model))})")
-        return "(" + " ".join(parts) + ")"
-
-
-def term_text(form) -> str:
-    if isinstance(form, list):
-        return "(" + " ".join(term_text(f) for f in form) + ")"
-    return str(form)
-
-
-def array_text(fn: FiniteFn) -> str:
-    """Nested (store ... ((as const sort) default) ...) text for a
-    constant-background finite function."""
-    if any(fn.coeffs):
-        raise SmtError("cannot print non-constant array background")
-    return _array_text(fn.arity, fn.base, fn.override_map())
-
-
-def _array_text(arity: int, default: int, overrides: dict) -> str:
-    if arity == 0:
-        return smt_int(overrides.get((), default))
-    base = f"((as const {sort_text(arity)}) {_array_text(arity - 1, default, {})})"
-    groups: dict[int, dict] = {}
-    for point, v in sorted(overrides.items()):
-        groups.setdefault(point[0], {})[point[1:]] = v
-    out = base
-    for first, rest in sorted(groups.items()):
-        out = f"(store {out} {smt_int(first)} {_array_text(arity - 1, default, rest)})"
-    return out
+from ..sexpr import ParseError, balanced, read_all as parse_forms
+# The session has its own module: loopacc/__init__ imports the backend, which
+# imports the session, so a session defined here would be loaded twice under
+# ``-m``, once by name and once as __main__.  Clients of the server module use
+# these names from here.
+from .session import Session, SmtError, error_text, smt_string  # noqa: F401
 
 
 def main(argv=None) -> int:

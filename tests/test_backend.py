@@ -1,6 +1,8 @@
-"""Ground solver and protocol layer: Cooper search against brute-force
-enumeration, array reasoning, the SMT-LIB server loop, and model parsing."""
+"""Ground solver and protocol layer: the case split and Cooper search against
+brute-force enumeration, array reasoning, the SMT-LIB server loop, and model
+parsing."""
 
+import functools
 import itertools
 import json
 import random
@@ -12,15 +14,19 @@ from pathlib import Path
 import pytest
 
 from loopacc import cli
+from loopacc.accel import accelerate, encode_reachability
 from loopacc.backend import BackendSession, SatResult, validity
 from loopacc.expr import (
     And, Bin, Const, Ite, Not, Or, Rel, Sel, State, Var, eval_formula, sv,
 )
+from loopacc.lamsolve import SolveResult, solve, verify_model
+from loopacc.problem import parse_problem
 from loopacc.sexpr import ParseError
-from loopacc.solver import server
-from loopacc.solver.ground import GroundProblem, check
-from loopacc.lamsolve import SolveResult
-from loopacc.solver.presburger import Unsupported
+from loopacc.solver import ground, server
+from loopacc.solver.ground import GroundProblem, check, to_linear
+from loopacc.solver.presburger import (
+    PresburgerSolver, SolverTimeout, Unsupported, _propagate, fand, feval, fnot, fvars,
+)
 
 # the bundled solver as an external command: the subprocess transport
 SERVER = f"{sys.executable} -m loopacc.solver.server"
@@ -70,6 +76,126 @@ def test_cooper_vs_enumeration():
         assert (status == "sat") == enum_sat, f"trial {trial}: {f}"
         if status == "sat":
             assert eval_formula(f, model)
+
+
+def _decide(run, limit):
+    """run(solver)'s model or None, or "budget" when limit nodes ran out."""
+    try:
+        return run(PresburgerSolver(branch_limit=limit))
+    except SolverTimeout:
+        return "budget"
+
+
+def test_split_vs_cooper_and_enumeration():
+    # find_model (the case split) against the whole-formula Cooper search, kept
+    # as the reference, and against enumeration over the box.  Cooper can
+    # exhaust a small budget on some conjunctions with non-unit coefficients,
+    # the reference on more formulas than the split: where the reference
+    # decides, the split must decide too.
+    rnd = random.Random(11)
+    B = 3
+    xs = [Var("x"), Var("y"), Var("z")]
+    decided = 0
+    for trial in range(150):
+        vs = xs[:rnd.randint(1, 3)]
+        f = _rand_formula(rnd, vs, 3)
+        lin = fand([to_linear(g) for g in [f] + [Rel(">=", sv(x), Const(-B)) for x in vs]
+                    + [Rel("<=", sv(x), Const(B)) for x in vs]])
+        names = sorted(fvars(lin))
+        enum_sat = any(feval(lin, dict(zip(names, point)))
+                       for point in itertools.product(range(-B, B + 1), repeat=len(names)))
+        ref = _decide(lambda s: s._search(lin, names), 5000)
+        split = _decide(lambda s: s.find_model(lin), 5000)
+        assert ref == "budget" or split != "budget", f"trial {trial}: {f}"
+        for m in (ref, split):
+            if m != "budget":
+                assert (m is not None) == enum_sat, f"trial {trial}: {f}"
+                assert m is None or feval(lin, m), f"trial {trial}: {f}"
+        decided += split != "budget"
+    assert decided >= 140
+
+
+def test_bounds_propagate_through_inequalities_and_stop_on_cycles():
+    x_pos, y_above_x = ("gt", {"x": 1}), ("gt", {"y": 1, "x": -1})
+    y_nonpos, z_pos = ("gt", {"y": -1, None: 1}), ("gt", {"z": 1})
+    # y > x > 0 rules out y <= 0, which leaves z > 0 as a unit; y's bound
+    # takes a second round, as x's is found after y > x is visited
+    units, live = _propagate([y_above_x, x_pos], [[y_nonpos, z_pos]])
+    assert units == [y_above_x, x_pos, z_pos] and live == []
+    # x > y > x raises both lower bounds without end; the rounds stop and
+    # Cooper proves the cycle unsat
+    cycle = [x_pos, y_above_x, ("gt", {"x": 1, "y": -1}), ("or", [z_pos, fnot(z_pos)])]
+    assert PresburgerSolver(branch_limit=1000).find_model(("and", cycle)) is None
+
+
+def _pigeons(n):
+    """n variables in [0, n - 2], pairwise distinct: unsat, and only splitting
+    over the disequalities shows it."""
+    xs = [sv(Var(f"p{k}")) for k in range(n)]
+    return ([Rel(">=", x, Const(0)) for x in xs] + [Rel("<", x, Const(n - 1)) for x in xs]
+            + [Rel("!=", x, y) for x, y in itertools.combinations(xs, 2)])
+
+
+def test_split_nodes_spend_the_budget_and_keep_the_deadline(monkeypatch):
+    with BackendSession() as s:
+        assert s.check(_pigeons(5)).status == "unsat"
+    monkeypatch.setattr(ground, "PresburgerSolver",
+                        functools.partial(PresburgerSolver, branch_limit=50))
+    with BackendSession() as s:
+        r = s.check(_pigeons(5))
+    assert (r.status, r.reason) == ("unknown", "branch budget exhausted")
+    monkeypatch.undo()
+    with BackendSession(timeout=0.05) as s:
+        t0 = time.monotonic()
+        r = s.check(_pigeons(6))
+        elapsed = time.monotonic() - t0
+    assert (r.status, r.reason) == ("unknown", "timeout")
+    assert elapsed < 0.5
+
+
+def _hoare_k(k: int, mutated: bool) -> str:
+    """The swap loop of hoare13.loop from b = a, j = i < k, with m_t = i + t.
+    Valid: the post asks a'[i'] != b[j] and a'[m_t] != b[m_t + 1] for t < K,
+    which the swap rules out.  Mutated: a'[i'] != b[j + 1] and
+    a'[m_t] != b[m_t], which a[c] = c satisfies."""
+    ms = [f"m{t}" for t in range(1, k)]
+    decl = "(declare (i 0) (k 0) (j 0) (a 1) (b 1)" + "".join(f" ({m} 0)" for m in ms) + ")"
+    init = ["(= b a)", "(= j i)", "(< i k)"] + [f"(= {m} (+ i {t}))" for t, m in enumerate(ms, 1)]
+    if mutated:
+        post = ["(>= i k)", "(distinct (select a i) (select b (+ j 1)))"]
+        post += [f"(distinct (select a {m}) (select b {m}))" for m in ms]
+    else:
+        post = ["(>= i k)", "(distinct (select a i) (select b j))"]
+        post += [f"(distinct (select a {m}) (select b (+ {m} 1)))" for m in ms]
+    if ms:
+        post.append(f"(< {ms[-1]} k)")
+    loop = ("(loop (guard (< i k)) (update ((lhs i) (rhs (+ i 1)))"
+            " ((lhs (select a (+ i 1))) (rhs (select a i)))"
+            " ((lhs (select a i)) (rhs (select a (+ i 1))))))")
+    return "\n".join([decl, "(init " + " ".join(init) + ")", loop,
+                      "(post " + " ".join(post) + ")"])
+
+
+def _check_triple(text: str):
+    """(lamsolve result, whether a model passes verify_model, seconds)."""
+    pf = parse_problem(text, is_path=False)
+    t0 = time.monotonic()
+    with BackendSession() as ses:
+        lits = encode_reachability(pf.init, accelerate(pf.loop, ses), pf.post)
+        res = solve(lits, ses)
+        verified = res.status == "model" and verify_model(res.model, lits, ses)
+    return res, verified, time.monotonic() - t0
+
+
+def test_hoare_k_no_longer_falls_off_the_cliff():
+    # valid K >= 2 used to time out: one Cooper search re-branched on every
+    # ite, congruence and distinct disjunction under every candidate
+    res, _, seconds = _check_triple(_hoare_k(3, False))
+    assert res.status == "unsat" and seconds < 1.0
+    res, _, _ = _check_triple(_hoare_k(5, False))
+    assert res.status == "unsat"
+    res, verified, _ = _check_triple(_hoare_k(5, True))
+    assert res.status == "model" and verified
 
 
 def test_cooper_unbounded_models():
@@ -147,6 +273,14 @@ class TestServerProtocol:
         out = subprocess.run([sys.executable, "-m", "loopacc.solver.server"],
                              input=script, capture_output=True, text=True, timeout=60)
         return [l for l in out.stdout.splitlines() if l.strip()]
+
+    def test_starts_without_warnings(self):
+        # loopacc/__init__ imports the backend; were the session defined in
+        # the server module, -m would load that module a second time
+        out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                              "-m", "loopacc.solver.server"],
+                             input="(check-sat)\n", capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "sat\n", "")
 
     def test_push_pop(self):
         lines = self.run_script(
@@ -342,10 +476,11 @@ def test_unsupported_model_sort_is_unknown():
 
 def test_backend_command_gets_a_deadline():
     # the bundled server without --timeout: the client's timeout still holds
-    # (60 selects take the server several seconds, well past timeout + grace)
+    # (seven pigeons in six holes take the server many seconds, well past
+    # timeout + grace)
     with BackendSession(backend=SERVER, timeout=0.5) as s:
         t0 = time.monotonic()
-        r = s.check(_many_selects(60))
+        r = s.check(_pigeons(7))
         elapsed = time.monotonic() - t0
         assert (r.status, r.diagnostic, r.reason) == ("unknown", "unknown", "timeout")
         assert elapsed < 3.0
