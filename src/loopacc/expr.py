@@ -1,6 +1,8 @@
 """AST for rvalues, lvalues, (array) expressions and formulas, plus the
 operations every other module leans on: concrete evaluation, capture-avoiding
 substitution, beta reduction, top-level lvalue collection and free variables.
+``compile_expr`` turns a tree into Python code that evaluates as
+``eval_expr`` does, for callers that evaluate one tree many times.
 
 Scalars are arrays of dimension 0 throughout: a scalar occurrence in an
 expression is a cell access with an empty index vector (``Sel(x, ())``).
@@ -585,8 +587,9 @@ class State:
         return s
 
     def without(self, xs) -> "State":
+        drop = set(xs)
         s = State()
-        s._m = {x: v for x, v in self._m.items() if x not in set(xs)}
+        s._m = {x: v for x, v in self._m.items() if x not in drop}
         return s
 
     def __repr__(self):
@@ -664,3 +667,163 @@ def eval_formula(f: Formula, s: State) -> bool:
     if isinstance(f, Or):
         return any(eval_formula(a, s) for a in f.args)
     raise TypeError(f"not a formula: {f!r}")
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+# Tree levels emitted into one Python expression before the rest is hoisted
+# into a helper function: each level opens at most two parentheses, and the
+# Python parser refuses more than 200 nested ones.
+_HOIST_DEPTH = 48
+
+_UNSET = object()
+
+
+def compile_expr(e):
+    """``eval_expr`` compiled: returns ``run`` with ``run(s)`` giving what
+    ``eval_expr(e, s)`` gives, or raising the same exception class, for every
+    state ``s``.  The tree is emitted once as Python source and compiled, so
+    a call walks no tree; a lambda value is a Python function that converts
+    its point to ints and checks its arity as ``Closure`` does, and binds its
+    parameters as locals instead of copying the state.  Operands are
+    evaluated in the interpreter's order, ``and``/``or``/``ite`` short-circuit
+    as it does, and a variable missing from ``s`` raises ``UnboundVariable``
+    only when it is read."""
+    return _Compiler().unit(e)
+
+
+def _unbound(x: Var):
+    raise UnboundVariable(f"unbound variable {x.name}")
+
+
+def _fail(cls, message, *operands):
+    """Raise after the operands, evaluated as call arguments, were computed."""
+    raise cls(message)
+
+
+def _divides(d, r) -> bool:
+    return r == 0 if d == 0 else r % d == 0
+
+
+def _arity_error(arity: int, point):
+    raise ArityMismatch(f"closure of arity {arity} applied to {point}")
+
+
+_REL_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!="}
+_FORMULAS = (BoolConst, Rel, Not, And, Or)
+
+
+class _Compiler:
+    """One compiled unit: the identifiers of its variables, the variables it
+    reads from the state, and the helpers its source refers to."""
+
+    def __init__(self):
+        self.names: dict[Var, str] = {}
+        self.free: dict[Var, None] = {}  # read from the state, in first-read order
+        self.helpers = 0
+        self.env = {"_UNSET": _UNSET, "_unbound": _unbound, "_fail": _fail,
+                    "_divides": _divides, "_arity_error": _arity_error, "EvalError": EvalError}
+
+    def unit(self, e):
+        defs: list[str] = []
+        body = self.emit(e, frozenset(), defs, 0)
+        lines = ["def run(_s):", "    _m = _s._m"]
+        for x in self.free:
+            lines.append(f"    {self.name(x)} = _m.get(X{self.name(x)}, _UNSET)")
+        lines += _guarded(defs, body, "    ")
+        exec(compile("\n".join(lines), "<compile_expr>", "exec"), self.env)
+        return self.env["run"]
+
+    def name(self, x: Var) -> str:
+        if x not in self.names:
+            self.names[x] = v = f"v{len(self.names)}"
+            self.env[f"X{v}"] = x
+        return self.names[x]
+
+    def helper(self) -> str:
+        self.helpers += 1
+        return f"_h{self.helpers}"
+
+    def emit(self, e, bound: frozenset, defs: list, depth: int, formula: bool = False) -> str:
+        """Source of one Python expression for ``e``; the functions it calls
+        (lambda values, hoisted subtrees) are appended to ``defs``, the body
+        of the enclosing function, where ``bound`` are locals."""
+        if depth >= _HOIST_DEPTH:
+            h = self.helper()
+            defs += [f"def {h}():", f"    return {self.emit(e, bound, defs, 0, formula)}"]
+            return f"{h}()"
+        if formula and not isinstance(e, _FORMULAS):
+            return f"_fail(TypeError, {f'not a formula: {e!r}'!r})"
+        emit, d = self.emit, depth + 1
+        if isinstance(e, Const):
+            return f"({e.value!r})"
+        if isinstance(e, Bin):
+            l, r = emit(e.left, bound, defs, d), emit(e.right, bound, defs, d)
+            if e.op in ("+", "-", "*"):
+                return f"({l} {e.op} {r})"
+            if e.op == "div":  # floor division; ZeroDivisionError is turned into EvalError
+                return f"({l} // {r})"
+            return f"_fail(EvalError, {f'unknown operator {e.op}'!r}, {l}, {r})"
+        if isinstance(e, Var):
+            v = self.name(e)
+            if e in bound:
+                return v
+            self.free[e] = None
+            return f"({v} if {v} is not _UNSET else _unbound(X{v}))"
+        if isinstance(e, Sel):
+            fn = emit(e.arr, bound, defs, d)
+            if isinstance(e.arr, Var) and e.arr.arity == 0:
+                return fn  # a scalar is bound to an int
+            point = ""
+            for i in e.idx:
+                point += f"{emit(i, bound, defs, d)}, "
+            return f"{fn}(({point}))"
+        if isinstance(e, Ite):
+            c = emit(e.cond, bound, defs, d, True)
+            return f"({emit(e.then, bound, defs, d)} if {c} else {emit(e.other, bound, defs, d)})"
+        if isinstance(e, Lam):
+            return self.lam(e, bound, defs)
+        if isinstance(e, BoolConst):
+            return repr(e.value)
+        if isinstance(e, Rel):
+            if e.op in ("=", "!=") and (arity_of(e.left) > 0 or arity_of(e.right) > 0):
+                return ("_fail(EvalError, 'array equality is not concretely evaluable; "
+                        "probe the functions')")
+            l, r = emit(e.left, bound, defs, d), emit(e.right, bound, defs, d)
+            if e.op in _REL_OPS:
+                return f"({l} {_REL_OPS[e.op]} {r})"
+            if e.op == "divides":
+                return f"_divides({l}, {r})"
+            return f"_fail(EvalError, {f'unknown relation {e.op}'!r}, {l}, {r})"
+        if isinstance(e, Not):
+            return f"(not {emit(e.arg, bound, defs, d, True)})"
+        if isinstance(e, (And, Or)):
+            if not e.args:
+                return repr(isinstance(e, And))
+            op = " and " if isinstance(e, And) else " or "
+            return f"({op.join([emit(a, bound, defs, d, True) for a in e.args])})"
+        return f"_fail(TypeError, {f'not an expression: {e!r}'!r})"
+
+    def lam(self, e: Lam, bound: frozenset, defs: list) -> str:
+        h = self.helper()
+        inner: list[str] = []
+        body = self.emit(e.body, bound | set(e.params), inner, 0)
+        arity = len(e.params)
+        lines = [f"def {h}(_p):",
+                 "    _p = tuple(map(int, _p))",
+                 f"    if len(_p) != {arity}:",
+                 f"        _arity_error({arity}, _p)"]
+        if arity:
+            lines.append(f"    {''.join(self.name(p) + ', ' for p in e.params)}= _p")
+        defs += lines + _guarded(inner, body, "    ")
+        return h
+
+
+def _guarded(defs: list[str], body: str, pad: str) -> list[str]:
+    """A function body returning ``body`` that reports a floor division by
+    zero as the interpreter does."""
+    return [f"{pad}try:", *(f"{pad}    {line}" for line in defs),
+            f"{pad}    return {body}",
+            f"{pad}except ZeroDivisionError:",
+            f"{pad}    raise EvalError('division by zero') from None"]

@@ -2,6 +2,11 @@
 arrays) is compared against the brute-force interpreter over random states,
 for every n up to a bound, on a probe window derived from the actual writes.
 Mismatches are report content, not exceptions.
+
+Each array closed form is compiled once per loop (``compile_expr``), with n
+bound in the state it reads, so a probe point costs one call.  The states
+after 0..n_max iterations come from one run: each is the previous one
+advanced by a single step, and the writes accumulate into the probe window.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .arrayform import ArrayFormError, closed_form_array
 from .closedform import Failure, closed_forms_all
-from .expr import Const, EvalError, FiniteFn, State, Var, eval_expr, substitute
+from .expr import Const, EvalError, FiniteFn, State, Var, compile_expr, eval_expr, substitute
 from .loop import Loop, build_up, run_n
 from .recurrence import N
 from .sexpr import to_text
@@ -90,11 +95,10 @@ def random_state(loop: Loop, rnd: random.Random, span: int = 6) -> State:
     return State(mapping)
 
 
-def probe_points(loop: Loop, result, state: State, x: Var, margin: int) -> set[tuple[int, ...]]:
-    pts: set[tuple[int, ...]] = set()
-    for w in result.writes:
-        if w.var == x:
-            pts.add(w.point)
+def probe_points(writes, state: State, x: Var, margin: int) -> set[tuple[int, ...]]:
+    """The cells of x written so far or overridden in the initial state,
+    widened by margin, plus two far-away cells."""
+    pts = {w.point for w in writes if w.var == x}
     fn = state[x]
     if isinstance(fn, FiniteFn):
         pts |= {p for p, _ in fn.overrides}
@@ -113,12 +117,12 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                margin: int = 2, session=None, seed0: int = 0) -> OracleReport:
     """Closed forms vs run_n: scalars and lvalue table entries pointwise,
     arrays on the probe window, for every n the guard allows."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = OracleReport(loop_id, seeds, n_max, margin)
     forms = closed_forms_all(loop, session)
     if isinstance(forms, Failure):
         report.failure = forms
-        report.elapsed = time.time() - t0
+        report.elapsed = time.perf_counter() - t0
         return report
     up = build_up(loop)
     array_forms = {}
@@ -128,26 +132,29 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                 array_forms[x] = closed_form_array(loop, x, forms.table, up)
             except ArrayFormError as exc:
                 report.failure = Failure("array-closed-form", str(exc))
-                report.elapsed = time.time() - t0
+                report.elapsed = time.perf_counter() - t0
                 return report
 
+    compiled = {x: compile_expr(lam) for x, lam in array_forms.items()}
     for s_idx in range(seeds):
         rnd = random.Random(seed0 + s_idx)
         state = random_state(loop, rnd)
-        runs = []
+        cur, writes = state, []
         for n in range(n_max + 1):
-            try:
-                runs.append(run_n(loop, state, n))
-            except EvalError:  # the interpreter fails from this n on
-                report.skipped += 1
-                break
-        for n, r in enumerate(runs):
-            if r.stuck_at is not None and r.stuck_at < n:
-                break
+            if n:
+                try:
+                    r = run_n(loop, cur, 1)
+                except EvalError:  # the interpreter fails from this n on
+                    report.skipped += 1
+                    break
+                if r.stuck_at is not None:  # the guard stops the loop before n
+                    break
+                cur = r.state
+                writes += r.writes
             n_sub = {N: Const(n)}
             for lv, cf in forms.table.items():
                 try:
-                    expected = eval_expr(lv, r.state)
+                    expected = eval_expr(lv, cur)
                     got = eval_expr(substitute(cf, n_sub), state)
                 except EvalError:  # e.g. division by zero in a probed cell
                     report.skipped += 1
@@ -156,11 +163,11 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                 if expected != got:
                     report.mismatches.append(
                         Mismatch(s_idx, n, to_text(lv), None, expected, got))
-            for x, lam in array_forms.items():
-                lam_n = substitute(lam, n_sub)
-                fn = eval_expr(lam_n, state)
-                target = r.state[x]
-                for pt in sorted(probe_points(loop, r, state, x, margin)):
+            env = state.bind({N: n})
+            for x, run in compiled.items():
+                fn = run(env)
+                target = cur[x]
+                for pt in sorted(probe_points(writes, state, x, margin)):
                     try:
                         expected = target(pt)
                         got = fn(pt)
@@ -171,5 +178,5 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                     if expected != got:
                         report.mismatches.append(
                             Mismatch(s_idx, n, x.name, pt, expected, got))
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return report

@@ -1,0 +1,163 @@
+"""compile_expr against eval_expr: the same value, or the same exception
+class, on generated closed forms at random n and points and on hand-built
+edge cases."""
+
+import random
+from functools import reduce
+
+import pytest
+
+from loopacc.arrayform import closed_form_array
+from loopacc.closedform import closed_forms_all
+from loopacc.expr import (
+    FALSE, And, ArityMismatch, Bin, BoolConst, Closure, Const, EvalError, FiniteFn, Ite, Lam,
+    Not, Or, Rel, Sel, State, UnboundVariable, Var, compile_expr, eval_expr, sv,
+)
+from loopacc.gen import gen_loop
+from loopacc.loop import build_up
+from loopacc.oracle import random_state
+from loopacc.recurrence import N
+
+from conftest import A, B, I, J, K, plus
+
+
+def outcome(thunk):
+    try:
+        return "value", thunk()
+    except Exception as exc:  # the class is what both evaluators must agree on
+        return "raises", type(exc)
+
+
+def agree(e, s: State, points=()):
+    """Both evaluators give the same outcome on e in s, and a function value
+    gives the same outcome at every point."""
+    kind, ref = outcome(lambda: eval_expr(e, s))
+    kind2, got = outcome(lambda: compile_expr(e)(s))
+    assert kind == kind2, (e, ref, got)
+    if kind == "value" and isinstance(ref, (FiniteFn, Closure)):
+        for pt in points:
+            assert outcome(lambda: ref(pt)) == outcome(lambda: got(pt)), (e, pt)
+        return "function", None
+    assert ref == got, e
+    return kind, ref
+
+
+def test_generated_closed_forms_agree():
+    compared = 0
+    for seed in range(30):
+        loop = gen_loop(seed).loop
+        forms = closed_forms_all(loop)
+        up = build_up(loop)
+        lams = [closed_form_array(loop, x, forms.table, up)
+                for x in sorted(loop.written_vars(), key=lambda v: v.name) if x.arity]
+        rnd = random.Random(seed)
+        for _ in range(4):
+            s = random_state(loop, rnd).bind({N: rnd.randint(0, 10)})
+            for cf in forms.table.entries.values():
+                agree(cf, s)
+                compared += 1
+            for lam in lams:
+                pts = [tuple(rnd.randint(-12, 16) for _ in lam.params) for _ in range(25)]
+                agree(lam, s, pts)
+                compared += len(pts)
+    assert compared > 1000
+
+
+S = State({I: 3, J: 0, K: -7, A: FiniteFn.identity({(2,): 40}), B: FiniteFn.const(1, 5)})
+DEEP = 320
+
+
+def chain(op, terms, right=False):
+    if right:
+        return reduce(lambda acc, t: Bin(op, t, acc), reversed(terms))
+    return reduce(lambda acc, t: Bin(op, acc, t), terms)
+
+
+@pytest.mark.parametrize("e, expected", [
+    (plus(sv(I), -5), -2),
+    (Bin("div", Const(1), Const(0)), EvalError),
+    (Bin("div", sv(I), sv(J)), EvalError),
+    (Bin("div", Const(-7), Const(2)), -4),
+    (Bin("div", Const(7), Const(-2)), -4),
+    (Bin("div", sv(K), Const(3)), -3),
+    (Bin("*", Bin("div", Const(-1), Const(2)), Const(5)), -5),
+    (Rel("divides", Const(0), Const(0)), True),
+    (Rel("divides", Const(0), Const(3)), False),
+    (Rel("divides", sv(J), sv(I)), False),
+    (Rel("divides", Const(-3), Const(6)), True),
+    (Rel("divides", Const(4), sv(K)), False),
+    (Sel(Lam((J,), Bin("+", sv(J), sv(I))), (Const(10),)), 13),
+    (Sel(Lam((I, J), Bin("-", sv(I), sv(J))), (sv(J), sv(I))), -3),
+    (Sel(Lam((J,), Sel(A, (sv(J),))), (Const(2),)), 40),
+    (Sel(Lam((J,), Sel(Lam((I,), Bin("*", sv(I), sv(J))), (Const(4),))), (sv(I),)), 12),
+    (Sel(A, (Sel(A, (Const(2),)),)), 40),
+    (Sel(B, (Bin("div", Const(1), sv(J)),)), EvalError),
+    (Rel("=", A, B), EvalError),
+    (Rel("!=", Lam((J,), sv(J)), A), EvalError),
+    (Rel("<", sv(I), sv(K)), False),
+    (Rel("=", Sel(A, (Const(2),)), Const(40)), True),
+    (sv(Var("zz")), UnboundVariable),
+    (Sel(Var("zz", 1), (Const(0),)), UnboundVariable),
+    (Bin("+", sv(Var("zz")), Bin("div", Const(1), Const(0))), UnboundVariable),
+    (Bin("+", Bin("div", Const(1), Const(0)), sv(Var("zz"))), EvalError),
+    (Sel(Var("zz", 1), (Bin("div", Const(1), Const(0)),)), UnboundVariable),
+    (Ite(Rel("=", sv(J), Const(0)), Const(1), sv(Var("zz"))), 1),
+    (Ite(Rel("!=", sv(J), Const(0)), Bin("div", Const(1), sv(J)), Const(-1)), -1),
+    (And((Rel("!=", sv(J), Const(0)), Rel("=", Bin("div", Const(6), sv(J)), Const(3)))), False),
+    (Or((Rel("=", sv(J), Const(0)), Rel("=", Bin("div", Const(6), sv(J)), Const(3)))), True),
+    (And((Rel("=", sv(J), Const(0)), Rel("=", Bin("div", Const(6), sv(J)), Const(3)))), EvalError),
+    (Not(And((Rel("<", sv(J), sv(I)), Rel(">", sv(I), sv(K))))), False),
+    (And(()), True),
+    (Or(()), False),
+    (Ite(FALSE, sv(Var("zz")), Const(2)), 2),
+    (Ite(Const(1), Const(1), Const(2)), TypeError),
+    (Bin("^", Const(1), Const(2)), EvalError),
+    (Rel("~", Const(1), Const(2)), EvalError),
+    (BoolConst(True), True),
+    (chain("+", [sv(I)] * DEEP), 3 * DEEP),
+    (chain("+", [sv(I)] * DEEP, right=True), 3 * DEEP),
+    (chain("-", [Const(1)] * DEEP + [Bin("div", Const(1), sv(J))]), EvalError),
+    (reduce(lambda acc, _: Sel(A, (acc,)), range(DEEP), sv(I)), 3),
+    (reduce(lambda acc, k: Ite(Rel("=", sv(I), Const(k)), Const(k), acc), range(DEEP),
+            Const(-1)), 3),
+    (Sel(Lam((J,), chain("+", [sv(J)] * DEEP)), (Const(2),)), 2 * DEEP),
+    (And(tuple(Rel("<", chain("+", [sv(I)] * k), Const(10 ** 6)) for k in (1, DEEP))), True),
+])
+def test_edge_cases_agree(e, expected):
+    kind, value = agree(e, S)
+    if isinstance(expected, type):
+        assert (kind, value) == ("raises", expected)
+    else:
+        assert (kind, value) == ("value", expected)
+
+
+def test_lambda_values_agree_pointwise():
+    lam = Lam((J, K), Ite(Rel("=", sv(J), sv(I)), Bin("div", sv(K), sv(J)),
+                          Sel(A, (Bin("+", sv(J), sv(K)),))))
+    pts = [(3, 9), (0, 0), (-2, 4), (2, 0), (True, 1), ("4", "5"), (1,), (1, 2, 3), ("x", 1)]
+    assert agree(lam, S, pts) == ("function", None)
+    fn = compile_expr(lam)(S)
+    assert fn((3, 9)) == 3
+    with pytest.raises(ArityMismatch):
+        fn((1,))
+    with pytest.raises(EvalError):
+        compile_expr(lam)(S.bind({I: 0}))((0, 5))
+
+
+def test_lambda_reads_its_parameter_not_the_state():
+    # the parameter j shadows the state's j; i still comes from the state
+    lam = Lam((J,), Bin("+", sv(J), Bin("*", Const(10), sv(I))))
+    assert compile_expr(lam)(S)((4,)) == 34 == eval_expr(lam, S)((4,))
+
+
+def test_unbound_variable_is_raised_when_read():
+    run = compile_expr(Lam((J,), Ite(Rel("<", sv(J), Const(0)), sv(Var("zz")), sv(J))))
+    fn = run(S)  # building the lambda value reads nothing
+    assert fn((5,)) == 5
+    with pytest.raises(UnboundVariable):
+        fn((-1,))
+    assert run(S.bind({Var("zz"): 7}))((-1,)) == 7
+
+
+def test_array_variable_is_returned_as_bound():
+    assert compile_expr(A)(S) is S[A]
