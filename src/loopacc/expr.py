@@ -461,12 +461,12 @@ class FiniteFn:
     plain ints instead."""
 
     arity: int
-    base: int = 0
-    coeffs: tuple[int, ...] = ()
+    base: int
+    coeffs: tuple[int, ...]
     overrides: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def __post_init__(self):
-        if self.coeffs and len(self.coeffs) != self.arity:
+        if len(self.coeffs) != self.arity:
             raise ArityMismatch("background coefficient count must match arity")
 
     @staticmethod
@@ -482,11 +482,10 @@ class FiniteFn:
         return FiniteFn(arity, base, tuple(coeffs), _norm_overrides(overrides or {}))
 
     def background(self, point: tuple[int, ...]) -> int:
-        coeffs = self.coeffs or (0,) * self.arity
-        return self.base + sum(c * p for c, p in zip(coeffs, point))
+        return self.base + sum(c * p for c, p in zip(self.coeffs, point))
 
     def __call__(self, point) -> int:
-        point = tuple(int(p) for p in point)
+        point = tuple(map(int, point))
         if len(point) != self.arity:
             raise ArityMismatch(f"function of arity {self.arity} applied to {point}")
         for k, v in self.overrides:
@@ -505,8 +504,7 @@ class FiniteFn:
     def normalized(self) -> "FiniteFn":
         """Drop overrides that coincide with the background."""
         ov = {k: v for k, v in self.overrides if v != self.background(k)}
-        return FiniteFn(self.arity, self.base, self.coeffs or (0,) * self.arity,
-                        _norm_overrides(ov))
+        return FiniteFn(self.arity, self.base, self.coeffs, _norm_overrides(ov))
 
     def same_function(self, other: "FiniteFn") -> bool:
         if self.arity != other.arity:
@@ -532,7 +530,7 @@ class Closure:
         self.arity = len(params)
 
     def __call__(self, point) -> int:
-        point = tuple(int(p) for p in point)
+        point = tuple(map(int, point))
         if len(point) != self.arity:
             raise ArityMismatch(f"closure of arity {self.arity} applied to {point}")
         inner = self.env.bind({p: v for p, v in zip(self.params, point)})

@@ -1,11 +1,11 @@
 """Theory solver for literal conjunctions with lambda array terms, layered
 over the ground backend: eliminate array disequalities through extensionality,
 propagate equalities and beta-reduce to a fixpoint (``simplify.eliminate``,
-which the ground solver's presolve shares; only the rule for which literal
-defines which variable is this module's), abstract remaining lambdas by fresh
-array variables, then refine the abstraction with instantiation
-lemmas p[e] = q[e] at syntactic index vectors until the backend model lifts,
-the abstraction is unsatisfiable, or no refinement is left (unknown).
+with this module's rule for which literal defines which variable), abstract
+remaining lambdas by fresh array variables, then refine the abstraction with
+instantiation lemmas p[e] = q[e] at syntactic index vectors until the backend
+model lifts, the abstraction is unsatisfiable, or no refinement is left
+(unknown).
 """
 
 from __future__ import annotations
@@ -248,9 +248,8 @@ def finite_fn_expr(fn: FiniteFn) -> Lam:
     """default-plus-overrides as an ite chain, background as an affine
     expression over the parameters."""
     params = tuple(fresh_var("j") for _ in range(fn.arity))
-    coeffs = fn.coeffs or (0,) * fn.arity
     body: Expr = Const(fn.base)
-    for c, p in zip(coeffs, params):
+    for c, p in zip(fn.coeffs, params):
         if c:
             body = Bin("+", body, Bin("*", Const(c), sv(p)))
     for point, v in sorted(fn.overrides):

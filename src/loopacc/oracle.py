@@ -89,7 +89,7 @@ def random_state(loop: Loop, rnd: random.Random, span: int = 6) -> State:
             for _ in range(rnd.randint(0, 8)):
                 pt = tuple(rnd.randint(-span, span + 4) for _ in range(x.arity))
                 ov[pt] = rnd.randint(-9, 9)
-            mapping[x] = FiniteFn(x.arity, base.base, base.coeffs, base.overrides)
+            mapping[x] = base
             for pt, v in ov.items():
                 mapping[x] = mapping[x].store(pt, v)
     return State(mapping)

@@ -251,20 +251,19 @@ def simplify_formula(f: Formula) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def eliminate(literals: list[Formula], definition, tick=lambda: None):
+def eliminate(literals: list[Formula], definition):
     """Solve-and-substitute to a fixpoint over simplified literals: true
     literals are dropped; the first literal for which definition(lit) gives
     (x, t), x free in lit but not in t, is solved, and t replaces x in every
     literal that mentions x, which alone are re-simplified (and dropped once
     true).  Returns the remaining literals and the (x, t) log in elimination
-    order.  tick is called for every literal visited (a deadline check)."""
+    order."""
     work = [f for f in literals if f != TRUE]
     names = [free_vars(f) for f in work]  # each literal's, kept until it changes
     log: list[tuple[Var, object]] = []
     start = 0
     while True:
         for i in range(start, len(work)):
-            tick()
             found = definition(work[i])
             if found is not None:
                 break
@@ -276,7 +275,6 @@ def eliminate(literals: list[Formula], definition, tick=lambda: None):
         start = None
         for g, vs in zip(done, done_names):
             if x in vs:
-                tick()
                 if start is None:
                     # the literals before the first changed one were scanned
                     # unchanged and define nothing

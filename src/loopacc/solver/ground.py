@@ -8,14 +8,14 @@ Pipeline per check-sat:
   2. Ackermann reduction: one fresh integer per (array, index vector) select,
      congruence implications per select pair; array equalities become 0/1
      variables with congruence across arrays and transitivity;
-  3. equality presolve: simplify.eliminate, the routine lamsolve's
-     propagation shares, solves an equality with a +-1 coefficient for its
-     variable and substitutes it;
-  4. NNF into linear atoms; presburger.find_model case-splits over the
-     disjunctions (ite definitions, congruences, disequalities) guided by
-     candidate models, and decides each conjunction of atoms it assumes with
-     Cooper's search;
-  5. rebuild scalar and array values and verify the original conjunction.
+  3. NNF into linear atoms over integer polys (to_linear), once;
+  4. equality presolve on those rows: a pair of gt units p > 0 and 2 - p > 0
+     is the equality p = 1; one with a +-1 coefficient is solved for that
+     name and the image substituted (presburger.fsubst) into every conjunct;
+  5. presburger.find_model case-splits over the disjunctions (ite
+     definitions, congruences, disequalities) guided by candidate models, and
+     decides each conjunction of atoms it assumes with Cooper's search;
+  6. rebuild scalar and array values and verify the original conjunction.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from ..expr import (
     And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
     Sel, State, Var, arity_of, conj, eval_expr, eval_formula, free_vars, sv,
 )
-from ..simplify import as_int_const, eliminate, linearize, poly_to_expr, simplify_formula
+from ..simplify import as_int_const, linearize, simplify_formula
 from .presburger import (
-    PresburgerSolver, SolverTimeout, Unsupported, div_atom, fand, f_or, gt_atom, padd, pscale,
+    PresburgerSolver, SolverTimeout, Unsupported, atom_key, div_atom, fand, f_or, fsubst,
+    fvars, gt_atom, padd, pconst, pscale,
 )
 
 
@@ -43,7 +44,7 @@ class GroundProblem:
         self.term_map: dict = {}
         self.selects: dict[Var, dict[tuple, Var]] = {}
         self.eq_vars: dict[tuple[Var, Var], Var] = {}
-        self.presolve_log: list[tuple[Var, object]] = []
+        self.presolve_log: list[tuple[str, dict]] = []
         # nonlinear monomials abstracted as unconstrained fresh variables:
         # unsat verdicts stay sound, sat models are verified against the
         # original formulas (which evaluate the true products)
@@ -215,33 +216,69 @@ class GroundProblem:
                                    Rel("=", z, Const(1)))))
         return out
 
-    # -- step 3: equality presolve ---------------------------------------------
+    # -- step 4: equality presolve on the linear rows -------------------------
 
-    def presolve(self, conjuncts: list[Formula]) -> list[Formula]:
-        work, log = eliminate(conjuncts, self._definition, self.tick)
-        self.presolve_log += log
-        return work
+    def presolve(self, conjuncts: list) -> list:
+        """Solve-and-substitute over the top-level conjuncts of the linear
+        NNF, to a fixpoint.  The first equality found, a pair of gt units
+        p > 0 and 2 - p > 0 (that is, p - 1 = 0) with coefficient +-1 on a
+        name other than an abstracted product, is solved for its least such
+        name; the image replaces the name in every conjunct mentioning it,
+        and (name, image) is logged for rebuild_model.  Returns the remaining
+        conjuncts, or [False] once one of them is false."""
+        products = set(self.products.values())
+        rows = [_row(f, fvars(f)) for f in conjuncts if f is not True]  # (f, names, unit key)
+        start = 0
+        while True:
+            units = {k for _, _, k in rows}
+            for f, _, k in rows[start:]:
+                self.tick()
+                found = k and _definition(f[1], units, products)
+                if found:
+                    break
+            else:
+                return [f for f, _, _ in rows]
+            x, image = found
+            self.presolve_log.append(found)
+            old, rows, start = rows, [], None
+            for row in old:
+                if x not in row[1]:
+                    rows.append(row)
+                    continue
+                self.tick()
+                if start is None:
+                    # the rows before the first changed one were scanned
+                    # unchanged; a partner they gain is a changed row
+                    start = len(rows)
+                # a superset of the names: one cancelled out stays listed
+                names = row[1] - {x} | image.keys() - {None}
+                for g in _top(fsubst(row[0], x, image)):
+                    if g is False:
+                        return [False]
+                    if g is not True:
+                        rows.append(_row(g, names))
 
-    def _definition(self, f: Formula):
-        """(x, t) for an equality whose linear form has a variable x with
-        coefficient +-1, the first such one, solved for; a literal whose
-        first such name is an abstracted product defines nothing."""
-        if not (isinstance(f, Rel) and f.op == "="):
-            return None
-        try:
-            p = padd(_linpoly(f.left, self.products),
-                     pscale(_linpoly(f.right, self.products), -1))
-        except Unsupported:
-            return None
-        name, c = next(((k, c) for k, c in p.items() if k is not None and abs(c) == 1),
-                       (None, 0))
-        if name is None or name in self.products.values():
-            return None
-        # the image over the linear form's names: an abstracted product
-        # stays the variable that to_linear reads it as
-        image = {((k, sv(Var(k, 0))),) if k is not None else (): -v * c
-                 for k, v in p.items() if k != name}
-        return Var(name, 0), poly_to_expr(image)
+
+def _top(f) -> list:
+    """The top-level conjuncts of an NNF formula."""
+    return f[1] if isinstance(f, tuple) and f[0] == "and" else [f]
+
+
+def _row(f, names):
+    return f, names, atom_key(f) if isinstance(f, tuple) and f[0] == "gt" else None
+
+
+def _definition(p: dict, units: set, products: set):
+    """(name, image) solving p - 1 = 0 when the gt unit 2 - p > 0 is among
+    units and p has a coefficient +-1 on a name not in products; else None."""
+    if atom_key(("gt", padd({None: 2}, pscale(p, -1)))) not in units:
+        return None
+    q = padd(p, {None: -1})
+    name = min((k for k, c in q.items() if k is not None and abs(c) == 1 and k not in products),
+               default=None)
+    if name is None:
+        return None
+    return name, pscale({k: v for k, v in q.items() if k != name}, -q[name])
 
 
 def _union_find(pairs):
@@ -347,22 +384,12 @@ def check(formulas: list[Formula], declared: dict[Var, int], deadline=None):
     acked = [gp.ackermannize(f) for f in hoisted]
     acked += [gp.ackermannize(gp.hoist_formula(d)) for d in gp.defs]
     acked += gp.array_axioms()
-    conjuncts = []
+    parts = []
     for f in acked:
         gp.tick()
-        f = simplify_formula(f)
-        if isinstance(f, And):
-            conjuncts.extend(f.args)
-        else:
-            conjuncts.append(f)
-    conjuncts = gp.presolve(conjuncts)
-    parts = []
-    for f in conjuncts:
-        gp.tick()
         parts.append(to_linear(f, gp.products))
-    linear = fand(parts)
-    solver = PresburgerSolver(deadline=deadline)
-    m = solver.find_model(linear)
+    conjuncts = gp.presolve(_top(fand(parts)))
+    m = PresburgerSolver(deadline=deadline).find_model(fand(conjuncts))
     if m is None:
         return "unsat", None
     state = rebuild_model(gp, m)
@@ -389,16 +416,15 @@ def _holds(f: Formula, state: State, gp: GroundProblem) -> bool:
 
 
 def rebuild_model(gp: GroundProblem, m: dict) -> State:
-    # scalar values: solver assignment, then reverse presolve substitutions;
-    # images are evaluated directly so nonlinear terms get their true values
+    # scalar values: solver assignment, then the presolve's solved names in
+    # reverse; a name the search never saw reads 0
     values: dict[str, int] = dict(m)
+    for x, img in reversed(gp.presolve_log):
+        values[x] = pconst(img) + sum(c * values.get(v, 0) for v, c in img.items() if v is not None)
 
     def eval_lin(e) -> int:
         env = {v: values.get(v.name, 0) for v in free_vars(e) if v.arity == 0}
         return eval_expr(e, State(env))
-
-    for x, img in reversed(gp.presolve_log):
-        values[x.name] = eval_lin(img)
 
     # equality classes over array variables
     find = _union_find(pair for pair, bvar in gp.eq_vars.items()

@@ -191,30 +191,47 @@ def fvars(f, out=None):
     if tag in ("and", "or"):
         for x in f[1]:
             fvars(x, out)
-    elif tag == "gt":
-        out.update(pvars(f[1]))
     else:
-        out.update(pvars(f[2]))
+        out.update(pvars(_poly(f)))
     return out
+
+
+def _poly(a):
+    return a[1] if a[0] == "gt" else a[2]
+
+
+def map_atoms(f, fn):
+    """f with every atom a replaced by fn(a), the connectives rebuilt through
+    fand / f_or; f itself when fn returned every atom unchanged."""
+    if f is True or f is False:
+        return f
+    tag = f[0]
+    if tag not in ("and", "or"):
+        return fn(f)
+    parts = [map_atoms(g, fn) for g in f[1]]
+    if all(p is g for p, g in zip(parts, f[1])):
+        return f
+    return fand(parts) if tag == "and" else f_or(parts)
+
+
+def _subst_atom(a, x, image, per=1):
+    """Atom a with x := image / per, where per divides x's coefficient."""
+    p = _poly(a)
+    c = p.get(x)
+    if c is None:
+        return a
+    q = padd({k: v for k, v in p.items() if k != x}, pscale(image, c // per))
+    return gt_atom(q) if a[0] == "gt" else div_atom(a[1], q, neg=a[0] == "ndiv")
+
+
+def fsubst(f, x, image):
+    """f with the poly image (not mentioning x) substituted for the name x;
+    f itself when x does not occur."""
+    return map_atoms(f, lambda a: _subst_atom(a, x, image))
 
 
 def _lcm(a, b):
     return a * b // gcd(a, b)
-
-
-def _atoms_on(f, x, acc):
-    if f is True or f is False:
-        return
-    tag = f[0]
-    if tag in ("and", "or"):
-        for g in f[1]:
-            _atoms_on(g, x, acc)
-    elif tag == "gt":
-        if x in f[1]:
-            acc.append(("gt", f[1]))
-    else:
-        if x in f[2]:
-            acc.append((tag, f[1], f[2]))
 
 
 class PresburgerSolver:
@@ -290,8 +307,7 @@ class PresburgerSolver:
                 for h in g[1]:
                     walk(h)
                 return
-            p = g[1] if tag == "gt" else g[2]
-            for v, c in p.items():
+            for v, c in _poly(g).items():
                 if v in counts:
                     counts[v] += 1
                     lams[v] = _lcm(lams[v], abs(c))
@@ -313,30 +329,19 @@ class PresburgerSolver:
             m = self._search(f, rest)
             return None if m is None else {**m, x: 0}
 
-        atoms = []
-        _atoms_on(f, x, atoms)
         lam = 1
-        for a in atoms:
-            p = a[1] if a[0] == "gt" else a[2]
-            lam = _lcm(lam, abs(p[x]))
+        for a in _collect_atoms(f, x):
+            lam = _lcm(lam, abs(_poly(a)[x]))
 
         # scale every atom so x's coefficient is +-lam, then read it as xh=lam*x
-        def scaled(g):
-            if g is True or g is False:
-                return g
-            tag = g[0]
-            if tag in ("and", "or"):
-                parts = [scaled(h) for h in g[1]]
-                return fand(parts) if tag == "and" else f_or(parts)
-            p = g[1] if tag == "gt" else g[2]
+        def scaled(a):
+            p = _poly(a)
             if x not in p:
-                return g
+                return a
             k = lam // abs(p[x])
-            if tag == "gt":
-                return ("gt", pscale(p, k))
-            return (tag, g[1] * k, pscale(p, k))
+            return ("gt", pscale(p, k)) if a[0] == "gt" else (a[0], a[1] * k, pscale(p, k))
 
-        fs = scaled(f)
+        fs = map_atoms(f, scaled)
         delta = lam
         for a in _collect_atoms(fs, x):
             if a[0] in ("div", "ndiv"):
@@ -384,7 +389,7 @@ class PresburgerSolver:
         return None
 
 
-def _key(a):
+def atom_key(a):
     """Structural identity of an atom (polys are dicts, so not hashable)."""
     if a[0] == "gt":
         return ("gt", frozenset(a[1].items()))
@@ -431,8 +436,8 @@ class _Facts:
         for u in units:
             if u is False or self.value(u) is False:
                 return False
-            self.keys.add(_key(u))
-            self.negs.add(_key(fnot(u)))
+            self.keys.add(atom_key(u))
+            self.negs.add(atom_key(fnot(u)))
             if u[0] == "gt":
                 self.polys.append(u[1])
         return self._tighten()
@@ -476,7 +481,7 @@ class _Facts:
         """True or False when the units settle atom a, else None."""
         if a[0] == "or":
             return None
-        k = _key(a)
+        k = atom_key(a)
         if k in self.keys:
             return True
         if k in self.negs:
@@ -542,53 +547,23 @@ def _false_atoms(d, m):
 
 
 def _collect_atoms(f, x):
-    acc = []
-    _atoms_on(f, x, acc)
-    return acc
+    """The atoms of f that mention x."""
+    if f is True or f is False:
+        return []
+    if f[0] in ("and", "or"):
+        return [a for g in f[1] for a in _collect_atoms(g, x)]
+    return [f] if x in _poly(f) else []
 
 
 def _subst_xhat(f, x, cand, lam):
     """Substitute xh := cand into atoms scaled to coefficient +-lam (xh = lam*x),
     conjoining the lam | xh constraint."""
-    def go(g):
-        if g is True or g is False:
-            return g
-        tag = g[0]
-        if tag in ("and", "or"):
-            parts = [go(h) for h in g[1]]
-            return fand(parts) if tag == "and" else f_or(parts)
-        p = g[1] if tag == "gt" else g[2]
-        if x not in p:
-            return g
-        s = 1 if p[x] > 0 else -1
-        q = {k: v for k, v in p.items() if k != x}
-        q = padd(q, pscale(cand, s))
-        if tag == "gt":
-            return gt_atom(q)
-        return div_atom(g[1], q, neg=(tag == "ndiv"))
-
-    body = go(f)
-    if lam == 1:
-        return body
-    return fand([body, div_atom(lam, cand)])
+    body = map_atoms(f, lambda a: _subst_atom(a, x, cand, lam))
+    return body if lam == 1 else fand([body, div_atom(lam, cand)])
 
 
 def _minus_inf(f, x):
-    def go(g):
-        if g is True or g is False:
-            return g
-        tag = g[0]
-        if tag in ("and", "or"):
-            parts = [go(h) for h in g[1]]
-            return fand(parts) if tag == "and" else f_or(parts)
-        if tag == "gt":
-            p = g[1]
-            if x not in p:
-                return g
-            return False if p[x] > 0 else True
-        return g
-
-    return go(f)
+    return map_atoms(f, lambda a: a if a[0] != "gt" or x not in a[1] else a[1][x] < 0)
 
 
 def _bound_terms(f, x):

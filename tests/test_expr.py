@@ -52,6 +52,14 @@ class TestEval:
         with pytest.raises(ArityMismatch):
             Sel(A, ())
 
+    def test_finite_fn_background_is_arity_long(self):
+        with pytest.raises(ArityMismatch):
+            FiniteFn(2, 0, (1,))
+        with pytest.raises(ArityMismatch):
+            FiniteFn(1, 0, ())
+        fn = FiniteFn.affine(2, 1, (2, -1), {(0, 0): 7})
+        assert (fn((0, 0)), fn((3, 4)), fn([True, 0])) == (7, 3, 3)
+
     def test_divisibility_atom(self):
         assert eval_formula(Rel("divides", Const(3), Const(9)), State({}))
         assert not eval_formula(Rel("divides", Const(3), Const(10)), State({}))
