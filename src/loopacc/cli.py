@@ -126,8 +126,7 @@ def cmd_closed_form(args) -> int:
         if args.check is not None:
             n_max = int(args.check.split("=", 1)[1]) if "=" in args.check else int(args.check)
             rep = check_loop(pf.loop, loop_id=str(args.file), seeds=10, n_max=n_max, session=ses)
-            lines.append(f"oracle check (n<={n_max}): "
-                         + ("ok" if rep.ok else f"{len(rep.mismatches)} mismatches"))
+            lines.append(f"oracle check (n<={n_max}): {_oracle_status(rep)}")
             payload["oracle"] = rep.to_json()
             if not rep.ok:
                 _emit(args, "\n".join(lines), payload)
@@ -188,6 +187,12 @@ def cmd_check(args) -> int:
         return 2
 
 
+def _oracle_status(r) -> str:
+    if r.failure:
+        return f"failure({r.failure.phase})"
+    return "ok" if r.ok else f"{len(r.mismatches)} mismatches"
+
+
 def cmd_oracle(args) -> int:
     reports = []
     with _session(args) as ses:
@@ -210,9 +215,7 @@ def cmd_oracle(args) -> int:
     bad = [r for r in reports if not r.ok]
     lines = []
     for r in reports:
-        status = "ok" if r.ok else (f"failure({r.failure.phase})" if r.failure
-                                    else f"{len(r.mismatches)} mismatches")
-        lines.append(f"{r.loop_id}: {status}  [{r.checked} checks, {r.elapsed:.2f}s]")
+        lines.append(f"{r.loop_id}: {_oracle_status(r)}  [{r.checked} checks, {r.elapsed:.2f}s]")
     lines.append(f"total: {len(reports) - len(bad)}/{len(reports)} ok")
     _emit(args, "\n".join(lines),
           {"reports": [r.to_json() for r in reports], "ok": not bad})

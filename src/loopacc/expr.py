@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 
@@ -464,10 +464,13 @@ class FiniteFn:
     base: int
     coeffs: tuple[int, ...]
     overrides: tuple[tuple[tuple[int, ...], int], ...] = ()
+    # the overrides as a dict, for lookups; derived, so outside eq/hash/repr
+    _lookup: dict = field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.arity:
             raise ArityMismatch("background coefficient count must match arity")
+        object.__setattr__(self, "_lookup", dict(self.overrides))
 
     @staticmethod
     def const(arity: int, value: int, overrides=None) -> "FiniteFn":
@@ -488,13 +491,15 @@ class FiniteFn:
         point = tuple(map(int, point))
         if len(point) != self.arity:
             raise ArityMismatch(f"function of arity {self.arity} applied to {point}")
-        for k, v in self.overrides:
-            if k == point:
-                return v
-        return self.background(point)
+        v = self._lookup.get(point)
+        if v is None:
+            v = self.base
+            for c, p in zip(self.coeffs, point):
+                v += c * p
+        return v
 
     def override_map(self) -> dict[tuple[int, ...], int]:
-        return dict(self.overrides)
+        return dict(self._lookup)
 
     def store(self, point: tuple[int, ...], value: int) -> "FiniteFn":
         ov = self.override_map()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .arrayform import ArrayFormError, closed_form_array
 from .closedform import Failure, closed_forms_all
 from .expr import Const, EvalError, FiniteFn, State, Var, compile_expr, eval_expr, substitute
-from .loop import Loop, build_up, run_n
+from .loop import Loop, LoopError, build_up, run_n
 from .recurrence import N
 from .sexpr import to_text
 
@@ -95,22 +95,46 @@ def random_state(loop: Loop, rnd: random.Random, span: int = 6) -> State:
     return State(mapping)
 
 
-def probe_points(writes, state: State, x: Var, margin: int) -> set[tuple[int, ...]]:
-    """The cells of x written so far or overridden in the initial state,
-    widened by margin, plus two far-away cells."""
-    pts = {w.point for w in writes if w.var == x}
-    fn = state[x]
-    if isinstance(fn, FiniteFn):
-        pts |= {p for p, _ in fn.overrides}
-    widened: set[tuple[int, ...]] = set()
-    for p in pts or {(0,) * x.arity}:
-        for d in range(-margin, margin + 1):
-            widened.add(tuple(c + d for c in p))
-            widened.add((p[0] + d,) + p[1:])
-    far = 50
-    widened.add(tuple(far for _ in range(x.arity)))
-    widened.add(tuple(-far for _ in range(x.arity)))
-    return widened
+class ProbeWindow:
+    """The cells of x written so far or overridden in the initial state (the
+    origin while there are none), widened by margin, plus two far-away cells,
+    in sorted order.  add() grows it from one step's writes."""
+
+    def __init__(self, x: Var, state: State, margin: int):
+        self.x, self.margin = x, margin
+        fn = state[x]
+        self.points = {p for p, _ in fn.overrides} if isinstance(fn, FiniteFn) else set()
+        self._reset()
+
+    def _reset(self) -> None:
+        self.cells = {(50,) * self.x.arity, (-50,) * self.x.arity}
+        self._widen(self.points or {(0,) * self.x.arity})
+        self.order = sorted(self.cells)
+
+    def _widen(self, points) -> bool:
+        size = len(self.cells)
+        for p in points:
+            for d in range(-self.margin, self.margin + 1):
+                self.cells.add(tuple(c + d for c in p))
+                self.cells.add((p[0] + d,) + p[1:])
+        return len(self.cells) != size
+
+    def add(self, writes) -> None:
+        new = {w.point for w in writes if w.var == self.x} - self.points
+        if not new:
+            return
+        first = not self.points
+        self.points |= new
+        if first:  # the origin gives way to the first write
+            self._reset()
+        elif self._widen(new):
+            self.order = sorted(self.cells)
+
+
+def _failed(report: OracleReport, failure: Failure, t0: float) -> OracleReport:
+    report.failure = failure
+    report.elapsed = time.perf_counter() - t0
+    return report
 
 
 def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int = 8,
@@ -121,9 +145,7 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
     report = OracleReport(loop_id, seeds, n_max, margin)
     forms = closed_forms_all(loop, session)
     if isinstance(forms, Failure):
-        report.failure = forms
-        report.elapsed = time.perf_counter() - t0
-        return report
+        return _failed(report, forms, t0)
     up = build_up(loop)
     array_forms = {}
     for x in sorted(loop.written_vars(), key=lambda v: v.name):
@@ -131,15 +153,14 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
             try:
                 array_forms[x] = closed_form_array(loop, x, forms.table, up)
             except ArrayFormError as exc:
-                report.failure = Failure("array-closed-form", str(exc))
-                report.elapsed = time.perf_counter() - t0
-                return report
+                return _failed(report, Failure("array-closed-form", str(exc)), t0)
 
     compiled = {x: compile_expr(lam) for x, lam in array_forms.items()}
     for s_idx in range(seeds):
         rnd = random.Random(seed0 + s_idx)
         state = random_state(loop, rnd)
-        cur, writes = state, []
+        cur = state
+        windows = [ProbeWindow(x, state, margin) for x in compiled]
         for n in range(n_max + 1):
             if n:
                 try:
@@ -147,10 +168,13 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                 except EvalError:  # the interpreter fails from this n on
                     report.skipped += 1
                     break
+                except LoopError as exc:  # an aliasing write violates (Distinct)
+                    return _failed(report, Failure("validation", str(exc)), t0)
                 if r.stuck_at is not None:  # the guard stops the loop before n
                     break
                 cur = r.state
-                writes += r.writes
+                for w in windows:
+                    w.add(r.writes)
             n_sub = {N: Const(n)}
             for lv, cf in forms.table.items():
                 try:
@@ -164,10 +188,10 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                     report.mismatches.append(
                         Mismatch(s_idx, n, to_text(lv), None, expected, got))
             env = state.bind({N: n})
-            for x, run in compiled.items():
+            for (x, run), window in zip(compiled.items(), windows):
                 fn = run(env)
                 target = cur[x]
-                for pt in sorted(probe_points(writes, state, x, margin)):
+                for pt in window.order:
                     try:
                         expected = target(pt)
                         got = fn(pt)

@@ -78,7 +78,7 @@ class RecSolution:
     def poly_of(self, rec: Var) -> Poly:
         if rec in self.polys:
             return self.polys[rec]
-        return {((rec.name, sv(rec)),): Fraction(1)}
+        return {((rec.name, sv(rec)),): 1}
 
     def of(self, rec: Var) -> Expr:
         return poly_to_expr(self.poly_of(rec))
@@ -119,20 +119,20 @@ def build_rec(loop: Loop, verdict: SolvabilityVerdict,
 
 
 def _power_sum(d: int) -> Poly:
-    """sum_{k=0}^{n-1} k^d as a polynomial in n with Fraction coefficients,
+    """sum_{k=0}^{n-1} k^d as a polynomial in n with rational coefficients,
     via the Faulhaber recursion  (d+1) S_d = n^(d+1) - sum_j C(d+1,j) S_j."""
-    n_poly = {(("n", sv(N)),): Fraction(1)}
+    n_poly = {(("n", sv(N)),): 1}
     sums: list[Poly] = [dict(n_poly)]  # S_0 = n
     for m in range(1, d + 1):
         acc = _poly_pow(n_poly, m + 1)
         for j in range(m):
-            acc = poly_add(acc, poly_scale(sums[j], Fraction(comb(m + 1, j))), sign=-1)
+            acc = poly_add(acc, poly_scale(sums[j], comb(m + 1, j)), sign=-1)
         sums.append(poly_scale(acc, Fraction(1, m + 1)))
     return sums[d]
 
 
 def _poly_pow(p: Poly, k: int) -> Poly:
-    out: Poly = {(): Fraction(1)}
+    out: Poly = {(): 1}
     for _ in range(k):
         out = poly_mul(out, p)
     return out
@@ -188,7 +188,7 @@ def solve_rec(system: RecurrenceSystem) -> RecSolution | Unsolvable:
     for rec in order:
         poly = linearize(eqs[rec])
         self_mono = ((rec.name, sv(rec)),)
-        coeff = poly.get(self_mono, Fraction(0))
+        coeff = poly.get(self_mono, 0)
         higher = any(
             any(name == rec.name for name, _ in mono) and mono != self_mono
             for mono in poly
@@ -206,7 +206,7 @@ def solve_rec(system: RecurrenceSystem) -> RecSolution | Unsolvable:
                 for _, atom in mono:
                     if N in free_vars(atom):
                         return Unsolvable("n inside an opaque term")
-        total: Poly = {self_mono: Fraction(1)}
+        total: Poly = {self_mono: 1}
         for deg, cp in by_deg.items():
             total = poly_add(total, poly_mul(cp, _power_sum(deg)))
         theta_polys[rec] = total
@@ -223,7 +223,7 @@ def compose(poly: Poly, images: dict[str, Poly]) -> Poly:
             if name in images:
                 term = poly_mul(term, images[name])
             else:
-                term = poly_mul(term, {((name, atom),): Fraction(1)})
+                term = poly_mul(term, {((name, atom),): 1})
         out = poly_add(out, term)
     return out
 
@@ -237,7 +237,7 @@ def verify_solution(system: RecurrenceSystem, sol: RecSolution, session=None):
     forms (so the emitted integer div form never obscures equality); backend
     fallback for solutions supplied from outside the polynomial fragment.
     Returns None, or the first counterexample description."""
-    n_plus_1: Poly = {(("n", sv(N)),): Fraction(1), (): Fraction(1)}
+    n_plus_1: Poly = {(("n", sv(N)),): 1, (): 1}
     images = {s.name: sol.poly_of(s) for s in system.sigma.symbols()}
     for rec, e in system.equations.items():
         th = sol.poly_of(rec)
@@ -247,7 +247,7 @@ def verify_solution(system: RecurrenceSystem, sol: RecSolution, session=None):
             if not validity(Rel("=", poly_to_expr(shifted), poly_to_expr(image)), session):
                 return f"theta({rec.name})[n/n+1] != theta(rhs)"
         at0 = compose(th, {"n": {}})
-        rec_poly: Poly = {((rec.name, sv(rec)),): Fraction(1)}
+        rec_poly: Poly = {((rec.name, sv(rec)),): 1}
         if poly_add(at0, rec_poly, sign=-1):
             if not validity(Rel("=", poly_to_expr(at0), sv(rec)), session):
                 return f"theta({rec.name})[n/0] != {rec.name}"

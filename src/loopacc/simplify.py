@@ -1,11 +1,13 @@
 """Sound rewriting of expressions and formulas: constant folding, integer
-linear/polynomial normal forms with exact rational coefficients, collapse of
-decidable ite guards and trivially valid relations.
+linear/polynomial normal forms with exact coefficients, collapse of decidable
+ite guards and trivially valid relations.
 
 Every rewrite preserves concrete evaluation under all states; the fuzz suite
-checks this directly.  Rational coefficients only ever appear internally (e.g.
-recurrence solutions); emitted expressions clear denominators through a single
-floor division, which is exact whenever the numerator is divisible pointwise.
+checks this directly.  Expressions normalise to polynomials with int
+coefficients.  Rational coefficients only ever appear internally, in the
+recurrence solver's power sums, as a Fraction wherever a coefficient is not
+integral; emitted expressions clear denominators through a single floor
+division, which is exact whenever the numerator is divisible pointwise.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from .expr import (
 )
 from .sexpr import to_text
 
-# A polynomial is a map from monomials to Fraction coefficients.  A monomial is
-# a sorted tuple of opaque atom expressions (Sel / Ite / non-constant div);
-# the empty monomial is the constant term.
+# A polynomial is a map from monomials to nonzero coefficients, each an int,
+# or a Fraction when it is not integral (never an integral Fraction).  A
+# monomial is a sorted tuple of opaque atom expressions (Sel / Ite /
+# non-constant div); the empty monomial is the constant term.
 
 Poly = dict
 
@@ -30,21 +33,27 @@ def _atom_key(e) -> str:
     return to_text(e)
 
 
-def poly_const(c) -> Poly:
-    c = Fraction(c)
+def _coef(c):
+    """c as an int when integral: Fraction arithmetic never narrows by itself."""
+    if c.__class__ is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def poly_const(c: int) -> Poly:
     return {(): c} if c else {}
 
 
 def poly_atom(e) -> Poly:
-    return {((_atom_key(e), e),): Fraction(1)}
+    return {((_atom_key(e), e),): 1}
 
 
 def poly_add(p: Poly, q: Poly, sign=1) -> Poly:
     out = dict(p)
     for m, c in q.items():
-        c2 = out.get(m, Fraction(0)) + sign * c
+        c2 = out.get(m, 0) + sign * c
         if c2:
-            out[m] = c2
+            out[m] = _coef(c2)
         else:
             out.pop(m, None)
     return out
@@ -55,24 +64,23 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = tuple(sorted(m1 + m2))
-            c = out.get(m, Fraction(0)) + c1 * c2
+            c = out.get(m, 0) + c1 * c2
             if c:
-                out[m] = c
+                out[m] = _coef(c)
             else:
                 out.pop(m, None)
     return out
 
 
 def poly_scale(p: Poly, k) -> Poly:
-    k = Fraction(k)
     if not k:
         return {}
-    return {m: c * k for m, c in p.items()}
+    return {m: _coef(c * k) for m, c in p.items()}
 
 
 def poly_is_const(p: Poly):
     if not p:
-        return Fraction(0)
+        return 0
     if len(p) == 1 and () in p:
         return p[()]
     return None
@@ -85,17 +93,10 @@ def poly_denom_lcm(p: Poly) -> int:
     return d
 
 
-def poly_content(p: Poly) -> int:
-    """gcd of integer coefficients (call after clearing denominators)."""
-    g = 0
-    for c in p.values():
-        g = gcd(g, abs(c.numerator))
-    return g or 1
-
-
 def linearize(e) -> Poly:
-    """Total: any expression becomes a polynomial over opaque atoms.  Children
-    of atoms are simplified before the atom is frozen."""
+    """Total: any expression becomes a polynomial over opaque atoms, with int
+    coefficients (a division folds only when it is exact).  Children of atoms
+    are simplified before the atom is frozen."""
     if isinstance(e, Const):
         return poly_const(e.value)
     if isinstance(e, Bin):
@@ -108,17 +109,12 @@ def linearize(e) -> Poly:
         if e.op == "div":
             num = linearize(e.left)
             den = poly_is_const(linearize(e.right))
-            if den is not None and den.denominator == 1 and den != 0:
-                d = den.numerator
+            if den:
                 nc = poly_is_const(num)
-                if nc is not None and nc.denominator == 1:
-                    return poly_const(nc.numerator // d)
-                if d in (1, -1):
-                    return poly_scale(num, d)
-                if poly_denom_lcm(num) == 1 and all(
-                    c.numerator % d == 0 for c in num.values()
-                ):
-                    return poly_scale(num, Fraction(1, d))
+                if nc is not None:
+                    return poly_const(nc // den)
+                if all(c % den == 0 for c in num.values()):
+                    return {m: c // den for m, c in num.items()}
             return poly_atom(Bin("div", poly_to_expr(num), simplify(e.right)))
     if isinstance(e, Sel):
         return poly_atom(simplify(e))
@@ -137,10 +133,9 @@ def poly_to_expr(p: Poly):
     d = poly_denom_lcm(p)
     if d != 1:
         return Bin("div", poly_to_expr(poly_scale(p, d)), Const(d))
-    const = p.get((), Fraction(0)).numerator
+    const = p.get((), 0)
     terms = []
-    for m, c in sorted(((m, c) for m, c in p.items() if m != ()), key=lambda mc: [k for k, _ in mc[0]]):
-        coef = c.numerator
+    for m, coef in sorted(((m, c) for m, c in p.items() if m != ()), key=lambda mc: [k for k, _ in mc[0]]):
         base = None
         for _, atom in m:
             base = atom if base is None else Bin("*", base, atom)
@@ -163,10 +158,7 @@ def poly_to_expr(p: Poly):
 
 def as_int_const(e):
     """Integer value of e if it normalizes to a literal, else None."""
-    c = poly_is_const(linearize(e))
-    if c is not None and c.denominator == 1:
-        return c.numerator
-    return None
+    return poly_is_const(linearize(e))
 
 
 def polys_equal(a, b) -> bool:
@@ -315,36 +307,32 @@ def _simplify_rel(f: Rel) -> Formula:
             d = abs(d)
             if d == 1:
                 return TRUE
-            if poly_denom_lcm(p) == 1:
-                p = {m: Fraction(c.numerator % d) for m, c in p.items()}
-                p = {m: c for m, c in p.items() if c}
-                c0 = poly_is_const(p)
-                if c0 is not None:
-                    return BoolConst(c0 % d == 0)
-                return Rel("divides", Const(d), poly_to_expr(p))
+            p = {m: c % d for m, c in p.items() if c % d}
+            c0 = poly_is_const(p)
+            if c0 is not None:
+                return BoolConst(c0 % d == 0)
+            return Rel("divides", Const(d), poly_to_expr(p))
         return Rel("divides", simplify(f.left), poly_to_expr(p))
     # arithmetic relation: move to  p (op) 0
     p = poly_add(linearize(f.left), linearize(f.right), sign=-1)
     c = poly_is_const(p)
     if c is not None:
         return BoolConst(_decide(f.op, c))
-    d = poly_denom_lcm(p)
-    p = poly_scale(p, d)  # integer coefficients, same sign/zero structure
-    const = p.get((), Fraction(0))
+    const = p.get((), 0)
     varpart = {m: c for m, c in p.items() if m != ()}
-    g = poly_content(varpart)
+    g = gcd(*varpart.values())
     op = f.op
     # p op 0 with p = g*q + cn over the integers; orient q so its first
     # monomial has a positive coefficient (canonical form for dedupe and
     # interval-based contradiction checks), tighten bounds integrally
-    q = poly_scale(varpart, Fraction(1, g))
+    q = {m: c // g for m, c in varpart.items()}
     first = min(q, key=lambda m: [k for k, _ in m])
     if q[first] < 0:
         q = poly_scale(q, -1)
         op = _FLIP.get(op, op)
-        cn = -const.numerator
+        cn = -const
     else:
-        cn = const.numerator
+        cn = const
     if op in ("=", "!="):
         if cn % g != 0:
             return TRUE if op == "!=" else FALSE
@@ -362,7 +350,7 @@ def _simplify_rel(f: Rel) -> Formula:
     return Rel(op, poly_to_expr(q), Const(bound))
 
 
-def _decide(op, c: Fraction) -> bool:
+def _decide(op, c) -> bool:
     if op == "<":
         return c < 0
     if op == "<=":

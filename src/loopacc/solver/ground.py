@@ -308,10 +308,8 @@ def _linpoly(e, products: dict | None = None) -> dict:
     poly = linearize(e)
     out: dict = {}
     for mono, c in poly.items():
-        if c.denominator != 1:
-            raise Unsupported("fractional coefficient in ground formula")
         if mono == ():
-            out[None] = out.get(None, 0) + c.numerator
+            out[None] = out.get(None, 0) + c
             continue
         name = None
         if len(mono) == 1:
@@ -325,7 +323,7 @@ def _linpoly(e, products: dict | None = None) -> dict:
             if key not in products:
                 products[key] = f".prod{len(products)}"
             name = products[key]
-        out[name] = out.get(name, 0) + c.numerator
+        out[name] = out.get(name, 0) + c
     return {k: v for k, v in out.items() if v}
 
 

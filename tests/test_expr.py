@@ -60,6 +60,17 @@ class TestEval:
         fn = FiniteFn.affine(2, 1, (2, -1), {(0, 0): 7})
         assert (fn((0, 0)), fn((3, 4)), fn([True, 0])) == (7, 3, 3)
 
+    def test_finite_fn_lookup_table_is_not_part_of_its_value(self):
+        fn = FiniteFn.affine(1, 2, (3,), {(1,): 0, (4,): -9})
+        twin = FiniteFn.affine(1, 2, (3,), {(4,): -9, (1,): 0})
+        object.__setattr__(twin, "_lookup", {})  # a table the value does not see
+        assert fn == twin and hash(fn) == hash(twin) and repr(fn) == repr(twin)
+        assert fn != FiniteFn.affine(1, 2, (3,), {(1,): 0})
+        assert (fn((1,)), fn((4,)), fn((2,))) == (0, -9, 8)
+        ov = fn.override_map()
+        ov[(2,)] = 5  # a copy: the function does not change
+        assert fn((2,)) == 8 and fn.store((2,), 5)((2,)) == 5
+
     def test_divisibility_atom(self):
         assert eval_formula(Rel("divides", Const(3), Const(9)), State({}))
         assert not eval_formula(Rel("divides", Const(3), Const(10)), State({}))

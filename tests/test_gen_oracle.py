@@ -1,12 +1,14 @@
 """Random loop generator postcondition and the oracle harness, including its
 self-test against a deliberately corrupted closed form."""
 
+import random
+
 from loopacc.classify import check_a_solvable
 from loopacc.closedform import closed_forms_all
-from loopacc.expr import Bin, Const, Rel, Sel, Var, sv
+from loopacc.expr import Bin, Const, FiniteFn, Rel, Sel, Var, sv
 from loopacc.gen import GenConfig, gen_loop
-from loopacc.loop import Loop, validate_loop
-from loopacc.oracle import check_loop
+from loopacc.loop import Loop, run_n, validate_loop
+from loopacc.oracle import ProbeWindow, check_loop, random_state
 
 from conftest import A, I, J, K, plus, swap_loop
 
@@ -87,3 +89,57 @@ def test_oracle_skips_runs_the_interpreter_cannot_finish():
     rep = check_loop(loop, seeds=10, seed0=41)
     assert rep.failure is None and not rep.mismatches
     assert rep.skipped > 0
+
+
+def _probe_points_reference(writes, state, x, margin):
+    """The window as it was rebuilt from every write so far at each n."""
+    pts = {w.point for w in writes if w.var == x}
+    fn = state[x]
+    if isinstance(fn, FiniteFn):
+        pts |= {p for p, _ in fn.overrides}
+    widened = set()
+    for p in pts or {(0,) * x.arity}:
+        for d in range(-margin, margin + 1):
+            widened.add(tuple(c + d for c in p))
+            widened.add((p[0] + d,) + p[1:])
+    far = 50
+    widened.add(tuple(far for _ in range(x.arity)))
+    widened.add(tuple(-far for _ in range(x.arity)))
+    return widened
+
+
+def test_incremental_window_matches_rebuilt_window():
+    compared = grown_from_origin = 0
+    for seed in range(60):
+        loop = gen_loop(seed).loop
+        arrays = sorted((x for x in loop.written_vars() if x.arity), key=lambda v: v.name)
+        for s_idx in range(3):
+            state = random_state(loop, random.Random(s_idx))
+            if s_idx == 0:  # no initial overrides: the window starts at the origin
+                state = state.bind({x: FiniteFn.const(x.arity, 0) for x in arrays})
+            windows = [ProbeWindow(x, state, 2) for x in arrays]
+            origin = [not w.points for w in windows]
+            cur, writes = state, []
+            for n in range(9):
+                if n:
+                    r = run_n(loop, cur, 1)
+                    if r.stuck_at is not None:
+                        break
+                    cur, writes = r.state, writes + r.writes
+                    for w in windows:
+                        w.add(r.writes)
+                for x, w in zip(arrays, windows):
+                    assert w.order == sorted(_probe_points_reference(writes, state, x, 2))
+                    compared += 1
+            grown_from_origin += sum(o and bool(w.points) for o, w in zip(origin, windows))
+    assert compared > 1000 and grown_from_origin > 0
+
+
+def test_oracle_reports_an_aliasing_loop_as_a_validation_failure():
+    # a[i] and a[j] are the same cell whenever i = j
+    loop = Loop(guard=Rel("<", sv(I), sv(K)),
+                lvalues=(Sel(I, ()), Sel(A, (sv(I),)), Sel(A, (sv(J),))),
+                rhs=(plus(sv(I), 1), Const(1), Const(2)))
+    rep = check_loop(loop, seeds=10)
+    assert not rep.ok and rep.failure.phase == "validation"
+    assert "aliasing" in rep.to_json()["failure"]["detail"]

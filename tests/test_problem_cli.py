@@ -172,3 +172,26 @@ class TestCli:
     def test_oracle_two_dim_file(self):
         code, out = run_cli("oracle", str(EXAMPLES / "twodim.loop"), "--n-max", "6")
         assert code == 0 and "1/1 ok" in out
+
+
+ALIASING_TEXT = """
+(declare (i 0) (j 0) (a 1))
+(init (= i 0))
+(loop
+  (guard (< i 10))
+  (update
+    ((lhs i) (rhs (+ i 1)))
+    ((lhs (select a i)) (rhs 1))
+    ((lhs (select a j)) (rhs 2))))
+"""
+
+
+@pytest.mark.parametrize("argv", [["oracle"], ["closed-form", "--check", "4"]])
+def test_aliasing_loop_fails_validation_without_a_traceback(tmp_path, argv):
+    path = tmp_path / "alias.loop"
+    path.write_text(ALIASING_TEXT)
+    proc = subprocess.run([sys.executable, "-m", "loopacc.cli", *argv, str(path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "failure(validation)" in proc.stdout
+    assert "Traceback" not in proc.stderr

@@ -2,12 +2,21 @@
 rewrites must preserve evaluation on the fuzz corpus."""
 
 import random
+from fractions import Fraction
 
+from loopacc.arrayform import closed_form_array
+from loopacc.closedform import closed_forms_all
 from loopacc.expr import (
-    And, Bin, BoolConst, Const, EvalError, Ite, Rel, Sel, TRUE, Var, sv,
+    And, Bin, BoolConst, Const, EvalError, Ite, Lam, Not, Or, Rel, Sel, TRUE, Var, sv,
 )
-from loopacc.simplify import as_int_const, eliminate, polys_equal, simplify, simplify_formula
+from loopacc.gen import gen_loop
+from loopacc.loop import build_up
+from loopacc.sexpr import to_text
+from loopacc.simplify import (
+    as_int_const, eliminate, linearize, polys_equal, simplify, simplify_formula,
+)
 
+import fraction_simplify as ref
 from conftest import A, I, J, K, plus
 from test_expr import AR, SC, fuzz_state, gen_expr, gen_formula, _try_eval
 
@@ -132,3 +141,46 @@ def test_eliminate_takes_an_earlier_literal_a_substitution_made_definable():
 def test_eliminate_drops_true_literals_without_a_definition():
     lit = Rel(">=", sv(I), Const(0))
     assert eliminate([TRUE, lit, TRUE], lambda f: None) == ([lit], [])
+
+
+def _generated_terms(seeds):
+    """Expressions and formulas met on generated loops: rhs, guards, recurrence
+    equations, lvalue closed forms and array lambdas; and the recurrence
+    solutions' polynomials."""
+    terms, polys = [], []
+    for seed in seeds:
+        loop = gen_loop(seed).loop
+        terms += [loop.guard, *loop.rhs]
+        forms = closed_forms_all(loop)
+        terms += [e for _, e in forms.system] + list(forms.table.entries.values())
+        polys += forms.solution.polys.values()
+        up = build_up(loop)
+        terms += [closed_form_array(loop, x, forms.table, up)
+                  for x in sorted(loop.written_vars(), key=lambda v: v.name) if x.arity]
+    return terms, polys
+
+
+def _assert_narrow(poly):
+    # an integral coefficient is an int, never an integral Fraction
+    for c in poly.values():
+        assert c.__class__ is int or (c.__class__ is Fraction and c.denominator != 1), poly
+
+
+def test_int_coefficients_match_the_fraction_reference():
+    rnd = random.Random(23)
+    terms, polys = _generated_terms(range(60))
+    terms += [gen_expr(rnd, 4, SC, AR) for _ in range(600)]
+    terms += [gen_formula(rnd, 3, SC, AR) for _ in range(600)]
+    for t in terms:
+        if isinstance(t, (BoolConst, Rel, Not, And, Or)):
+            assert to_text(simplify_formula(t)) == to_text(ref.simplify_formula(t))
+            continue
+        assert to_text(simplify(t)) == to_text(ref.simplify(t))
+        if not isinstance(t, (Var, Lam)):
+            p = linearize(t)
+            assert p == ref.linearize(t)
+            assert all(c.__class__ is int for c in p.values()), p
+    for p in polys:
+        _assert_narrow(p)
+    # the power sums put true fractions into some solutions
+    assert any(c.__class__ is Fraction for p in polys for c in p.values())
