@@ -19,7 +19,7 @@ from .expr import (
 from .arrayform import ArrayFormError, closed_form_array
 from .backend import validity
 from .classify import LvalueClass, classify_lvalue, monotonicity
-from .closedform import ClosedFormError, ClosedFormTable, ClosedForms, Failure, closed_forms_all
+from .closedform import ClosedFormError, ClosedFormTable, Failure, closed_forms_all
 from .loop import Loop, UpdateSubstitution, build_up, validate_loop
 from .recurrence import N
 from .simplify import simplify, simplify_formula
@@ -111,16 +111,14 @@ def guard_characterize(loop: Loop, table: ClosedFormTable,
     return conj(out)
 
 
-def accelerate(loop: Loop, session=None,
-               forms: ClosedForms | Failure | None = None) -> AcceleratedTransition | Failure:
+def accelerate(loop: Loop, session=None) -> AcceleratedTransition | Failure:
     """n > 0, the guard characterization, and x' = x^(n) for every loop
     variable (unwritten variables keep x' = x so models stay total)."""
     validation = validate_loop(loop, session)
     if not validation.ok:
         detail = "inconclusive" if validation.inconclusive else f"pair {validation.violation}"
         return Failure("validation", f"(Distinct) not established: {detail}")
-    if forms is None:
-        forms = closed_forms_all(loop, session)
+    forms = closed_forms_all(loop, session)
     if isinstance(forms, Failure):
         return forms
     up = build_up(loop)

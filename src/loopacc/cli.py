@@ -124,9 +124,9 @@ def cmd_closed_form(args) -> int:
             lines.append(f"{x.name}^(n) = {to_text(lam)}")
             payload["arrays"][x.name] = to_text(lam)
         if args.check is not None:
-            n_max = int(args.check.split("=", 1)[1]) if "=" in args.check else int(args.check)
-            rep = check_loop(pf.loop, loop_id=str(args.file), seeds=10, n_max=n_max, session=ses)
-            lines.append(f"oracle check (n<={n_max}): {_oracle_status(rep)}")
+            rep = check_loop(pf.loop, loop_id=str(args.file), seeds=10, n_max=args.check,
+                             session=ses)
+            lines.append(f"oracle check (n<={args.check}): {_oracle_status(rep)}")
             payload["oracle"] = rep.to_json()
             if not rep.ok:
                 _emit(args, "\n".join(lines), payload)
@@ -222,6 +222,31 @@ def cmd_oracle(args) -> int:
     return 0 if not bad else 1
 
 
+def _natural(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return k
+
+
+def _check_bound(text: str) -> int:
+    """K from "n=K" or "K"."""
+    return _natural(text.removeprefix("n="))
+
+
+def _seconds(text: str) -> float:
+    try:
+        t = float(text)
+    except ValueError:
+        t = 0.0
+    if not t > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"expected seconds > 0, got {text!r}")
+    return t
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="loopacc", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -233,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--backend", default=None,
                        help="SMT-LIB2 solver command to run as a subprocess "
                             "(default: the bundled solver, in-process)")
-        p.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+        p.add_argument("--timeout", type=_seconds, default=DEFAULT_TIMEOUT,
                        help="seconds per backend query")
         p.add_argument("--smt-log", default=None, help="dump the SMT dialogue to a file")
 
@@ -245,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--array", default=None, help="emit the lambda for one array")
     p.add_argument("--show-rec", action="store_true", help="print the recurrence system")
-    p.add_argument("--check", default=None, metavar="n=K",
+    p.add_argument("--check", type=_check_bound, default=None, metavar="n=K",
                    help="compare against the interpreter up to n=K")
     p.set_defaults(fn=cmd_closed_form)
 
@@ -259,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="differential testing against the interpreter")
     common(p, nargs="?", default=None)
-    p.add_argument("--fuzz", type=int, default=0, metavar="K",
+    p.add_argument("--fuzz", type=_natural, default=0, metavar="K",
                    help="generate and test K random a-solvable loops")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=_natural, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--states", type=int, default=10, help="random states per loop")
+    p.add_argument("--states", type=_natural, default=10, help="random states per loop")
     p.add_argument("--scalars-only", action="store_true")
     p.add_argument("--dim", type=int, default=None, help="force array dimension")
     p.set_defaults(fn=cmd_oracle)

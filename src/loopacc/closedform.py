@@ -84,11 +84,10 @@ class ClosedForms:
     solution: RecSolution
 
 
-def closed_forms_all(loop: Loop, session=None,
-                     verdict: SolvabilityVerdict | None = None) -> ClosedForms | Failure:
+def closed_forms_all(loop: Loop, session=None) -> ClosedForms | Failure:
     """Step 1 trivial, step 2 inductive, step 3 repeatedly pick a displacing
     lvalue whose index lvalues are all known."""
-    verdict = verdict or check_a_solvable(loop, session)
+    verdict = check_a_solvable(loop, session)
     if not verdict.a_solvable:
         return Failure("classification", verdict.reason)
     try:

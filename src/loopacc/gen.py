@@ -14,15 +14,16 @@ from .expr import Bin, Const, Expr, Rel, Sel, Var, sv
 from .loop import Loop
 
 
+SCALARS = (1, 3)  # least and most scalars per loop
+MAX_DIM = 2
+MAX_WRITES_PER_ARRAY = 2
+OFFSET_RANGE = 3  # write offsets in dimension 0 lie in [-3, 3]
+COEFF_RANGE = 2  # index coefficients over drivers lie in [0, 2]
+
+
 @dataclass
 class GenConfig:
-    scalars: tuple[int, int] = (1, 3)
     arrays: tuple[int, int] = (0, 2)
-    max_dim: int = 2
-    max_writes_per_array: int = 2
-    offset_range: int = 3
-    coeff_range: int = 2
-    allow_decreasing: bool = True
     scalars_only: bool = False
     force_dim: int | None = None
 
@@ -33,13 +34,13 @@ class GenLoop:
     drivers: dict[Var, int] = field(default_factory=dict)  # scalar -> increment
 
 
-def _affine_index(rnd, drivers: list[tuple[Var, int]], coeff_range: int, sign: int):
+def _affine_index(rnd, drivers: list[tuple[Var, int]], sign: int):
     """Index over drivers with displacement of the requested sign (or zero);
     returns (expression builder offset -> Expr, displacement per offset)."""
     parts = []
     disp = 0
     for v, inc in drivers:
-        c = rnd.randint(0, coeff_range)
+        c = rnd.randint(0, COEFF_RANGE)
         if c:
             parts.append((v, c))
             disp += c * inc
@@ -76,7 +77,7 @@ def _affine_index(rnd, drivers: list[tuple[Var, int]], coeff_range: int, sign: i
 def gen_loop(seed: int, config: GenConfig | None = None) -> GenLoop:
     cfg = config or GenConfig()
     rnd = random.Random(seed)
-    n_scalars = rnd.randint(*cfg.scalars)
+    n_scalars = rnd.randint(*SCALARS)
     n_arrays = 0 if cfg.scalars_only else rnd.randint(*cfg.arrays)
 
     drivers: list[tuple[Var, int]] = []
@@ -85,7 +86,7 @@ def gen_loop(seed: int, config: GenConfig | None = None) -> GenLoop:
     for s in range(n_scalars):
         v = Var(f"s{s}")
         if s == 0 or rnd.random() < 0.7:
-            inc = rnd.choice([-2, -1, 1, 2]) if cfg.allow_decreasing else rnd.choice([1, 2])
+            inc = rnd.choice([-2, -1, 1, 2])
             drivers.append((v, inc))
             rhs: Expr = Bin("+", sv(v), Const(inc)) if inc >= 0 else Bin("-", sv(v), Const(-inc))
         else:
@@ -100,22 +101,22 @@ def gen_loop(seed: int, config: GenConfig | None = None) -> GenLoop:
     array_updates: list[tuple[Sel, Expr]] = []
     arrays = []
     for ai in range(n_arrays):
-        dim = cfg.force_dim or rnd.randint(1, cfg.max_dim)
+        dim = cfg.force_dim or rnd.randint(1, MAX_DIM)
         x = Var(f"a{ai}", dim)
-        sign = rnd.choice([1, -1]) if cfg.allow_decreasing else 1
+        sign = rnd.choice([1, -1])
         builders = []
         disps = []
         for d in range(dim):
             comp_sign = sign if (d == 0 or rnd.random() < 0.6) else 0
-            b, disp = _affine_index(rnd, drivers, cfg.coeff_range, comp_sign)
+            b, disp = _affine_index(rnd, drivers, comp_sign)
             builders.append(b)
             disps.append(disp)
         if all(d == 0 for d in disps) and rnd.random() < 0.7:
             # give the first dimension a real direction most of the time
-            b, disp = _affine_index(rnd, drivers, cfg.coeff_range, sign)
+            b, disp = _affine_index(rnd, drivers, sign)
             builders[0], disps[0] = b, disp
-        n_writes = rnd.randint(1, cfg.max_writes_per_array)
-        offsets = rnd.sample(range(-cfg.offset_range, cfg.offset_range + 1), n_writes)
+        n_writes = rnd.randint(1, MAX_WRITES_PER_ARRAY)
+        offsets = rnd.sample(range(-OFFSET_RANGE, OFFSET_RANGE + 1), n_writes)
         writes = []
         for off in offsets:
             # offsets distinguish writes in dimension 0, so (Distinct) is a

@@ -75,9 +75,8 @@ class UpdateSubstitution:
     def as_dict(self) -> dict:
         return dict(self.mapping)
 
-    def apply(self, e, reduce: bool = True):
-        out = substitute(e, self.as_dict())
-        return beta_reduce(out) if reduce else out
+    def apply(self, e):
+        return beta_reduce(substitute(e, self.as_dict()))
 
 
 def build_up(loop: Loop) -> UpdateSubstitution:
@@ -194,13 +193,13 @@ def step(loop: Loop, s: State, iteration: int = 1, log: list | None = None) -> S
     return s.bind(updates)
 
 
-def run_n(loop: Loop, s: State, n: int, trace: bool = True) -> RunResult:
+def run_n(loop: Loop, s: State, n: int) -> RunResult:
     """Iterate step up to n times, reporting where the guard first failed."""
-    log: list[WriteEvent] | None = [] if trace else None
+    log: list[WriteEvent] = []
     cur = s
     for it in range(1, n + 1):
         nxt = step(loop, cur, iteration=it, log=log)
         if nxt is None:
-            return RunResult(cur, it - 1, stuck_at=it - 1, writes=log or [])
+            return RunResult(cur, it - 1, stuck_at=it - 1, writes=log)
         cur = nxt
-    return RunResult(cur, n, stuck_at=None, writes=log or [])
+    return RunResult(cur, n, stuck_at=None, writes=log)

@@ -22,6 +22,8 @@ from .loop import Loop, LoopError, build_up, run_n
 from .recurrence import N
 from .sexpr import to_text
 
+MARGIN = 2  # the probe window's widening around each written cell
+
 
 @dataclass
 class Mismatch:
@@ -138,11 +140,11 @@ def _failed(report: OracleReport, failure: Failure, t0: float) -> OracleReport:
 
 
 def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int = 8,
-               margin: int = 2, session=None, seed0: int = 0) -> OracleReport:
+               session=None, seed0: int = 0) -> OracleReport:
     """Closed forms vs run_n: scalars and lvalue table entries pointwise,
     arrays on the probe window, for every n the guard allows."""
     t0 = time.perf_counter()
-    report = OracleReport(loop_id, seeds, n_max, margin)
+    report = OracleReport(loop_id, seeds, n_max, MARGIN)
     forms = closed_forms_all(loop, session)
     if isinstance(forms, Failure):
         return _failed(report, forms, t0)
@@ -160,7 +162,7 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
         rnd = random.Random(seed0 + s_idx)
         state = random_state(loop, rnd)
         cur = state
-        windows = [ProbeWindow(x, state, margin) for x in compiled]
+        windows = [ProbeWindow(x, state, MARGIN) for x in compiled]
         for n in range(n_max + 1):
             if n:
                 try:

@@ -16,16 +16,17 @@ find_model case-splits over the formula's Boolean skeleton, as DPLL(T) does
 (Dutertre & de Moura 2006), guided by candidate models in the manner of
 lemmas on demand: a node assumes a conjunction of atoms, propagates it
 through the open clauses, decides it with Cooper's search, and splits only a
-clause the resulting model violates.  The Cooper search (_search) walks the
-candidate substitutions depth-first instead of materializing the eliminated
-formula, so a satisfying assignment falls out of the successful branch;
-exhausting every candidate at a level is a proof of unsatisfiability for that
-subproblem.  It decides any NNF formula; find_model hands it conjunctions.
+clause the resulting model violates.  The Cooper search (_search) decides a
+conjunction, given as a flat list of atoms.  It walks the candidate
+substitutions depth-first instead of materializing the eliminated formula, so
+a satisfying assignment falls out of the successful branch; exhausting every
+candidate at a level is a proof of unsatisfiability for that subproblem.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import chain
 from math import gcd
 
 
@@ -263,7 +264,8 @@ class PresburgerSolver:
         before it.  Every node ticks the budget."""
         if f is False:
             return None
-        zero = dict.fromkeys(sorted(fvars(f)), 0)
+        names = sorted(fvars(f))
+        zero = dict.fromkeys(names, 0)
         units, clauses = [], []
         _split(f, units, clauses)
         stack = [(units, clauses, None)]  # depth-first, next node last
@@ -274,8 +276,7 @@ class PresburgerSolver:
             if units is None:
                 continue
             if model is None or not all(feval(u, model) for u in units):
-                conj = fand(units)
-                m = self._search(conj, sorted(fvars(conj)))
+                m = self._search(units, names)
                 if m is None:
                     continue
                 model = {**zero, **m}
@@ -294,98 +295,63 @@ class PresburgerSolver:
             stack += reversed(branches)
         return None
 
-    def _pick(self, f, xs):
-        # fewest atom occurrences first, then smallest coefficient lcm
-        counts = {x: 0 for x in xs}
-        lams = {x: 1 for x in xs}
-
-        def walk(g):
-            if g is True or g is False:
-                return
-            tag = g[0]
-            if tag in ("and", "or"):
-                for h in g[1]:
-                    walk(h)
-                return
-            for v, c in _poly(g).items():
-                if v in counts:
-                    counts[v] += 1
-                    lams[v] = _lcm(lams[v], abs(c))
-
-        walk(f)
-        return min(xs, key=lambda x: (lams[x] != 1, counts[x], x))
-
-    def _search(self, f, xs) -> dict | None:
+    def _search(self, atoms, xs) -> dict | None:
+        """A model over the names xs of the conjunction of atoms, whose names
+        all lie in xs, or None.  Cooper's elimination, depth-first: x is the
+        name in the fewest atoms, unit coefficients first, and its atoms are
+        scaled to coefficients +-lam, read as xh = lam*x.  Each lower bound
+        b < xh gives the candidates xh = b + j for j = 1..delta.  Without a
+        lower bound xh may lie below every upper bound, which then all hold,
+        and only the other atoms constrain xh = j modulo delta."""
         self._tick()
-        if f is False:
-            return None
-        if not xs:
-            return {} if f is True or feval(f, {}) else None
-        if f is True:
-            return {x: 0 for x in xs}
-        x = self._pick(f, xs)
-        rest = [y for y in xs if y != x]
-        if x not in fvars(f):
-            m = self._search(f, rest)
-            return None if m is None else {**m, x: 0}
-
-        lam = 1
-        for a in _collect_atoms(f, x):
-            lam = _lcm(lam, abs(_poly(a)[x]))
-
-        # scale every atom so x's coefficient is +-lam, then read it as xh=lam*x
-        def scaled(a):
-            p = _poly(a)
-            if x not in p:
-                return a
-            k = lam // abs(p[x])
-            return ("gt", pscale(p, k)) if a[0] == "gt" else (a[0], a[1] * k, pscale(p, k))
-
-        fs = map_atoms(f, scaled)
-        delta = lam
-        for a in _collect_atoms(fs, x):
-            if a[0] in ("div", "ndiv"):
+        counts, lams = {}, {}
+        for a in atoms:
+            for v, c in _poly(a).items():
+                if v is not None:
+                    counts[v] = counts.get(v, 0) + 1
+                    lams[v] = _lcm(lams.get(v, 1), abs(c))
+        if not counts:
+            return dict.fromkeys(xs, 0)
+        x = min(counts, key=lambda v: (lams[v] != 1, counts[v], v))
+        lam = delta = lams[x]
+        scaled, others, lower, upper = [], [], [], []  # others: all but x's gt atoms
+        for a in atoms:
+            c = _poly(a).get(x)
+            if c is None:
+                others.append(a)
+            elif a[0] != "gt":
+                k = lam // abs(c)
+                a = (a[0], a[1] * k, pscale(a[2], k))
                 delta = _lcm(delta, a[1])
-
-        lower_terms = []  # xh > -t  for atoms  s*xh + t > 0 with s=+1  (b = -t)
-        for a in _collect_atoms(fs, x):
-            if a[0] == "gt":
-                p = a[1]
-                if p[x] > 0:
-                    b = pscale({k: v for k, v in p.items() if k != x}, -1)
-                    if b not in lower_terms:
-                        lower_terms.append(b)
-
-        # candidates: b + j for each lower bound, plus the minus-infinity case
-        for j in range(1, delta + 1):
-            for b in lower_terms:
-                self._tick()
-                cand = padd(b, {None: j})
-                # fs[xh := cand] where xh has coefficient +-lam: for an atom with
-                # s*xh we add s*cand; but xh = lam*x so x = cand/lam must divide.
-                g = _subst_xhat(fs, x, cand, lam)
-                m = self._search(g, rest)
-                if m is not None:
-                    xh = peval(cand, m)
-                    if xh % lam == 0:
-                        m2 = {**m, x: xh // lam}
-                        if feval(f, m2):
-                            return m2
-        # minus infinity: lower-bound atoms false, upper-bound atoms true
-        fminf = _minus_inf(fs, x)
-        for j in range(1, delta + 1):
+                others.append(a)
+            else:
+                a = ("gt", pscale(a[1], lam // abs(c)))
+                t = {v: w for v, w in a[1].items() if v != x}
+                if c < 0:
+                    upper.append(t)  # xh < t
+                elif (b := pscale(t, -1)) not in lower:
+                    lower.append(b)  # b < xh
+            scaled.append(a)
+        rest = [y for y in xs if y != x]
+        if lower:
+            cands = ((padd(b, {None: j}), j) for j in range(1, delta + 1) for b in lower)
+        else:
+            cands = (({None: j}, j) for j in range(1, delta + 1))
+        for cand, j in cands:
             self._tick()
-            g = _subst_xhat(fminf, x, {None: j}, lam)
-            m = self._search(g, rest)
-            if m is not None:
-                # concrete xh: strictly below every bound term, congruent to j
-                bounds = [peval(b, m) for b in _bound_terms(fs, x)]
-                top = (min(bounds) - 1) if bounds else j
-                xh = top - ((top - j) % delta)
-                if xh % lam == 0:
-                    m2 = {**m, x: xh // lam}
-                    if feval(f, m2):
-                        return m2
+            sub = _substituted(scaled if lower else others, x, cand, lam)
+            m = None if sub is None else self._search(sub, rest)
+            if m is None:
+                continue
+            if lower:
+                xh = peval(cand, m)
+            else:  # strictly below every upper bound, congruent to j
+                top = min(peval(t, m) for t in upper) - 1 if upper else j
+                xh = top - (top - j) % delta
+            if xh % lam == 0:
+                m[x] = xh // lam
+                if all(feval(a, m) for a in atoms):
+                    return m
         return None
 
 
@@ -546,33 +512,14 @@ def _false_atoms(d, m):
     return sum(not feval(c, m) for c in _conjuncts(d))
 
 
-def _collect_atoms(f, x):
-    """The atoms of f that mention x."""
-    if f is True or f is False:
-        return []
-    if f[0] in ("and", "or"):
-        return [a for g in f[1] for a in _collect_atoms(g, x)]
-    return [f] if x in _poly(f) else []
-
-
-def _subst_xhat(f, x, cand, lam):
-    """Substitute xh := cand into atoms scaled to coefficient +-lam (xh = lam*x),
-    conjoining the lam | xh constraint."""
-    body = map_atoms(f, lambda a: _subst_atom(a, x, cand, lam))
-    return body if lam == 1 else fand([body, div_atom(lam, cand)])
-
-
-def _minus_inf(f, x):
-    return map_atoms(f, lambda a: a if a[0] != "gt" or x not in a[1] else a[1][x] < 0)
-
-
-def _bound_terms(f, x):
-    """Terms whose values xh must stay strictly below in the minus-infinity
-    case: -t for lower bounds xh + t > 0, t for upper bounds -xh + t > 0."""
+def _substituted(atoms, x, cand, lam):
+    """atoms, scaled to x-coefficients +-lam, with xh := cand (xh = lam*x) and
+    lam | cand added, dropping the atoms that became true; None when one
+    became false."""
     out = []
-    for a in _collect_atoms(f, x):
-        if a[0] == "gt":
-            p = a[1]
-            t = {k: v for k, v in p.items() if k != x}
-            out.append(pscale(t, -1 if p[x] > 0 else 1))
+    for a in chain((_subst_atom(a, x, cand, lam) for a in atoms), [div_atom(lam, cand)]):
+        if a is False:
+            return None
+        if a is not True:
+            out.append(a)
     return out

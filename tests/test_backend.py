@@ -29,6 +29,8 @@ from loopacc.solver.presburger import (
     peval,
 )
 
+from cooper_reference import TreeCooper
+
 # the bundled solver as an external command: the subprocess transport
 SERVER = f"{sys.executable} -m loopacc.solver.server"
 EXAMPLES = sorted((Path(__file__).parent.parent / "examples_problems").glob("*.loop"))
@@ -96,10 +98,10 @@ def test_fsubst_agrees_with_evaluation():
         assert fsubst(without_x, "x", img) is without_x
 
 
-def _decide(run, limit):
+def _decide(run, limit, solver=PresburgerSolver):
     """run(solver)'s model or None, or "budget" when limit nodes ran out."""
     try:
-        return run(PresburgerSolver(branch_limit=limit))
+        return run(solver(branch_limit=limit))
     except SolverTimeout:
         return "budget"
 
@@ -122,7 +124,7 @@ def test_split_vs_cooper_and_enumeration():
         names = sorted(fvars(lin))
         enum_sat = any(feval(lin, dict(zip(names, point)))
                        for point in itertools.product(range(-B, B + 1), repeat=len(names)))
-        ref = _decide(lambda s: s._search(lin, names), 5000)
+        ref = _decide(lambda s: s._search(lin, names), 5000, TreeCooper)
         split = _decide(lambda s: s.find_model(lin), 5000)
         assert ref == "budget" or split != "budget", f"trial {trial}: {f}"
         for m in (ref, split):
@@ -131,6 +133,62 @@ def test_split_vs_cooper_and_enumeration():
                 assert m is None or feval(lin, m), f"trial {trial}: {f}"
         decided += split != "budget"
     assert decided >= 140
+
+
+class _Recorder(PresburgerSolver):
+    """Keeps each conjunction find_model hands to _search."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.asked, self.depth = [], 0
+
+    def _search(self, atoms, xs):
+        if not self.depth:
+            self.asked.append(list(atoms))
+        self.depth += 1
+        try:
+            return super()._search(atoms, xs)
+        finally:
+            self.depth -= 1
+
+
+def _nodes(solver, f, names):
+    """(solver._search(f, names)'s model, or "budget", and the nodes spent)."""
+    budget = solver.budget
+    try:
+        m = solver._search(f, names)
+    except SolverTimeout:
+        m = "budget"
+    return m, budget - solver.budget
+
+
+def test_list_search_matches_the_tree_reference():
+    # each conjunction the split hands to Cooper, decided as a flat list and
+    # by the whole-formula reference: the same model, in no more nodes.  Every
+    # other formula is left unboxed, so that names without a lower bound take
+    # the minus-infinity case
+    rnd = random.Random(13)
+    xs = [Var("x"), Var("y"), Var("z")]
+    compared = 0
+    for trial in range(200):
+        vs = xs[:rnd.randint(1, 3)]
+        box = [Rel(">=", sv(x), Const(-3)) for x in vs] + [Rel("<=", sv(x), Const(3)) for x in vs]
+        f = _rand_formula(rnd, vs, 3)
+        lin = fand([to_linear(g) for g in [f] + box * (trial % 2)])
+        split = _Recorder(branch_limit=5000)
+        try:
+            split.find_model(lin)
+        except SolverTimeout:
+            pass
+        for atoms in split.asked:
+            names = sorted(fvars(fand(atoms)))
+            ref, ref_nodes = _nodes(TreeCooper(branch_limit=5000), fand(atoms), names)
+            if ref == "budget":
+                continue
+            m, nodes = _nodes(PresburgerSolver(branch_limit=5000), atoms, names)
+            assert (m, nodes <= ref_nodes) == (ref, True), f"trial {trial}: {atoms}"
+            compared += 1
+    assert compared >= 200
 
 
 def test_bounds_propagate_through_inequalities_and_stop_on_cycles():

@@ -50,8 +50,8 @@ def test_oracle_detects_corrupted_closed_form(monkeypatch):
 
     real = closed_forms_all
 
-    def corrupted(loop, session=None, verdict=None):
-        cf = real(loop, session, verdict)
+    def corrupted(loop, session=None):
+        cf = real(loop, session)
         lv = Sel(I, ())
         cf.table.entries[lv] = Bin("+", cf.table.entries[lv], Const(1))
         return cf

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from loopacc import cli
 from loopacc.expr import Rel, Var, sv
 from loopacc.problem import parse_problem
 from loopacc.sexpr import ParseError, to_text
@@ -195,3 +196,17 @@ def test_aliasing_loop_fails_validation_without_a_traceback(tmp_path, argv):
     assert proc.returncode == 1
     assert "failure(validation)" in proc.stdout
     assert "Traceback" not in proc.stderr
+
+
+def test_bad_option_values_are_usage_errors(capsys):
+    swap = str(EXAMPLES / "swap.loop")
+    bad = [["closed-form", swap, "--check", "n=x"], ["closed-form", swap, "--check", "-1"],
+           ["oracle", swap, "--n-max", "-1"], ["oracle", swap, "--states", "-1"],
+           ["oracle", "--fuzz", "-1"], ["check", swap, "--timeout", "0"],
+           ["check", swap, "--timeout", "nan"]]
+    for argv in bad:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith("usage: loopacc"), argv
+        assert f"argument {argv[-2]}" in err, argv
