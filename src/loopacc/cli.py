@@ -222,14 +222,18 @@ def cmd_oracle(args) -> int:
     return 0 if not bad else 1
 
 
-def _natural(text: str) -> int:
+def _natural(text: str, low: int = 0) -> int:
     try:
         k = int(text)
     except ValueError:
-        k = -1
-    if k < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+        k = low - 1
+    if k < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return k
+
+
+def _positive(text: str) -> int:
+    return _natural(text, 1)
 
 
 def _check_bound(text: str) -> int:
@@ -288,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate and test K random a-solvable loops")
     p.add_argument("--n-max", type=_natural, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--states", type=_natural, default=10, help="random states per loop")
+    p.add_argument("--states", type=_positive, default=10, help="random states per loop")
     p.add_argument("--scalars-only", action="store_true")
-    p.add_argument("--dim", type=int, default=None, help="force array dimension")
+    p.add_argument("--dim", type=_positive, default=None, help="force array dimension")
     p.set_defaults(fn=cmd_oracle)
 
     return ap

@@ -6,13 +6,21 @@ substitution, beta reduction, top-level lvalue collection and free variables.
 
 Scalars are arrays of dimension 0 throughout: a scalar occurrence in an
 expression is a cell access with an empty index vector (``Sel(x, ())``).
-All nodes are immutable; structural equality and hashing are derived.
+Every node is a tuple whose item 0 is its class, followed by its fields, which
+are read through namedtuple's C-level getters.  Construction, ``hash`` and
+``==`` are then tuple operations that run in C: term rewriting builds, hashes
+and compares nodes in every phase.  The class in item 0 keeps nodes of
+different kinds with equal fields unequal.  Nodes are immutable and cache no
+hash: a Python-level cached ``__hash__`` costs more than the C tuple hash
+it would save.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -37,99 +45,122 @@ class UnboundVariable(EvalError):
 # nodes
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node(tuple):
+    """Item 0 is the node's class; the fields follow in declaration order."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields[1:], self[1:]))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self):  # copy and pickle call __new__ without the kind
+        return self[1:]
+
+
+_new = tuple.__new__
+
+
+class Var(_Node, namedtuple("Var", "kind name arity")):
     """A variable with a fixed dimension; arity 0 means scalar."""
 
-    name: str
-    arity: int = 0
+    __slots__ = ()
+
+    def __new__(cls, name: str, arity: int = 0):
+        return _new(cls, (cls, name, arity))
 
     def __repr__(self):
         return f"Var({self.name!r}, {self.arity})" if self.arity else f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(_Node, namedtuple("Const", "kind value")):
+    __slots__ = ()
+
+    def __new__(cls, value: int):
+        return _new(cls, (cls, value))
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * div
-    left: "Expr"
-    right: "Expr"
+class Bin(_Node, namedtuple("Bin", "kind op left right")):
+    __slots__ = ()
+
+    def __new__(cls, op: str, left: "Expr", right: "Expr"):  # op: + - * div
+        return _new(cls, (cls, op, left, right))
 
 
-@dataclass(frozen=True)
-class Lam:
-    params: tuple[Var, ...]
-    body: "Expr"
+class Lam(_Node, namedtuple("Lam", "kind params body")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.params)) != len(self.params):
-            raise ExprError(f"duplicate lambda parameters: {self.params}")
-        for p in self.params:
+    def __new__(cls, params: tuple[Var, ...], body: "Expr"):
+        if len(set(params)) != len(params):
+            raise ExprError(f"duplicate lambda parameters: {params}")
+        for p in params:
             if p.arity != 0:
                 raise ArityMismatch(f"lambda parameter {p.name} must be scalar")
+        return _new(cls, (cls, params, body))
 
 
 ArrayExpr = Union[Var, Lam]
 
 
-@dataclass(frozen=True)
-class Sel:
+class Sel(_Node, namedtuple("Sel", "kind arr idx")):
     """Cell access / application: x[r...] when arr is a Var, a beta-redex when
     arr is a Lam.  Scalars are the empty-index case ``Sel(x, ())``."""
 
-    arr: ArrayExpr
-    idx: tuple["Expr", ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if arity_of(self.arr) != len(self.idx):
-            raise ArityMismatch(
-                f"{self.arr} has arity {arity_of(self.arr)}, applied to {len(self.idx)} indices"
-            )
+    def __new__(cls, arr: ArrayExpr, idx: tuple["Expr", ...] = ()):
+        if arity_of(arr) != len(idx):
+            raise ArityMismatch(f"{arr} has arity {arity_of(arr)}, applied to {len(idx)} indices")
+        return _new(cls, (cls, arr, idx))
 
 
-@dataclass(frozen=True)
-class Ite:
-    cond: "Formula"
-    then: "Expr"
-    other: "Expr"
+class Ite(_Node, namedtuple("Ite", "kind cond then other")):
+    __slots__ = ()
+
+    def __new__(cls, cond: "Formula", then: "Expr", other: "Expr"):
+        return _new(cls, (cls, cond, then, other))
 
 
 Expr = Union[Const, Bin, Sel, Ite]
 
 
-@dataclass(frozen=True)
-class BoolConst:
-    value: bool
+class BoolConst(_Node, namedtuple("BoolConst", "kind value")):
+    __slots__ = ()
+
+    def __new__(cls, value: bool):
+        return _new(cls, (cls, value))
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(_Node, namedtuple("Rel", "kind op left right")):
     """Atom over expressions.  op is one of < <= > >= = != divides; for array
     literals (op = or !=) the sides are array expressions of equal arity > 0.
     For divides the left side is the divisor."""
 
-    op: str
-    left: Union[Expr, ArrayExpr]
-    right: Union[Expr, ArrayExpr]
+    __slots__ = ()
+
+    def __new__(cls, op: str, left: Union[Expr, ArrayExpr], right: Union[Expr, ArrayExpr]):
+        return _new(cls, (cls, op, left, right))
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula"
+class Not(_Node, namedtuple("Not", "kind arg")):
+    __slots__ = ()
+
+    def __new__(cls, arg: "Formula"):
+        return _new(cls, (cls, arg))
 
 
-@dataclass(frozen=True)
-class And:
-    args: tuple["Formula", ...]
+class And(_Node, namedtuple("And", "kind args")):
+    __slots__ = ()
+
+    def __new__(cls, args: tuple["Formula", ...]):
+        return _new(cls, (cls, args))
 
 
-@dataclass(frozen=True)
-class Or:
-    args: tuple["Formula", ...]
+class Or(_Node, namedtuple("Or", "kind args")):
+    __slots__ = ()
+
+    def __new__(cls, args: tuple["Formula", ...]):
+        return _new(cls, (cls, args))
 
 
 Formula = Union[BoolConst, Rel, Not, And, Or]
@@ -223,9 +254,9 @@ def _free_vars(e, bound: frozenset[Var], out: set[Var]):
     if isinstance(e, Var):
         if e not in bound:
             out.add(e)
-    elif isinstance(e, Const):
+    elif isinstance(e, (Const, BoolConst)):
         pass
-    elif isinstance(e, Bin):
+    elif isinstance(e, (Bin, Rel)):
         _free_vars(e.left, bound, out)
         _free_vars(e.right, bound, out)
     elif isinstance(e, Sel):
@@ -238,11 +269,6 @@ def _free_vars(e, bound: frozenset[Var], out: set[Var]):
         _free_vars(e.other, bound, out)
     elif isinstance(e, Lam):
         _free_vars(e.body, bound | set(e.params), out)
-    elif isinstance(e, BoolConst):
-        pass
-    elif isinstance(e, Rel):
-        _free_vars(e.left, bound, out)
-        _free_vars(e.right, bound, out)
     elif isinstance(e, Not):
         _free_vars(e.arg, bound, out)
     elif isinstance(e, (And, Or)):
@@ -349,10 +375,8 @@ def _subst(e, sigma: Subst):
         return Rel(e.op, _subst(e.left, sigma), _subst(e.right, sigma))
     if isinstance(e, Not):
         return Not(_subst(e.arg, sigma))
-    if isinstance(e, And):
-        return And(tuple(_subst(a, sigma) for a in e.args))
-    if isinstance(e, Or):
-        return Or(tuple(_subst(a, sigma) for a in e.args))
+    if isinstance(e, (And, Or)):
+        return type(e)(tuple(_subst(a, sigma) for a in e.args))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -382,10 +406,8 @@ def substitute_lvalues(e, mapping: dict):
         return e
     if isinstance(e, Not):
         return Not(substitute_lvalues(e.arg, mapping))
-    if isinstance(e, And):
-        return And(tuple(substitute_lvalues(a, mapping) for a in e.args))
-    if isinstance(e, Or):
-        return Or(tuple(substitute_lvalues(a, mapping) for a in e.args))
+    if isinstance(e, (And, Or)):
+        return type(e)(tuple(substitute_lvalues(a, mapping) for a in e.args))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -406,10 +428,10 @@ def beta_reduce(e):
 def _beta(e):
     if isinstance(e, (Const, BoolConst, Var)):
         return e, False
-    if isinstance(e, Bin):
+    if isinstance(e, (Bin, Rel)):
         l, c1 = _beta(e.left)
         r, c2 = _beta(e.right)
-        return (Bin(e.op, l, r) if c1 or c2 else e), c1 or c2
+        return (type(e)(e.op, l, r) if c1 or c2 else e), c1 or c2
     if isinstance(e, Sel):
         idx = []
         ch = False
@@ -432,21 +454,13 @@ def _beta(e):
     if isinstance(e, Lam):
         b, c = _beta(e.body)
         return (Lam(e.params, b) if c else e), c
-    if isinstance(e, Rel):
-        l, c1 = _beta(e.left)
-        r, c2 = _beta(e.right)
-        return (Rel(e.op, l, r) if c1 or c2 else e), c1 or c2
     if isinstance(e, Not):
         a, c = _beta(e.arg)
         return (Not(a) if c else e), c
-    if isinstance(e, And):
+    if isinstance(e, (And, Or)):
         args = [_beta(a) for a in e.args]
         ch = any(c for _, c in args)
-        return (And(tuple(a for a, _ in args)) if ch else e), ch
-    if isinstance(e, Or):
-        args = [_beta(a) for a in e.args]
-        ch = any(c for _, c in args)
-        return (Or(tuple(a for a, _ in args)) if ch else e), ch
+        return (type(e)(tuple(a for a, _ in args)) if ch else e), ch
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -600,6 +614,11 @@ class State:
         return f"State({parts})"
 
 
+# the arithmetic relations as functions of their two sides
+RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+             "=": operator.eq, "!=": operator.ne}
+
+
 def eval_expr(e, s: State):
     """Interpretation of an (array) expression or formula in a state.  Returns
     an int, a function value (FiniteFn/Closure) or a bool."""
@@ -646,23 +665,12 @@ def eval_formula(f: Formula, s: State) -> bool:
             raise EvalError("array equality is not concretely evaluable; probe the functions")
         l = eval_expr(f.left, s)
         r = eval_expr(f.right, s)
-        if f.op == "<":
-            return l < r
-        if f.op == "<=":
-            return l <= r
-        if f.op == ">":
-            return l > r
-        if f.op == ">=":
-            return l >= r
-        if f.op == "=":
-            return l == r
-        if f.op == "!=":
-            return l != r
         if f.op == "divides":
-            if l == 0:
-                return r == 0
-            return r % l == 0
-        raise EvalError(f"unknown relation {f.op}")
+            return _divides(l, r)
+        rel = RELATIONS.get(f.op)
+        if rel is None:
+            raise EvalError(f"unknown relation {f.op}")
+        return rel(l, r)
     if isinstance(f, Not):
         return not eval_formula(f.arg, s)
     if isinstance(f, And):

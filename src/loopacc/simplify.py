@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import gcd
 
 from .expr import (
-    And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, Not, Or, Rel, Sel,
-    TRUE, Var, beta_reduce, conj, disj, free_vars, substitute,
+    And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, Not, Or, RELATIONS, Rel,
+    Sel, TRUE, Var, beta_reduce, conj, disj, free_vars, substitute,
 )
 from .sexpr import to_text
 
@@ -211,35 +211,20 @@ def simplify_formula(f: Formula) -> Formula:
         if isinstance(a, Not):
             return a.arg
         return Not(a)
-    if isinstance(f, And):
+    if isinstance(f, (And, Or)):
+        unit, absorbing = (TRUE, FALSE) if isinstance(f, And) else (FALSE, TRUE)
         flat = []
         for a in f.args:
             a = simplify_formula(a)
-            if a == FALSE:
-                return FALSE
-            if a == TRUE:
+            if a == absorbing:
+                return absorbing
+            if a == unit:
                 continue
-            if isinstance(a, And):
-                flat.extend(a.args)
-            else:
-                flat.append(a)
-        flat = _dedupe(flat)
-        if _contradicting(flat):
-            return FALSE
-        return conj(flat)
-    if isinstance(f, Or):
-        flat = []
-        for a in f.args:
-            a = simplify_formula(a)
-            if a == TRUE:
-                return TRUE
-            if a == FALSE:
-                continue
-            if isinstance(a, Or):
-                flat.extend(a.args)
-            else:
-                flat.append(a)
-        return disj(_dedupe(flat))
+            flat.extend(a.args if isinstance(a, type(f)) else [a])
+        flat = list(dict.fromkeys(flat))
+        if isinstance(f, Or):
+            return disj(flat)
+        return FALSE if _contradicting(flat) else conj(flat)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -279,15 +264,6 @@ def eliminate(literals: list[Formula], definition):
             names.append(vs)
 
 
-def _dedupe(parts):
-    seen, out = set(), []
-    for p in parts:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    return out
-
-
 def _simplify_rel(f: Rel) -> Formula:
     if f.op in ("=", "!=") and (
         isinstance(f.left, (Var, Lam)) or isinstance(f.right, (Var, Lam))
@@ -317,7 +293,7 @@ def _simplify_rel(f: Rel) -> Formula:
     p = poly_add(linearize(f.left), linearize(f.right), sign=-1)
     c = poly_is_const(p)
     if c is not None:
-        return BoolConst(_decide(f.op, c))
+        return BoolConst(RELATIONS[f.op](c, 0))
     const = p.get((), 0)
     varpart = {m: c for m, c in p.items() if m != ()}
     g = gcd(*varpart.values())
@@ -348,22 +324,6 @@ def _simplify_rel(f: Rel) -> Formula:
     else:
         raise ValueError(op)
     return Rel(op, poly_to_expr(q), Const(bound))
-
-
-def _decide(op, c) -> bool:
-    if op == "<":
-        return c < 0
-    if op == "<=":
-        return c <= 0
-    if op == ">":
-        return c > 0
-    if op == ">=":
-        return c >= 0
-    if op == "=":
-        return c == 0
-    if op == "!=":
-        return c != 0
-    raise ValueError(op)
 
 
 def _contradicting(parts) -> bool:

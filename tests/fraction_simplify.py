@@ -10,11 +10,11 @@ from fractions import Fraction
 from math import gcd
 
 from loopacc.expr import (
-    And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, Not, Or, Rel, Sel,
-    TRUE, Var, conj, disj,
+    And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, Not, Or, RELATIONS, Rel,
+    Sel, TRUE, Var, conj, disj,
 )
 from loopacc.sexpr import to_text
-from loopacc.simplify import _FLIP, _NEG, _contradicting, _decide, _dedupe
+from loopacc.simplify import _FLIP, _NEG, _contradicting
 
 
 def poly_const(c):
@@ -197,7 +197,7 @@ def simplify_formula(f: Formula) -> Formula:
             if a == unit:
                 continue
             flat.extend(a.args if isinstance(a, type(f)) else [a])
-        flat = _dedupe(flat)
+        flat = list(dict.fromkeys(flat))
         if isinstance(f, Or):
             return disj(flat)
         return FALSE if _contradicting(flat) else conj(flat)
@@ -233,7 +233,7 @@ def _simplify_rel(f: Rel) -> Formula:
     p = poly_add(linearize(f.left), linearize(f.right), sign=-1)
     c = poly_is_const(p)
     if c is not None:
-        return BoolConst(_decide(f.op, c))
+        return BoolConst(RELATIONS[f.op](c, 0))
     p = poly_scale(p, poly_denom_lcm(p))
     const = p.get((), Fraction(0))
     varpart = {m: c for m, c in p.items() if m != ()}

@@ -1,14 +1,17 @@
 """Evaluation, substitution, beta reduction, top-level lvalues, free
 variables; fuzzed preservation properties."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from loopacc.expr import (
-    And, ArityMismatch, Bin, Const, EvalError, FiniteFn, Ite, Lam, Not, Or,
-    Rel, Sel, State, UnboundVariable, Var, beta_reduce, eval_expr,
-    eval_formula, free_vars, lval_set, substitute, substitute_lvalues, sv,
+    FALSE, TRUE, And, ArityMismatch, Bin, BoolConst, Const, EvalError, ExprError,
+    FiniteFn, Ite, Lam, Not, Or, Rel, Sel, State, UnboundVariable, Var,
+    beta_reduce, eval_expr, eval_formula, free_vars, lval_set, substitute,
+    substitute_lvalues, sv,
 )
 
 from conftest import A, I, J, K, identity_state, plus
@@ -18,6 +21,76 @@ def swap_up_a():
     j = Var("j")
     return Lam((j,), Ite(Rel("=", sv(j), plus(sv(I), 1)), Sel(A, (sv(I),)),
                Ite(Rel("=", sv(j), sv(I)), Sel(A, (plus(sv(I), 1),)), Sel(A, (sv(j),)))))
+
+
+class TestNodes:
+    def test_kinds_with_equal_fields_differ(self):
+        # constructors do not check the operator, so Bin and Rel can share one
+        pairs = [(Const(1), BoolConst(True)),
+                 (Bin("<", sv(I), Const(0)), Rel("<", sv(I), Const(0))),
+                 (And((TRUE, FALSE)), Or((TRUE, FALSE))),
+                 (Not(TRUE), And((TRUE,)))]
+        for a, b in pairs:
+            assert a != b and hash(a) != hash(b), (a, b)
+            assert len({a, b}) == 2
+
+    def test_equal_terms_built_separately(self):
+        def term():
+            j = Var("j")
+            return Lam((j,), Ite(Rel("<", sv(j), Const(3)), Sel(A, (sv(j),)),
+                                 Bin("div", sv(I), Const(2))))
+        a, b = term(), term()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_signatures_and_defaults(self):
+        assert Var("x") == Var("x", 0) == Var(name="x", arity=0)
+        assert Sel(I) == Sel(arr=I, idx=())
+        assert Bin(op="+", left=Const(1), right=Const(2)) == Bin("+", Const(1), Const(2))
+        lam = swap_up_a()
+        assert (lam.params, lam.body.cond.op, lam.body.then.arr) == ((Var("j"),), "=", A)
+
+    def test_constructor_checks(self):
+        with pytest.raises(ArityMismatch):
+            Sel(A, ())
+        with pytest.raises(ArityMismatch):
+            Sel(I, (Const(0),))
+        with pytest.raises(ExprError, match="duplicate"):
+            Lam((Var("j"), Var("j")), Const(0))
+        with pytest.raises(ArityMismatch, match="must be scalar"):
+            Lam((A,), Const(0))
+
+    def test_immutable(self):
+        for node, name in [(I, "name"), (Const(1), "value"), (Bin("+", sv(I), sv(K)), "left"),
+                           (swap_up_a(), "body"), (Sel(I), "idx"), (And(()), "args")]:
+            with pytest.raises(AttributeError):
+                setattr(node, name, Const(0))
+        with pytest.raises(AttributeError):
+            Const(1).extra = 2
+
+    def test_repr_text(self):
+        j = Var("j")
+        assert [repr(n) for n in (
+            Var("x"), A, Const(-1), Bin("+", sv(I), Const(2)), Lam((j,), sv(j)),
+            Sel(A, (Const(1),)), Ite(TRUE, Const(1), Const(2)), FALSE,
+            Rel("<", Const(1), sv(K)), Not(TRUE), And((TRUE, FALSE)), Or(()),
+        )] == [
+            "Var('x')", "Var('a', 1)", "Const(value=-1)",
+            "Bin(op='+', left=Sel(arr=Var('i'), idx=()), right=Const(value=2))",
+            "Lam(params=(Var('j'),), body=Sel(arr=Var('j'), idx=()))",
+            "Sel(arr=Var('a', 1), idx=(Const(value=1),))",
+            "Ite(cond=BoolConst(value=True), then=Const(value=1), other=Const(value=2))",
+            "BoolConst(value=False)",
+            "Rel(op='<', left=Const(value=1), right=Sel(arr=Var('k'), idx=()))",
+            "Not(arg=BoolConst(value=True))",
+            "And(args=(BoolConst(value=True), BoolConst(value=False)))",
+            "Or(args=())",
+        ]
+
+    def test_copy_and_pickle(self):
+        lam = swap_up_a()
+        for twin in (copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))):
+            assert twin == lam and type(twin.body) is Ite
 
 
 class TestEval:

@@ -1,6 +1,8 @@
 """Problem files and the command-line front end."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +204,8 @@ def test_bad_option_values_are_usage_errors(capsys):
     swap = str(EXAMPLES / "swap.loop")
     bad = [["closed-form", swap, "--check", "n=x"], ["closed-form", swap, "--check", "-1"],
            ["oracle", swap, "--n-max", "-1"], ["oracle", swap, "--states", "-1"],
+           ["oracle", swap, "--states", "0"], ["oracle", "--fuzz", "1", "--dim", "-1"],
+           ["oracle", "--fuzz", "1", "--dim", "0"],
            ["oracle", "--fuzz", "-1"], ["check", swap, "--timeout", "0"],
            ["check", swap, "--timeout", "nan"]]
     for argv in bad:
@@ -210,3 +214,31 @@ def test_bad_option_values_are_usage_errors(capsys):
         err = capsys.readouterr().err
         assert exc.value.code == 2 and err.startswith("usage: loopacc"), argv
         assert f"argument {argv[-2]}" in err, argv
+
+
+# Each command as a new CLI process runs it: the fresh-name counter starts at 0.
+RUN_COMMANDS = """
+import json, sys
+from loopacc import cli
+from loopacc.expr import reset_fresh_counter
+for argv in json.loads(sys.argv[1]):
+    reset_fresh_counter()
+    print("exit", cli.main(argv))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    """String hashes follow PYTHONHASHSEED and node hashes mix in the address
+    of the node's class, so set orders differ from process to process; no
+    output may follow them."""
+    commands = [["check", str(p), "--json"] for p in sorted(EXAMPLES.glob("*.loop"))]
+    commands.append(["oracle", "--fuzz", "3", "--seed", "0", "--json"])
+    procs = [subprocess.Popen([sys.executable, "-c", RUN_COMMANDS, json.dumps(commands)],
+                              stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed})
+             for seed in ("0", "1")]
+    outs = [re.sub(r'"elapsed": [-0-9.e]+', '"elapsed"', proc.communicate(timeout=120)[0])
+            for proc in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outs[0].count("exit") == len(commands)
+    assert outs[0] == outs[1]
