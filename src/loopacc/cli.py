@@ -205,9 +205,6 @@ def cmd_oracle(args) -> int:
                                           seeds=args.states, n_max=args.n_max,
                                           session=ses, seed0=args.seed))
         else:
-            if not args.file:
-                print("oracle needs FILE or --fuzz K", file=sys.stderr)
-                return 2
             pf = parse_problem(args.file)
             reports.append(check_loop(pf.loop, loop_id=str(args.file),
                                       seeds=args.states, n_max=args.n_max,
@@ -256,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, **file_options):
-        p.add_argument("file", help="problem file (s-expression syntax)", **file_options)
+    def common(p, file_group=None, **file_options):
+        (file_group or p).add_argument("file", help="problem file (s-expression syntax)",
+                                       **file_options)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--backend", default=None,
                        help="SMT-LIB2 solver command to run as a subprocess "
@@ -287,9 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("oracle", help="differential testing against the interpreter")
-    common(p, nargs="?", default=None)
-    p.add_argument("--fuzz", type=_natural, default=0, metavar="K",
-                   help="generate and test K random a-solvable loops")
+    source = p.add_mutually_exclusive_group(required=True)
+    common(p, source, nargs="?", default=None)
+    source.add_argument("--fuzz", type=_positive, default=None, metavar="K",
+                        help="generate and test K random a-solvable loops")
     p.add_argument("--n-max", type=_natural, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--states", type=_positive, default=10, help="random states per loop")

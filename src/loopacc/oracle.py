@@ -158,6 +158,9 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                 return _failed(report, Failure("array-closed-form", str(exc)), t0)
 
     compiled = {x: compile_expr(lam) for x, lam in array_forms.items()}
+    # the scalar/lvalue table at each n, substituted once for every state
+    tables = [[(lv, substitute(cf, {N: Const(n)})) for lv, cf in forms.table.items()]
+              for n in range(n_max + 1)]
     for s_idx in range(seeds):
         rnd = random.Random(seed0 + s_idx)
         state = random_state(loop, rnd)
@@ -177,11 +180,10 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                 cur = r.state
                 for w in windows:
                     w.add(r.writes)
-            n_sub = {N: Const(n)}
-            for lv, cf in forms.table.items():
+            for lv, cf in tables[n]:
                 try:
                     expected = eval_expr(lv, cur)
-                    got = eval_expr(substitute(cf, n_sub), state)
+                    got = eval_expr(cf, state)
                 except EvalError:  # e.g. division by zero in a probed cell
                     report.skipped += 1
                     continue

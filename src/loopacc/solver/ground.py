@@ -8,10 +8,14 @@ Pipeline per check-sat:
   2. Ackermann reduction: one fresh integer per (array, index vector) select,
      congruence implications per select pair; array equalities become 0/1
      variables with congruence across arrays and transitivity;
-  3. NNF into linear atoms over integer polys (to_linear), once;
+  3. NNF into linear atoms (to_linear), once: one walker reads each term
+     (Const, + - *, scalar select) straight into a {name: int} poly, and a
+     nonlinear monomial, keyed by its sorted names, becomes a fresh name;
   4. equality presolve on those rows: a pair of gt units p > 0 and 2 - p > 0
      is the equality p = 1; one with a +-1 coefficient is solved for that
-     name and the image substituted (presburger.fsubst) into every conjunct;
+     name and the image substituted (presburger.fsubst) into every unit.
+     At the units' fixpoint each clause takes the composed substitution
+     once, and the units a clause collapses to re-enter the unit loop;
   5. presburger.find_model case-splits over the disjunctions (ite
      definitions, congruences, disequalities) guided by candidate models, and
      decides each conjunction of atoms it assumes with Cooper's search;
@@ -27,10 +31,10 @@ from ..expr import (
     And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
     Sel, State, Var, arity_of, conj, eval_expr, eval_formula, free_vars, sv,
 )
-from ..simplify import as_int_const, linearize, simplify_formula
+from ..simplify import as_int_const, simplify_formula
 from .presburger import (
     PresburgerSolver, SolverTimeout, Unsupported, atom_key, div_atom, fand, f_or, fsubst,
-    fvars, gt_atom, padd, pconst, pscale,
+    fvars, gt_atom, padd, pconst, pscale, psubst,
 )
 
 
@@ -220,52 +224,108 @@ class GroundProblem:
 
     def presolve(self, conjuncts: list) -> list:
         """Solve-and-substitute over the top-level conjuncts of the linear
-        NNF, to a fixpoint.  The first equality found, a pair of gt units
-        p > 0 and 2 - p > 0 (that is, p - 1 = 0) with coefficient +-1 on a
-        name other than an abstracted product, is solved for its least such
-        name; the image replaces the name in every conjunct mentioning it,
-        and (name, image) is logged for rebuild_model.  Returns the remaining
-        conjuncts, or [False] once one of them is false."""
+        NNF, to a fixpoint.  The first unit, in conjunct order, that forms
+        an equality with another, a pair of gt units p > 0 and 2 - p > 0
+        (that is, p - 1 = 0) with coefficient +-1 on a name other than an
+        abstracted product, is solved for its least such name; the image
+        replaces the name in every unit mentioning it, and (name, image) is
+        logged for rebuild_model.  A clause (a disjunction) never defines a
+        name, so the clauses wait for the units' fixpoint and then take the
+        composed substitution of every name solved since, once each; the
+        units a clause collapses to go back to the unit loop.  Every
+        conjunct keeps its position.  Returns the remaining conjuncts, or
+        [False] once one of them is false.
+
+        Solving the units of a collapsed clause only after the other units
+        changes the order of the eliminations when that clause precedes a
+        unit equality solved meanwhile; the remaining conjuncts are then
+        equivalent to those of solving them at once, but may differ in
+        which name an equality solves and in their order."""
         products = set(self.products.values())
-        rows = [_row(f, fvars(f)) for f in conjuncts if f is not True]  # (f, names, unit key)
+        units, clauses = [], []  # (position, formula, names[, unit key]), in order
+        for pos, f in enumerate(conjuncts):
+            if f is not True:
+                _place((pos,), f, fvars(f), units, clauses)
+        applied = 0  # the log entries every clause has taken
         start = 0
         while True:
-            units = {k for _, _, k in rows}
-            for f, _, k in rows[start:]:
+            keys = {u[3] for u in units}
+            for u in units[start:]:
                 self.tick()
-                found = k and _definition(f[1], units, products)
+                found = u[3] and _definition(u[1][1], keys, products)
                 if found:
                     break
             else:
-                return [f for f, _, _ in rows]
+                sub = _composed(self.presolve_log[applied:])
+                applied = len(self.presolve_log)
+                old, clauses, fresh = clauses, [], []
+                for pos, f, names in old:
+                    if names.isdisjoint(sub):
+                        clauses.append((pos, f, names))
+                        continue
+                    self.tick()
+                    names = _substituted_names(names, sub)
+                    for j, g in enumerate(_top(fsubst(f, sub))):
+                        if g is False:
+                            return [False]
+                        if g is not True:
+                            _place(pos + (j,), g, names, fresh, clauses)
+                if not fresh:
+                    return [r[1] for r in sorted(units + clauses)]
+                units, start = sorted(units + fresh), 0
+                continue
             x, image = found
             self.presolve_log.append(found)
-            old, rows, start = rows, [], None
-            for row in old:
-                if x not in row[1]:
-                    rows.append(row)
+            sub = {x: image}
+            old, units, start = units, [], None
+            for u in old:
+                if x not in u[2]:
+                    units.append(u)
                     continue
                 self.tick()
                 if start is None:
-                    # the rows before the first changed one were scanned
-                    # unchanged; a partner they gain is a changed row
-                    start = len(rows)
-                # a superset of the names: one cancelled out stays listed
-                names = row[1] - {x} | image.keys() - {None}
-                for g in _top(fsubst(row[0], x, image)):
-                    if g is False:
-                        return [False]
-                    if g is not True:
-                        rows.append(_row(g, names))
+                    # the units before the first changed one were scanned
+                    # unchanged; a partner they gain is a changed unit
+                    start = len(units)
+                g = fsubst(u[1], sub)
+                if g is False:
+                    return [False]
+                if g is not True:
+                    _place(u[0], g, _substituted_names(u[2], sub), units, clauses)
+
+
+def _place(pos, f, names, units, clauses):
+    """Append f at pos to clauses when it is a disjunction, else to units
+    with its key when it is a gt atom."""
+    if isinstance(f, tuple) and f[0] == "or":
+        clauses.append((pos, f, names))
+    else:
+        units.append((pos, f, names, atom_key(f) if isinstance(f, tuple) and f[0] == "gt" else None))
+
+
+def _substituted_names(names, sub) -> set:
+    """A superset of the names left once sub is applied: one cancelled out
+    stays listed."""
+    out = names - sub.keys()
+    for x in names & sub.keys():
+        out |= sub[x].keys()
+    out.discard(None)
+    return out
+
+
+def _composed(log) -> dict:
+    """{name: image} for the (name, image) entries of log, each image over
+    the names no entry solves: an entry's image mentions only the names of
+    the entries after it, so they are composed from the last."""
+    sub = {}
+    for x, image in reversed(log):
+        sub[x] = psubst(image, sub)
+    return sub
 
 
 def _top(f) -> list:
     """The top-level conjuncts of an NNF formula."""
     return f[1] if isinstance(f, tuple) and f[0] == "and" else [f]
-
-
-def _row(f, names):
-    return f, names, atom_key(f) if isinstance(f, tuple) and f[0] == "gt" else None
 
 
 def _definition(p: dict, units: set, products: set):
@@ -302,29 +362,60 @@ def _union_find(pairs):
 
 
 def _linpoly(e, products: dict | None = None) -> dict:
-    """expr -> linear poly over variable names.  Without a product table,
-    non-linear monomials raise Unsupported; with one, they are abstracted as
-    consistent fresh names (sound for unsat; sat needs model verification)."""
-    poly = linearize(e)
+    """A term of the ground fragment after hoisting and Ackermann reduction
+    (Const, Bin + - *, scalar Sel) as a linear poly over variable names.
+    Without a product table, non-linear monomials raise Unsupported; with
+    one, each is abstracted as a consistent fresh name, keyed by the sorted
+    tuple of its names (sound for unsat; sat needs model verification)."""
+    poly = _terms(e)
+    if not any(k.__class__ is tuple for k in poly):
+        return poly
+    if products is None:
+        raise Unsupported(f"non-linear term: {e!r}")
     out: dict = {}
-    for mono, c in poly.items():
-        if mono == ():
-            out[None] = out.get(None, 0) + c
-            continue
-        name = None
-        if len(mono) == 1:
-            _, atom = mono[0]
-            if isinstance(atom, Sel) and isinstance(atom.arr, Var) and atom.arr.arity == 0:
-                name = atom.arr.name
-        if name is None:
-            if products is None:
-                raise Unsupported(f"non-linear term: {mono!r}")
-            key = tuple(k for k, _ in mono)
-            if key not in products:
-                products[key] = f".prod{len(products)}"
-            name = products[key]
-        out[name] = out.get(name, 0) + c
+    for k, c in poly.items():
+        if k.__class__ is tuple:
+            k = products.setdefault(k, f".prod{len(products)}")
+        out[k] = out.get(k, 0) + c
     return {k: v for k, v in out.items() if v}
+
+
+def _terms(e) -> dict:
+    """e as a polynomial: the constant under None, a name, or a sorted tuple
+    of two or more names for a non-linear monomial, to nonzero int
+    coefficients."""
+    kind = e[0]
+    if kind is Sel and not e.idx and e.arr[0] is Var:
+        return {e.arr.name: 1}
+    if kind is Const:
+        return {None: e.value} if e.value else {}
+    if kind is Bin:
+        l, r = _terms(e.left), _terms(e.right)
+        if e.op == "+":
+            return padd(l, r)
+        if e.op == "-":
+            return padd(l, r, -1)
+        if e.op == "*":
+            if len(l) == 1 and None in l:
+                return pscale(r, l[None])
+            if len(r) == 1 and None in r:
+                return pscale(l, r[None])
+            out: dict = {}
+            for k1, c1 in l.items():
+                for k2, c2 in r.items():
+                    m = tuple(sorted(_monomial(k1) + _monomial(k2)))
+                    k = m[0] if len(m) == 1 else m or None
+                    c = out.get(k, 0) + c1 * c2
+                    if c:
+                        out[k] = c
+                    else:
+                        out.pop(k, None)
+            return out
+    raise Unsupported(f"term not supported post-hoisting: {e!r}")
+
+
+def _monomial(k) -> tuple:
+    return () if k is None else (k,) if k.__class__ is str else k
 
 
 def to_linear(f: Formula, products: dict | None = None):
@@ -333,41 +424,37 @@ def to_linear(f: Formula, products: dict | None = None):
 
 
 def _nnf(f: Formula, neg: bool, products: dict | None = None):
-    if isinstance(f, BoolConst):
-        return f.value != neg
-    if isinstance(f, Not):
-        return _nnf(f.arg, not neg, products)
-    if isinstance(f, And):
-        parts = [_nnf(a, neg, products) for a in f.args]
-        return f_or(parts) if neg else fand(parts)
-    if isinstance(f, Or):
-        parts = [_nnf(a, neg, products) for a in f.args]
-        return fand(parts) if neg else f_or(parts)
-    if isinstance(f, Rel):
+    kind = f[0]
+    if kind is Rel:
         op = f.op
         if op == "divides":
             d = as_int_const(f.left)
             if d is None:
                 raise Unsupported("divisibility by a non-constant")
             return div_atom(d, _linpoly(f.right, products), neg=neg)
-        l = _linpoly(f.left, products)
-        r = _linpoly(f.right, products)
-        diff = padd(l, pscale(r, -1))
+        diff = padd(_linpoly(f.left, products), _linpoly(f.right, products), -1)
         if neg:
             op = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}[op]
         if op == "<":
             return gt_atom(pscale(diff, -1))
         if op == "<=":
-            return gt_atom(padd({None: 1}, pscale(diff, -1)))
+            return gt_atom(padd({None: 1}, diff, -1))
         if op == ">":
             return gt_atom(diff)
         if op == ">=":
             return gt_atom(padd({None: 1}, diff))
         if op == "=":
-            return fand([gt_atom(padd({None: 1}, diff)), gt_atom(padd({None: 1}, pscale(diff, -1)))])
+            return fand([gt_atom(padd({None: 1}, diff)), gt_atom(padd({None: 1}, diff, -1))])
         if op == "!=":
             return f_or([gt_atom(diff), gt_atom(pscale(diff, -1))])
         raise Unsupported(f"relation {op}")
+    if kind is Not:
+        return _nnf(f.arg, not neg, products)
+    if kind is And or kind is Or:
+        parts = [_nnf(a, neg, products) for a in f.args]
+        return f_or(parts) if (kind is And) == neg else fand(parts)
+    if kind is BoolConst:
+        return f.value != neg
     raise Unsupported(f"formula {f!r}")
 
 

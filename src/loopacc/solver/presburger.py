@@ -112,24 +112,22 @@ def f_or(parts):
 
 
 def gt_atom(p):
-    vs = pvars(p)
-    if not vs:
-        return pconst(p) > 0
+    """The atom p > 0, its variable coefficients divided by their gcd g and
+    the bound rounded up; True or False without variables."""
     g = 0
-    for v in vs:
-        g = gcd(g, abs(p[v]))
-    if g > 1:
-        # g*q + c > 0  <=>  q >= ceil((1-c)/g)  <=>  g'*q - ... keep exact: q > floor((-c)/g) ... tighten
-        c = pconst(p)
-        q = {v: p[v] // g for v in vs}
-        # g*q > -c  <=>  q >= floor(-c/g) + 1 = -((c)//g)... use: q > (-c - 1) // g ... careful:
-        # g*q >= -c + 1  <=>  q >= ceil((1 - c) / g)
-        bound = -((c - 1) // g)  # ceil((1-c)/g)
-        q[None] = -bound + 1  # q - bound + 1 > 0  <=>  q >= bound
-        if not q[None]:
-            del q[None]
-        return ("gt", q)
-    return ("gt", p)
+    for v, c in p.items():
+        if v is not None:
+            g = gcd(g, c)
+            if g == 1:
+                return ("gt", p)
+    if not g:
+        return pconst(p) > 0
+    # g*q + c > 0  <=>  g*q >= 1 - c  <=>  q >= ceil((1 - c) / g) = bound
+    bound = -((pconst(p) - 1) // g)
+    q = {v: c // g for v, c in p.items() if v is not None}
+    if bound != 1:
+        q[None] = 1 - bound  # q - bound + 1 > 0
+    return ("gt", q)
 
 
 def div_atom(d, p, neg=False):
@@ -203,14 +201,23 @@ def _poly(a):
 
 def map_atoms(f, fn):
     """f with every atom a replaced by fn(a), the connectives rebuilt through
-    fand / f_or; f itself when fn returned every atom unchanged."""
+    fand / f_or; f itself when fn returned every atom unchanged.  An or
+    stops at its first part that turns True, an and at its first that turns
+    False."""
     if f is True or f is False:
         return f
     tag = f[0]
     if tag not in ("and", "or"):
         return fn(f)
-    parts = [map_atoms(g, fn) for g in f[1]]
-    if all(p is g for p, g in zip(parts, f[1])):
+    absorbing = tag == "or"
+    parts, changed = [], False
+    for g in f[1]:
+        p = map_atoms(g, fn)
+        if p is absorbing:
+            return p
+        parts.append(p)
+        changed = changed or p is not g
+    if not changed:
         return f
     return fand(parts) if tag == "and" else f_or(parts)
 
@@ -225,10 +232,36 @@ def _subst_atom(a, x, image, per=1):
     return gt_atom(q) if a[0] == "gt" else div_atom(a[1], q, neg=a[0] == "ndiv")
 
 
-def fsubst(f, x, image):
-    """f with the poly image (not mentioning x) substituted for the name x;
-    f itself when x does not occur."""
-    return map_atoms(f, lambda a: _subst_atom(a, x, image))
+def psubst(p, sub):
+    """The poly p with each name x in sub replaced by the poly sub[x]; p
+    itself when it mentions none of them."""
+    q = None
+    for x, c in p.items():
+        if x in sub:
+            if q is None:
+                q = {k: v for k, v in p.items() if k not in sub}
+            for k, v in sub[x].items():
+                v = q.get(k, 0) + c * v
+                if v:
+                    q[k] = v
+                else:
+                    q.pop(k, None)
+    return p if q is None else q
+
+
+def fsubst(f, sub):
+    """f with each name x in sub replaced by the poly sub[x], the images
+    mentioning no name of sub; f itself when none occurs.  A gt atom is
+    normalised once, after all of its names are replaced: dividing by the
+    coefficients' gcd with the bound rounded up composes, so this is the
+    atom that replacing the names one at a time gives."""
+    def atom(a):
+        p = _poly(a)
+        q = psubst(p, sub)
+        if q is p:
+            return a
+        return gt_atom(q) if a[0] == "gt" else div_atom(a[1], q, neg=a[0] == "ndiv")
+    return map_atoms(f, atom)
 
 
 def _lcm(a, b):
@@ -302,7 +335,15 @@ class PresburgerSolver:
         scaled to coefficients +-lam, read as xh = lam*x.  Each lower bound
         b < xh gives the candidates xh = b + j for j = 1..delta.  Without a
         lower bound xh may lie below every upper bound, which then all hold,
-        and only the other atoms constrain xh = j modulo delta."""
+        and only the other atoms constrain xh = j modulo delta.  A level's
+        model satisfies its atoms by construction, so the model is checked
+        against them once, here; a failure is a bug in the search."""
+        m = self._cooper(atoms, xs)
+        if m is not None and not all(feval(a, m) for a in atoms):
+            raise AssertionError(f"Cooper's model {m} fails its atoms")
+        return m
+
+    def _cooper(self, atoms, xs) -> dict | None:
         self._tick()
         counts, lams = {}, {}
         for a in atoms:
@@ -340,7 +381,7 @@ class PresburgerSolver:
         for cand, j in cands:
             self._tick()
             sub = _substituted(scaled if lower else others, x, cand, lam)
-            m = None if sub is None else self._search(sub, rest)
+            m = None if sub is None else self._cooper(sub, rest)
             if m is None:
                 continue
             if lower:
@@ -350,8 +391,7 @@ class PresburgerSolver:
                 xh = top - (top - j) % delta
             if xh % lam == 0:
                 m[x] = xh // lam
-                if all(feval(a, m) for a in atoms):
-                    return m
+                return m
         return None
 
 

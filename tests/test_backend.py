@@ -89,13 +89,13 @@ def test_fsubst_agrees_with_evaluation():
         f = to_linear(_rand_formula(rnd, xs, 3))
         img = {k: c for k, c in (("y", rnd.randint(-3, 3)), ("z", rnd.randint(-3, 3)),
                                  (None, rnd.randint(-4, 4))) if c}
-        g = fsubst(f, "x", img)
+        g = fsubst(f, {"x": img})
         assert "x" not in fvars(g), f"trial {trial}"
         for _ in range(5):
             m = {n: rnd.randint(-6, 6) for n in "xyz"}
             assert feval(g, m) == feval(f, {**m, "x": peval(img, m)}), f"trial {trial}: {f}"
         without_x = to_linear(_rand_formula(rnd, xs[1:], 3))
-        assert fsubst(without_x, "x", img) is without_x
+        assert fsubst(without_x, {"x": img}) is without_x
 
 
 def _decide(run, limit, solver=PresburgerSolver):
@@ -140,16 +140,27 @@ class _Recorder(PresburgerSolver):
 
     def __init__(self, **kw):
         super().__init__(**kw)
-        self.asked, self.depth = [], 0
+        self.asked = []
 
     def _search(self, atoms, xs):
-        if not self.depth:
-            self.asked.append(list(atoms))
-        self.depth += 1
-        try:
-            return super()._search(atoms, xs)
-        finally:
-            self.depth -= 1
+        self.asked.append(list(atoms))
+        return super()._search(atoms, xs)
+
+
+class _CheckedAtEveryLevel(PresburgerSolver):
+    """Checks the model of every level of Cooper's search against that
+    level's atoms, as the search once did; failed counts the misses."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.checks = self.failed = 0
+
+    def _cooper(self, atoms, xs):
+        m = super()._cooper(atoms, xs)
+        if m is not None:
+            self.checks += 1
+            self.failed += not all(feval(a, m) for a in atoms)
+        return m
 
 
 def _nodes(solver, f, names):
@@ -166,10 +177,11 @@ def test_list_search_matches_the_tree_reference():
     # each conjunction the split hands to Cooper, decided as a flat list and
     # by the whole-formula reference: the same model, in no more nodes.  Every
     # other formula is left unboxed, so that names without a lower bound take
-    # the minus-infinity case
+    # the minus-infinity case.  The search checks its model once, at the
+    # top; below it, every level's model satisfies that level's atoms
     rnd = random.Random(13)
     xs = [Var("x"), Var("y"), Var("z")]
-    compared = 0
+    compared = inner_checks = 0
     for trial in range(200):
         vs = xs[:rnd.randint(1, 3)]
         box = [Rel(">=", sv(x), Const(-3)) for x in vs] + [Rel("<=", sv(x), Const(3)) for x in vs]
@@ -185,10 +197,13 @@ def test_list_search_matches_the_tree_reference():
             ref, ref_nodes = _nodes(TreeCooper(branch_limit=5000), fand(atoms), names)
             if ref == "budget":
                 continue
-            m, nodes = _nodes(PresburgerSolver(branch_limit=5000), atoms, names)
+            checked = _CheckedAtEveryLevel(branch_limit=5000)
+            m, nodes = _nodes(checked, atoms, names)
             assert (m, nodes <= ref_nodes) == (ref, True), f"trial {trial}: {atoms}"
+            assert checked.failed == 0, f"trial {trial}: {atoms}"
             compared += 1
-    assert compared >= 200
+            inner_checks += checked.checks
+    assert compared >= 200 and inner_checks >= 400
 
 
 def test_bounds_propagate_through_inequalities_and_stop_on_cycles():
@@ -498,10 +513,11 @@ def test_is_valid_asks_again_after_unknown():
         assert s.is_valid(f) is False
 
 
-def _many_selects(n: int):
+def _many_selects(n: int = 240):
     """n selects at distinct unknown indices: quadratic work in Ackermann
-    reduction and presolve before the search starts.  At n = 60 the whole
-    check takes about 0.2 s on a 2-core machine, n = 30 about 0.06 s."""
+    reduction, linearisation and presolve before the search starts.  On a
+    2-core machine the stages before the search take about 0.9 s at
+    n = 240 (0.05 s at n = 60), so a 0.05 s deadline falls in them."""
     a = Var("a", 1)
     return [Rel("=", Sel(a, (sv(Var(f"i{k}")),)), Bin("+", sv(Var(f"i{k}")), Const(1)))
             for k in range(n)]
@@ -511,7 +527,7 @@ def test_deadline_holds_before_the_search():
     with BackendSession(timeout=0.05) as s:
         s.check([Rel("=", sv(Var("x")), Const(0))])  # session started
         t0 = time.monotonic()
-        r = s.check(_many_selects(60))
+        r = s.check(_many_selects())
         elapsed = time.monotonic() - t0
     assert r.status == "unknown" and r.reason == "timeout"
     assert elapsed < 0.5
@@ -529,7 +545,7 @@ def open_session(request):
 
 def test_reason_unknown_timeout(open_session):
     with open_session(0.05) as s:
-        r = s.check(_many_selects(60))
+        r = s.check(_many_selects())
     assert (r.status, r.diagnostic, r.reason) == ("unknown", "unknown", "timeout")
 
 

@@ -206,7 +206,9 @@ def test_bad_option_values_are_usage_errors(capsys):
            ["oracle", swap, "--n-max", "-1"], ["oracle", swap, "--states", "-1"],
            ["oracle", swap, "--states", "0"], ["oracle", "--fuzz", "1", "--dim", "-1"],
            ["oracle", "--fuzz", "1", "--dim", "0"],
-           ["oracle", "--fuzz", "-1"], ["check", swap, "--timeout", "0"],
+           ["oracle", "--fuzz", "-1"], ["oracle", "--fuzz", "0"],
+           ["oracle", swap, "--fuzz", "2"], ["oracle", "missing.loop", "--fuzz", "1"],
+           ["check", swap, "--timeout", "0"],
            ["check", swap, "--timeout", "nan"]]
     for argv in bad:
         with pytest.raises(SystemExit) as exc:
