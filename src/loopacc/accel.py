@@ -36,9 +36,6 @@ class AcceleratedTransition:
     closed_forms: dict[Var, object]  # x -> x^(n) expression / lambda
     guard_formula: Formula
 
-    def variables(self) -> set[Var]:
-        return free_vars(self.formula)
-
 
 def _guard_atoms(guard: Formula) -> list[Formula]:
     if isinstance(guard, And):
@@ -60,19 +57,16 @@ def _closed_form_for(lv: Sel, loop: Loop, table: ClosedFormTable,
     if not (free_vars(lv) & loop.written_vars()):
         return lv
     direction = monotonicity(loop, lv.arr, up, session)
-    c = classify_lvalue(loop, lv, direction, up, session)
-    if c.label == LvalueClass.TRIVIAL:
-        return lv
-    if c.label == LvalueClass.DISPLACING:
-        mapping = {}
-        for ix in lv.idx:
-            for sub in lval_set(ix):
-                cf = _closed_form_for(sub, loop, table, up, session)
-                if cf is None:
-                    return None
-                mapping[sub] = cf
-        return Sel(lv.arr, tuple(simplify(substitute_lvalues(ix, mapping)) for ix in lv.idx))
-    return None
+    if classify_lvalue(loop, lv, direction, up, session).label != LvalueClass.DISPLACING:
+        return None
+    mapping = {}
+    for ix in lv.idx:
+        for sub in lval_set(ix):
+            cf = _closed_form_for(sub, loop, table, up, session)
+            if cf is None:
+                return None
+            mapping[sub] = cf
+    return Sel(lv.arr, tuple(simplify(substitute_lvalues(ix, mapping)) for ix in lv.idx))
 
 
 def guard_characterize(loop: Loop, table: ClosedFormTable,

@@ -127,8 +127,14 @@ class Encoder:
 
 @dataclass
 class Model:
+    """Scalars and arrays as the solver gave them (arrays as
+    default-plus-overrides).  lamsolve adds the variables that equality
+    propagation removed under ``derived``: evaluated integers or, for arrays,
+    closed lambda expressions."""
+
     scalars: dict[str, int] = field(default_factory=dict)
     arrays: dict[str, FiniteFn] = field(default_factory=dict)
+    derived: dict[str, object] = field(default_factory=dict)  # name -> int | ArrayExpr
 
     def value(self, x: Var):
         if x.arity == 0:

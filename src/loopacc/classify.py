@@ -53,7 +53,7 @@ def compute_L(loop: Loop) -> list[Sel]:
     seen: set[Sel] = set()
     queue: list[Sel] = []
     for r in loop.rhs:
-        for lv in sorted(lval_set(r), key=_lv_key):
+        for lv in sorted(lval_set(r), key=to_text):
             queue.append(lv)
     while queue:
         lv = queue.pop(0)
@@ -62,13 +62,9 @@ def compute_L(loop: Loop) -> list[Sel]:
         seen.add(lv)
         out.append(lv)
         for ix in lv.idx:
-            for sub in sorted(lval_set(ix), key=_lv_key):
+            for sub in sorted(lval_set(ix), key=to_text):
                 queue.append(sub)
     return out
-
-
-def _lv_key(lv: Sel) -> str:
-    return to_text(lv)
 
 
 def monotonicity(loop: Loop, x: Var, up: UpdateSubstitution | None = None,

@@ -50,10 +50,6 @@ class Failure:
     detail: str = ""
 
 
-def closed_form_trivial(lv: Sel) -> Expr:
-    return lv
-
-
 def closed_form_inductive(lv: Sel, system: RecurrenceSystem, sol: RecSolution) -> Expr:
     """theta(rec_lv) with the inverse lvalue substitution; theta images only
     contain rec symbols and n, which is asserted, so inversion is plain
@@ -106,7 +102,7 @@ def closed_forms_all(loop: Loop, session=None) -> ClosedForms | Failure:
     for lv in verdict.closure:
         label = verdict.labels[lv].label
         if label == LvalueClass.TRIVIAL:
-            table.entries[lv] = closed_form_trivial(lv)
+            table.entries[lv] = lv
         elif label == LvalueClass.INDUCTIVE:
             table.entries[lv] = closed_form_inductive(lv, system, sol)
         else:

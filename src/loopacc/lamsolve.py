@@ -10,7 +10,7 @@ model lifts, the abstraction is unsatisfiable, or no refinement is left
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backend import BackendSession, Model
 from .expr import (
@@ -29,34 +29,10 @@ class SolveError(Exception):
 @dataclass
 class SolveResult:
     status: str  # model | unsat | unknown
-    model: "LambdaModel | None" = None
+    model: Model | None = None
     diagnostic: str = ""
     lemmas: int = 0
     reason: str = ""  # the backend's reason behind an unknown check
-
-
-@dataclass
-class LambdaModel:
-    """Scalars and backend arrays as default-plus-overrides; variables removed
-    by equality propagation come back as evaluated integers or, for arrays,
-    closed lambda expressions."""
-
-    scalars: dict[str, int] = field(default_factory=dict)
-    arrays: dict[str, FiniteFn] = field(default_factory=dict)
-    derived: dict[str, object] = field(default_factory=dict)  # name -> int | ArrayExpr
-
-    def state(self, variables) -> State:
-        m = {}
-        for x in variables:
-            if x.arity == 0:
-                if x.name in self.scalars:
-                    m[x] = self.scalars[x.name]
-                elif x.name in self.derived and isinstance(self.derived[x.name], int):
-                    m[x] = self.derived[x.name]
-            else:
-                if x.name in self.arrays:
-                    m[x] = self.arrays[x.name]
-        return State(m)
 
 
 def is_literal(f: Formula) -> bool:
@@ -190,7 +166,7 @@ def array_equalities(lits: list[Formula]) -> list[tuple[Formula, object, object]
     return out
 
 
-def verify_model(model: LambdaModel, lits: list[Formula], session: BackendSession) -> bool:
+def verify_model(model: Model, lits: list[Formula], session: BackendSession) -> bool:
     """Independent re-verification of a finished model against an original
     literal list: derived lambda values are substituted in, then every literal
     is checked like in check_model."""
@@ -199,8 +175,7 @@ def verify_model(model: LambdaModel, lits: list[Formula], session: BackendSessio
         if isinstance(val, Lam):
             sub[Var(name, len(val.params))] = val
     lits2 = [beta_reduce(substitute(f, sub)) if sub else f for f in lits]
-    backend_view = Model(dict(model.scalars), dict(model.arrays))
-    return check_model(backend_view, lits2, session)
+    return check_model(model, lits2, session)
 
 
 def check_model(model: Model, lits: list[Formula], session: BackendSession) -> bool:
@@ -302,8 +277,7 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
             else:
                 model.arrays.setdefault(x.name, FiniteFn.const(x.arity, 0))
         if check_model(model, phi, session):
-            return SolveResult("model", _finish_model(model, prop.log, all_vars),
-                               lemmas=lemmas)
+            return SolveResult("model", _finish_model(model, prop.log), lemmas=lemmas)
         # refinement: add every violated instantiation found this round; the
         # lemma instantiates the original sides (beta-reducible), with any
         # residual lambdas abstracted through the shared table
@@ -338,12 +312,10 @@ def _eval_apply(p, e: tuple, state: State) -> int:
     return fn(point)
 
 
-def _finish_model(model: Model, log, variables) -> LambdaModel:
-    """Re-derive propagated-away variables by closing their logged images over
-    the backend model, in reverse propagation order."""
-    out = LambdaModel(dict(model.scalars), dict(model.arrays))
-    known: dict[str, object] = dict(out.scalars)
-    known.update(out.arrays)
+def _finish_model(model: Model, log) -> Model:
+    """The backend model with the propagated-away variables re-derived, in
+    reverse propagation order, by closing their logged images over it."""
+    known: dict[str, object] = {**model.scalars, **model.arrays}
     for x, img in reversed(log):
         sub = {}
         resolvable = True
@@ -359,21 +331,21 @@ def _finish_model(model: Model, log, variables) -> LambdaModel:
                 resolvable = False
                 break
         if not resolvable:
-            out.derived[x.name] = img
+            model.derived[x.name] = img
             continue
         closed = beta_reduce(substitute(img, sub))
         if x.arity == 0:
             try:
                 val = eval_expr(closed, State({}))
             except EvalError:
-                out.derived[x.name] = closed
+                model.derived[x.name] = closed
                 continue
-            out.scalars[x.name] = val
-            out.derived[x.name] = val
+            model.scalars[x.name] = val
+            model.derived[x.name] = val
             known[x.name] = val
         else:
             val = simplify(closed)
-            out.derived[x.name] = val
+            model.derived[x.name] = val
             if isinstance(val, Lam):
                 known[x.name] = val
-    return out
+    return model

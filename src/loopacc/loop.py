@@ -64,30 +64,24 @@ class Loop:
 class UpdateSubstitution:
     """x -> up_x for written variables; unwritten variables map to themselves."""
 
-    mapping: tuple[tuple[Var, object], ...]
+    mapping: dict[Var, object]
 
     def of(self, x: Var):
-        for k, v in self.mapping:
-            if k == x:
-                return v
-        return x if x.arity > 0 else sv(x)
-
-    def as_dict(self) -> dict:
-        return dict(self.mapping)
+        return self.mapping.get(x, x if x.arity > 0 else sv(x))
 
     def apply(self, e):
-        return beta_reduce(substitute(e, self.as_dict()))
+        return beta_reduce(substitute(e, self.mapping))
 
 
 def build_up(loop: Loop) -> UpdateSubstitution:
     """The read-over-write substitution: scalars collapse to their right-hand
     side, arrays become a fresh-parameter lambda with one ite case per write
     (case order is irrelevant under (Distinct))."""
-    mapping = []
+    mapping = {}
     for x in sorted(loop.written_vars(), key=lambda v: v.name):
         writes = loop.writes_to(x)
         if x.arity == 0:
-            mapping.append((x, writes[0][1]))
+            mapping[x] = writes[0][1]
             continue
         avoid = set()
         for lv, r in writes:
@@ -100,8 +94,8 @@ def build_up(loop: Loop) -> UpdateSubstitution:
         for lv, r in reversed(writes):
             cond = conj(Rel("=", sv(p), ix) for p, ix in zip(params, lv.idx))
             body = Ite(cond, r, body)
-        mapping.append((x, Lam(tuple(params), body)))
-    return UpdateSubstitution(tuple(mapping))
+        mapping[x] = Lam(tuple(params), body)
+    return UpdateSubstitution(mapping)
 
 
 def up_pow(loop: Loop, e, n: int, up: UpdateSubstitution | None = None):

@@ -24,7 +24,7 @@ from .expr import (
     And, BoolConst, Formula, Rel, Var, is_lvalue, is_rvalue, sv,
 )
 from .loop import Loop, LoopError
-from .sexpr import ArityEnv, ParseError, parse_expr, parse_formula, read_all
+from .sexpr import ParseError, parse_expr, parse_formula, read_all
 
 RESERVED = {"n", "true", "false", "select", "lambda", "ite", "and", "or", "not",
             "div", "divides", "distinct", "nondet", "declare", "init", "loop",
@@ -41,8 +41,8 @@ class ProblemFile:
     post: list[Formula] | None  # None: no (post ...) block in the file
     nondets: list[Var] = field(default_factory=list)
 
-    def env(self) -> ArityEnv:
-        return ArityEnv(dict(self.declarations))
+    def env(self) -> dict[str, int]:
+        return dict(self.declarations)
 
 
 def parse_problem(source: str | Path, *, is_path: bool = True) -> ProblemFile:
@@ -87,15 +87,15 @@ def parse_problem(source: str | Path, *, is_path: bool = True) -> ProblemFile:
                     raise ParseError(f"{name} redeclared with a different arity")
                 decls[name] = int(arity)
         elif head == "init":
-            env = ArityEnv(dict(decls))
+            env = dict(decls)
             for g in form[1:]:
                 init.append(parse_formula(g, env, nondet_sink_factory(init)))
         elif head == "loop":
-            loop = _parse_loop(form, ArityEnv(dict(decls)))
+            loop = _parse_loop(form, decls)
         elif head == "post":
             if post is None:
                 post = []
-            env = ArityEnv(dict(decls))
+            env = dict(decls)
             for g in form[1:]:
                 post.append(parse_formula(g, env, nondet_sink_factory(post)))
         else:
@@ -105,7 +105,7 @@ def parse_problem(source: str | Path, *, is_path: bool = True) -> ProblemFile:
     return ProblemFile(decls, init, loop, post, nondets)
 
 
-def _parse_loop(form, env: ArityEnv) -> Loop:
+def _parse_loop(form, env: dict[str, int]) -> Loop:
     guard: Formula = BoolConst(True)
     updates = []
     for part in form[1:]:
@@ -131,7 +131,7 @@ def _parse_loop(form, env: ArityEnv) -> Loop:
         raise ParseError(str(exc)) from exc
 
 
-def _parse_update(form, env: ArityEnv):
+def _parse_update(form, env: dict[str, int]):
     if not (isinstance(form, list) and len(form) == 2
             and isinstance(form[0], list) and form[0] and form[0][0] == "lhs"
             and isinstance(form[1], list) and form[1] and form[1][0] == "rhs"):

@@ -12,7 +12,7 @@ Expression grammar (EBNF-ish; see README for the full write-up):
     expr    ::= INT | SYMBOL                      ; SYMBOL must be scalar
               | "(" op expr expr+ ")"             ; op in + - *, left-associative
               | "(-" expr ")"                     ; 0 - expr
-              | "(div" expr expr ")"
+              | "(div" expr expr ")"              ; floor division
               | "(select" array expr* ")"         ; full index vector
               | "(select" "(select" ... ")" expr* ")"  ; = one select, indices in order
               | "(ite" formula expr expr ")"
@@ -28,9 +28,10 @@ Expression grammar (EBNF-ish; see README for the full write-up):
 
 The n-ary, unary, nested-select and divisible forms are the SMT-LIB spellings
 the backend client sends, so the solver reads its queries with this parser
-too.  ``=>`` and ``<=>`` are parsed as sugar (desugared to not/or/and), so
-printing always round-trips.  Parsing requires an arity environment mapping
-names to dimensions; lambda parameters shadow it with scalars.
+too; the solver session first spells SMT-LIB's euclidean div as floor div.
+``=>`` and ``<=>`` are parsed as sugar (desugared to not/or/and), so printing
+always round-trips.  Parsing requires an arity environment, a dict
+mapping names to dimensions; lambda parameters shadow it with scalars.
 """
 
 from __future__ import annotations
@@ -112,24 +113,16 @@ def read_all(text: str) -> list:
 
 
 def balanced(text: str) -> bool:
-    """Whether text closes every form it opens (outside |symbols| and
-    strings): a line-by-line reader has whole commands at that point."""
+    """Whether text closes every form it opens: a line-by-line reader has
+    whole commands at that point.  An unterminated |symbol| or string is not
+    balanced yet."""
     depth = 0
-    in_bar = in_str = False
-    for c in text:
-        if in_bar:
-            in_bar = c != "|"
-        elif in_str:
-            in_str = c != '"'
-        elif c == "|":
-            in_bar = True
-        elif c == '"':
-            in_str = True
-        elif c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-    return depth <= 0 and not in_bar and not in_str
+    try:
+        for tok, _ in tokenize(text):
+            depth += (tok == "(") - (tok == ")")
+    except ParseError:
+        return False
+    return depth <= 0
 
 
 def read_one(text: str):
@@ -214,31 +207,13 @@ _REL = {"<", "<=", ">", ">=", "="}
 _ARITH = {"+", "-", "*", "div"}
 
 
-class ArityEnv:
-    """Name -> arity scope chain; lambda parameters shadow outer bindings."""
-
-    def __init__(self, base: dict[str, int] | None = None, parent=None):
-        self.base = dict(base or {})
-        self.parent = parent
-
-    def lookup(self, name: str) -> int | None:
-        if name in self.base:
-            return self.base[name]
-        if self.parent is not None:
-            return self.parent.lookup(name)
-        return None
-
-    def child(self, names: dict[str, int]) -> "ArityEnv":
-        return ArityEnv(names, self)
-
-
-def parse_expr(form, env: ArityEnv, nondet_sink=None):
+def parse_expr(form, env: dict[str, int], nondet_sink=None):
     if isinstance(form, tuple):
         raise ParseError(f"string literal {form[1]!r} is not an expression")
     if isinstance(form, str):
         if _is_int(form):
             return Const(int(form))
-        ar = env.lookup(form)
+        ar = env.get(form)
         if ar is None:
             raise ParseError(f"undeclared variable '{form}'")
         if ar != 0:
@@ -255,8 +230,6 @@ def parse_expr(form, env: ArityEnv, nondet_sink=None):
             return Bin("-", Const(0), args[0])
         if len(args) < 2 or (head == "div" and len(args) != 2):
             raise ParseError(f"wrong number of arguments to {head}")
-        # SMT-LIB div is euclidean; the backend client encodes floor division
-        # as euclidean div with a positive divisor, so plain floor matches here
         out = args[0]
         for a in args[1:]:  # n-ary operators associate to the left
             out = Bin(head, out, a)
@@ -291,9 +264,9 @@ def parse_expr(form, env: ArityEnv, nondet_sink=None):
     raise ParseError(f"unknown expression head '{head}'")
 
 
-def parse_array(form, env: ArityEnv, nondet_sink=None):
+def parse_array(form, env: dict[str, int], nondet_sink=None):
     if isinstance(form, str):
-        ar = env.lookup(form)
+        ar = env.get(form)
         if ar is None:
             raise ParseError(f"undeclared variable '{form}'")
         return Var(form, ar)
@@ -307,13 +280,12 @@ def parse_array(form, env: ArityEnv, nondet_sink=None):
             names.append(p)
         if len(set(names)) != len(names):
             raise ParseError("duplicate lambda parameters")
-        inner = env.child({p: 0 for p in names})
-        body = parse_expr(form[2], inner, nondet_sink)
+        body = parse_expr(form[2], {**env, **dict.fromkeys(names, 0)}, nondet_sink)
         return Lam(tuple(Var(p, 0) for p in names), body)
     raise ParseError(f"not an array expression: {form!r}")
 
 
-def parse_formula(form, env: ArityEnv, nondet_sink=None) -> Formula:
+def parse_formula(form, env: dict[str, int], nondet_sink=None) -> Formula:
     if form == "true":
         return BoolConst(True)
     if form == "false":
@@ -335,7 +307,7 @@ def parse_formula(form, env: ArityEnv, nondet_sink=None) -> Formula:
         # array literal when both sides are array expressions of arity > 0
         def _side_arity(side):
             if isinstance(side, str) and not _is_int(side):
-                a = env.lookup(side)
+                a = env.get(side)
                 return a if a is not None else 0
             if isinstance(side, list) and side and side[0] == "lambda":
                 return len(side[1])

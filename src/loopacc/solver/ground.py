@@ -3,8 +3,9 @@ equalities to the linear fragment of presburger.py, plus model reconstruction
 back to scalar/array values.
 
 Pipeline per check-sat:
-  1. hoist ite / div / mod terms into fresh variables with defining constraints
-     (functional, hence polarity-independent at the top-level conjunction);
+  1. hoist ite terms and floor divisions by constants into fresh variables
+     with defining constraints over parts already hoisted (functional, hence
+     polarity-independent at the top-level conjunction);
   2. Ackermann reduction: one fresh integer per (array, index vector) select,
      congruence implications per select pair; array equalities become 0/1
      variables with congruence across arrays and transitivity;
@@ -39,8 +40,7 @@ from .presburger import (
 
 
 class GroundProblem:
-    def __init__(self, formulas: list[Formula], declared: dict[Var, int], deadline=None):
-        self.inputs = list(formulas)
+    def __init__(self, declared: dict[Var, int], deadline=None):
         self.declared = dict(declared)  # Var -> arity
         self.deadline = deadline
         self._fresh = itertools.count()
@@ -74,21 +74,21 @@ class GroundProblem:
             l, r = self.hoist(e.left), self.hoist(e.right)
             if e.op in ("+", "-", "*"):
                 return Bin(e.op, l, r)
-            # floor division: v with  l = r*v + rem, rem between 0 and r (excl.),
-            # sign of rem following r
             key = ("div", l, r)
             if key in self.term_map:
                 return sv(self.term_map[key])
             d = as_int_const(r)
             if d is None or d == 0:
                 raise Unsupported("division by a non-constant or zero")
-            # SMT-LIB euclidean division: remainder in [0, |d|)
+            if d < 0:  # floor(l/d) = floor(-l/-d)
+                l, d = Bin("-", Const(0), l), -d
+            # floor division: v with l = d*v + rem and rem in [0, d)
             v = self.fresh("q")
             rem = self.fresh("r")
             self.term_map[key] = v
             self.defs.append(Rel("=", l, Bin("+", Bin("*", Const(d), sv(v)), sv(rem))))
             self.defs.append(Rel(">=", sv(rem), Const(0)))
-            self.defs.append(Rel("<=", sv(rem), Const(abs(d) - 1)))
+            self.defs.append(Rel("<=", sv(rem), Const(d - 1)))
             return sv(v)
         if isinstance(e, Sel):
             if isinstance(e.arr, Lam):
@@ -184,8 +184,7 @@ class GroundProblem:
         for comp in classes.values():
             for a, b in itertools.combinations(sorted(comp, key=lambda w: w.name), 2):
                 self.tick()
-                if a.arity == b.arity:
-                    self.eq_var(a, b)
+                self.eq_var(a, b)
 
         def vec_eq(i1, i2):
             return conj(Rel("=", a, b) for a, b in zip(i1, i2))
@@ -464,10 +463,9 @@ def check(formulas: list[Formula], declared: dict[Var, int], deadline=None):
     (a time.monotonic() value) is kept by every stage, not only the search.
     The model is verified against the input conjunction before being
     returned."""
-    gp = GroundProblem(formulas, declared, deadline)
+    gp = GroundProblem(declared, deadline)
     hoisted = [gp.hoist_formula(simplify_formula(f)) for f in formulas]
-    acked = [gp.ackermannize(f) for f in hoisted]
-    acked += [gp.ackermannize(gp.hoist_formula(d)) for d in gp.defs]
+    acked = [gp.ackermannize(f) for f in hoisted + gp.defs]
     acked += gp.array_axioms()
     parts = []
     for f in acked:

@@ -2,10 +2,11 @@
 assertion stack and the last model, answering one command form at a time.
 
 Supports the fragment the acceleration pipeline emits: quantifier-free linear
-integer arithmetic with ite, floor div by constants, ((_ divisible k) t),
+integer arithmetic with ite, euclidean div by constants, ((_ divisible k) t),
 (possibly nested) integer arrays with full-index selects, and array equality
 between array constants.  Asserted formulas and get-value terms are read
-by the problem-file parser of sexpr.py against the declarations.
+by the problem-file parser of sexpr.py against the declarations; floor_div
+first spells SMT-LIB's euclidean div as that parser's floor div.
 ``BackendSession`` feeds it in-process; ``server`` runs it over stdin/stdout.
 """
 
@@ -15,7 +16,7 @@ import time
 
 from ..expr import FiniteFn, State, Var, eval_expr
 from ..sexpr import (
-    ArityEnv, ParseError, parse_expr, parse_formula, smt_int, smt_symbol, sort_arity, sort_text,
+    ParseError, parse_expr, parse_formula, smt_int, smt_symbol, sort_arity, sort_text,
 )
 from .ground import check
 from .presburger import SolverTimeout, Unsupported
@@ -36,7 +37,7 @@ def error_text(message: str) -> str:
 
 class Session:
     def __init__(self, timeout: float | None = None):
-        self.env = ArityEnv()  # the declarations: name -> arity
+        self.env: dict[str, int] = {}  # the declarations: name -> arity
         self.stack: list[list] = [[]]
         self.model: State | None = None
         self.timeout = timeout
@@ -53,16 +54,16 @@ class Session:
             return self._ok()
         if head == "declare-const":
             name, sort = form[1], form[2]
-            self.env.base[name] = sort_arity(sort)
+            self.env[name] = sort_arity(sort)
             return self._ok()
         if head == "declare-fun":
             name, args, sort = form[1], form[2], form[3]
             if args:
                 raise SmtError("only 0-ary declare-fun is supported")
-            self.env.base[name] = sort_arity(sort)
+            self.env[name] = sort_arity(sort)
             return self._ok()
         if head == "assert":
-            self.stack[-1].append(parse_formula(form[1], self.env))
+            self.stack[-1].append(parse_formula(floor_div(form[1]), self.env))
             return self._ok()
         if head == "push":
             k = int(form[1]) if len(form) > 1 else 1
@@ -100,7 +101,7 @@ class Session:
         self.model = None
         self.reason = ""
         asserts = [f for frame in self.stack for f in frame]
-        declared = {Var(n, a): a for n, a in self.env.base.items()}
+        declared = {Var(n, a): a for n, a in self.env.items()}
         deadline = time.monotonic() + self.timeout if self.timeout else None
         try:
             status, model = check(asserts, declared, deadline=deadline)
@@ -126,8 +127,8 @@ class Session:
         if self.model is None:
             raise SmtError("no model available")
         lines = ["("]
-        for name in sorted(self.env.base):
-            ar = self.env.base[name]
+        for name in sorted(self.env):
+            ar = self.env[name]
             v = Var(name, ar)
             val = self.model.get(v)
             if ar == 0:
@@ -146,9 +147,22 @@ class Session:
             raise SmtError("no model available")
         parts = []
         for f in forms:
-            term = parse_expr(f, self.env)
+            term = parse_expr(floor_div(f), self.env)
             parts.append(f"({term_text(f)} {smt_int(eval_expr(term, self.model))})")
         return "(" + " ".join(parts) + ")"
+
+
+def floor_div(form):
+    """form with SMT-LIB's euclidean div spelled in the floor div of the
+    expression syntax: (div t d) is floor(t/d) for d > 0 and -floor(t/-d)
+    for d < 0, so a divisor other than a numeral becomes an ite on its sign."""
+    if not isinstance(form, list):
+        return form
+    form = [floor_div(f) for f in form]
+    if len(form) == 3 and form[0] == "div" and not str(form[2]).isdigit():
+        t, d = form[1:]
+        return ["ite", ["<", d, "0"], ["-", ["div", t, ["-", d]]], form]
+    return form
 
 
 def term_text(form) -> str:

@@ -5,14 +5,17 @@ import random
 
 import pytest
 
-from loopacc.accel import accelerate, encode_reachability, flatten_literals, primed
-from loopacc.closedform import Failure
+from loopacc.accel import (
+    _closed_form_for, accelerate, encode_reachability, flatten_literals, primed,
+)
+from loopacc.closedform import Failure, closed_forms_all
 from loopacc.expr import (
     And, Bin, BoolConst, Const, FiniteFn, Not, Or, Rel, Sel, State, Var,
     arity_of, eval_expr, eval_formula, sv,
 )
-from loopacc.loop import Loop, run_n
+from loopacc.loop import Loop, build_up, run_n
 from loopacc.recurrence import N
+from loopacc.sexpr import to_text
 
 from conftest import (
     A, I, K, decrement_loop, mixing_loop, overview_loop, plus, random_array,
@@ -221,3 +224,20 @@ def test_post_false_is_unsat(session):
     t = accelerate(decrement_loop(), session)
     lits = encode_reachability([Rel("=", sv(I), Const(3))], t, [BoolConst(False)])
     assert solve(lits, session).status == "unsat"
+
+
+def test_guard_lvalue_outside_the_closure_is_displaced(session):
+    # i <- i+1, a[i] <- a[i+1]: a guard reading a[i+2] needs a closed form
+    # the closure (i, a[i+1]) does not hold
+    loop = Loop(BoolConst(True), (Sel(I, ()), Sel(A, (sv(I),))),
+                (plus(sv(I), 1), Sel(A, (plus(sv(I), 1),))))
+    table = closed_forms_all(loop, session).table
+    lv = Sel(A, (plus(sv(I), 2),))
+    assert lv not in table
+    cf = _closed_form_for(lv, loop, table, build_up(loop), session)
+    assert to_text(cf) == "(select a (+ (+ i n) 2))"
+    rnd = random.Random(7)
+    for _ in range(4):
+        s = State({I: rnd.randint(-3, 3), A: random_array(rnd)})
+        for n in range(7):
+            assert eval_expr(cf, s.bind({N: n})) == eval_expr(lv, run_n(loop, s, n).state)

@@ -21,7 +21,7 @@ from loopacc.expr import (
 )
 from loopacc.lamsolve import SolveResult, solve, verify_model
 from loopacc.problem import parse_problem
-from loopacc.sexpr import ParseError
+from loopacc.sexpr import ParseError, smt_int
 from loopacc.solver import ground, server
 from loopacc.solver.ground import GroundProblem, check, to_linear
 from loopacc.solver.presburger import (
@@ -342,7 +342,7 @@ def test_ite_and_div_terms():
 
 def test_presolve_definition_skips_a_product():
     x, y, z = (sv(Var(n)) for n in "xyz")
-    gp = GroundProblem([], {})
+    gp = GroundProblem({})
     # the only +-1 coefficient is on the abstracted product x*y: nothing is solved
     rows = list(to_linear(Rel("=", Bin("+", Bin("*", x, y), Bin("*", Const(2), z)), Const(0)),
                           gp.products)[1])
@@ -359,7 +359,7 @@ def test_presolve_chained_equalities_come_back_in_the_model():
                 Rel("=", sv(y), Bin("+", sv(z), Const(1))),
                 Rel("=", Bin("*", Const(2), sv(w)), sv(z)),
                 Rel(">", sv(w), Const(3))]
-    gp = GroundProblem(formulas, {v: 0 for v in (x, y, z, w)})
+    gp = GroundProblem({v: 0 for v in (x, y, z, w)})
     left = gp.presolve([a for f in formulas for a in ground._top(to_linear(f))])
     # x is solved before y, and y before z: the replay runs in reverse
     assert [name for name, _ in gp.presolve_log] == ["x", "y", "z"]
@@ -372,7 +372,7 @@ def test_presolve_chained_equalities_come_back_in_the_model():
 
 def test_presolve_finds_an_equality_a_substitution_made():
     x, y = Var("x"), Var("y")
-    gp = GroundProblem([], {})
+    gp = GroundProblem({})
     # y >= x and y <= 2 - x: no pair until x = 1 is substituted
     rows = [a for f in (Rel(">=", sv(y), sv(x)), Rel("<=", sv(y), Bin("-", Const(2), sv(x))),
                         Rel("=", sv(x), Const(1)))
@@ -400,6 +400,29 @@ def test_session_rejects_malformed_terms(text):
         s.command(form)
     with pytest.raises(ParseError):
         s.command(server.parse_forms(text)[0])
+
+
+@pytest.mark.parametrize("d", [2, -2, 3, -3])
+def test_div_by_a_constant(d):
+    """The session reads SMT-LIB's euclidean div, t = d*q + r with
+    0 <= r < |d|, for t written as a literal and through a pinned x, and d
+    as a numeral and as a product; the ground solver reads the expression
+    syntax's floor div."""
+    x, v = Var("x"), Var("v")
+    for t in range(-7, 8):
+        q = (t - t % abs(d)) // d
+        for term, divisor in itertools.product((smt_int(t), "x"),
+                                               (smt_int(d), f"(* 1 {smt_int(d)})")):
+            div = f"(div {term} {divisor})"
+            s = server.Session()
+            answers = [s.command(f) for f in server.parse_forms(
+                f"(declare-const x Int)(assert (= x {smt_int(t)}))"
+                f"(push 1)(assert (= {div} {smt_int(q)}))(check-sat)(pop 1)"
+                f"(assert (distinct {div} {smt_int(q)}))(check-sat)")]
+            assert [a for a in answers if a] == ["sat", "unsat"], div
+        status, m = check([Rel("=", sv(v), Bin("div", sv(x), Const(d))),
+                           Rel("=", sv(x), Const(t))], {x: 0, v: 0})
+        assert status == "sat" and m[v] == t // d, (t, d)
 
 
 class TestServerProtocol:
@@ -434,6 +457,11 @@ class TestServerProtocol:
         lines = self.run_script("(frobnicate)(declare-const x Int)(check-sat)(exit)")
         assert lines[0].startswith("(error")
         assert lines[-1] == "sat"
+
+    def test_comment_with_an_open_paren(self):
+        lines = self.run_script("(declare-const x Int) ; an int (the only one\n"
+                                "(assert (> x 0))\n(check-sat)\n(exit)\n")
+        assert lines == ["sat"]
 
     def test_quoted_symbols(self):
         lines = self.run_script(

@@ -37,7 +37,7 @@ class TestParseProblem:
     def test_round_trip_via_printer(self):
         pf = parse_problem(SWAP_TEXT, is_path=False)
         for lv, r in zip(pf.loop.lvalues, pf.loop.rhs):
-            from loopacc.sexpr import ArityEnv, parse_expr, read_one
+            from loopacc.sexpr import parse_expr, read_one
 
             env = pf.env()
             assert parse_expr(read_one(to_text(lv)), env) == lv
@@ -187,6 +187,22 @@ ALIASING_TEXT = """
     ((lhs (select a i)) (rhs 1))
     ((lhs (select a j)) (rhs 2))))
 """
+
+
+def test_closed_form_show_rec_array_and_check_in_process(capsys):
+    swap = str(EXAMPLES / "swap.loop")
+    argv = ["closed-form", swap, "--show-rec", "--array", "a", "--check", "n=4"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "  rec[i]' = " in out and "  theta(rec[i]) = " in out
+    assert [l.split(" = ")[0] for l in out.splitlines() if "^(n) = (lambda" in l] == ["a^(n)"]
+    assert "oracle check (n<=4): ok" in out
+    assert cli.main(argv + ["--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] and "i" in data["rec"] and data["oracle"]["ok"]
+    assert list(data["arrays"]) == ["a"] and data["arrays"]["a"].startswith("(lambda")
+    assert cli.main(["closed-form", swap, "--array", "zz"]) == 2
+    assert "unknown array 'zz'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["oracle"], ["closed-form", "--check", "4"]])

@@ -7,13 +7,13 @@ import pytest
 from loopacc.expr import And, Lam, Not, Or, Rel, Var
 from loopacc.problem import parse_problem
 from loopacc.sexpr import (
-    ArityEnv, ParseError, parse_expr, parse_formula, read_all, read_one, smt_symbol, to_text,
+    ParseError, balanced, parse_expr, parse_formula, read_all, read_one, smt_symbol, to_text,
 )
 
 from test_expr import AR, SC, gen_expr, gen_formula
 
-ENV = ArityEnv({v.name: 0 for v in SC} | {v.name: 1 for v in AR}
-               | {f"p{k}": 0 for k in range(3)} | {"n": 0, "j": 0, "c": 0})
+ENV = ({v.name: 0 for v in SC} | {v.name: 1 for v in AR}
+       | {f"p{k}": 0 for k in range(3)} | {"n": 0, "j": 0, "c": 0})
 
 
 def test_round_trip_fuzz():
@@ -58,7 +58,7 @@ def test_iff_desugars():
     ("(select (select m i) k)", "(select m i k)"),
 ])
 def test_smtlib_term_forms(smt, plain):
-    env = ArityEnv({"m": 2}, ENV)
+    env = ENV | {"m": 2}
     assert parse_expr(read_one(smt), env) == parse_expr(read_one(plain), env)
 
 
@@ -95,7 +95,7 @@ def test_malformed_arithmetic_is_a_parse_error(text):
 ])
 def test_malformed_formula_is_a_parse_error(text):
     with pytest.raises(ParseError):
-        parse_formula(read_one(text), ArityEnv({"m": 2}, ENV))
+        parse_formula(read_one(text), ENV | {"m": 2})
 
 
 def test_malformed_paren_has_position():
@@ -148,3 +148,12 @@ def test_unterminated_tokens_report_their_offset():
         with pytest.raises(ParseError) as info:
             read_all(text)
         assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("text, whole", [
+    ("(a) ; (", True), ("(a) ; |", True), ('(a) ; "', True), ("(a ; )\n", False),
+    ('(echo "a "") b")', True), ('(echo "a "")', False),
+    ("(a |b)", False), ('(a "b)', False), ("(a |b)|)", True),
+])
+def test_balanced_reads_the_tokens(text, whole):
+    assert balanced(text) is whole
