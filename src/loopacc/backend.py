@@ -9,7 +9,7 @@ bundled solver out of process is ``--backend 'python -m loopacc.solver.server'``
 
 Every emitted query is quantifier-free linear integer arithmetic plus arrays
 (nested one-dimensional, full-index selects only) and divisibility, encoded as
-``(_ divisible k)``.  Lambdas must be abstracted away before reaching here.
+``(_ divisible k)``.  No lambda reaches here: lamsolve sends scalar literals.
 ``validity`` is the one validity question of the pipeline: the session's
 answer, or the simplifier's alone when there is no session.
 """
@@ -173,7 +173,6 @@ class BackendSession:
         self.server: Session | None = None
         self.declared: dict[str, int] = {}
         self._log = open(smt_log, "a") if smt_log else None
-        self._cache: dict[Formula, bool] = {}
         self._lines: queue.Queue = queue.Queue()
 
     # -- low-level protocol --
@@ -316,19 +315,12 @@ class BackendSession:
 
     def is_valid(self, f: Formula) -> bool | None:
         """Validity via unsatisfiability of the negation; None when unknown.
-        Simplification discharges most queries without a round trip.  Only
-        definite answers are cached: an unknown (say, a timeout) is asked
-        again."""
+        Simplification discharges most queries without a round trip."""
         g = simplify_formula(f)
         if isinstance(g, BoolConst):
             return g.value
-        if g in self._cache:
-            return self._cache[g]
         res = self.check([Not(g)], want_model=False)
-        out = {"unsat": True, "sat": False}.get(res.status)
-        if out is not None:
-            self._cache[g] = out
-        return out
+        return {"unsat": True, "sat": False}.get(res.status)
 
     # -- model parsing --
 

@@ -168,7 +168,7 @@ def cmd_check(args) -> int:
         if res.status == "model":
             model = res.model
             witness = {k: v for k, v in sorted(model.scalars.items())
-                       if not k.startswith(("arr!", "i*"))}
+                       if not k.startswith("i*")}
             arrays = {k: to_text(finite_fn_expr(v)) for k, v in sorted(model.arrays.items())}
             derived = {k: (to_text(v) if not isinstance(v, int) else v)
                        for k, v in sorted(model.derived.items())}

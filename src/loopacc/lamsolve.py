@@ -1,11 +1,11 @@
 """Theory solver for literal conjunctions with lambda array terms, layered
 over the ground backend: eliminate array disequalities through extensionality,
 propagate equalities and beta-reduce to a fixpoint (``simplify.eliminate``,
-with this module's rule for which literal defines which variable), abstract
-remaining lambdas by fresh array variables, then refine the abstraction with
-instantiation lemmas p[e] = q[e] at syntactic index vectors until the backend
-model lifts, the abstraction is unsatisfiable, or no refinement is left
-(unknown).
+with this module's rule for which literal defines which variable), send the
+backend the scalar literals left, then check its model against the array
+equalities and add instantiation lemmas p[e] = q[e] at syntactic index
+vectors until the model lifts, the scalar literals and lemmas are
+unsatisfiable, or no lemma is left (unknown).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .backend import BackendSession, Model
 from .expr import (
     And, Bin, BoolConst, Const, EvalError, Expr, FiniteFn, Formula, Ite, Lam,
-    Not, Or, Rel, Sel, State, Var, arity_of, beta_reduce, eval_expr,
+    Not, Rel, Sel, State, Var, arity_of, beta_reduce, eval_expr,
     eval_formula, free_vars, fresh_var, lval_set, substitute, sv,
 )
 from .sexpr import to_text
@@ -98,53 +98,6 @@ def _definition(f: Formula):
     return None
 
 
-class LambdaAbstraction:
-    """Replaces lambda expressions by fresh array variables; alpha-equivalent
-    lambdas share one variable.  Reusable so refinement lemmas abstract any
-    residual lambdas consistently with the initial pass."""
-
-    def __init__(self):
-        self.table: dict[Lam, Var] = {}
-        self.reverse: dict[Var, Lam] = {}
-
-    def _key(self, lam: Lam) -> Lam:
-        """lam with its parameters renamed %0, %1, ...: alpha-equivalent
-        lambdas give equal keys."""
-        params = tuple(Var(f"%{k}", 0) for k in range(len(lam.params)))
-        renaming = {p: sv(q) for p, q in zip(lam.params, params)}
-        return Lam(params, substitute(lam.body, renaming))
-
-    def apply(self, e):
-        if isinstance(e, Lam):
-            key = self._key(e)
-            if key not in self.table:
-                v = fresh_var("arr", len(e.params))
-                self.table[key] = v
-                self.reverse[v] = e
-            return self.table[key]
-        if isinstance(e, (Const, BoolConst, Var)):
-            return e
-        if isinstance(e, Bin):
-            return Bin(e.op, self.apply(e.left), self.apply(e.right))
-        if isinstance(e, Sel):
-            return Sel(self.apply(e.arr), tuple(self.apply(i) for i in e.idx))
-        if isinstance(e, Ite):
-            return Ite(self.apply(e.cond), self.apply(e.then), self.apply(e.other))
-        if isinstance(e, Rel):
-            return Rel(e.op, self.apply(e.left), self.apply(e.right))
-        if isinstance(e, Not):
-            return Not(self.apply(e.arg))
-        if isinstance(e, (And, Or)):
-            return type(e)(tuple(self.apply(a) for a in e.args))
-        raise TypeError(f"unexpected node {e!r}")
-
-
-def abstract_lambdas(lits: list[Formula]):
-    abstraction = LambdaAbstraction()
-    abstracted = [abstraction.apply(f) for f in lits]
-    return abstracted, abstraction
-
-
 def collect_idx(lits: list[Formula]) -> list[tuple[Expr, ...]]:
     """Index vectors of top-level array-variable cells (nothing below
     lambdas), deduplicated, in deterministic order."""
@@ -158,12 +111,9 @@ def collect_idx(lits: list[Formula]) -> list[tuple[Expr, ...]]:
     return out
 
 
-def array_equalities(lits: list[Formula]) -> list[tuple[Formula, object, object]]:
-    out = []
-    for f in lits:
-        if isinstance(f, Rel) and f.op == "=" and arity_of(f.left) > 0:
-            out.append((f, f.left, f.right))
-    return out
+def array_equalities(lits: list[Formula]) -> list[tuple[object, object]]:
+    return [(f.left, f.right) for f in lits
+            if isinstance(f, Rel) and f.op == "=" and arity_of(f.left) > 0]
 
 
 def verify_model(model: Model, lits: list[Formula], session: BackendSession) -> bool:
@@ -235,8 +185,9 @@ def finite_fn_expr(fn: FiniteFn) -> Lam:
 
 
 def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
-    """Algorithm: preprocess, abstract, then alternate backend checks with
-    instantiation-lemma refinement; unknown when no new lemma exists."""
+    """Algorithm: preprocess, then alternate backend checks of the scalar
+    literals with instantiation-lemma refinement; unknown when no new lemma
+    exists."""
     for f in lits:
         if not (is_literal(f) or isinstance(f, BoolConst)):
             raise SolveError(f"not a flat literal: {f!r}")
@@ -249,22 +200,20 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
     if any(f == BoolConst(False) for f in phi):
         return SolveResult("unsat")
     phi = [f for f in phi if f != BoolConst(True)]
-    phi_abs, abstraction = abstract_lambdas(phi)
+    # the backend sees the scalar literals and the lemmas; check_model checks
+    # the array equalities
+    sent = [f for f in phi if not (isinstance(f, Rel) and arity_of(f.left) > 0)]
     idx = collect_idx(phi)
     equalities = array_equalities(phi)
-
     all_vars = set()
-    for f in phi + phi_abs:
+    for f in phi:
         all_vars |= free_vars(f)
-    # lambdas hide variables that the original formula still constrains
-    for lam in abstraction.reverse.values():
-        all_vars |= free_vars(lam)
 
     tried: set[tuple[int, tuple[Expr, ...]]] = set()
     lemmas = 0
-    bound = (len(equalities) * max(1, len(idx))) + 1
-    for _round in range(bound + 1):
-        res = session.check(phi_abs or [BoolConst(True)])
+    # ends: a round that does not return adds an untried (k, e) to tried
+    while True:
+        res = session.check(sent or [BoolConst(True)])
         if res.status == "unsat":
             return SolveResult("unsat", lemmas=lemmas)
         if res.status != "sat":
@@ -278,12 +227,11 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
                 model.arrays.setdefault(x.name, FiniteFn.const(x.arity, 0))
         if check_model(model, phi, session):
             return SolveResult("model", _finish_model(model, prop.log), lemmas=lemmas)
-        # refinement: add every violated instantiation found this round; the
-        # lemma instantiates the original sides (beta-reducible), with any
-        # residual lambdas abstracted through the shared table
+        # refinement: add every violated instantiation found this round, on
+        # the original sides, beta-reduced
         progress = False
         state = model.as_state(all_vars)
-        for k, (f, p, q) in enumerate(equalities):
+        for k, (p, q) in enumerate(equalities):
             par = arity_of(p)
             for e in idx:
                 if len(e) != par or (k, e) in tried:
@@ -295,15 +243,12 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
                     continue
                 if lv != rv:
                     tried.add((k, e))
-                    lemma = simplify_formula(Rel("=",
-                                                 beta_reduce(Sel(p, e)),
-                                                 beta_reduce(Sel(q, e))))
-                    phi_abs = phi_abs + [abstraction.apply(lemma)]
+                    sent.append(simplify_formula(Rel("=", beta_reduce(Sel(p, e)),
+                                                     beta_reduce(Sel(q, e)))))
                     lemmas += 1
                     progress = True
         if not progress:
             return SolveResult("unknown", diagnostic="refinement failed", lemmas=lemmas)
-    return SolveResult("unknown", diagnostic="lemma bound exhausted", lemmas=lemmas)
 
 
 def _eval_apply(p, e: tuple, state: State) -> int:

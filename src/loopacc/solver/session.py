@@ -1,12 +1,12 @@
 """One SMT-LIB2 session of the bundled ground solver: the declarations, the
 assertion stack and the last model, answering one command form at a time.
 
-Supports the fragment the acceleration pipeline emits: quantifier-free linear
-integer arithmetic with ite, euclidean div by constants, ((_ divisible k) t),
-(possibly nested) integer arrays with full-index selects, and array equality
-between array constants.  Asserted formulas and get-value terms are read
-by the problem-file parser of sexpr.py against the declarations; floor_div
-first spells SMT-LIB's euclidean div as that parser's floor div.
+Supports quantifier-free linear integer arithmetic with ite, euclidean div by
+constants, ((_ divisible k) t), (possibly nested) integer arrays with
+full-index selects, and array equality between array constants (the
+acceleration pipeline sends none).  Asserted formulas and get-value terms
+are read by the problem-file parser of sexpr.py against the declarations;
+floor_div first spells SMT-LIB's euclidean div as that parser's floor div.
 ``BackendSession`` feeds it in-process; ``server`` runs it over stdin/stdout.
 """
 

@@ -475,7 +475,7 @@ class TestBackendSession:
         i, k = Var("i"), Var("k")
         f = Or((Not(Rel("<", sv(i), sv(k))), Rel("<=", sv(i), Bin("-", sv(k), Const(1)))))
         assert session.is_valid(f) is True
-        assert session.is_valid(f) is True  # cached path
+        assert session.is_valid(f) is True
         assert session.is_valid(Rel("<", sv(i), sv(k))) is False
 
     def test_model_arrays_2dim(self, session):

@@ -2,18 +2,21 @@
 documented unknown case, and sat-soundness on forward-constructed formulas."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from loopacc.accel import accelerate, encode_reachability
+from loopacc.closedform import Failure
 from loopacc.expr import (
-    Bin, Const, FiniteFn, Ite, Lam, Or, Rel, Sel, State, Var, eval_expr,
+    Bin, Const, FiniteFn, Ite, Lam, Or, Rel, Sel, State, Var, arity_of, eval_expr,
     eval_formula, sv,
 )
-from loopacc.backend import SatResult
+from loopacc.backend import BackendSession, SatResult
 from loopacc.lamsolve import (
-    LambdaAbstraction, abstract_lambdas, check_model, collect_idx, eliminate_diseq,
-    propagate_and_reduce, solve, verify_model,
+    check_model, collect_idx, eliminate_diseq, propagate_and_reduce, solve, verify_model,
 )
+from loopacc.problem import parse_problem
 
 from conftest import A, B, J, plus
 
@@ -70,26 +73,6 @@ class TestPropagate:
         lit = Rel("=", sv(X), plus(sv(X), 1))
         prop = propagate_and_reduce([lit])
         assert prop.log == []
-
-
-class TestAbstract:
-    def test_shared_alpha_equivalent_lambdas(self):
-        p, q = Var("p"), Var("q")
-        l1 = Lam((p,), plus(sv(p), 1))
-        l2 = Lam((q,), plus(sv(q), 1))
-        out, abstraction = abstract_lambdas([Rel("=", A, l1), Rel("=", B, l2)])
-        assert out[0].right == out[1].right
-        assert len(abstraction.reverse) == 1
-
-    def test_distinct_lambdas_distinct_vars(self):
-        out, abstraction = abstract_lambdas([Rel("=", lam_const(0), lam_const(1))])
-        assert out[0].left != out[0].right
-        assert len(abstraction.reverse) == 2
-
-    def test_lambda_free_unchanged(self):
-        lits = [Rel("<", sv(X), Const(3))]
-        out, abstraction = abstract_lambdas(lits)
-        assert out == lits and abstraction.reverse == {}
 
 
 class TestCollectIdx:
@@ -238,19 +221,77 @@ def test_scalar_solve_matches_enumeration(session):
             assert all(eval_formula(l, State({u: got})) for l in lits)
 
 
-def test_alpha_equivalent_lambdas_share_one_variable():
-    p, q = Var("p"), Var("q")
-    abstraction = LambdaAbstraction()
-    first = abstraction.apply(Lam((p,), Sel(A, (plus(sv(p), 1),))))
-    renamed = abstraction.apply(Lam((q,), Sel(A, (plus(sv(q), 1),))))
-    other = abstraction.apply(Lam((q,), Sel(A, (sv(q),))))
-    assert first == renamed != other
-    assert len(abstraction.reverse) == 2
-
-
 def test_solve_passes_on_the_backend_reason(session, monkeypatch):
     monkeypatch.setattr(session, "check", lambda formulas, want_model=True: SatResult(
         "unknown", diagnostic="unknown", reason="branch budget exhausted"))
     res = solve([Rel("=", sv(X), Const(1))], session)
     assert (res.status, res.diagnostic, res.reason) == (
         "unknown", "unknown", "branch budget exhausted")
+
+
+def test_alpha_equivalent_recursive_lambdas_decided_by_a_lemma():
+    # x = (lambda p. ite(p = 0, y[p], x[p])) and the alpha-equivalent
+    # y = (lambda q. ite(q = 0, y[q], x[q])) make x and y equal, so x[3] != y[3]
+    # is unsat; neither equality propagates, and the lemma y[3] = x[3] settles it
+    p, q, y = Var("p"), Var("q"), Var("y", 1)
+    x = Var("x", 1)
+
+    def lam(v):
+        return Lam((v,), Ite(Rel("=", sv(v), Const(0)), Sel(y, (sv(v),)), Sel(x, (sv(v),))))
+
+    with BackendSession() as session:  # x and y are scalars in the shared one
+        r = solve([Rel("=", x, lam(p)), Rel("=", y, lam(q)),
+                   Rel("!=", Sel(x, (Const(3),)), Sel(y, (Const(3),)))], session)
+    assert r.status == "unsat"
+    assert r.lemmas >= 1
+
+
+def _subterms(e):
+    """Every node below e, plain tuples (index vectors, arguments) included."""
+    yield e
+    for part in e if type(e) is tuple else e[1:]:
+        if isinstance(part, tuple):
+            yield from _subterms(part)
+
+
+_REFINEMENT = """(declare (i 0) (k 0) (a 1) (b 1))
+(init (= i 0) (= (select a 0) 5))
+(loop
+  (guard (< i k))
+  (update
+    ((lhs i) (rhs (+ i 1)))
+    ((lhs (select a (+ i 1))) (rhs (select a i)))
+    ((lhs (select b (+ i 1))) (rhs (select b i)))))
+(post (= a b) (distinct (select b 1) 5))"""
+
+
+def test_backend_queries_hold_no_lambda_and_no_array_literal(session, monkeypatch):
+    examples = Path(__file__).resolve().parent.parent / "examples_problems"
+    problems = [parse_problem(path) for path in sorted(examples.glob("*.loop"))]
+    problems.append(parse_problem(_REFINEMENT, is_path=False))
+    sent = []
+    real = session.check
+
+    def recording_check(formulas, want_model=True):
+        formulas = list(formulas)
+        sent.extend(formulas)
+        return real(formulas, want_model)
+
+    lemmas = 0
+    for pf in problems:
+        if pf.post is None:
+            continue
+        t = accelerate(pf.loop, session)
+        if isinstance(t, Failure):
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(session, "check", recording_check)
+            res = solve(encode_reachability(pf.init, t, pf.post), session)
+        assert res.status in ("model", "unsat")
+        lemmas += res.lemmas
+    assert sent and lemmas >= 1  # the post a = b reached refinement
+    for f in sent:
+        for t in _subterms(f):
+            assert not isinstance(t, Lam), f
+            assert not (isinstance(t, Rel) and t.op in ("=", "!=")
+                        and arity_of(t.left) > 0), f
