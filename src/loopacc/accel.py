@@ -22,7 +22,7 @@ from .classify import LvalueClass, classify_lvalue, monotonicity
 from .closedform import ClosedFormError, ClosedFormTable, Failure, closed_forms_all
 from .loop import Loop, UpdateSubstitution, build_up, validate_loop
 from .recurrence import N
-from .simplify import simplify, simplify_formula
+from .simplify import normal_form_scope, simplify, simplify_formula
 
 
 def primed(x: Var) -> Var:
@@ -105,6 +105,7 @@ def guard_characterize(loop: Loop, table: ClosedFormTable,
     return conj(out)
 
 
+@normal_form_scope
 def accelerate(loop: Loop, session=None) -> AcceleratedTransition | Failure:
     """n > 0, the guard characterization, and x' = x^(n) for every loop
     variable (unwritten variables keep x' = x so models stay total)."""

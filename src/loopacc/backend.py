@@ -184,7 +184,6 @@ class BackendSession:
         if self._alive():
             return
         self._stop()  # reap a child that died
-        self.declared = {}
         self._lines = queue.Queue()
         if self.command is None:
             self.server = Session(timeout=self.timeout)
@@ -195,6 +194,11 @@ class BackendSession:
             )
             t = threading.Thread(target=_pump, args=(self.proc.stdout, self._lines), daemon=True)
             t.start()
+        self._clear()
+
+    def _clear(self):
+        """The solver's options, and no declarations."""
+        self.declared = {}
         self._send("(set-option :produce-models true)")
         self._send("(set-logic ALL)")
 
@@ -280,14 +284,19 @@ class BackendSession:
 
     def check(self, formulas, want_model: bool = True) -> SatResult:
         """Satisfiability of the conjunction within a fresh push/pop scope.
-        Declarations stay in the outer scope so they survive the pop."""
+        Declarations stay in the outer scope so they survive the pop; a name
+        declared there at another arity clears it with (reset) first."""
         formulas = list(formulas)
         try:
             self._ensure()
             enc = Encoder()
             texts = [enc.formula(f) for f in formulas]
-            for f in formulas:
-                self.declare(free_vars(f))
+            names = [free_vars(f) for f in formulas]
+            if any(self.declared.get(x.name, x.arity) != x.arity for vs in names for x in vs):
+                self._send("(reset)")
+                self._clear()
+            for vs in names:
+                self.declare(vs)
             self._send("(push 1)")
             try:
                 for t in texts:
@@ -340,7 +349,8 @@ class BackendSession:
             if sort == "Int":
                 model.scalars[name] = _int_value(body)
             else:
-                model.arrays[name] = _array_value(body, sort_arity(sort))
+                arity = sort_arity(sort)
+                model.arrays[name] = FiniteFn.const(arity, *_array_parts(body, arity))
         return model
 
 
@@ -383,11 +393,6 @@ def _int_value(body) -> int:
     if isinstance(body, list) and len(body) == 2 and body[0] == "-":
         return -_int_value(body[1])
     raise BackendError(f"unsupported integer value: {body!r}")
-
-
-def _array_value(body, arity: int) -> FiniteFn:
-    default, overrides = _array_parts(body, arity)
-    return FiniteFn.const(arity, default, overrides)
 
 
 def _array_parts(body, arity: int):

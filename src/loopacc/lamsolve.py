@@ -19,7 +19,7 @@ from .expr import (
     eval_formula, free_vars, fresh_var, lval_set, substitute, sv,
 )
 from .sexpr import to_text
-from .simplify import eliminate, simplify, simplify_formula
+from .simplify import eliminate, normal_form_scope, simplify, simplify_formula
 
 
 class SolveError(Exception):
@@ -116,6 +116,7 @@ def array_equalities(lits: list[Formula]) -> list[tuple[object, object]]:
             if isinstance(f, Rel) and f.op == "=" and arity_of(f.left) > 0]
 
 
+@normal_form_scope
 def verify_model(model: Model, lits: list[Formula], session: BackendSession) -> bool:
     """Independent re-verification of a finished model against an original
     literal list: derived lambda values are substituted in, then every literal
@@ -184,6 +185,7 @@ def finite_fn_expr(fn: FiniteFn) -> Lam:
     return Lam(params, body)
 
 
+@normal_form_scope
 def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
     """Algorithm: preprocess, then alternate backend checks of the scalar
     literals with instantiation-lemma refinement; unknown when no new lemma

@@ -21,6 +21,7 @@ from .expr import Const, EvalError, FiniteFn, State, Var, compile_expr, eval_exp
 from .loop import Loop, LoopError, build_up, run_n
 from .recurrence import N
 from .sexpr import to_text
+from .simplify import normal_form_scope
 
 MARGIN = 2  # the probe window's widening around each written cell
 
@@ -139,6 +140,7 @@ def _failed(report: OracleReport, failure: Failure, t0: float) -> OracleReport:
     return report
 
 
+@normal_form_scope
 def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int = 8,
                session=None, seed0: int = 0) -> OracleReport:
     """Closed forms vs run_n: scalars and lvalue table entries pointwise,

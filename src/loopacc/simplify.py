@@ -8,12 +8,21 @@ coefficients.  Rational coefficients only ever appear internally, in the
 recurrence solver's power sums, as a Fraction wherever a coefficient is not
 integral; emitted expressions clear denominators through a single floor
 division, which is exact whenever the numerator is divisible pointwise.
+
+In a normal-form scope (per thread), ``simplify``, ``simplify_formula`` and
+``linearize`` memoize per node.  ``accelerate``, ``lamsolve.solve``,
+``verify_model`` and ``check_loop`` open it, so each query has its own;
+nested entries share it, the outermost exit drops it.  Only pure functions
+are memoized (``substitute`` draws fresh names); callers never mutate results.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import defaultdict
 from fractions import Fraction
-from math import gcd
+from functools import wraps
+from math import gcd, lcm
 
 from .expr import (
     And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, Not, Or, RELATIONS, Rel,
@@ -29,8 +38,35 @@ from .sexpr import to_text
 Poly = dict
 
 
-def _atom_key(e) -> str:
-    return to_text(e)
+class _Scope(threading.local):
+    memo = None  # while a scope is open: function -> {node: result}
+
+
+_scope = _Scope()
+
+
+def normal_form_scope(fn):
+    """fn run in a normal-form scope: the open one, else a new one."""
+    @wraps(fn)
+    def run(*args, **kwargs):
+        outer = _scope.memo
+        _scope.memo = defaultdict(dict) if outer is None else outer
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _scope.memo = outer
+    return run
+
+
+def _memoized(fn):
+    @wraps(fn)
+    def run(e):
+        memo = _scope.memo
+        if memo is None:
+            return fn(e)
+        out = memo[fn].get(e)
+        return memo[fn].setdefault(e, fn(e)) if out is None else out
+    return run
 
 
 def _coef(c):
@@ -45,7 +81,7 @@ def poly_const(c: int) -> Poly:
 
 
 def poly_atom(e) -> Poly:
-    return {((_atom_key(e), e),): 1}
+    return {((to_text(e), e),): 1}
 
 
 def poly_add(p: Poly, q: Poly, sign=1) -> Poly:
@@ -86,13 +122,7 @@ def poly_is_const(p: Poly):
     return None
 
 
-def poly_denom_lcm(p: Poly) -> int:
-    d = 1
-    for c in p.values():
-        d = d * c.denominator // gcd(d, c.denominator)
-    return d
-
-
+@_memoized
 def linearize(e) -> Poly:
     """Total: any expression becomes a polynomial over opaque atoms, with int
     coefficients (a division folds only when it is exact).  Children of atoms
@@ -130,7 +160,7 @@ def poly_to_expr(p: Poly):
     """Deterministic emission.  Fractional coefficients are cleared through one
     floor division: p = (D*p) div D, exact whenever D divides the numerator at
     every integer point (the recurrence solver only produces such polynomials)."""
-    d = poly_denom_lcm(p)
+    d = lcm(*(c.denominator for c in p.values()))
     if d != 1:
         return Bin("div", poly_to_expr(poly_scale(p, d)), Const(d))
     const = p.get((), 0)
@@ -161,10 +191,7 @@ def as_int_const(e):
     return poly_is_const(linearize(e))
 
 
-def polys_equal(a, b) -> bool:
-    return linearize(Bin("-", a, b)) == {}
-
-
+@_memoized
 def simplify(e):
     """Normalize an expression or formula; evaluation-preserving."""
     if isinstance(e, (BoolConst, Rel, Not, And, Or)):
@@ -197,6 +224,7 @@ _NEG = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
+@_memoized
 def simplify_formula(f: Formula) -> Formula:
     if isinstance(f, BoolConst):
         return f
@@ -336,7 +364,7 @@ def _contradicting(parts) -> bool:
     for a in parts:
         if not (isinstance(a, Rel) and isinstance(a.right, Const)):
             continue
-        key = _atom_key(a.left)
+        key = to_text(a.left)
         k = a.right.value
         if a.op == "<=":
             hi[key] = min(hi.get(key, k), k)

@@ -586,6 +586,33 @@ def test_reason_unknown_nonlinear(open_session):
         assert s.check([Rel("=", sv(x), Const(6))]).reason == ""
 
 
+@pytest.mark.parametrize("backend", [None, SERVER], ids=["in-process", "subprocess"])
+def test_one_name_at_two_arities_on_one_session(backend, tmp_path):
+    # x as a scalar, then x as an array, then as a scalar again: the session
+    # starts the solver afresh with (reset) whenever a name changes arity
+    x, y = Var("x"), Var("y")
+    scalar = Rel(">", sv(x), Const(0))
+    array = Rel(">", Sel(Var("x", 1), (Const(0),)), Const(0))
+    log = tmp_path / "dialogue.smt2"
+    with BackendSession(backend=backend, timeout=5.0, smt_log=str(log)) as s:
+        r1, r2 = s.check([scalar]), s.check([array])
+        assert (r1.status, r2.status) == ("sat", "sat"), r2.diagnostic
+        assert r2.model.arrays["x"]((0,)) > 0
+        r3 = s.check([scalar, Rel("<", sv(y), Const(0))])
+        assert r3.status == "sat" and r3.model.scalars["x"] > 0
+        assert s.check([scalar]).status == "sat"  # no clash: no reset
+    assert log.read_text().count("(reset)\n(set-option :produce-models true)\n"
+                                 "(set-logic ALL)\n") == 2
+
+
+def test_one_name_at_two_arities_in_one_query_is_unknown(session):
+    x = Var("x")
+    r = session.check([Rel(">", sv(x), Const(0)),
+                       Rel(">", Sel(Var("x", 1), (Const(0),)), Const(0))])
+    assert r.status == "unknown" and "redeclared" in r.diagnostic
+    assert session.check([Rel(">", sv(x), Const(0))]).status == "sat"
+
+
 def _verdict(path: Path, capsys, *options) -> str:
     cli.main(["check", str(path), "--json", *options])
     out = capsys.readouterr().out
