@@ -2,7 +2,8 @@
 operations every other module leans on: concrete evaluation, capture-avoiding
 substitution, beta reduction, top-level lvalue collection and free variables.
 ``compile_expr`` turns a tree into Python code that evaluates as
-``eval_expr`` does, for callers that evaluate one tree many times.
+``eval_expr`` does, for callers that evaluate one tree many times;
+``compile_probe`` evaluates an array expression at many points in one call.
 
 Scalars are arrays of dimension 0 throughout: a scalar occurrence in an
 expression is a cell access with an empty index vector (``Sel(x, ())``).
@@ -17,6 +18,7 @@ it would save.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import threading
@@ -499,18 +501,20 @@ class FiniteFn:
         return FiniteFn(arity, base, tuple(coeffs), _norm_overrides(overrides or {}))
 
     def background(self, point: tuple[int, ...]) -> int:
-        return self.base + sum(c * p for c, p in zip(self.coeffs, point))
+        return self.base + sum(map(operator.mul, self.coeffs, point))
 
     def __call__(self, point) -> int:
         point = tuple(map(int, point))
         if len(point) != self.arity:
             raise ArityMismatch(f"function of arity {self.arity} applied to {point}")
         v = self._lookup.get(point)
-        if v is None:
-            v = self.base
-            for c, p in zip(self.coeffs, point):
-                v += c * p
-        return v
+        return self.background(point) if v is None else v
+
+    def at(self, points) -> list[int]:
+        """The values at many points, each an int tuple of this arity."""
+        get, base, coeffs = self._lookup.get, self.base, self.coeffs
+        return [v if (v := get(p)) is not None else base + sum(map(operator.mul, coeffs, p))
+                for p in points]
 
     def override_map(self) -> dict[tuple[int, ...], int]:
         return dict(self._lookup)
@@ -689,6 +693,7 @@ def eval_formula(f: Formula, s: State) -> bool:
 _HOIST_DEPTH = 48
 
 _UNSET = object()
+SKIP = object()  # a probe point where the expression raises EvalError
 
 
 def compile_expr(e):
@@ -702,6 +707,31 @@ def compile_expr(e):
     as it does, and a variable missing from ``s`` raises ``UnboundVariable``
     only when it is read."""
     return _Compiler().unit(e)
+
+
+def compile_probe(e):
+    """Array expression ``e`` compiled once: ``probe(s, points)`` lists its
+    value in ``s`` at each point (an int tuple of its arity), ``SKIP`` where
+    ``eval_expr`` raises ``EvalError``.  The loop over the points runs in the
+    compiled code, which reads input arrays from their ``FiniteFn``'s
+    override dict, the background on a miss.  A non-``FiniteFn`` input, a
+    nested lambda, a hoisted subtree or a non-lambda ``e`` takes the
+    per-point path: ``compile_expr``'s value, compiled on first use."""
+    return _Compiler().probe(e)
+
+
+def _per_point(e):
+    run = functools.cache(lambda: compile_expr(e))  # compiled on first use
+
+    def probe(s, points):
+        out = []
+        for p in points:
+            try:
+                out.append(run()(s)(p))
+            except EvalError:
+                out.append(SKIP)
+        return out
+    return probe
 
 
 def _unbound(x: Var):
@@ -732,8 +762,9 @@ class _Compiler:
     def __init__(self):
         self.names: dict[Var, str] = {}
         self.free: dict[Var, None] = {}  # read from the state, in first-read order
-        self.helpers = 0
-        self.env = {"_UNSET": _UNSET, "_unbound": _unbound, "_fail": _fail,
+        self.helpers, self.keys = 0, itertools.count()
+        self.reads: dict[Var, None] | None = None  # the arrays a probe reads inline
+        self.env = {"_UNSET": _UNSET, "_unbound": _unbound, "_fail": _fail, "_SKIP": SKIP,
                     "_divides": _divides, "_arity_error": _arity_error, "EvalError": EvalError}
 
     def unit(self, e):
@@ -745,6 +776,27 @@ class _Compiler:
         lines += _guarded(defs, body, "    ")
         exec(compile("\n".join(lines), "<compile_expr>", "exec"), self.env)
         return self.env["run"]
+
+    def probe(self, e):
+        if isinstance(e, Lam):
+            self.reads = {}
+            body = self.emit(e.body, frozenset(e.params), [], 0)
+        if not isinstance(e, Lam) or self.helpers:
+            return _per_point(e)
+        lines = ["def probe(_s, _pts):", "    _m, _out = _s._m, []"]
+        lines += [f"    {self.name(x)} = _m.get(X{self.name(x)}, _UNSET)" for x in self.free]
+        for x in self.reads:
+            v = self.name(x)
+            lines += [f"    if not isinstance({v}, _FiniteFn): return _slow(_s, _pts)",
+                      f"    {v}_d, {v}_b, ({''.join(f'{v}_c{j}, ' for j in range(x.arity))})"
+                      f" = {v}._lookup, {v}.base, {v}.coeffs"]
+        lines += [f"    for {''.join(f'{self.name(p)}, ' for p in e.params) or '_'} in _pts:",
+                  f"        try: _out.append({body})",
+                  "        except (ZeroDivisionError, EvalError): _out.append(_SKIP)",
+                  "    return _out"]
+        self.env.update(_slow=_per_point(e), _FiniteFn=FiniteFn)
+        exec(compile("\n".join(lines), "<compile_probe>", "exec"), self.env)
+        return self.env["probe"]
 
     def name(self, x: Var) -> str:
         if x not in self.names:
@@ -783,6 +835,8 @@ class _Compiler:
             self.free[e] = None
             return f"({v} if {v} is not _UNSET else _unbound(X{v}))"
         if isinstance(e, Sel):
+            if self.reads is not None and isinstance(e.arr, Var) and e.arr.arity == len(e.idx) > 0:
+                return self.read(e.arr, [emit(i, bound, defs, d) for i in e.idx])
             fn = emit(e.arr, bound, defs, d)
             if isinstance(e.arr, Var) and e.arr.arity == 0:
                 return fn  # a scalar is bound to an int
@@ -815,6 +869,14 @@ class _Compiler:
             op = " and " if isinstance(e, And) else " or "
             return f"({op.join([emit(a, bound, defs, d, True) for a in e.args])})"
         return f"_fail(TypeError, {f'not an expression: {e!r}'!r})"
+
+    def read(self, x: Var, idx: list[str]) -> str:  # a probe's x[idx...], each index once
+        v = self.name(x)
+        self.free[x] = self.reads[x] = None
+        ks = [f"_k{next(self.keys)}" for _ in idx]
+        bg = "".join(f" + {v}_c{j} * {k}" for j, k in enumerate(ks))
+        return (f"({v}_d[{''.join(k + ', ' for k in ks)}] if "
+                f"({''.join(f'{k} := {i}, ' for k, i in zip(ks, idx))}) in {v}_d else {v}_b{bg})")
 
     def lam(self, e: Lam, bound: frozenset, defs: list) -> str:
         h = self.helper()

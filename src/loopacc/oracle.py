@@ -3,8 +3,9 @@ arrays) is compared against the brute-force interpreter over random states,
 for every n up to a bound, on a probe window derived from the actual writes.
 Mismatches are report content, not exceptions.
 
-Each array closed form is compiled once per loop (``compile_expr``), with n
-bound in the state it reads, so a probe point costs one call.  The states
+Each array closed form is compiled once per loop (``compile_probe``), with n
+bound in the state it reads, so one call evaluates a probe window, and the
+interpreter's array gives its side in one pass (``FiniteFn.at``).  The states
 after 0..n_max iterations come from one run: each is the previous one
 advanced by a single step, and the writes accumulate into the probe window.
 """
@@ -17,7 +18,9 @@ from dataclasses import dataclass, field
 
 from .arrayform import ArrayFormError, closed_form_array
 from .closedform import Failure, closed_forms_all
-from .expr import Const, EvalError, FiniteFn, State, Var, compile_expr, eval_expr, substitute
+from .expr import (
+    SKIP, Const, EvalError, FiniteFn, State, Var, compile_probe, eval_expr, substitute,
+)
 from .loop import Loop, LoopError, build_up, run_n
 from .recurrence import N
 from .sexpr import to_text
@@ -159,7 +162,7 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
             except ArrayFormError as exc:
                 return _failed(report, Failure("array-closed-form", str(exc)), t0)
 
-    compiled = {x: compile_expr(lam) for x, lam in array_forms.items()}
+    probes = {x: compile_probe(lam) for x, lam in array_forms.items()}
     # the scalar/lvalue table at each n, substituted once for every state
     tables = [[(lv, substitute(cf, {N: Const(n)})) for lv, cf in forms.table.items()]
               for n in range(n_max + 1)]
@@ -167,7 +170,7 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
         rnd = random.Random(seed0 + s_idx)
         state = random_state(loop, rnd)
         cur = state
-        windows = [ProbeWindow(x, state, MARGIN) for x in compiled]
+        windows = [ProbeWindow(x, state, MARGIN) for x in probes]
         for n in range(n_max + 1):
             if n:
                 try:
@@ -194,19 +197,14 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
                     report.mismatches.append(
                         Mismatch(s_idx, n, to_text(lv), None, expected, got))
             env = state.bind({N: n})
-            for (x, run), window in zip(compiled.items(), windows):
-                fn = run(env)
-                target = cur[x]
-                for pt in window.order:
-                    try:
-                        expected = target(pt)
-                        got = fn(pt)
-                    except EvalError:
-                        report.skipped += 1
-                        continue
-                    report.checked += 1
-                    if expected != got:
-                        report.mismatches.append(
-                            Mismatch(s_idx, n, x.name, pt, expected, got))
+            for (x, probe), window in zip(probes.items(), windows):
+                order, skips = window.order, 0
+                for pt, expected, got in zip(order, cur[x].at(order), probe(env, order)):
+                    if got is SKIP:
+                        skips += 1
+                    elif expected != got:
+                        report.mismatches.append(Mismatch(s_idx, n, x.name, pt, expected, got))
+                report.checked += len(order) - skips
+                report.skipped += skips
     report.elapsed = time.perf_counter() - t0
     return report

@@ -1,6 +1,7 @@
 """compile_expr against eval_expr: the same value, or the same exception
 class, on generated closed forms at random n and points and on hand-built
-edge cases."""
+edge cases; compile_probe against eval_expr on the same closed forms and on
+the cases that leave its inline path."""
 
 import random
 from functools import reduce
@@ -9,9 +10,11 @@ import pytest
 
 from loopacc.arrayform import closed_form_array
 from loopacc.closedform import closed_forms_all
+from loopacc import expr
 from loopacc.expr import (
-    FALSE, And, ArityMismatch, Bin, BoolConst, Closure, Const, EvalError, FiniteFn, Ite, Lam,
-    Not, Or, Rel, Sel, State, UnboundVariable, Var, compile_expr, eval_expr, sv,
+    _HOIST_DEPTH, FALSE, SKIP, And, ArityMismatch, Bin, BoolConst, Closure, Const, EvalError,
+    FiniteFn, Ite, Lam, Not, Or, Rel, Sel, State, UnboundVariable, Var, compile_expr,
+    compile_probe, eval_expr, sv,
 )
 from loopacc.gen import gen_loop
 from loopacc.loop import build_up
@@ -42,8 +45,9 @@ def agree(e, s: State, points=()):
     return kind, ref
 
 
-def test_generated_closed_forms_agree():
-    compared = 0
+def generated():
+    """The closed forms of generated loops in random states at random n: per
+    state the table's entries, and each array lambda with 25 random points."""
     for seed in range(30):
         loop = gen_loop(seed).loop
         forms = closed_forms_all(loop)
@@ -53,13 +57,20 @@ def test_generated_closed_forms_agree():
         rnd = random.Random(seed)
         for _ in range(4):
             s = random_state(loop, rnd).bind({N: rnd.randint(0, 10)})
-            for cf in forms.table.entries.values():
-                agree(cf, s)
-                compared += 1
-            for lam in lams:
-                pts = [tuple(rnd.randint(-12, 16) for _ in lam.params) for _ in range(25)]
-                agree(lam, s, pts)
-                compared += len(pts)
+            yield s, forms.table.entries.values(), [
+                (lam, [tuple(rnd.randint(-12, 16) for _ in lam.params) for _ in range(25)])
+                for lam in lams]
+
+
+def test_generated_closed_forms_agree():
+    compared = 0
+    for s, entries, lams in generated():
+        for cf in entries:
+            agree(cf, s)
+            compared += 1
+        for lam, pts in lams:
+            agree(lam, s, pts)
+            compared += len(pts)
     assert compared > 1000
 
 
@@ -161,3 +172,107 @@ def test_unbound_variable_is_raised_when_read():
 
 def test_array_variable_is_returned_as_bound():
     assert compile_expr(A)(S) is S[A]
+
+
+# ---------------------------------------------------------------------------
+# compile_probe
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The expressions the per-point path compiles (the inline path calls
+    no compile_expr)."""
+    seen = []
+
+    def counting(e):
+        seen.append(e)
+        return compile_expr(e)
+
+    monkeypatch.setattr(expr, "compile_expr", counting)
+    return seen
+
+
+def probe_agrees(e, s: State, points):
+    """The probe lists eval_expr's value at each point and SKIP exactly where
+    that raises EvalError; any other exception propagates from the call."""
+    ref = [outcome(lambda: eval_expr(e, s)(pt)) for pt in points]
+    other = [v for kind, v in ref if kind == "raises" and not issubclass(v, EvalError)]
+    kind, got = outcome(lambda: compile_probe(e)(s, points))
+    if other:
+        assert (kind, got) == ("raises", other[0]), e
+        return got
+    assert kind == "value", (e, got)
+    assert got == [SKIP if kind == "raises" else v for kind, v in ref], e
+    return got
+
+
+def as_closures(s: State) -> State:
+    """s with each array rebound to a Closure of the same values."""
+    rebound = {}
+    for x, _ in s.items():
+        if x.arity:
+            ps = tuple(Var(f"p{j}") for j in range(x.arity))
+            rebound[x] = eval_expr(Lam(ps, Sel(x, tuple(map(sv, ps)))), s)
+    return s.bind(rebound)
+
+
+def test_probe_agrees_on_generated_closed_forms(compiles):
+    compared = 0
+    for s, _, lams in generated():
+        arrays = [x for x, _ in s.items() if x.arity]
+        for lam, pts in lams:
+            probe_agrees(lam, s, pts)
+            assert not compiles  # every array is a FiniteFn: the inline path
+            probe_agrees(lam, as_closures(s), pts)
+            probe_agrees(lam, s.without(arrays), pts)
+            assert compiles == [lam, lam]  # the per-point path, compiled once per probe
+            compiles.clear()
+            compared += len(pts)
+    assert compared > 1000
+
+
+M = Var("m", 2)
+S2 = S.bind({M: FiniteFn.affine(2, 1, [2, -1], {(1, 2): 9, (0, 0): -4})})
+PTS = [(j,) for j in range(-4, 6)]
+PTS2 = [(j, k) for j in range(-2, 4) for k in range(-2, 4)]
+
+
+@pytest.mark.parametrize("lam, points, inline", [
+    (Lam((J,), Bin("+", Sel(A, (sv(J),)), Sel(B, (Bin("*", sv(J), sv(I)),)))), PTS, True),
+    (Lam((J, K), Bin("-", Sel(M, (sv(K), sv(J))), Sel(M, (sv(J), sv(J))))), PTS2, True),
+    (Lam((J,), Sel(A, (Sel(A, (Sel(A, (sv(J),)),)),))), PTS, True),
+    (Lam((J,), Bin("div", Const(12), plus(sv(J), -2))), PTS, True),
+    (Lam((J,), Sel(A, (Bin("div", sv(I), sv(J)),))), PTS, True),
+    (Lam((J, K), Ite(Rel("=", sv(J), sv(K)), Bin("div", sv(K), sv(J)), Sel(M, (sv(K), sv(I))))),
+     PTS2, True),
+    (Lam((J,), Bin("+", sv(J), sv(Var("zz")))), PTS, True),
+    (Lam((J,), Sel(Var("zz", 1), (sv(J),))), PTS, False),
+    # the deepest chain of reads that is not hoisted; a deeper one is
+    (Lam((J,), reduce(lambda acc, _: Sel(A, (acc,)), range(_HOIST_DEPTH - 2), sv(J))), PTS, True),
+    (Lam((J,), reduce(lambda acc, _: Sel(A, (acc,)), range(DEEP), sv(J))), PTS, False),
+    (Lam((J,), chain("+", [Sel(A, (sv(J),))] * DEEP)), PTS, False),
+    (Lam((J,), Sel(Lam((K,), Bin("div", sv(K), sv(J))), (Sel(A, (sv(J),)),))), PTS, False),
+    (Lam((J,), Sel(Lam((K,), Sel(B, (sv(K),))), (sv(J),))), PTS, False),
+    (A, PTS, False),
+    (Var("zz", 1), PTS, False),
+])
+def test_probe_agrees(lam, points, inline, compiles):
+    probe_agrees(lam, S2, points)
+    assert (not compiles) == inline
+    probe_agrees(lam, as_closures(S2), points)
+
+
+def test_probe_skips_the_points_that_do_not_evaluate():
+    got = compile_probe(Lam((J,), Bin("div", Const(12), plus(sv(J), -2))))(S, PTS)
+    assert [pt for pt, v in zip(PTS, got) if v is SKIP] == [(2,)]
+    got = compile_probe(Lam((J,), Sel(A, (Bin("div", sv(I), sv(J)),))))(S, PTS)
+    assert [pt for pt, v in zip(PTS, got) if v is SKIP] == [(0,)]
+    assert got[PTS.index((1,))] == 3 and got[PTS.index((-1,))] == -3
+
+
+def test_probe_with_a_wrong_index_count_raises():
+    # only a node built around Sel's own check can have the wrong index count
+    two = tuple.__new__(Sel, (Sel, M, (sv(J),)))
+    one = tuple.__new__(Sel, (Sel, Lam((J, K), sv(K)), (sv(J),)))
+    for lam in (Lam((J,), two), Lam((J,), Bin("+", Sel(A, (sv(J),)), two)), Lam((J,), one)):
+        assert probe_agrees(lam, S2, PTS) is ArityMismatch

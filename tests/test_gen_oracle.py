@@ -5,7 +5,7 @@ import random
 
 from loopacc.classify import check_a_solvable
 from loopacc.closedform import closed_forms_all
-from loopacc.expr import Bin, Const, FiniteFn, Rel, Sel, Var, sv
+from loopacc.expr import Bin, Const, FiniteFn, Ite, Lam, Rel, Sel, Var, sv
 from loopacc.gen import GenConfig, gen_loop
 from loopacc.loop import Loop, run_n, validate_loop
 from loopacc.oracle import ProbeWindow, check_loop, random_state
@@ -59,6 +59,24 @@ def test_oracle_detects_corrupted_closed_form(monkeypatch):
     monkeypatch.setattr(oracle_mod, "closed_forms_all", corrupted)
     rep = check_loop(swap_loop(), loop_id="swap", seeds=3, n_max=4)
     assert not rep.ok and rep.mismatches
+
+
+def test_oracle_detects_corrupted_array_closed_form(monkeypatch):
+    # harness self-test on the array side: the swap loop's lambda is off by
+    # one at the cell 0 alone
+    import loopacc.oracle as oracle_mod
+
+    real = oracle_mod.closed_form_array
+
+    def corrupted(loop, x, table, up):
+        lam = real(loop, x, table, up)
+        at_zero = Rel("=", sv(lam.params[0]), Const(0))
+        return Lam(lam.params, Ite(at_zero, Bin("+", lam.body, Const(1)), lam.body))
+
+    monkeypatch.setattr(oracle_mod, "closed_form_array", corrupted)
+    rep = check_loop(swap_loop(), loop_id="swap", seeds=3, n_max=4)
+    assert not rep.ok and rep.mismatches
+    assert {(m.subject, m.point, m.got - m.expected) for m in rep.mismatches} == {("a", (0,), 1)}
 
 
 def test_oracle_json_shape():
