@@ -1,6 +1,8 @@
 """AST for rvalues, lvalues, (array) expressions and formulas, plus the
 operations every other module leans on: concrete evaluation, capture-avoiding
 substitution, beta reduction, top-level lvalue collection and free variables.
+``eval_expr`` walks the tree, branching on each node's class; array values in
+states are ``FiniteFn``s, whose sorted overrides a store extends in O(k).
 ``compile_expr`` turns a tree into Python code that evaluates as
 ``eval_expr`` does, for callers that evaluate one tree many times;
 ``compile_probe`` evaluates an array expression at many points in one call.
@@ -18,6 +20,7 @@ it would save.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -513,6 +516,9 @@ class FiniteFn:
     def at(self, points) -> list[int]:
         """The values at many points, each an int tuple of this arity."""
         get, base, coeffs = self._lookup.get, self.base, self.coeffs
+        if self.arity == 1:
+            c = coeffs[0]
+            return [v if (v := get(p)) is not None else base + c * p[0] for p in points]
         return [v if (v := get(p)) is not None else base + sum(map(operator.mul, coeffs, p))
                 for p in points]
 
@@ -520,9 +526,15 @@ class FiniteFn:
         return dict(self._lookup)
 
     def store(self, point: tuple[int, ...], value: int) -> "FiniteFn":
-        ov = self.override_map()
-        ov[tuple(point)] = value
-        return FiniteFn(self.arity, self.base, self.coeffs, _norm_overrides(ov))
+        """This function with the value at point replaced, in O(k): the
+        override goes into its sorted place; an overwrite keeps its key."""
+        k, ov = tuple(point), list(self.overrides)
+        i = bisect.bisect_left(ov, (k,))
+        if i < len(ov) and ov[i][0] == k:
+            ov[i] = (ov[i][0], int(value))
+        else:
+            ov.insert(i, (k, int(value)))
+        return FiniteFn(self.arity, self.base, self.coeffs, tuple(ov))
 
     def normalized(self) -> "FiniteFn":
         """Drop overrides that coincide with the background."""
@@ -625,62 +637,75 @@ RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operat
 
 def eval_expr(e, s: State):
     """Interpretation of an (array) expression or formula in a state.  Returns
-    an int, a function value (FiniteFn/Closure) or a bool."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Bin):
-        l = eval_expr(e.left, s)
-        r = eval_expr(e.right, s)
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r
-        if e.op == "*":
-            return l * r
-        if e.op == "div":
-            if r == 0:
-                raise EvalError("division by zero")
-            return l // r  # floor division
-        raise EvalError(f"unknown operator {e.op}")
-    if isinstance(e, Var):
-        return s[e]
-    if isinstance(e, Sel):
-        fn = eval_expr(e.arr, s)
-        point = tuple(eval_expr(i, s) for i in e.idx)
+    an int, a function value (FiniteFn/Closure) or a bool.  Branches on the
+    node's class (``type(e) is ...``), the most frequent kinds first; a
+    scalar read ``Sel(x, ())`` is one lookup, an array read calls the function
+    value at its point, and anything that is not a node raises TypeError."""
+    k = type(e)
+    if k is Sel:
+        arr, idx = e.arr, e.idx
+        if not idx and type(arr) is Var and not arr.arity:
+            return s[arr]  # a scalar is bound to an int
+        fn = eval_expr(arr, s)
+        point = [eval_expr(i, s) for i in idx]
         if isinstance(fn, int):
             if point:
                 raise ArityMismatch("scalar applied to indices")
             return fn
         return fn(point)
-    if isinstance(e, Ite):
+    if k is Const:
+        return e.value
+    if k is Bin:
+        op, l, r = e.op, eval_expr(e.left, s), eval_expr(e.right, s)
+        if op == "+":
+            return l + r
+        if op == "-":
+            return l - r
+        if op == "*":
+            return l * r
+        if op == "div":
+            if r == 0:
+                raise EvalError("division by zero")
+            return l // r  # floor division
+        raise EvalError(f"unknown operator {op}")
+    if k is Ite:
         return eval_expr(e.then, s) if eval_formula(e.cond, s) else eval_expr(e.other, s)
-    if isinstance(e, Lam):
+    if k is Var:
+        return s[e]
+    if k is Lam:
         return Closure(e.params, e.body, s)
-    if isinstance(e, (BoolConst, Rel, Not, And, Or)):
+    if k in _FORMULAS:
         return eval_formula(e, s)
     raise TypeError(f"not an expression: {e!r}")
 
 
 def eval_formula(f: Formula, s: State) -> bool:
-    if isinstance(f, BoolConst):
-        return f.value
-    if isinstance(f, Rel):
-        if f.op in ("=", "!=") and (arity_of(f.left) > 0 or arity_of(f.right) > 0):
+    k = type(f)
+    if k is Rel:
+        op = f.op
+        if (op == "=" or op == "!=") and (arity_of(f.left) > 0 or arity_of(f.right) > 0):
             raise EvalError("array equality is not concretely evaluable; probe the functions")
-        l = eval_expr(f.left, s)
-        r = eval_expr(f.right, s)
-        if f.op == "divides":
+        l, r = eval_expr(f.left, s), eval_expr(f.right, s)
+        if op == "divides":
             return _divides(l, r)
-        rel = RELATIONS.get(f.op)
+        rel = RELATIONS.get(op)
         if rel is None:
-            raise EvalError(f"unknown relation {f.op}")
+            raise EvalError(f"unknown relation {op}")
         return rel(l, r)
-    if isinstance(f, Not):
+    if k is And:
+        for a in f.args:
+            if not eval_formula(a, s):
+                return False
+        return True
+    if k is Or:
+        for a in f.args:
+            if eval_formula(a, s):
+                return True
+        return False
+    if k is Not:
         return not eval_formula(f.arg, s)
-    if isinstance(f, And):
-        return all(eval_formula(a, s) for a in f.args)
-    if isinstance(f, Or):
-        return any(eval_formula(a, s) for a in f.args)
+    if k is BoolConst:
+        return f.value
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -859,6 +884,8 @@ class _Compiler:
             if e.op in _REL_OPS:
                 return f"({l} {_REL_OPS[e.op]} {r})"
             if e.op == "divides":
+                if type(e.left) is Const and e.left.value != 0:
+                    return f"({r} % {e.left.value!r} == 0)"
                 return f"_divides({l}, {r})"
             return f"_fail(EvalError, {f'unknown relation {e.op}'!r}, {l}, {r})"
         if isinstance(e, Not):

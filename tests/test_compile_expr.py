@@ -1,9 +1,12 @@
 """compile_expr against eval_expr: the same value, or the same exception
 class, on generated closed forms at random n and points and on hand-built
 edge cases; compile_probe against eval_expr on the same closed forms and on
-the cases that leave its inline path."""
+the cases that leave its inline path; eval_expr and eval_formula against the
+isinstance-chain reference interpreter in eval_reference.py on the same
+trees."""
 
 import random
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -14,14 +17,16 @@ from loopacc import expr
 from loopacc.expr import (
     _HOIST_DEPTH, FALSE, SKIP, And, ArityMismatch, Bin, BoolConst, Closure, Const, EvalError,
     FiniteFn, Ite, Lam, Not, Or, Rel, Sel, State, UnboundVariable, Var, compile_expr,
-    compile_probe, eval_expr, sv,
+    compile_probe, eval_expr, eval_formula, sv,
 )
 from loopacc.gen import gen_loop
 from loopacc.loop import build_up
 from loopacc.oracle import random_state
 from loopacc.recurrence import N
 
+import eval_reference as ref
 from conftest import A, B, I, J, K, plus
+from test_expr import AR, SC, fuzz_state, gen_expr, gen_formula
 
 
 def outcome(thunk):
@@ -84,7 +89,7 @@ def chain(op, terms, right=False):
     return reduce(lambda acc, t: Bin(op, acc, t), terms)
 
 
-@pytest.mark.parametrize("e, expected", [
+EDGE_CASES = [
     (plus(sv(I), -5), -2),
     (Bin("div", Const(1), Const(0)), EvalError),
     (Bin("div", sv(I), sv(J)), EvalError),
@@ -133,7 +138,15 @@ def chain(op, terms, right=False):
             Const(-1)), 3),
     (Sel(Lam((J,), chain("+", [sv(J)] * DEEP)), (Const(2),)), 2 * DEEP),
     (And(tuple(Rel("<", chain("+", [sv(I)] * k), Const(10 ** 6)) for k in (1, DEEP))), True),
-])
+    (tuple.__new__(Sel, (Sel, A, ())), ArityMismatch),
+    (tuple.__new__(Sel, (Sel, A, (Const(1), Const(2)))), ArityMismatch),
+    (tuple.__new__(Sel, (Sel, Lam((J, K), sv(K)), (Const(1),))), ArityMismatch),
+    (3, TypeError),
+    ((Const, 1), TypeError),
+]
+
+
+@pytest.mark.parametrize("e, expected", EDGE_CASES)
 def test_edge_cases_agree(e, expected):
     kind, value = agree(e, S)
     if isinstance(expected, type):
@@ -276,3 +289,67 @@ def test_probe_with_a_wrong_index_count_raises():
     one = tuple.__new__(Sel, (Sel, Lam((J, K), sv(K)), (sv(J),)))
     for lam in (Lam((J,), two), Lam((J,), Bin("+", Sel(A, (sv(J),)), two)), Lam((J,), one)):
         assert probe_agrees(lam, S2, PTS) is ArityMismatch
+
+
+# ---------------------------------------------------------------------------
+# eval_expr against the reference interpreter
+
+
+def matches_reference(e, s: State, points=(), formula=False):
+    """eval_expr (eval_formula when formula) and the reference give the same
+    outcome on e in s; a function value gives the same outcome at every point,
+    and so does a lambda's body with its parameters bound to the point."""
+    ours, theirs = (eval_formula, ref.eval_formula) if formula else (eval_expr, ref.eval_expr)
+    kind, want = outcome(lambda: theirs(e, s))
+    kind2, got = outcome(lambda: ours(e, s))
+    assert kind2 == kind, (e, want, got)
+    if kind == "value" and isinstance(want, (FiniteFn, Closure)):
+        for pt in points:
+            assert outcome(lambda: got(pt)) == outcome(lambda: want(pt)), (e, pt)
+            if isinstance(e, Lam) and len(pt) == len(e.params):
+                inner = s.without(e.params).bind(dict(zip(e.params, map(int, pt))))
+                assert (outcome(lambda: eval_expr(e.body, inner))
+                        == outcome(lambda: ref.eval_expr(e.body, inner))), (e, pt)
+        return kind
+    assert got == want and type(got) is type(want), e
+    return kind
+
+
+def test_evaluator_matches_the_reference_on_generated_trees():
+    kinds = Counter()
+    for s, entries, lams in generated():
+        for cf in entries:
+            kinds[matches_reference(cf, s)] += 1
+        for lam, pts in lams:
+            kinds[matches_reference(lam, s, pts)] += len(pts)
+    rnd = random.Random(11)
+    for _ in range(1500):  # beta-redexes, nested lambdas and formulas of every kind
+        s = fuzz_state(rnd, SC, AR)
+        if rnd.random() < 0.3:  # reading the dropped variable raises UnboundVariable
+            s = s.without([rnd.choice(SC + AR)])
+        e = gen_expr(rnd, 4, SC, AR)
+        kinds[matches_reference(e, s)] += 1
+        kinds[matches_reference(Bin("div", e, gen_expr(rnd, 2, SC, AR)), s)] += 1
+        kinds[matches_reference(Lam((J,), e), s, [(rnd.randint(-9, 9),), (1, 2)])] += 1
+        kinds[matches_reference(gen_formula(rnd, 3, SC, AR), s, formula=True)] += 1
+    assert kinds["value"] > 8000 and kinds["raises"] > 500
+
+
+@pytest.mark.parametrize("e, expected", EDGE_CASES)
+def test_evaluator_matches_the_reference_on_edge_cases(e, expected):
+    matches_reference(e, S)
+    matches_reference(e, S, formula=True)  # a node that is no formula raises TypeError
+
+
+def test_evaluator_raises_as_the_reference_on_non_nodes():
+    # compile_expr reads a scalar with an index as the scalar, so this
+    # malformed node is not among the shared edge cases
+    scalar_with_index = tuple.__new__(Sel, (Sel, I, (Const(0),)))
+    for e, formula, exc in [(3, False, TypeError), (3, True, TypeError),
+                            ((Const, 1), False, TypeError),
+                            ((Rel, "<", Const(1), Const(2)), True, TypeError),
+                            (Const(1), True, TypeError), (sv(I), True, TypeError),
+                            (scalar_with_index, False, ArityMismatch)]:
+        assert matches_reference(e, S, formula=formula) == "raises"
+        with pytest.raises(exc):
+            (eval_formula if formula else eval_expr)(e, S)

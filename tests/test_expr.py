@@ -350,3 +350,33 @@ def test_substitution_lemma_fuzz():
         assert direct == via
         checked += 1
     assert checked >= 400
+
+
+def test_store_sequences_match_the_function_built_at_once():
+    # store puts each override in its sorted place; the result is the function
+    # FiniteFn.affine builds from the same overrides, bool values and
+    # overwrites of an existing point included
+    rnd = random.Random(9)
+    stores = overwrites = 0
+    for _ in range(300):
+        arity = rnd.choice([1, 2])
+        base, coeffs = rnd.randint(-3, 3), [rnd.randint(-1, 1) for _ in range(arity)]
+        fn, want = FiniteFn.affine(arity, base, coeffs), {}
+        for _ in range(rnd.randint(1, 12)):
+            if want and rnd.random() < 0.3:
+                pt = rnd.choice(list(want))
+                overwrites += 1
+            elif rnd.random() < 0.1:
+                pt = (rnd.random() < 0.5,) * arity  # a bool point equals the int point
+            else:
+                pt = tuple(rnd.randint(-5, 5) for _ in range(arity))
+            v = rnd.random() < 0.5 if rnd.random() < 0.2 else rnd.randint(-9, 9)
+            fn = fn.store(list(pt) if rnd.random() < 0.2 else pt, v)
+            want[pt] = v
+            once = FiniteFn.affine(arity, base, coeffs, overrides=want)
+            assert fn == once and hash(fn) == hash(once) and repr(fn) == repr(once)
+            assert list(fn.overrides) == sorted(fn.overrides)
+            assert all(type(v) is int for _, v in fn.overrides)
+            assert fn._lookup == dict(fn.overrides)
+            stores += 1
+    assert stores > 1000 and overwrites > 200

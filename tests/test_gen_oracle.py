@@ -79,6 +79,42 @@ def test_oracle_detects_corrupted_array_closed_form(monkeypatch):
     assert {(m.subject, m.point, m.got - m.expected) for m in rep.mismatches} == {("a", (0,), 1)}
 
 
+def test_oracle_counts_the_window_points_a_closed_form_cannot_evaluate(monkeypatch):
+    # the swap loop's lambda plus 0 * (1 div (j - 1)): the same values, but no
+    # value at j = 1, so each window holding j = 1 differs from the
+    # interpreter's side by its SKIP points alone
+    import loopacc.oracle as oracle_mod
+
+    real = oracle_mod.closed_form_array
+
+    def divides_by_j_minus_1(loop, x, table, up):
+        lam = real(loop, x, table, up)
+        zero = Bin("*", Const(0), Bin("div", Const(1), plus(sv(lam.params[0]), -1)))
+        return Lam(lam.params, Bin("+", lam.body, zero))
+
+    monkeypatch.setattr(oracle_mod, "closed_form_array", divides_by_j_minus_1)
+    loop, seeds, n_max = swap_loop(), 6, 5
+    rep = check_loop(loop, loop_id="swap", seeds=seeds, n_max=n_max)
+    visits = window_points = at_one = 0
+    for s_idx in range(seeds):
+        cur = random_state(loop, random.Random(s_idx))
+        window = ProbeWindow(A, cur, oracle_mod.MARGIN)
+        for n in range(n_max + 1):
+            if n:
+                r = run_n(loop, cur, 1)
+                if r.stuck_at is not None:
+                    break
+                cur = r.state
+                window.add(r.writes)
+            visits += 1
+            window_points += len(window.order)
+            at_one += sum(p == (1,) for p in window.order)
+    table = closed_forms_all(loop).table.entries
+    assert rep.failure is None and rep.mismatches == []
+    assert rep.skipped == at_one > 0
+    assert rep.checked + rep.skipped == window_points + visits * len(table)
+
+
 def test_oracle_json_shape():
     rep = check_loop(swap_loop(), loop_id="swap", seeds=2, n_max=3)
     data = rep.to_json()
