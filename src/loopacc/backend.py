@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .expr import (
     And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
-    Sel, State, Var, arity_of, free_vars,
+    Sel, State, Var, free_vars,
 )
 from .sexpr import ParseError, balanced, read_all, smt_int, smt_symbol, sort_arity, sort_text
 from .simplify import as_int_const, simplify_formula
@@ -114,10 +114,6 @@ class Encoder:
         ops = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=", "!=": "distinct"}
         neg = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "distinct", "!=": "="}
         op = neg[f.op] if negated else ops[f.op]
-        if f.op in ("=", "!=") and (arity_of(f.left) > 0 or arity_of(f.right) > 0):
-            if not (isinstance(f.left, Var) and isinstance(f.right, Var)):
-                raise EncodingUnsupported("array literal sides must be variables here")
-            return f"({op} {smt_symbol(f.left.name)} {smt_symbol(f.right.name)})"
         return f"({op} {self.term(f.left)} {self.term(f.right)})"
 
 

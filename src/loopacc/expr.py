@@ -790,7 +790,8 @@ class _Compiler:
         self.helpers, self.keys = 0, itertools.count()
         self.reads: dict[Var, None] | None = None  # the arrays a probe reads inline
         self.env = {"_UNSET": _UNSET, "_unbound": _unbound, "_fail": _fail, "_SKIP": SKIP,
-                    "_divides": _divides, "_arity_error": _arity_error, "EvalError": EvalError}
+                    "_divides": _divides, "_arity_error": _arity_error, "EvalError": EvalError,
+                    "ArityMismatch": ArityMismatch}
 
     def unit(self, e):
         defs: list[str] = []
@@ -863,11 +864,13 @@ class _Compiler:
             if self.reads is not None and isinstance(e.arr, Var) and e.arr.arity == len(e.idx) > 0:
                 return self.read(e.arr, [emit(i, bound, defs, d) for i in e.idx])
             fn = emit(e.arr, bound, defs, d)
-            if isinstance(e.arr, Var) and e.arr.arity == 0:
-                return fn  # a scalar is bound to an int
             point = ""
             for i in e.idx:
                 point += f"{emit(i, bound, defs, d)}, "
+            if isinstance(e.arr, Var) and e.arr.arity == 0:  # a scalar is bound to an int
+                if point:  # raised, as eval_expr does, once the indices are computed
+                    return f"_fail(ArityMismatch, 'scalar applied to indices', {fn}, {point})"
+                return fn
             return f"{fn}(({point}))"
         if isinstance(e, Ite):
             c = emit(e.cond, bound, defs, d, True)

@@ -1,14 +1,15 @@
-"""Reduction of ground formulas with ite/div terms, array selects and array
-equalities to the linear fragment of presburger.py, plus model reconstruction
-back to scalar/array values.
+"""Reduction of ground formulas with ite/div terms and array selects to the
+linear fragment of presburger.py, plus model reconstruction back to
+scalar/array values.  An equality between arrays is outside the fragment
+(Unsupported): lamsolve decides those by lemmas on demand and sends only
+their instances p[e] = q[e].
 
 Pipeline per check-sat:
   1. hoist ite terms and floor divisions by constants into fresh variables
      with defining constraints over parts already hoisted (functional, hence
      polarity-independent at the top-level conjunction);
   2. Ackermann reduction: one fresh integer per (array, index vector) select,
-     congruence implications per select pair; array equalities become 0/1
-     variables with congruence across arrays and transitivity;
+     congruence implications per select pair of one array;
   3. NNF into linear atoms (to_linear), once: one walker reads each term
      (Const, + - *, scalar select) straight into a {name: int} poly, and a
      nonlinear monomial, keyed by its sorted names, becomes a fresh name;
@@ -20,7 +21,8 @@ Pipeline per check-sat:
   5. presburger.find_model case-splits over the disjunctions (ite
      definitions, congruences, disequalities) guided by candidate models, and
      decides each conjunction of atoms it assumes with Cooper's search;
-  6. rebuild scalar and array values and verify the original conjunction.
+  6. rebuild scalar and array values (an array reads 0 wherever no select
+     fixes it) and evaluate each input formula under them.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class GroundProblem:
         self.defs: list[Formula] = []
         self.term_map: dict = {}
         self.selects: dict[Var, dict[tuple, Var]] = {}
-        self.eq_vars: dict[tuple[Var, Var], Var] = {}
         self.presolve_log: list[tuple[str, dict]] = []
         # nonlinear monomials abstracted as unconstrained fresh variables:
         # unsat verdicts stay sound, sat models are verified against the
@@ -113,11 +114,7 @@ class GroundProblem:
             return f
         if isinstance(f, Rel):
             if f.op in ("=", "!=") and (arity_of(f.left) > 0 or arity_of(f.right) > 0):
-                if not (isinstance(f.left, Var) and isinstance(f.right, Var)):
-                    raise Unsupported("array literal sides must be array variables")
-                if f.left.arity != f.right.arity:
-                    raise Unsupported("array literal with mismatched arities")
-                return f
+                raise Unsupported("array equality")
             return Rel(f.op, self.hoist(f.left), self.hoist(f.right))
         if isinstance(f, Not):
             return Not(self.hoist_formula(f.arg))
@@ -135,21 +132,11 @@ class GroundProblem:
             table[idx] = self.fresh(f"s_{arr.name}_")
         return table[idx]
 
-    def eq_var(self, a: Var, b: Var) -> Var:
-        key = (a, b) if a.name <= b.name else (b, a)
-        if key not in self.eq_vars:
-            self.eq_vars[key] = self.fresh(f"eq_{key[0].name}_{key[1].name}_")
-        return self.eq_vars[key]
-
     def ackermannize(self, f: Formula) -> Formula:
         self.tick()
         if isinstance(f, BoolConst):
             return f
         if isinstance(f, Rel):
-            if f.op in ("=", "!=") and isinstance(f.left, Var) and f.left.arity > 0:
-                b = self.eq_var(f.left, f.right)
-                want = Const(1) if f.op == "=" else Const(0)
-                return Rel("=", sv(b), want)
             return Rel(f.op, self._ack_term(f.left), self._ack_term(f.right))
         if isinstance(f, Not):
             return Not(self.ackermannize(f.arg))
@@ -172,51 +159,13 @@ class GroundProblem:
         raise Unsupported(f"term not supported post-hoisting: {e!r}")
 
     def array_axioms(self) -> list[Formula]:
+        """Per-array functional congruence: equal indices, equal selects."""
         out: list[Formula] = []
-
-        # close the tracked-equality graph: chained equalities (a=b, b=c) need
-        # eq vars and congruence for the implied pairs too
-        tracked = list(self.eq_vars)
-        find = _union_find(tracked)
-        classes: dict[Var, set[Var]] = {}
-        for v in (x for pair in tracked for x in pair):
-            classes.setdefault(find(v), set()).add(v)
-        for comp in classes.values():
-            for a, b in itertools.combinations(sorted(comp, key=lambda w: w.name), 2):
-                self.tick()
-                self.eq_var(a, b)
-
-        def vec_eq(i1, i2):
-            return conj(Rel("=", a, b) for a, b in zip(i1, i2))
-
-        # per-array functional congruence
-        for arr, table in self.selects.items():
+        for table in self.selects.values():
             for (i1, v1), (i2, v2) in itertools.combinations(table.items(), 2):
                 self.tick()
-                out.append(Or((Not(vec_eq(i1, i2)), Rel("=", sv(v1), sv(v2)))))
-        # equality variables: range, cross-array congruence, transitivity
-        for (a, b), bvar in self.eq_vars.items():
-            out.append(Rel(">=", sv(bvar), Const(0)))
-            out.append(Rel("<=", sv(bvar), Const(1)))
-            eq = Rel("=", sv(bvar), Const(1))
-            for i1, v1 in self.selects.get(a, {}).items():
-                for i2, v2 in self.selects.get(b, {}).items():
-                    self.tick()
-                    out.append(Or((Not(eq), Not(vec_eq(i1, i2)), Rel("=", sv(v1), sv(v2)))))
-        # transitivity where all three pairs are tracked
-        arrs = sorted({x for pair in self.eq_vars for x in pair}, key=lambda v: v.name)
-        pairs = set(self.eq_vars)
-        for a, b, c in itertools.combinations(arrs, 3):
-            self.tick()
-
-            def key(u, v):
-                return (u, v) if u.name <= v.name else (v, u)
-            if key(a, b) in pairs and key(b, c) in pairs and key(a, c) in pairs:
-                ab, bc, ac = (sv(self.eq_vars[key(a, b)]), sv(self.eq_vars[key(b, c)]),
-                              sv(self.eq_vars[key(a, c)]))
-                for x, y, z in ((ab, bc, ac), (ab, ac, bc), (ac, bc, ab)):
-                    out.append(Or((Not(Rel("=", x, Const(1))), Not(Rel("=", y, Const(1))),
-                                   Rel("=", z, Const(1)))))
+                eq = conj(Rel("=", a, b) for a, b in zip(i1, i2))
+                out.append(Or((Not(eq), Rel("=", sv(v1), sv(v2)))))
         return out
 
     # -- step 4: equality presolve on the linear rows -------------------------
@@ -340,26 +289,6 @@ def _definition(p: dict, units: set, products: set):
     return name, pscale({k: v for k, v in q.items() if k != name}, -q[name])
 
 
-def _union_find(pairs):
-    """find() over the equivalence classes that pairs generate.  Unions run in
-    the order of pairs, the second root becoming the parent, so each class's
-    representative is deterministic."""
-    parent: dict = {}
-
-    def find(v):
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return find
-
-
 def _linpoly(e, products: dict | None = None) -> dict:
     """A term of the ground fragment after hoisting and Ackermann reduction
     (Const, Bin + - *, scalar Sel) as a linear poly over variable names.
@@ -477,25 +406,11 @@ def check(formulas: list[Formula], declared: dict[Var, int], deadline=None):
         return "unsat", None
     state = rebuild_model(gp, m)
     for f in formulas:
-        if not _holds(f, state, gp):
+        if not eval_formula(f, state):
             # typically an abstracted product whose candidate value does not
             # match the true nonlinear term; the verdict degrades to unknown
             raise Unsupported("model verification failed (nonlinear residue)")
     return "sat", state
-
-
-def _holds(f: Formula, state: State, gp: GroundProblem) -> bool:
-    if isinstance(f, Rel) and f.op in ("=", "!=") and arity_of(f.left) > 0:
-        fa, fb = state[f.left], state[f.right]
-        same = fa.same_function(fb)
-        return same if f.op == "=" else not same
-    if isinstance(f, Not):
-        return not _holds(f.arg, state, gp)
-    if isinstance(f, And):
-        return all(_holds(a, state, gp) for a in f.args)
-    if isinstance(f, Or):
-        return any(_holds(a, state, gp) for a in f.args)
-    return eval_formula(f, state)
 
 
 def rebuild_model(gp: GroundProblem, m: dict) -> State:
@@ -509,29 +424,16 @@ def rebuild_model(gp: GroundProblem, m: dict) -> State:
         env = {v: values.get(v.name, 0) for v in free_vars(e) if v.arity == 0}
         return eval_expr(e, State(env))
 
-    # equality classes over array variables
-    find = _union_find(pair for pair, bvar in gp.eq_vars.items()
-                       if values.get(bvar.name, 0) == 1)
-
     arrays: dict[Var, dict[tuple[int, ...], int]] = {}
     for arr, table in gp.selects.items():
         for idx, v in table.items():
             point = tuple(eval_lin(i) for i in idx)
-            arrays.setdefault(find(arr), {})[point] = values.get(v.name, 0)
+            arrays.setdefault(arr, {})[point] = values.get(v.name, 0)
 
     state_map: dict[Var, object] = {}
-    class_default: dict[Var, int] = {}
-    roots = sorted({find(v) for v in gp.declared if v.arity > 0}, key=lambda v: v.name)
-    for k, r in enumerate(roots):
-        class_default[r] = k  # distinct defaults keep unequal arrays unequal
     for x, ar in gp.declared.items():
-        if ar == 0:
-            state_map[x] = values.get(x.name, 0)
-        else:
-            root = find(x)
-            ov = arrays.get(root, {})
-            state_map[x] = FiniteFn.const(ar, class_default.get(root, 0), ov)
-    # fresh select/eq/presolve variables may be needed when verifying defs
+        state_map[x] = FiniteFn.const(ar, 0, arrays.get(x, {})) if ar else values.get(x.name, 0)
+    # fresh select/presolve variables may be needed when verifying defs
     for name, val in values.items():
         v = Var(name, 0)
         if v not in state_map:

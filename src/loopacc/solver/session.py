@@ -2,8 +2,9 @@
 assertion stack and the last model, answering one command form at a time.
 
 Supports quantifier-free linear integer arithmetic with ite, euclidean div by
-constants, ((_ divisible k) t), (possibly nested) integer arrays with
-full-index selects, and array equality between array constants (the
+constants, ((_ divisible k) t), and (possibly nested) integer arrays with
+full-index selects.  An equality between arrays is outside the fragment:
+check-sat answers unknown, with reason "unsupported: array equality" (the
 acceleration pipeline sends none).  Asserted formulas and get-value terms
 are read by the problem-file parser of sexpr.py against the declarations;
 floor_div first spells SMT-LIB's euclidean div as that parser's floor div.

@@ -143,6 +143,7 @@ EDGE_CASES = [
     (tuple.__new__(Sel, (Sel, Lam((J, K), sv(K)), (Const(1),))), ArityMismatch),
     (3, TypeError),
     ((Const, 1), TypeError),
+    (tuple.__new__(Sel, (Sel, I, (Const(0),))), ArityMismatch),
 ]
 
 
@@ -342,14 +343,10 @@ def test_evaluator_matches_the_reference_on_edge_cases(e, expected):
 
 
 def test_evaluator_raises_as_the_reference_on_non_nodes():
-    # compile_expr reads a scalar with an index as the scalar, so this
-    # malformed node is not among the shared edge cases
-    scalar_with_index = tuple.__new__(Sel, (Sel, I, (Const(0),)))
     for e, formula, exc in [(3, False, TypeError), (3, True, TypeError),
                             ((Const, 1), False, TypeError),
                             ((Rel, "<", Const(1), Const(2)), True, TypeError),
-                            (Const(1), True, TypeError), (sv(I), True, TypeError),
-                            (scalar_with_index, False, ArityMismatch)]:
+                            (Const(1), True, TypeError), (sv(I), True, TypeError)]:
         assert matches_reference(e, S, formula=formula) == "raises"
         with pytest.raises(exc):
             (eval_formula if formula else eval_expr)(e, S)

@@ -25,8 +25,7 @@ def _rand_term(rnd, arrs, depth):
     if roll < 0.52:
         return Bin("*", _rand_term(rnd, arrs, depth - 1), _rand_term(rnd, arrs, depth - 1))
     if roll < 0.58:
-        # one array at most: an ite condition holds no array equality
-        return Ite(_rand_formula(rnd, arrs[:1], 1), _rand_term(rnd, arrs, depth - 1),
+        return Ite(_rand_formula(rnd, arrs, 1), _rand_term(rnd, arrs, depth - 1),
                    _rand_term(rnd, arrs, depth - 1))
     if roll < 0.62:
         return Bin("div", _rand_term(rnd, arrs, depth - 1), Const(rnd.choice([2, 3])))
@@ -35,8 +34,6 @@ def _rand_term(rnd, arrs, depth):
 
 def _rand_formula(rnd, arrs, depth):
     if depth == 0 or rnd.random() < 0.4:
-        if rnd.random() < 0.1 and len(arrs) > 1:
-            return Rel(rnd.choice(["=", "!="]), *rnd.sample(arrs, 2))
         op = rnd.choice(["<", "<=", ">", ">=", "=", "=", "=", "!="])
         return Rel(op, _rand_term(rnd, arrs, 2), _rand_term(rnd, arrs, 2))
     roll = rnd.random()

@@ -132,6 +132,17 @@ class TestSolve:
         assert "a'" in r.model.derived  # closed lambda value
         assert verify_model(r.model, lits, session)
 
+    def test_array_equality_chain_is_unsat(self, session):
+        c = Var("c", 1)
+        r = solve([Rel("=", A, B), Rel("=", B, c), Rel("=", Sel(A, (Const(0),)), Const(1)),
+                   Rel("=", Sel(c, (Const(0),)), Const(2))], session)
+        assert r.status == "unsat"
+
+    def test_array_disequality_gets_arrays_that_differ(self, session):
+        r = solve([Rel("!=", A, B)], session)
+        assert r.status == "model"
+        assert not r.model.arrays["a"].same_function(r.model.arrays["b"])
+
     def test_rejects_non_literal(self, session):
         from loopacc.lamsolve import SolveError
 
@@ -295,3 +306,13 @@ def test_backend_queries_hold_no_lambda_and_no_array_literal(session, monkeypatc
             assert not isinstance(t, Lam), f
             assert not (isinstance(t, Rel) and t.op in ("=", "!=")
                         and arity_of(t.left) > 0), f
+
+
+def test_arrays_equal_after_the_loop_get_a_checked_model(session):
+    # a' = b' holds only where a and b agree off the cells the query reads;
+    # the ground model's arrays all read 0 there, so the model checks
+    text = _REFINEMENT.replace("(distinct (select b 1) 5)", "(= (select b 1) 5)")
+    pf = parse_problem(text, is_path=False)
+    lits = encode_reachability(pf.init, accelerate(pf.loop, session), pf.post)
+    r = solve(lits, session)
+    assert r.status == "model" and verify_model(r.model, lits, session)
