@@ -4,7 +4,7 @@
     loopacc closed-form FILE [--array X] [--show-rec] [--check n=K]
     loopacc accelerate FILE
     loopacc check FILE [--backend CMD] [--timeout S] [--smt-log F]
-    loopacc oracle [FILE | --fuzz K] [--n-max M] [--seed S]
+    loopacc oracle [FILE | --fuzz K [--scalars-only | --dim D]] [--n-max M] [--seed S]
 
 `check` prints unsafe / safe-bounded / unknown with exit codes 0 / 1 / 2.
 Every command accepts --json for a machine-readable report (schema 1).  The
@@ -194,6 +194,9 @@ def _oracle_status(r) -> str:
 
 
 def cmd_oracle(args) -> int:
+    if args.file is not None and (args.scalars_only or args.dim):  # they shape --fuzz loops
+        args.usage_error(f"argument {'--dim' if args.dim else '--scalars-only'}: "
+                         "not allowed with argument file")
     reports = []
     with _session(args) as ses:
         if args.fuzz:
@@ -292,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_natural, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--states", type=_positive, default=10, help="random states per loop")
-    p.add_argument("--scalars-only", action="store_true")
-    p.add_argument("--dim", type=_positive, default=None, help="force array dimension")
-    p.set_defaults(fn=cmd_oracle)
+    generator = p.add_mutually_exclusive_group()
+    generator.add_argument("--scalars-only", action="store_true", help="loops without arrays")
+    generator.add_argument("--dim", type=_positive, default=None, help="force array dimension")
+    p.set_defaults(fn=cmd_oracle, usage_error=p.error)
 
     return ap
 

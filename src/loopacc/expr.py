@@ -3,9 +3,8 @@ operations every other module leans on: concrete evaluation, capture-avoiding
 substitution, beta reduction, top-level lvalue collection and free variables.
 ``eval_expr`` walks the tree, branching on each node's class; array values in
 states are ``FiniteFn``s, whose sorted overrides a store extends in O(k).
-``compile_expr`` turns a tree into Python code that evaluates as
-``eval_expr`` does, for callers that evaluate one tree many times;
-``compile_probe`` evaluates an array expression at many points in one call.
+``compile_probe`` turns an array expression into Python code that evaluates
+it as ``eval_expr`` does at many points in one call.
 
 Scalars are arrays of dimension 0 throughout: a scalar occurrence in an
 expression is a cell access with an empty index vector (``Sel(x, ())``).
@@ -21,7 +20,6 @@ it would save.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import operator
 import threading
@@ -712,26 +710,13 @@ def eval_formula(f: Formula, s: State) -> bool:
 # ---------------------------------------------------------------------------
 # compiled evaluation
 
-# Tree levels emitted into one Python expression before the rest is hoisted
-# into a helper function: each level opens at most two parentheses, and the
-# Python parser refuses more than 200 nested ones.
+# Tree levels emitted into one Python expression; a deeper closed form is
+# interpreted.  Each level opens at most two parentheses, and the Python
+# parser refuses more than 200 nested ones.
 _HOIST_DEPTH = 48
 
 _UNSET = object()
 SKIP = object()  # a probe point where the expression raises EvalError
-
-
-def compile_expr(e):
-    """``eval_expr`` compiled: returns ``run`` with ``run(s)`` giving what
-    ``eval_expr(e, s)`` gives, or raising the same exception class, for every
-    state ``s``.  The tree is emitted once as Python source and compiled, so
-    a call walks no tree; a lambda value is a Python function that converts
-    its point to ints and checks its arity as ``Closure`` does, and binds its
-    parameters as locals instead of copying the state.  Operands are
-    evaluated in the interpreter's order, ``and``/``or``/``ite`` short-circuit
-    as it does, and a variable missing from ``s`` raises ``UnboundVariable``
-    only when it is read."""
-    return _Compiler().unit(e)
 
 
 def compile_probe(e):
@@ -740,27 +725,31 @@ def compile_probe(e):
     ``eval_expr`` raises ``EvalError``.  The loop over the points runs in the
     compiled code, which reads input arrays from their ``FiniteFn``'s
     override dict, the background on a miss.  A non-``FiniteFn`` input, a
-    nested lambda, a hoisted subtree or a non-lambda ``e`` takes the
-    per-point path: ``compile_expr``'s value, compiled on first use."""
-    return _Compiler().probe(e)
+    nested lambda, a tree deeper than ``_HOIST_DEPTH`` or a non-lambda ``e``
+    is interpreted: ``eval_expr(e, s)`` called at each point.  A scalar
+    expression ``x`` is the zero-parameter probe ``Lam((), x)`` at ``()``."""
+    if not isinstance(e, Lam):
+        return _interpreted(e)
+    try:
+        return _Compiler().probe(e)
+    except _Interpret:
+        return _interpreted(e)
 
 
-def _per_point(e):
-    run = functools.cache(lambda: compile_expr(e))  # compiled on first use
-
+def _interpreted(e):
     def probe(s, points):
         out = []
         for p in points:
             try:
-                out.append(run()(s)(p))
+                out.append(eval_expr(e, s)(p))
             except EvalError:
                 out.append(SKIP)
         return out
     return probe
 
 
-def _unbound(x: Var):
-    raise UnboundVariable(f"unbound variable {x.name}")
+class _Interpret(Exception):
+    """Raised by the emitter at what it does not compile inline."""
 
 
 def _fail(cls, message, *operands):
@@ -772,43 +761,25 @@ def _divides(d, r) -> bool:
     return r == 0 if d == 0 else r % d == 0
 
 
-def _arity_error(arity: int, point):
-    raise ArityMismatch(f"closure of arity {arity} applied to {point}")
-
-
 _REL_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!="}
 _FORMULAS = (BoolConst, Rel, Not, And, Or)
 
 
 class _Compiler:
-    """One compiled unit: the identifiers of its variables, the variables it
-    reads from the state, and the helpers its source refers to."""
+    """One compiled probe: the identifiers of its variables, the variables
+    it reads from the state, and the arrays among them it reads inline."""
 
     def __init__(self):
         self.names: dict[Var, str] = {}
         self.free: dict[Var, None] = {}  # read from the state, in first-read order
-        self.helpers, self.keys = 0, itertools.count()
-        self.reads: dict[Var, None] | None = None  # the arrays a probe reads inline
-        self.env = {"_UNSET": _UNSET, "_unbound": _unbound, "_fail": _fail, "_SKIP": SKIP,
-                    "_divides": _divides, "_arity_error": _arity_error, "EvalError": EvalError,
-                    "ArityMismatch": ArityMismatch}
+        self.reads: dict[Var, None] = {}  # the arrays read inline
+        self.keys = itertools.count()
+        self.env = dict(_UNSET=_UNSET, _SKIP=SKIP, _fail=_fail, _divides=_divides,
+                        _FiniteFn=FiniteFn, EvalError=EvalError, ArityMismatch=ArityMismatch,
+                        UnboundVariable=UnboundVariable)
 
-    def unit(self, e):
-        defs: list[str] = []
-        body = self.emit(e, frozenset(), defs, 0)
-        lines = ["def run(_s):", "    _m = _s._m"]
-        for x in self.free:
-            lines.append(f"    {self.name(x)} = _m.get(X{self.name(x)}, _UNSET)")
-        lines += _guarded(defs, body, "    ")
-        exec(compile("\n".join(lines), "<compile_expr>", "exec"), self.env)
-        return self.env["run"]
-
-    def probe(self, e):
-        if isinstance(e, Lam):
-            self.reads = {}
-            body = self.emit(e.body, frozenset(e.params), [], 0)
-        if not isinstance(e, Lam) or self.helpers:
-            return _per_point(e)
+    def probe(self, e: Lam):
+        body = self.emit(e.body, frozenset(e.params), 0)
         lines = ["def probe(_s, _pts):", "    _m, _out = _s._m, []"]
         lines += [f"    {self.name(x)} = _m.get(X{self.name(x)}, _UNSET)" for x in self.free]
         for x in self.reads:
@@ -820,7 +791,7 @@ class _Compiler:
                   f"        try: _out.append({body})",
                   "        except (ZeroDivisionError, EvalError): _out.append(_SKIP)",
                   "    return _out"]
-        self.env.update(_slow=_per_point(e), _FiniteFn=FiniteFn)
+        self.env["_slow"] = _interpreted(e)
         exec(compile("\n".join(lines), "<compile_probe>", "exec"), self.env)
         return self.env["probe"]
 
@@ -830,28 +801,22 @@ class _Compiler:
             self.env[f"X{v}"] = x
         return self.names[x]
 
-    def helper(self) -> str:
-        self.helpers += 1
-        return f"_h{self.helpers}"
-
-    def emit(self, e, bound: frozenset, defs: list, depth: int, formula: bool = False) -> str:
-        """Source of one Python expression for ``e``; the functions it calls
-        (lambda values, hoisted subtrees) are appended to ``defs``, the body
-        of the enclosing function, where ``bound`` are locals."""
-        if depth >= _HOIST_DEPTH:
-            h = self.helper()
-            defs += [f"def {h}():", f"    return {self.emit(e, bound, defs, 0, formula)}"]
-            return f"{h}()"
+    def emit(self, e, bound: frozenset, depth: int, formula: bool = False) -> str:
+        """Source of one Python expression for ``e``, in a loop body where
+        ``bound`` are locals; raises ``_Interpret`` at a lambda or at
+        ``_HOIST_DEPTH``."""
+        if depth >= _HOIST_DEPTH or isinstance(e, Lam):
+            raise _Interpret
         if formula and not isinstance(e, _FORMULAS):
             return f"_fail(TypeError, {f'not a formula: {e!r}'!r})"
         emit, d = self.emit, depth + 1
         if isinstance(e, Const):
             return f"({e.value!r})"
         if isinstance(e, Bin):
-            l, r = emit(e.left, bound, defs, d), emit(e.right, bound, defs, d)
+            l, r = emit(e.left, bound, d), emit(e.right, bound, d)
             if e.op in ("+", "-", "*"):
                 return f"({l} {e.op} {r})"
-            if e.op == "div":  # floor division; ZeroDivisionError is turned into EvalError
+            if e.op == "div":  # floor division; ZeroDivisionError is turned into SKIP
                 return f"({l} // {r})"
             return f"_fail(EvalError, {f'unknown operator {e.op}'!r}, {l}, {r})"
         if isinstance(e, Var):
@@ -859,31 +824,30 @@ class _Compiler:
             if e in bound:
                 return v
             self.free[e] = None
-            return f"({v} if {v} is not _UNSET else _unbound(X{v}))"
+            unbound = f"unbound variable {e.name}"
+            return f"({v} if {v} is not _UNSET else _fail(UnboundVariable, {unbound!r}))"
         if isinstance(e, Sel):
-            if self.reads is not None and isinstance(e.arr, Var) and e.arr.arity == len(e.idx) > 0:
-                return self.read(e.arr, [emit(i, bound, defs, d) for i in e.idx])
-            fn = emit(e.arr, bound, defs, d)
+            if isinstance(e.arr, Var) and e.arr.arity == len(e.idx) > 0:
+                return self.read(e.arr, [emit(i, bound, d) for i in e.idx])
+            fn = emit(e.arr, bound, d)
             point = ""
             for i in e.idx:
-                point += f"{emit(i, bound, defs, d)}, "
+                point += f"{emit(i, bound, d)}, "
             if isinstance(e.arr, Var) and e.arr.arity == 0:  # a scalar is bound to an int
                 if point:  # raised, as eval_expr does, once the indices are computed
                     return f"_fail(ArityMismatch, 'scalar applied to indices', {fn}, {point})"
                 return fn
             return f"{fn}(({point}))"
         if isinstance(e, Ite):
-            c = emit(e.cond, bound, defs, d, True)
-            return f"({emit(e.then, bound, defs, d)} if {c} else {emit(e.other, bound, defs, d)})"
-        if isinstance(e, Lam):
-            return self.lam(e, bound, defs)
+            c = emit(e.cond, bound, d, True)
+            return f"({emit(e.then, bound, d)} if {c} else {emit(e.other, bound, d)})"
         if isinstance(e, BoolConst):
             return repr(e.value)
         if isinstance(e, Rel):
             if e.op in ("=", "!=") and (arity_of(e.left) > 0 or arity_of(e.right) > 0):
                 return ("_fail(EvalError, 'array equality is not concretely evaluable; "
                         "probe the functions')")
-            l, r = emit(e.left, bound, defs, d), emit(e.right, bound, defs, d)
+            l, r = emit(e.left, bound, d), emit(e.right, bound, d)
             if e.op in _REL_OPS:
                 return f"({l} {_REL_OPS[e.op]} {r})"
             if e.op == "divides":
@@ -892,12 +856,12 @@ class _Compiler:
                 return f"_divides({l}, {r})"
             return f"_fail(EvalError, {f'unknown relation {e.op}'!r}, {l}, {r})"
         if isinstance(e, Not):
-            return f"(not {emit(e.arg, bound, defs, d, True)})"
+            return f"(not {emit(e.arg, bound, d, True)})"
         if isinstance(e, (And, Or)):
             if not e.args:
                 return repr(isinstance(e, And))
             op = " and " if isinstance(e, And) else " or "
-            return f"({op.join([emit(a, bound, defs, d, True) for a in e.args])})"
+            return f"({op.join([emit(a, bound, d, True) for a in e.args])})"
         return f"_fail(TypeError, {f'not an expression: {e!r}'!r})"
 
     def read(self, x: Var, idx: list[str]) -> str:  # a probe's x[idx...], each index once
@@ -907,26 +871,3 @@ class _Compiler:
         bg = "".join(f" + {v}_c{j} * {k}" for j, k in enumerate(ks))
         return (f"({v}_d[{''.join(k + ', ' for k in ks)}] if "
                 f"({''.join(f'{k} := {i}, ' for k, i in zip(ks, idx))}) in {v}_d else {v}_b{bg})")
-
-    def lam(self, e: Lam, bound: frozenset, defs: list) -> str:
-        h = self.helper()
-        inner: list[str] = []
-        body = self.emit(e.body, bound | set(e.params), inner, 0)
-        arity = len(e.params)
-        lines = [f"def {h}(_p):",
-                 "    _p = tuple(map(int, _p))",
-                 f"    if len(_p) != {arity}:",
-                 f"        _arity_error({arity}, _p)"]
-        if arity:
-            lines.append(f"    {''.join(self.name(p) + ', ' for p in e.params)}= _p")
-        defs += lines + _guarded(inner, body, "    ")
-        return h
-
-
-def _guarded(defs: list[str], body: str, pad: str) -> list[str]:
-    """A function body returning ``body`` that reports a floor division by
-    zero as the interpreter does."""
-    return [f"{pad}try:", *(f"{pad}    {line}" for line in defs),
-            f"{pad}    return {body}",
-            f"{pad}except ZeroDivisionError:",
-            f"{pad}    raise EvalError('division by zero') from None"]

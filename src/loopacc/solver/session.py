@@ -36,6 +36,11 @@ def error_text(message: str) -> str:
     return f"(error {smt_string(message)})"
 
 
+# the argument counts of the commands that read their arguments
+_ARGUMENTS = {"declare-const": (2,), "declare-fun": (3,), "assert": (1,), "push": (0, 1),
+              "pop": (0, 1), "get-value": (1,), "get-info": (1,), "echo": (1,)}
+
+
 class Session:
     def __init__(self, timeout: float | None = None):
         self.env: dict[str, int] = {}  # the declarations: name -> arity
@@ -46,7 +51,11 @@ class Session:
         self.reason = ""  # why the last check-sat answered unknown
 
     def command(self, form) -> str | None:
-        head = form[0] if isinstance(form, list) and form else form
+        head, args = (form[0], form[1:]) if isinstance(form, list) and form else (form, [])
+        if isinstance(head, str) and len(args) not in _ARGUMENTS.get(head, (len(args),)):
+            raise SmtError(f"{head}: wrong number of arguments ({len(args)})")
+        if head in ("push", "pop") and not all(isinstance(a, str) and a.isdecimal() for a in args):
+            raise SmtError(f"{head}: expected a numeral, got {args[0]!r}")
         if head in ("set-logic", "set-info"):
             return self._ok()
         if head == "set-option":
@@ -67,13 +76,11 @@ class Session:
             self.stack[-1].append(parse_formula(floor_div(form[1]), self.env))
             return self._ok()
         if head == "push":
-            k = int(form[1]) if len(form) > 1 else 1
-            for _ in range(k):
+            for _ in range(int(args[0]) if args else 1):
                 self.stack.append([])
             return self._ok()
         if head == "pop":
-            k = int(form[1]) if len(form) > 1 else 1
-            for _ in range(k):
+            for _ in range(int(args[0]) if args else 1):
                 if len(self.stack) == 1:
                     raise SmtError("pop on empty stack")
                 self.stack.pop()

@@ -397,6 +397,15 @@ def test_session_rejects_malformed_terms(text):
         s.command(server.parse_forms(text)[0])
 
 
+@pytest.mark.parametrize("text", ["(push x)", "(pop y)", "(declare-const)", "(assert)",
+                                  "(get-info)", "(push 1 2)", "(declare-fun f Int)"])
+def test_session_rejects_malformed_commands(text):
+    # a protocol error naming the command, not an internal error of the server
+    head = text[1:-1].split()[0]
+    with pytest.raises(server.SmtError, match=f"^{head}: (wrong number|expected a numeral)"):
+        server.Session().command(server.parse_forms(text)[0])
+
+
 @pytest.mark.parametrize("d", [2, -2, 3, -3])
 def test_div_by_a_constant(d):
     """The session reads SMT-LIB's euclidean div, t = d*q + r with

@@ -1,7 +1,8 @@
-"""compile_expr against eval_expr: the same value, or the same exception
-class, on generated closed forms at random n and points and on hand-built
-edge cases; compile_probe against eval_expr on the same closed forms and on
-the cases that leave its inline path; eval_expr and eval_formula against the
+"""compile_probe against eval_expr: the same value at each point, SKIP where
+eval_expr raises EvalError, or the same other exception class, on generated
+closed forms at random n and points (a scalar closed form as a
+zero-parameter probe), on hand-built edge cases as lambda bodies, and on the
+cases that leave its inline path; eval_expr and eval_formula against the
 isinstance-chain reference interpreter in eval_reference.py on the same
 trees."""
 
@@ -16,8 +17,8 @@ from loopacc.closedform import closed_forms_all
 from loopacc import expr
 from loopacc.expr import (
     _HOIST_DEPTH, FALSE, SKIP, And, ArityMismatch, Bin, BoolConst, Closure, Const, EvalError,
-    FiniteFn, Ite, Lam, Not, Or, Rel, Sel, State, UnboundVariable, Var, compile_expr,
-    compile_probe, eval_expr, eval_formula, sv,
+    FiniteFn, Ite, Lam, Not, Or, Rel, Sel, State, UnboundVariable, Var, compile_probe,
+    eval_expr, eval_formula, sv,
 )
 from loopacc.gen import gen_loop
 from loopacc.loop import build_up
@@ -36,18 +37,28 @@ def outcome(thunk):
         return "raises", type(exc)
 
 
-def agree(e, s: State, points=()):
-    """Both evaluators give the same outcome on e in s, and a function value
-    gives the same outcome at every point."""
-    kind, ref = outcome(lambda: eval_expr(e, s))
-    kind2, got = outcome(lambda: compile_expr(e)(s))
-    assert kind == kind2, (e, ref, got)
-    if kind == "value" and isinstance(ref, (FiniteFn, Closure)):
-        for pt in points:
-            assert outcome(lambda: ref(pt)) == outcome(lambda: got(pt)), (e, pt)
-        return "function", None
-    assert ref == got, e
-    return kind, ref
+def probe_agrees(e, s: State, points):
+    """The probe lists eval_expr's value at each point and SKIP exactly where
+    that raises EvalError; any other exception propagates from the call."""
+    ref = [outcome(lambda: eval_expr(e, s)(pt)) for pt in points]
+    other = [v for kind, v in ref if kind == "raises" and not issubclass(v, EvalError)]
+    kind, got = outcome(lambda: compile_probe(e)(s, points))
+    if other:
+        assert (kind, got) == ("raises", other[0]), e
+        return got
+    assert kind == "value", (e, got)
+    assert got == [SKIP if kind == "raises" else v for kind, v in ref], e
+    return got
+
+
+def as_closures(s: State) -> State:
+    """s with each array rebound to a Closure of the same values."""
+    rebound = {}
+    for x, _ in s.items():
+        if x.arity:
+            ps = tuple(Var(f"p{j}") for j in range(x.arity))
+            rebound[x] = eval_expr(Lam(ps, Sel(x, tuple(map(sv, ps)))), s)
+    return s.bind(rebound)
 
 
 def generated():
@@ -68,19 +79,22 @@ def generated():
 
 
 def test_generated_closed_forms_agree():
+    """Each table entry as a zero-parameter probe, each array lambda at its
+    points."""
     compared = 0
     for s, entries, lams in generated():
         for cf in entries:
-            agree(cf, s)
+            probe_agrees(Lam((), cf), s, [()])
             compared += 1
         for lam, pts in lams:
-            agree(lam, s, pts)
+            probe_agrees(lam, s, pts)
             compared += len(pts)
     assert compared > 1000
 
 
 S = State({I: 3, J: 0, K: -7, A: FiniteFn.identity({(2,): 40}), B: FiniteFn.const(1, 5)})
 DEEP = 320
+P = Var("p")  # the parameter an edge case is probed under; no edge case reads it
 
 
 def chain(op, terms, right=False):
@@ -149,98 +163,48 @@ EDGE_CASES = [
 
 @pytest.mark.parametrize("e, expected", EDGE_CASES)
 def test_edge_cases_agree(e, expected):
-    kind, value = agree(e, S)
-    if isinstance(expected, type):
-        assert (kind, value) == ("raises", expected)
+    """Each case as a lambda body, in S and in S with its arrays rebound to
+    Closures, which a compiled probe hands to the interpreter."""
+    if not isinstance(expected, type):
+        want = [expected]
+    elif issubclass(expected, EvalError):
+        want = [SKIP]
     else:
-        assert (kind, value) == ("value", expected)
-
-
-def test_lambda_values_agree_pointwise():
-    lam = Lam((J, K), Ite(Rel("=", sv(J), sv(I)), Bin("div", sv(K), sv(J)),
-                          Sel(A, (Bin("+", sv(J), sv(K)),))))
-    pts = [(3, 9), (0, 0), (-2, 4), (2, 0), (True, 1), ("4", "5"), (1,), (1, 2, 3), ("x", 1)]
-    assert agree(lam, S, pts) == ("function", None)
-    fn = compile_expr(lam)(S)
-    assert fn((3, 9)) == 3
-    with pytest.raises(ArityMismatch):
-        fn((1,))
-    with pytest.raises(EvalError):
-        compile_expr(lam)(S.bind({I: 0}))((0, 5))
-
-
-def test_lambda_reads_its_parameter_not_the_state():
-    # the parameter j shadows the state's j; i still comes from the state
-    lam = Lam((J,), Bin("+", sv(J), Bin("*", Const(10), sv(I))))
-    assert compile_expr(lam)(S)((4,)) == 34 == eval_expr(lam, S)((4,))
-
-
-def test_unbound_variable_is_raised_when_read():
-    run = compile_expr(Lam((J,), Ite(Rel("<", sv(J), Const(0)), sv(Var("zz")), sv(J))))
-    fn = run(S)  # building the lambda value reads nothing
-    assert fn((5,)) == 5
-    with pytest.raises(UnboundVariable):
-        fn((-1,))
-    assert run(S.bind({Var("zz"): 7}))((-1,)) == 7
-
-
-def test_array_variable_is_returned_as_bound():
-    assert compile_expr(A)(S) is S[A]
-
-
-# ---------------------------------------------------------------------------
-# compile_probe
+        want = expected
+    for s in (S, as_closures(S)):
+        assert probe_agrees(Lam((P,), e), s, [(0,)]) == want
 
 
 @pytest.fixture
-def compiles(monkeypatch):
-    """The expressions the per-point path compiles (the inline path calls
-    no compile_expr)."""
+def interpreted(monkeypatch):
+    """The expressions whose interpreted probe was run (the inline path runs
+    none).  Every compiled probe builds its fallback, so runs are counted."""
     seen = []
+    build = expr._interpreted
 
     def counting(e):
-        seen.append(e)
-        return compile_expr(e)
+        probe = build(e)
 
-    monkeypatch.setattr(expr, "compile_expr", counting)
+        def run(s, points):
+            seen.append(e)
+            return probe(s, points)
+        return run
+
+    monkeypatch.setattr(expr, "_interpreted", counting)
     return seen
 
 
-def probe_agrees(e, s: State, points):
-    """The probe lists eval_expr's value at each point and SKIP exactly where
-    that raises EvalError; any other exception propagates from the call."""
-    ref = [outcome(lambda: eval_expr(e, s)(pt)) for pt in points]
-    other = [v for kind, v in ref if kind == "raises" and not issubclass(v, EvalError)]
-    kind, got = outcome(lambda: compile_probe(e)(s, points))
-    if other:
-        assert (kind, got) == ("raises", other[0]), e
-        return got
-    assert kind == "value", (e, got)
-    assert got == [SKIP if kind == "raises" else v for kind, v in ref], e
-    return got
-
-
-def as_closures(s: State) -> State:
-    """s with each array rebound to a Closure of the same values."""
-    rebound = {}
-    for x, _ in s.items():
-        if x.arity:
-            ps = tuple(Var(f"p{j}") for j in range(x.arity))
-            rebound[x] = eval_expr(Lam(ps, Sel(x, tuple(map(sv, ps)))), s)
-    return s.bind(rebound)
-
-
-def test_probe_agrees_on_generated_closed_forms(compiles):
+def test_probe_agrees_on_generated_closed_forms(interpreted):
     compared = 0
     for s, _, lams in generated():
         arrays = [x for x, _ in s.items() if x.arity]
         for lam, pts in lams:
             probe_agrees(lam, s, pts)
-            assert not compiles  # every array is a FiniteFn: the inline path
+            assert not interpreted  # every array is a FiniteFn: the inline path
             probe_agrees(lam, as_closures(s), pts)
             probe_agrees(lam, s.without(arrays), pts)
-            assert compiles == [lam, lam]  # the per-point path, compiled once per probe
-            compiles.clear()
+            assert set(interpreted) == {lam}  # only this lambda was interpreted
+            interpreted.clear()
             compared += len(pts)
     assert compared > 1000
 
@@ -261,7 +225,7 @@ PTS2 = [(j, k) for j in range(-2, 4) for k in range(-2, 4)]
      PTS2, True),
     (Lam((J,), Bin("+", sv(J), sv(Var("zz")))), PTS, True),
     (Lam((J,), Sel(Var("zz", 1), (sv(J),))), PTS, False),
-    # the deepest chain of reads that is not hoisted; a deeper one is
+    # the deepest chain of reads that is compiled; a deeper one is interpreted
     (Lam((J,), reduce(lambda acc, _: Sel(A, (acc,)), range(_HOIST_DEPTH - 2), sv(J))), PTS, True),
     (Lam((J,), reduce(lambda acc, _: Sel(A, (acc,)), range(DEEP), sv(J))), PTS, False),
     (Lam((J,), chain("+", [Sel(A, (sv(J),))] * DEEP)), PTS, False),
@@ -269,10 +233,14 @@ PTS2 = [(j, k) for j in range(-2, 4) for k in range(-2, 4)]
     (Lam((J,), Sel(Lam((K,), Sel(B, (sv(K),))), (sv(J),))), PTS, False),
     (A, PTS, False),
     (Var("zz", 1), PTS, False),
+    # an unbound variable is raised only where it is read
+    (Lam((J,), Ite(Rel("<", sv(J), Const(0)), sv(Var("zz")), sv(J))), PTS, True),
+    # the parameter j shadows the state's j; i still comes from the state
+    (Lam((J,), Bin("+", sv(J), Bin("*", Const(10), sv(I)))), PTS, True),
 ])
-def test_probe_agrees(lam, points, inline, compiles):
+def test_probe_agrees(lam, points, inline, interpreted):
     probe_agrees(lam, S2, points)
-    assert (not compiles) == inline
+    assert (not interpreted) == inline
     probe_agrees(lam, as_closures(S2), points)
 
 

@@ -224,6 +224,9 @@ def test_bad_option_values_are_usage_errors(capsys):
            ["oracle", "--fuzz", "1", "--dim", "0"],
            ["oracle", "--fuzz", "-1"], ["oracle", "--fuzz", "0"],
            ["oracle", swap, "--fuzz", "2"], ["oracle", "missing.loop", "--fuzz", "1"],
+           ["oracle", swap, "--dim", "3"], ["oracle", "--scalars-only", swap],
+           ["oracle", "--fuzz", "1", "--scalars-only", "--dim", "3"],
+           ["oracle", swap, "--scalars-only", "--dim", "3"],
            ["check", swap, "--timeout", "0"],
            ["check", swap, "--timeout", "nan"]]
     for argv in bad:
