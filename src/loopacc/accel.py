@@ -22,6 +22,7 @@ from .classify import LvalueClass, classify_lvalue, monotonicity
 from .closedform import ClosedFormError, ClosedFormTable, Failure, closed_forms_all
 from .loop import Loop, UpdateSubstitution, build_up, validate_loop
 from .recurrence import N
+from .sexpr import to_text
 from .simplify import normal_form_scope, simplify, simplify_formula
 
 
@@ -163,7 +164,7 @@ def flatten_literals(f: Formula) -> list[Formula]:
         return [f]
     if isinstance(f, Not) and isinstance(f.arg, Rel):
         return [f]
-    raise EncodeError(f"not a literal conjunction: {f!r}")
+    raise EncodeError(f"not a literal conjunction: {to_text(f)}")
 
 
 def encode_reachability(pre: list[Formula], transition: AcceleratedTransition,

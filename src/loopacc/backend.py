@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from .expr import (
-    And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
+    NEGATED, And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
     Sel, State, Var, free_vars,
 )
 from .sexpr import ParseError, balanced, read_all, smt_int, smt_symbol, sort_arity, sort_text
@@ -112,8 +112,7 @@ class Encoder:
                 body = f"((_ divisible {abs(d)}) {self.term(f.right)})"
             return f"(not {body})" if negated else body
         ops = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=", "!=": "distinct"}
-        neg = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "distinct", "!=": "="}
-        op = neg[f.op] if negated else ops[f.op]
+        op = ops[NEGATED[f.op] if negated else f.op]
         return f"({op} {self.term(f.left)} {self.term(f.right)})"
 
 

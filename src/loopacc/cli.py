@@ -6,7 +6,8 @@
     loopacc check FILE [--backend CMD] [--timeout S] [--smt-log F]
     loopacc oracle [FILE | --fuzz K [--scalars-only | --dim D]] [--n-max M] [--seed S]
 
-`check` prints unsafe / safe-bounded / unknown with exit codes 0 / 1 / 2.
+`check` prints unsafe / safe-bounded / unknown with exit codes 0 / 1 / 2;
+any command that crashes prints the traceback and exits 3.
 Every command accepts --json for a machine-readable report (schema 1).  The
 bundled solver answers queries in-process by default; --backend or
 LOOPACC_BACKEND names an SMT-LIB2 solver command to run as a subprocess
@@ -18,8 +19,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
-from .accel import accelerate, encode_reachability
+from .accel import EncodeError, accelerate, encode_reachability
 from .arrayform import ArrayFormError, closed_form_array
 from .backend import BackendSession, DEFAULT_TIMEOUT
 from .classify import check_a_solvable
@@ -159,11 +161,15 @@ def cmd_check(args) -> int:
         return 2
     with _session(args) as ses:
         t = accelerate(pf.loop, ses)
+        if not isinstance(t, Failure):
+            try:
+                lits = encode_reachability(pf.init, t, pf.post)
+            except EncodeError as exc:
+                t = Failure("encode", str(exc))
         if isinstance(t, Failure):
             _emit(args, f"unknown ({t.phase}: {t.detail})",
                   {"result": "unknown", "phase": t.phase, "detail": t.detail})
             return 2
-        lits = encode_reachability(pf.init, t, pf.post)
         res = solve(lits, ses)
         if res.status == "model":
             model = res.model
@@ -313,6 +319,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a crash: no verdict's exit code
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,13 @@
 """AST for rvalues, lvalues, (array) expressions and formulas, plus the
 operations every other module leans on: concrete evaluation, capture-avoiding
 substitution, beta reduction, top-level lvalue collection and free variables.
-``eval_expr`` walks the tree, branching on each node's class; array values in
-states are ``FiniteFn``s, whose sorted overrides a store extends in O(k).
+The rewriters spell out only the node kinds where they differ and leave the
+rest to ``map_children``, which rebuilds a node from its rewritten children
+(the node itself when none changed).  ``beta_reduce`` is one pass: a redex's
+parameters are scalars, so substituting reduced indices into a reduced body
+creates no new redex.  ``eval_expr`` walks the tree, branching on each node's
+class; array values in states are ``FiniteFn``s, whose sorted overrides a
+store extends in O(k).
 ``compile_probe`` turns an array expression into Python code that evaluates
 it as ``eval_expr`` does at many points in one call.
 
@@ -281,38 +286,74 @@ def _free_vars(e, bound: frozenset[Var], out: set[Var]):
         raise TypeError(f"not an expression: {e!r}")
 
 
+def map_children(e, f, *args):
+    """``e`` with each direct child ``c`` replaced by ``f(c, *args)``, or ``e``
+    itself when every call returned its child.  The children are a ``Sel``'s
+    indices, then its array; the sides of ``Bin`` and ``Rel``; an ``Ite``'s
+    condition and branches; a ``Lam``'s body (its parameters bind); ``Not``'s
+    argument and ``And``/``Or``'s arguments.  ``Var``, ``Const`` and
+    ``BoolConst`` have none; anything that is not a node raises TypeError."""
+    k = type(e)
+    if k is Sel:
+        idx = _map_tuple(e.idx, f, args) if e.idx else e.idx
+        arr = f(e.arr, *args)
+        return e if arr is e.arr and idx is e.idx else Sel(arr, idx)
+    if k is Bin or k is Rel:
+        l, r = f(e.left, *args), f(e.right, *args)
+        return e if l is e.left and r is e.right else _new(k, (k, e.op, l, r))
+    if k is Const or k is Var or k is BoolConst:
+        return e
+    if k is Ite:
+        c, t, o = f(e.cond, *args), f(e.then, *args), f(e.other, *args)
+        return e if c is e.cond and t is e.then and o is e.other else _new(k, (k, c, t, o))
+    if k is And or k is Or:
+        xs = _map_tuple(e.args, f, args)
+        return e if xs is e.args else _new(k, (k, xs))
+    if k is Not:
+        a = f(e.arg, *args)
+        return e if a is e.arg else _new(k, (k, a))
+    if k is Lam:
+        b = f(e.body, *args)
+        return e if b is e.body else _new(k, (k, e.params, b))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _map_tuple(xs: tuple, f, args) -> tuple:
+    """xs with f applied to each item; xs itself while nothing changes."""
+    for j, x in enumerate(xs):
+        y = f(x, *args)
+        if y is not x:
+            return (*xs[:j], y, *[f(z, *args) for z in xs[j + 1:]])
+    return xs
+
+
+def _top_lvalues(e, visit):
+    """e with each top-level lvalue ``lv`` replaced by ``visit(lv)``.  An
+    lvalue nested below another one, in a lambda body or in the indices of a
+    lambda application (they vanish on beta reduction) is not top-level; so
+    an array literal, whose sides are variables and lambdas, has none."""
+    k = type(e)
+    if k is Sel:
+        return visit(e) if type(e.arr) is Var else e
+    return e if k is Lam else map_children(e, _top_lvalues, visit)
+
+
 def lval_set(e) -> set[Sel]:
-    """Top-level lvalues: lvalues nested below other lvalues or inside lambda
-    bodies are excluded; array literals contribute nothing."""
+    """The top-level lvalues of e (see ``_top_lvalues``)."""
     out: set[Sel] = set()
-    _lval_set(e, out)
+
+    def add(lv):
+        out.add(lv)
+        return lv
+
+    _top_lvalues(e, add)
     return out
 
 
-def _lval_set(e, out: set[Sel]):
-    if isinstance(e, Sel):
-        if isinstance(e.arr, Var):
-            out.add(e)
-        # application of a literal lambda: below-lambda lvalues are ignored,
-        # and so are the application's indices (they vanish on beta reduction)
-    elif isinstance(e, Bin):
-        _lval_set(e.left, out)
-        _lval_set(e.right, out)
-    elif isinstance(e, Ite):
-        _lval_set(e.cond, out)
-        _lval_set(e.then, out)
-        _lval_set(e.other, out)
-    elif isinstance(e, Rel):
-        if arity_of(e.left) == 0 and not isinstance(e.left, (Var, Lam)):
-            _lval_set(e.left, out)
-            _lval_set(e.right, out)
-        # array literal: Lval(p = q) is empty
-    elif isinstance(e, Not):
-        _lval_set(e.arg, out)
-    elif isinstance(e, (And, Or)):
-        for a in e.args:
-            _lval_set(a, out)
-    # Const, BoolConst, Var, Lam: nothing
+def substitute_lvalues(e, mapping: dict):
+    """e with each top-level lvalue in mapping replaced by its image; matched
+    nodes are not descended into."""
+    return _top_lvalues(e, lambda lv: mapping.get(lv, lv))
 
 
 # ---------------------------------------------------------------------------
@@ -334,31 +375,20 @@ def substitute(e, sigma: Subst):
 
 
 def _subst(e, sigma: Subst):
-    if isinstance(e, Var):
-        # array-expression position
+    k = type(e)
+    if k is Sel:
+        x = e.arr
+        if type(x) is Var and x in sigma:
+            img = sigma[x]
+            if not x.arity:  # a scalar occurrence is replaced by its image expression
+                return Sel(img, ()) if type(img) is Var else img
+            return Sel(img, tuple([_subst(i, sigma) for i in e.idx]))
+    elif k is Var:  # array-expression position
         img = sigma.get(e, e)
         if not isinstance(img, (Var, Lam)):
             raise ArityMismatch(f"scalar image {img!r} used in array position for {e.name}")
         return img
-    if isinstance(e, Const) or isinstance(e, BoolConst):
-        return e
-    if isinstance(e, Bin):
-        return Bin(e.op, _subst(e.left, sigma), _subst(e.right, sigma))
-    if isinstance(e, Sel):
-        idx = tuple(_subst(i, sigma) for i in e.idx)
-        if isinstance(e.arr, Var) and e.arr in sigma:
-            img = sigma[e.arr]
-            if e.arr.arity == 0:
-                if isinstance(img, Var):
-                    return Sel(img, ())
-                return img  # scalar occurrence replaced by its image expression
-            return Sel(img, idx)
-        if isinstance(e.arr, Lam):
-            return Sel(_subst(e.arr, sigma), idx)
-        return Sel(e.arr, idx)
-    if isinstance(e, Ite):
-        return Ite(_subst(e.cond, sigma), _subst(e.then, sigma), _subst(e.other, sigma))
-    if isinstance(e, Lam):
+    elif k is Lam:
         live = {x: img for x, img in sigma.items() if x not in e.params}
         if not live:
             return e
@@ -374,44 +404,7 @@ def _subst(e, sigma: Subst):
                 params[i] = q
         body = _subst(e.body, renaming) if renaming else e.body
         return Lam(tuple(params), _subst(body, live))
-    if isinstance(e, Rel):
-        return Rel(e.op, _subst(e.left, sigma), _subst(e.right, sigma))
-    if isinstance(e, Not):
-        return Not(_subst(e.arg, sigma))
-    if isinstance(e, (And, Or)):
-        return type(e)(tuple(_subst(a, sigma) for a in e.args))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def substitute_lvalues(e, mapping: dict):
-    """Replace top-level occurrences of whole lvalues (per lval_set): matched
-    nodes are not descended into, lambda bodies and array literals are left
-    alone."""
-    if isinstance(e, Sel) and isinstance(e.arr, Var):
-        if e in mapping:
-            return mapping[e]
-        return e  # nested lvalues sit below a top-level one: untouched
-    if isinstance(e, (Const, BoolConst, Var, Lam)):
-        return e
-    if isinstance(e, Bin):
-        return Bin(e.op, substitute_lvalues(e.left, mapping), substitute_lvalues(e.right, mapping))
-    if isinstance(e, Sel):  # lambda application: indices are not top-level lvalue positions
-        return e
-    if isinstance(e, Ite):
-        return Ite(
-            substitute_lvalues(e.cond, mapping),
-            substitute_lvalues(e.then, mapping),
-            substitute_lvalues(e.other, mapping),
-        )
-    if isinstance(e, Rel):
-        if arity_of(e.left) == 0 and not isinstance(e.left, (Var, Lam)):
-            return Rel(e.op, substitute_lvalues(e.left, mapping), substitute_lvalues(e.right, mapping))
-        return e
-    if isinstance(e, Not):
-        return Not(substitute_lvalues(e.arg, mapping))
-    if isinstance(e, (And, Or)):
-        return type(e)(tuple(substitute_lvalues(a, mapping) for a in e.args))
-    raise TypeError(f"not an expression: {e!r}")
+    return map_children(e, _subst, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -420,51 +413,14 @@ def substitute_lvalues(e, mapping: dict):
 
 def beta_reduce(e):
     """Rewrite all (lambda ...)[...] redexes by capture-avoiding parameter
-    substitution; the result has no application whose head is a literal lambda."""
-    while True:
-        e2, changed = _beta(e)
-        if not changed:
-            return e2
-        e = e2
-
-
-def _beta(e):
-    if isinstance(e, (Const, BoolConst, Var)):
-        return e, False
-    if isinstance(e, (Bin, Rel)):
-        l, c1 = _beta(e.left)
-        r, c2 = _beta(e.right)
-        return (type(e)(e.op, l, r) if c1 or c2 else e), c1 or c2
-    if isinstance(e, Sel):
-        idx = []
-        ch = False
-        for i in e.idx:
-            i2, c = _beta(i)
-            idx.append(i2)
-            ch = ch or c
-        arr = e.arr
-        if isinstance(arr, Lam):
-            body, cb = _beta(arr.body)
-            reduced = substitute(body, dict(zip(arr.params, idx)))
-            return reduced, True
-        return (Sel(arr, tuple(idx)) if ch else e), ch
-    if isinstance(e, Ite):
-        c, c1 = _beta(e.cond)
-        t, c2 = _beta(e.then)
-        o, c3 = _beta(e.other)
-        ch = c1 or c2 or c3
-        return (Ite(c, t, o) if ch else e), ch
-    if isinstance(e, Lam):
-        b, c = _beta(e.body)
-        return (Lam(e.params, b) if c else e), c
-    if isinstance(e, Not):
-        a, c = _beta(e.arg)
-        return (Not(a) if c else e), c
-    if isinstance(e, (And, Or)):
-        args = [_beta(a) for a in e.args]
-        ch = any(c for _, c in args)
-        return (type(e)(tuple(a for a, _ in args)) if ch else e), ch
-    raise TypeError(f"not an expression: {e!r}")
+    substitution, in one pass: a redex's indices and body are reduced first,
+    and since the parameters are scalars, substituting those normal forms
+    for them creates no new redex."""
+    if type(e) is Sel and type(e.arr) is Lam:
+        lam = e.arr
+        idx = [beta_reduce(i) for i in e.idx]
+        return substitute(beta_reduce(lam.body), dict(zip(lam.params, idx)))
+    return map_children(e, beta_reduce)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +584,10 @@ class State:
         return f"State({parts})"
 
 
-# the arithmetic relations as functions of their two sides
+# the arithmetic relations as functions of their two sides, and each one's negation
 RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
              "=": operator.eq, "!=": operator.ne}
+NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 
 
 def eval_expr(e, s: State):

@@ -83,9 +83,6 @@ def build_up(loop: Loop) -> UpdateSubstitution:
         if x.arity == 0:
             mapping[x] = writes[0][1]
             continue
-        avoid = set()
-        for lv, r in writes:
-            avoid |= free_vars(lv) | free_vars(r)
         params = []
         base = "jklm"[x.arity - 1] if x.arity <= 4 else "j"
         for d in range(x.arity):

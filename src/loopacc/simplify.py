@@ -25,7 +25,7 @@ from functools import wraps
 from math import gcd, lcm
 
 from .expr import (
-    And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, Not, Or, RELATIONS, Rel,
+    And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, NEGATED, Not, Or, RELATIONS, Rel,
     Sel, TRUE, Var, beta_reduce, conj, disj, free_vars, substitute,
 )
 from .sexpr import to_text
@@ -220,7 +220,6 @@ def simplify(e):
 # ---------------------------------------------------------------------------
 # formulas
 
-_NEG = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
@@ -234,8 +233,8 @@ def simplify_formula(f: Formula) -> Formula:
         a = simplify_formula(f.arg)
         if isinstance(a, BoolConst):
             return BoolConst(not a.value)
-        if isinstance(a, Rel) and a.op in _NEG:
-            return _simplify_rel(Rel(_NEG[a.op], a.left, a.right))
+        if isinstance(a, Rel) and a.op in NEGATED:
+            return _simplify_rel(Rel(NEGATED[a.op], a.left, a.right))
         if isinstance(a, Not):
             return a.arg
         return Not(a)
@@ -364,7 +363,7 @@ def _contradicting(parts) -> bool:
     for a in parts:
         if not (isinstance(a, Rel) and isinstance(a.right, Const)):
             continue
-        key = to_text(a.left)
+        key = a.left
         k = a.right.value
         if a.op == "<=":
             hi[key] = min(hi.get(key, k), k)

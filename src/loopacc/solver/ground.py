@@ -31,8 +31,8 @@ import itertools
 import time
 
 from ..expr import (
-    And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
-    Sel, State, Var, arity_of, conj, eval_expr, eval_formula, free_vars, sv,
+    NEGATED, And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
+    Sel, State, Var, arity_of, conj, eval_expr, eval_formula, free_vars, map_children, sv,
 )
 from ..simplify import as_int_const, simplify_formula
 from .presburger import (
@@ -110,18 +110,12 @@ class GroundProblem:
 
     def hoist_formula(self, f: Formula) -> Formula:
         self.tick()
-        if isinstance(f, BoolConst):
-            return f
         if isinstance(f, Rel):
             if f.op in ("=", "!=") and (arity_of(f.left) > 0 or arity_of(f.right) > 0):
                 raise Unsupported("array equality")
-            return Rel(f.op, self.hoist(f.left), self.hoist(f.right))
-        if isinstance(f, Not):
-            return Not(self.hoist_formula(f.arg))
-        if isinstance(f, And):
-            return And(tuple(self.hoist_formula(a) for a in f.args))
-        if isinstance(f, Or):
-            return Or(tuple(self.hoist_formula(a) for a in f.args))
+            return map_children(f, self.hoist)
+        if isinstance(f, (Not, And, Or, BoolConst)):
+            return map_children(f, self.hoist_formula)
         raise Unsupported(f"formula not supported: {f!r}")
 
     # -- step 2: arrays --------------------------------------------------------
@@ -134,28 +128,20 @@ class GroundProblem:
 
     def ackermannize(self, f: Formula) -> Formula:
         self.tick()
-        if isinstance(f, BoolConst):
-            return f
         if isinstance(f, Rel):
-            return Rel(f.op, self._ack_term(f.left), self._ack_term(f.right))
-        if isinstance(f, Not):
-            return Not(self.ackermannize(f.arg))
-        if isinstance(f, And):
-            return And(tuple(self.ackermannize(a) for a in f.args))
-        if isinstance(f, Or):
-            return Or(tuple(self.ackermannize(a) for a in f.args))
+            return map_children(f, self._ack_term)
+        if isinstance(f, (Not, And, Or, BoolConst)):
+            return map_children(f, self.ackermannize)
         raise Unsupported(f"formula not supported: {f!r}")
 
     def _ack_term(self, e):
-        if isinstance(e, (Const, BoolConst)):
-            return e
-        if isinstance(e, Bin):
-            return Bin(e.op, self._ack_term(e.left), self._ack_term(e.right))
         if isinstance(e, Sel):
             if e.arr.arity == 0:
                 return e
             idx = tuple(self._ack_term(i) for i in e.idx)
             return sv(self.select_var(e.arr, idx))
+        if isinstance(e, (Const, BoolConst, Bin)):
+            return map_children(e, self._ack_term)
         raise Unsupported(f"term not supported post-hoisting: {e!r}")
 
     def array_axioms(self) -> list[Formula]:
@@ -362,7 +348,7 @@ def _nnf(f: Formula, neg: bool, products: dict | None = None):
             return div_atom(d, _linpoly(f.right, products), neg=neg)
         diff = padd(_linpoly(f.left, products), _linpoly(f.right, products), -1)
         if neg:
-            op = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "=": "!=", "!=": "="}[op]
+            op = NEGATED[op]
         if op == "<":
             return gt_atom(pscale(diff, -1))
         if op == "<=":

@@ -79,11 +79,11 @@ class Session:
             for _ in range(int(args[0]) if args else 1):
                 self.stack.append([])
             return self._ok()
-        if head == "pop":
-            for _ in range(int(args[0]) if args else 1):
-                if len(self.stack) == 1:
-                    raise SmtError("pop on empty stack")
-                self.stack.pop()
+        if head == "pop":  # a failed pop leaves the stack as it was
+            k = int(args[0]) if args else 1
+            if k >= len(self.stack):
+                raise SmtError(f"pop: {k} exceeds the stack depth {len(self.stack) - 1}")
+            del self.stack[len(self.stack) - k:]
             return self._ok()
         if head == "reset":
             self.__init__(self.timeout)
@@ -151,6 +151,8 @@ class Session:
         return "\n".join(lines)
 
     def get_value(self, forms) -> str:
+        if not isinstance(forms, list):
+            raise SmtError(f"get-value: expected a list of terms, got {forms!r}")
         if self.model is None:
             raise SmtError("no model available")
         parts = []

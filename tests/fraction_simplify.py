@@ -10,11 +10,11 @@ from fractions import Fraction
 from math import gcd
 
 from loopacc.expr import (
-    And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, Not, Or, RELATIONS, Rel,
+    And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, NEGATED, Not, Or, RELATIONS, Rel,
     Sel, TRUE, Var, conj, disj,
 )
 from loopacc.sexpr import to_text
-from loopacc.simplify import _FLIP, _NEG, _contradicting
+from loopacc.simplify import _FLIP, _contradicting
 
 
 def poly_const(c):
@@ -182,8 +182,8 @@ def simplify_formula(f: Formula) -> Formula:
         a = simplify_formula(f.arg)
         if isinstance(a, BoolConst):
             return BoolConst(not a.value)
-        if isinstance(a, Rel) and a.op in _NEG:
-            return _simplify_rel(Rel(_NEG[a.op], a.left, a.right))
+        if isinstance(a, Rel) and a.op in NEGATED:
+            return _simplify_rel(Rel(NEGATED[a.op], a.left, a.right))
         if isinstance(a, Not):
             return a.arg
         return Not(a)

@@ -406,6 +406,15 @@ def test_session_rejects_malformed_commands(text):
         server.Session().command(server.parse_forms(text)[0])
 
 
+def test_get_value_needs_a_list_of_terms():
+    # a symbol is not iterated character by character as a list of terms
+    s = server.Session()
+    forms = server.parse_forms("(declare-const x Int)(declare-const y Int)(assert (> x 2))"
+                               "(check-sat)(get-value xy)")
+    assert [s.command(f) for f in forms[:-1]] == ["", "", "", "sat"]
+    with pytest.raises(server.SmtError, match="^get-value: expected a list of terms"):
+        s.command(forms[-1])
+
 @pytest.mark.parametrize("d", [2, -2, 3, -3])
 def test_div_by_a_constant(d):
     """The session reads SMT-LIB's euclidean div, t = d*q + r with
@@ -448,6 +457,11 @@ class TestServerProtocol:
             "(declare-const x Int)(assert (> x 0))(check-sat)"
             "(push 1)(assert (< x 0))(check-sat)(pop 1)(check-sat)(exit)")
         assert lines == ["sat", "unsat", "sat"]
+
+    def test_failed_pop_leaves_the_stack_as_it_was(self):
+        lines = self.run_script(
+            "(declare-const x Int)(assert (> x 0))(push 1)(assert (< x 0))(pop 2)(check-sat)(exit)")
+        assert lines == ['(error "pop: 2 exceeds the stack depth 1")', "unsat"]
 
     def test_divisible_and_model(self):
         lines = self.run_script(

@@ -237,6 +237,39 @@ def test_bad_option_values_are_usage_errors(capsys):
         assert f"argument {argv[-2]}" in err, argv
 
 
+DISJUNCTIVE_POST_TEXT = """
+(declare (i 0) (k 0))
+(init (= i 0) (= k 5))
+(loop (guard (< i k)) (update ((lhs i) (rhs (+ i 1)))))
+(post (or (= i 3) (= i 4)))
+"""
+
+
+def test_check_outside_the_encoding_is_unknown(tmp_path, capsys):
+    # a post that is not a conjunction of literals answers unknown, not the
+    # traceback and exit code 1 (safe-bounded) of an escaping EncodeError
+    path = str(tmp_path / "or.loop")
+    Path(path).write_text(DISJUNCTIVE_POST_TEXT)
+    assert cli.main(["check", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "unknown (encode: not a literal conjunction: (or (= i' 3) (= i' 4)))\n"
+    assert err == ""
+    assert cli.main(["check", path, "--json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert (data["result"], data["phase"]) == ("unknown", "encode")
+
+
+def test_a_crash_exits_3_with_its_traceback(monkeypatch, capsys):
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "accelerate", crash)
+    for argv in (["check", str(EXAMPLES / "hoare13.loop")], ["accelerate", str(EXAMPLES / "swap.loop")]):
+        assert cli.main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("Traceback") and "RuntimeError: boom" in err, argv
+
+
 # Each command as a new CLI process runs it: the fresh-name counter starts at 0.
 RUN_COMMANDS = """
 import json, sys
