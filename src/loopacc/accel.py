@@ -16,11 +16,10 @@ from .expr import (
     And, Bin, BoolConst, Const, Expr, Formula, Not, Or, Rel, Sel, Var,
     conj, free_vars, lval_set, substitute, substitute_lvalues, sv,
 )
-from .arrayform import ArrayFormError, closed_form_array
 from .backend import validity
-from .classify import LvalueClass, classify_lvalue, monotonicity
-from .closedform import ClosedFormError, ClosedFormTable, Failure, closed_forms_all
-from .loop import Loop, UpdateSubstitution, build_up, validate_loop
+from .classify import LvalueClass, classify_lvalue
+from .closedform import ClosedForms, Failure, closed_forms_all
+from .loop import Loop, validate_loop
 from .recurrence import N
 from .sexpr import to_text
 from .simplify import normal_form_scope, simplify, simplify_formula
@@ -49,34 +48,32 @@ def _guard_atoms(guard: Formula) -> list[Formula]:
     return [guard]
 
 
-def _closed_form_for(lv: Sel, loop: Loop, table: ClosedFormTable,
-                     up: UpdateSubstitution, session) -> Expr | None:
+def _closed_form_for(lv: Sel, loop: Loop, forms: ClosedForms, session) -> Expr | None:
     """Closed form for a guard lvalue: table hit, else trivial, else
     displacing via substituted indices (recursively); None when unresolvable."""
-    if lv in table:
-        return table.of(lv)
+    if lv in forms.table:
+        return forms.table.of(lv)
     if not (free_vars(lv) & loop.written_vars()):
         return lv
-    direction = monotonicity(loop, lv.arr, up, session)
-    if classify_lvalue(loop, lv, direction, up, session).label != LvalueClass.DISPLACING:
+    verdict = forms.verdict
+    label = classify_lvalue(loop, lv, verdict.monotone[lv.arr], verdict.up, session).label
+    if label != LvalueClass.DISPLACING:
         return None
     mapping = {}
     for ix in lv.idx:
         for sub in lval_set(ix):
-            cf = _closed_form_for(sub, loop, table, up, session)
+            cf = _closed_form_for(sub, loop, forms, session)
             if cf is None:
                 return None
             mapping[sub] = cf
     return Sel(lv.arr, tuple(simplify(substitute_lvalues(ix, mapping)) for ix in lv.idx))
 
 
-def guard_characterize(loop: Loop, table: ClosedFormTable,
-                       up: UpdateSubstitution | None = None,
-                       session=None) -> Formula | Failure:
+def guard_characterize(loop: Loop, forms: ClosedForms, session=None) -> Formula | Failure:
     """Per guard atom psi: if psi[up] => psi is valid, emit psi at iteration
     n-1 (its lvalues replaced by closed forms at n-1); if psi => psi[up] is
     valid, emit psi unchanged; otherwise fail."""
-    up = up or build_up(loop)
+    up = forms.verdict.up
     out = []
     for atom in _guard_atoms(loop.guard):
         post = up.apply(atom)
@@ -85,7 +82,7 @@ def guard_characterize(loop: Loop, table: ClosedFormTable,
             mapping = {}
             failed = None
             for lv in lval_set(atom):
-                cf = _closed_form_for(lv, loop, table, up, session)
+                cf = _closed_form_for(lv, loop, forms, session)
                 if cf is None:
                     failed = lv
                     break
@@ -117,29 +114,16 @@ def accelerate(loop: Loop, session=None) -> AcceleratedTransition | Failure:
     forms = closed_forms_all(loop, session)
     if isinstance(forms, Failure):
         return forms
-    up = build_up(loop)
-    guard = guard_characterize(loop, forms.table, up, session)
+    guard = guard_characterize(loop, forms, session)
     if isinstance(guard, Failure):
         return guard
     conjuncts: list[Formula] = [Rel(">", sv(N), Const(0))]
     conjuncts.extend(_guard_atoms(guard))
-    closed: dict[Var, object] = {}
-    for x in sorted(loop.variables(), key=lambda v: v.name):
-        xp = primed(x)
-        if x not in loop.written_vars():
-            closed[x] = x if x.arity else sv(x)
-            conjuncts.append(Rel("=", xp, x) if x.arity else Rel("=", sv(xp), sv(x)))
-            continue
-        try:
-            cf = closed_form_array(loop, x, forms.table, up)
-        except (ArrayFormError, ClosedFormError) as exc:
-            return Failure("array-closed-form", str(exc))
-        closed[x] = cf
-        if x.arity:
-            conjuncts.append(Rel("=", xp, cf))
-        else:
-            conjuncts.append(Rel("=", sv(xp), cf))
-    return AcceleratedTransition(loop, conj(conjuncts), closed, guard)
+    for x, cf in forms.variables.items():
+        if isinstance(cf, Failure):
+            return cf
+        conjuncts.append(Rel("=", primed(x) if x.arity else sv(primed(x)), cf))
+    return AcceleratedTransition(loop, conj(conjuncts), forms.variables, guard)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,18 @@ case per write in lvalue order and the unchanged cell as final else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .expr import (
     Bin, Const, Expr, Formula, Ite, Lam, Not, Rel, Sel, Var, conj, disj,
     fresh_var, lval_set, substitute, substitute_lvalues, sv,
 )
-from .closedform import ClosedFormTable
 from .loop import Loop, UpdateSubstitution, build_up
 from .recurrence import N
 from .simplify import as_int_const, simplify, simplify_formula
+
+if TYPE_CHECKING:  # closedform imports this module
+    from .closedform import ClosedFormTable
 
 
 class ArrayFormError(Exception):

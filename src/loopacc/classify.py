@@ -93,6 +93,7 @@ def monotonicity(loop: Loop, x: Var, up: UpdateSubstitution | None = None,
 class Classification:
     label: LvalueClass
     justification: str = ""
+    partner: Sel | None = None  # an inductive lvalue's write x[up(r)]
 
 
 def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
@@ -111,7 +112,7 @@ def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
         eq = conj(Rel("=", a, b) for a, b in zip(wlv.idx, upped))
         if validity(eq, session):
             just = f"{x.name}[up(r)] = {to_text(wlv)} is written"
-            return Classification(LvalueClass.INDUCTIVE, just)
+            return Classification(LvalueClass.INDUCTIVE, just, wlv)
     writes = loop.writes_to(x)
     if direction == Monotonicity.NONE:
         return Classification(LvalueClass.UNCLASSIFIABLE, f"{x.name} is not monotonic")
@@ -141,6 +142,7 @@ class SolvabilityVerdict:
     labels: dict[Sel, Classification] = field(default_factory=dict)
     rhs_tags: list[str] = field(default_factory=list)  # per rhs: "a" or "b"
     reason: str = ""
+    up: UpdateSubstitution | None = None  # the one the verdict was decided with
 
 
 def check_a_solvable(loop: Loop, session=None) -> SolvabilityVerdict:
@@ -148,7 +150,7 @@ def check_a_solvable(loop: Loop, session=None) -> SolvabilityVerdict:
     (a) only trivial/inductive reads or (b) only displacing reads (trivial
     lvalues count as displacing)."""
     up = build_up(loop)
-    verdict = SolvabilityVerdict(False)
+    verdict = SolvabilityVerdict(False, up=up)
     for x in sorted(loop.variables(), key=lambda v: v.name):
         verdict.monotone[x] = monotonicity(loop, x, up, session)
         if verdict.monotone[x] == Monotonicity.NONE:

@@ -22,13 +22,12 @@ import sys
 import traceback
 
 from .accel import EncodeError, accelerate, encode_reachability
-from .arrayform import ArrayFormError, closed_form_array
 from .backend import BackendSession, DEFAULT_TIMEOUT
 from .classify import check_a_solvable
 from .closedform import Failure, closed_forms_all
 from .gen import GenConfig, gen_loop
 from .lamsolve import finite_fn_expr, solve, verify_model
-from .loop import build_up, validate_loop
+from .loop import validate_loop
 from .oracle import check_loop
 from .problem import parse_problem
 from .sexpr import ParseError, to_text
@@ -89,7 +88,6 @@ def cmd_closed_form(args) -> int:
             _emit(args, f"failure({forms.phase}): {forms.detail}",
                   {"ok": False, "phase": forms.phase, "detail": forms.detail})
             return 1
-        up = build_up(pf.loop)
         lines = []
         payload: dict = {"ok": True, "lvalues": {}, "arrays": {}}
         if args.show_rec:
@@ -117,11 +115,10 @@ def cmd_closed_form(args) -> int:
             targets = sorted((x for x in pf.loop.written_vars() if x.arity > 0),
                              key=lambda v: v.name)
         for x in targets:
-            try:
-                lam = closed_form_array(pf.loop, x, forms.table, up)
-            except ArrayFormError as exc:
-                _emit(args, f"failure(array-closed-form): {exc}",
-                      {"ok": False, "phase": "array-closed-form", "detail": str(exc)})
+            lam = forms.variables[x]
+            if isinstance(lam, Failure):
+                _emit(args, f"failure({lam.phase}): {lam.detail}",
+                      {"ok": False, "phase": lam.phase, "detail": lam.detail})
                 return 1
             lines.append(f"{x.name}^(n) = {to_text(lam)}")
             payload["arrays"][x.name] = to_text(lam)

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Const, Expr, Sel, free_vars, lval_set, substitute, substitute_lvalues
+from .arrayform import ArrayFormError, closed_form_array
+from .expr import Const, Expr, Sel, Var, free_vars, lval_set, substitute, substitute_lvalues
 from .classify import LvalueClass, SolvabilityVerdict, check_a_solvable
 from .loop import Loop
 from .recurrence import (
-    N, RecSolution, RecurrenceError, RecurrenceSystem, Unsolvable, build_rec,
-    solve_rec, verify_solution,
+    N, RecSolution, RecurrenceSystem, Unsolvable, build_rec, solve_rec, verify_solution,
 )
 from .simplify import simplify
 
@@ -46,7 +46,7 @@ class ClosedFormTable:
 
 @dataclass
 class Failure:
-    phase: str  # validation | classification | rec | rec-verify | pick | guard
+    phase: str  # validation | classification | rec | rec-verify | pick | guard | array-closed-form
     detail: str = ""
 
 
@@ -78,18 +78,19 @@ class ClosedForms:
     verdict: SolvabilityVerdict
     system: RecurrenceSystem
     solution: RecSolution
+    # x -> x^(n) for every loop variable in name order (a lambda for a written
+    # array, x itself when unwritten), or the Failure of x's closed form
+    variables: dict[Var, Expr | Failure]
 
 
 def closed_forms_all(loop: Loop, session=None) -> ClosedForms | Failure:
     """Step 1 trivial, step 2 inductive, step 3 repeatedly pick a displacing
-    lvalue whose index lvalues are all known."""
+    lvalue whose index lvalues are all known; then every variable's closed
+    form, scalars as arrays of dimension 0."""
     verdict = check_a_solvable(loop, session)
     if not verdict.a_solvable:
         return Failure("classification", verdict.reason)
-    try:
-        system = build_rec(loop, verdict, session=session)
-    except RecurrenceError as exc:
-        return Failure("rec", str(exc))
+    system = build_rec(loop, verdict)
     sol = solve_rec(system)
     if isinstance(sol, Unsolvable):
         return Failure("rec", sol.reason)
@@ -118,4 +119,10 @@ def closed_forms_all(loop: Loop, session=None) -> ClosedForms | Failure:
             return Failure("pick", "no displacing lvalue with fully known index")
         table.entries[progress] = closed_form_displacing(progress, table)
         pending.remove(progress)  # the unknown set strictly shrinks
-    return ClosedForms(table, verdict, system, sol)
+    variables: dict[Var, Expr | Failure] = {}
+    for x in sorted(loop.variables(), key=lambda v: v.name):
+        try:
+            variables[x] = closed_form_array(loop, x, table, verdict.up)
+        except (ArrayFormError, ClosedFormError) as exc:
+            variables[x] = Failure("array-closed-form", str(exc))
+    return ClosedForms(table, verdict, system, sol, variables)

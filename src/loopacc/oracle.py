@@ -16,12 +16,11 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .arrayform import ArrayFormError, closed_form_array
 from .closedform import Failure, closed_forms_all
 from .expr import (
     SKIP, Const, EvalError, FiniteFn, State, Var, compile_probe, eval_expr, substitute,
 )
-from .loop import Loop, LoopError, build_up, run_n
+from .loop import Loop, LoopError, run_n
 from .recurrence import N
 from .sexpr import to_text
 from .simplify import normal_form_scope
@@ -150,14 +149,11 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
     forms = closed_forms_all(loop, session)
     if isinstance(forms, Failure):
         return _failed(report, forms, t0)
-    up = build_up(loop)
-    array_forms = {}
-    for x in sorted(loop.written_vars(), key=lambda v: v.name):
-        if x.arity > 0:
-            try:
-                array_forms[x] = closed_form_array(loop, x, forms.table, up)
-            except ArrayFormError as exc:
-                return _failed(report, Failure("array-closed-form", str(exc)), t0)
+    written = loop.written_vars()
+    array_forms = {x: cf for x, cf in forms.variables.items() if x.arity and x in written}
+    for cf in array_forms.values():
+        if isinstance(cf, Failure):
+            return _failed(report, cf, t0)
 
     probes = {x: compile_probe(lam) for x, lam in array_forms.items()}
     # the scalar/lvalue table at each n, substituted once for every state

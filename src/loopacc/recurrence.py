@@ -15,16 +15,10 @@ from fractions import Fraction
 from math import comb
 
 from .backend import validity
-from .expr import (
-    Expr, Rel, Sel, Var, free_vars, fresh_var, lval_set, substitute, substitute_lvalues, sv,
-)
-from .loop import Loop, UpdateSubstitution, build_up
+from .expr import Expr, Rel, Sel, Var, free_vars, fresh_var, substitute, substitute_lvalues, sv
+from .loop import Loop
 from .classify import LvalueClass, SolvabilityVerdict
 from .simplify import Poly, linearize, poly_add, poly_mul, poly_scale, poly_to_expr
-
-
-class RecurrenceError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -87,30 +81,14 @@ class RecSolution:
 N = Var("n", 0)
 
 
-def build_rec(loop: Loop, verdict: SolvabilityVerdict,
-              up: UpdateSubstitution | None = None, session=None) -> RecurrenceSystem:
+def build_rec(loop: Loop, verdict: SolvabilityVerdict) -> RecurrenceSystem:
     """One equation per inductive lvalue x[r]: the next value is what the loop
-    writes to x[up(r)] this iteration, with every top-level lvalue replaced by
-    its rec symbol."""
-    up = up or build_up(loop)
+    writes to x[up(r)] this iteration (the write classification matched),
+    with every top-level lvalue replaced by its rec symbol.  The closure holds
+    every rhs lvalue, so each rhs maps to rec symbols only."""
     sigma = LvalueSubstitution.over(verdict.closure)
-    known = set(verdict.closure)
-    equations: dict[Var, Expr] = {}
-    for lv in verdict.closure:
-        if verdict.labels[lv].label != LvalueClass.INDUCTIVE:
-            continue
-        upped = tuple(up.apply(ix) for ix in lv.idx)
-        rhs = None
-        for wlv, wr in loop.writes_to(lv.arr):
-            if all(validity(Rel("=", a, b), session) for a, b in zip(wlv.idx, upped)):
-                rhs = wr
-                break
-        if rhs is None:
-            raise RecurrenceError(f"inductive lvalue {lv!r} has no matching write")
-        if not lval_set(rhs) <= known:
-            missing = lval_set(rhs) - known
-            raise RecurrenceError(f"rhs reads lvalues outside the closure: {missing!r}")
-        equations[sigma.symbol(lv)] = sigma.apply(rhs)
+    equations = {sigma.symbol(lv): sigma.apply(loop.rhs_of(c.partner))
+                 for lv, c in verdict.labels.items() if c.label == LvalueClass.INDUCTIVE}
     return RecurrenceSystem(equations, sigma)
 
 

@@ -131,34 +131,39 @@ class Session:
             return f"(:reason-unknown {smt_string(self.reason)})"
         return "unsupported"
 
-    def format_model(self) -> str:
+    def _total_model(self) -> State:
+        """The last model with every declared name it leaves open fixed:
+        scalars to 0, arrays to the constant 0."""
         if self.model is None:
             raise SmtError("no model available")
+        fixed = {}
+        for name, ar in self.env.items():
+            v = Var(name, ar)
+            if ar == 0 and v not in self.model:
+                fixed[v] = 0
+            elif ar and not isinstance(self.model.get(v), FiniteFn):
+                fixed[v] = FiniteFn.const(ar, 0)
+        return self.model.bind(fixed)
+
+    def format_model(self) -> str:
+        model = self._total_model()
         lines = ["("]
         for name in sorted(self.env):
             ar = self.env[name]
-            v = Var(name, ar)
-            val = self.model.get(v)
-            if ar == 0:
-                val = 0 if val is None else val
-                lines.append(f"  (define-fun {smt_symbol(name)} () Int {smt_int(val)})")
-            else:
-                fn = val if isinstance(val, FiniteFn) else FiniteFn.const(ar, 0)
-                lines.append(
-                    f"  (define-fun {smt_symbol(name)} () {sort_text(ar)} {array_text(fn)})"
-                )
+            val = model[Var(name, ar)]
+            text = array_text(val) if ar else smt_int(val)
+            lines.append(f"  (define-fun {smt_symbol(name)} () {sort_text(ar)} {text})")
         lines.append(")")
         return "\n".join(lines)
 
     def get_value(self, forms) -> str:
         if not isinstance(forms, list):
             raise SmtError(f"get-value: expected a list of terms, got {forms!r}")
-        if self.model is None:
-            raise SmtError("no model available")
+        model = self._total_model()
         parts = []
         for f in forms:
             term = parse_expr(floor_div(f), self.env)
-            parts.append(f"({term_text(f)} {smt_int(eval_expr(term, self.model))})")
+            parts.append(f"({term_text(f)} {smt_int(eval_expr(term, model))})")
         return "(" + " ".join(parts) + ")"
 
 
@@ -176,9 +181,10 @@ def floor_div(form):
 
 
 def term_text(form) -> str:
+    """A read term printed back, each symbol as SMT-LIB spells it."""
     if isinstance(form, list):
         return "(" + " ".join(term_text(f) for f in form) + ")"
-    return str(form)
+    return smt_symbol(form)
 
 
 def array_text(fn: FiniteFn) -> str:

@@ -13,7 +13,7 @@ from loopacc.expr import (
     And, Bin, BoolConst, Const, FiniteFn, Not, Or, Rel, Sel, State, Var,
     arity_of, eval_expr, eval_formula, sv,
 )
-from loopacc.loop import Loop, build_up, run_n
+from loopacc.loop import Loop, run_n
 from loopacc.recurrence import N
 from loopacc.sexpr import to_text
 
@@ -231,10 +231,10 @@ def test_guard_lvalue_outside_the_closure_is_displaced(session):
     # the closure (i, a[i+1]) does not hold
     loop = Loop(BoolConst(True), (Sel(I, ()), Sel(A, (sv(I),))),
                 (plus(sv(I), 1), Sel(A, (plus(sv(I), 1),))))
-    table = closed_forms_all(loop, session).table
+    forms = closed_forms_all(loop, session)
     lv = Sel(A, (plus(sv(I), 2),))
-    assert lv not in table
-    cf = _closed_form_for(lv, loop, table, build_up(loop), session)
+    assert lv not in forms.table
+    cf = _closed_form_for(lv, loop, forms, session)
     assert to_text(cf) == "(select a (+ (+ i n) 2))"
     rnd = random.Random(7)
     for _ in range(4):

@@ -415,6 +415,32 @@ def test_get_value_needs_a_list_of_terms():
     with pytest.raises(server.SmtError, match="^get-value: expected a list of terms"):
         s.command(forms[-1])
 
+
+def test_get_value_echoes_terms_that_read_back():
+    # |i'| and |a b| are echoed quoted: unquoted, i' is no symbol and
+    # (select a b 0) reads back as a select of three arguments
+    s = server.Session()
+    forms = server.parse_forms("(declare-const |i'| Int)(declare-const |a b| (Array Int Int))"
+                               "(assert (> |i'| 0))(assert (= (select |a b| 0) 4))(check-sat)"
+                               "(get-value (|i'| (select |a b| 0)))")
+    answers = [s.command(f) for f in forms]
+    assert answers[-2:] == ["sat", "((|i'| 1) ((select |a b| 0) 4))"]
+    assert [term for term, _ in server.parse_forms(answers[-1])[0]] == forms[-1][1]
+
+
+def test_get_value_of_a_name_the_model_leaves_open():
+    # y and b are declared after check-sat: get-value answers the values
+    # get-model prints for them, 0 and the constant-0 array
+    s = server.Session()
+    forms = server.parse_forms("(declare-const x Int)(assert (> x 0))(check-sat)"
+                               "(declare-const y Int)(declare-const b (Array Int Int))"
+                               "(get-value (x y (select b 3) (+ y 2)))(get-model)")
+    answers = [s.command(f) for f in forms]
+    assert answers[2:-1] == ["sat", "", "", "((x 1) (y 0) ((select b 3) 0) ((+ y 2) 2))"]
+    assert "(define-fun y () Int 0)" in answers[-1]
+    assert "(define-fun b () (Array Int Int) ((as const (Array Int Int)) 0))" in answers[-1]
+
+
 @pytest.mark.parametrize("d", [2, -2, 3, -3])
 def test_div_by_a_constant(d):
     """The session reads SMT-LIB's euclidean div, t = d*q + r with

@@ -1,16 +1,23 @@
 """Closed-form table: worked examples, the three-way oracle (closed form vs
 symbolic n-fold update vs interpreter), the n:=0 collapse, and pick-step
-progress."""
+progress; one analysis per loop, read by accelerate, the oracle and the
+closed-form command."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from loopacc import closedform
-from loopacc.closedform import Failure, closed_forms_all
+from loopacc import cli, closedform, loop as loop_mod
+from loopacc.accel import accelerate
+from loopacc.closedform import ClosedFormError, Failure, closed_forms_all
 from loopacc.expr import Bin, Const, Sel, State, eval_expr, substitute, sv
+from loopacc.gen import gen_loop
 from loopacc.loop import Loop, Rel, run_n, up_pow
-from loopacc.recurrence import N, RecurrenceError
+from loopacc.oracle import check_loop
+from loopacc.problem import parse_problem
+from loopacc.recurrence import N
 from loopacc.simplify import simplify
 
 from conftest import A, B, I, J, K, decrement_loop, mixing_loop, plus, random_array, swap_loop
@@ -108,13 +115,93 @@ def test_pick_progress_on_chained_displacing():
 
 
 def test_only_recurrence_errors_become_failures(monkeypatch):
-    def raising(exc):
-        def build_rec(*args, **kwargs):
-            raise exc
-        return build_rec
+    def build_rec(*args):
+        raise ZeroDivisionError("a bug")
 
-    monkeypatch.setattr(closedform, "build_rec", raising(RecurrenceError("no matching write")))
-    assert closed_forms_all(decrement_loop()) == Failure("rec", "no matching write")
-    monkeypatch.setattr(closedform, "build_rec", raising(ZeroDivisionError("a bug")))
+    monkeypatch.setattr(closedform, "build_rec", build_rec)
     with pytest.raises(ZeroDivisionError):
         closed_forms_all(decrement_loop())
+
+
+# ---------------------------------------------------------------------------
+# one analysis per loop
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_problems"
+
+TWO_ARRAYS = """
+(declare (i 0) (k 0) (a 1) (b 1))
+(loop
+  (guard (< i k))
+  (update
+    ((lhs i) (rhs (+ i 1)))
+    ((lhs (select a i)) (rhs 3))
+    ((lhs (select b i)) (rhs 4))))
+"""
+
+
+@pytest.fixture
+def build_up_calls(monkeypatch):
+    """The loops of every build_up call, counted in each loopacc module that
+    imports it."""
+    calls, real = [], loop_mod.build_up
+
+    def build_up(loop):
+        calls.append(loop)
+        return real(loop)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "loopacc" and getattr(mod, "build_up", None) is real:
+            monkeypatch.setattr(mod, "build_up", build_up)
+    return calls
+
+
+def test_one_update_substitution_per_analysis(build_up_calls, session, capsys):
+    paths = sorted(EXAMPLES.glob("*.loop"))
+    loops = [parse_problem(p).loop for p in paths] + [gen_loop(s).loop for s in range(10)]
+    for loop in loops:
+        for analyse in (accelerate, lambda l, ses: check_loop(l, seeds=2, n_max=2, session=ses)):
+            build_up_calls.clear()
+            analyse(loop, session)
+            assert build_up_calls == [loop]
+    for path in paths:
+        build_up_calls.clear()
+        cli.main(["closed-form", str(path)])
+        assert len(build_up_calls) == 1, path
+    capsys.readouterr()
+
+
+@pytest.fixture
+def a_has_no_closed_form(monkeypatch):
+    real = closedform.closed_form_array
+
+    def closed_form_array(loop, x, table, up):
+        if x == A:
+            raise ClosedFormError("no closed form for a")
+        return real(loop, x, table, up)
+
+    monkeypatch.setattr(closedform, "closed_form_array", closed_form_array)
+
+
+def test_a_closed_form_error_fails_only_its_array(a_has_no_closed_form, session, tmp_path,
+                                                  capsys):
+    path = tmp_path / "two.loop"
+    path.write_text(TWO_ARRAYS)
+    loop = parse_problem(path).loop
+    failure = Failure("array-closed-form", "no closed form for a")
+    forms = closed_forms_all(loop, session)
+    assert forms.variables[A] == failure and forms.variables[B] != failure
+    assert check_loop(loop, seeds=2, n_max=2, session=session).failure == failure
+    assert accelerate(loop, session) == failure
+    assert cli.main(["closed-form", str(path), "--array", "b"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("b^(n) = (lambda ")
+    for argv in (["--array", "a"], []):
+        assert cli.main(["closed-form", str(path), *argv]) == 1
+        assert capsys.readouterr().out == "failure(array-closed-form): no closed form for a\n"
+
+
+def test_the_guard_is_checked_before_the_closed_forms(a_has_no_closed_form, session):
+    loop = parse_problem(TWO_ARRAYS, is_path=False).loop
+    assert accelerate(loop, session).phase == "array-closed-form"
+    loop = Loop(Rel("!=", sv(I), sv(K)), loop.lvalues, loop.rhs)
+    out = accelerate(loop, session)
+    assert out.phase == "guard" and out.detail.startswith("guard atom is not monotonic")

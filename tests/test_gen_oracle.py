@@ -3,6 +3,7 @@ self-test against a deliberately corrupted closed form."""
 
 import random
 
+from loopacc import closedform
 from loopacc.classify import check_a_solvable
 from loopacc.closedform import closed_forms_all
 from loopacc.expr import Bin, Const, FiniteFn, Ite, Lam, Rel, Sel, Var, sv
@@ -64,16 +65,16 @@ def test_oracle_detects_corrupted_closed_form(monkeypatch):
 def test_oracle_detects_corrupted_array_closed_form(monkeypatch):
     # harness self-test on the array side: the swap loop's lambda is off by
     # one at the cell 0 alone
-    import loopacc.oracle as oracle_mod
-
-    real = oracle_mod.closed_form_array
+    real = closedform.closed_form_array
 
     def corrupted(loop, x, table, up):
         lam = real(loop, x, table, up)
+        if not x.arity:
+            return lam
         at_zero = Rel("=", sv(lam.params[0]), Const(0))
         return Lam(lam.params, Ite(at_zero, Bin("+", lam.body, Const(1)), lam.body))
 
-    monkeypatch.setattr(oracle_mod, "closed_form_array", corrupted)
+    monkeypatch.setattr(closedform, "closed_form_array", corrupted)
     rep = check_loop(swap_loop(), loop_id="swap", seeds=3, n_max=4)
     assert not rep.ok and rep.mismatches
     assert {(m.subject, m.point, m.got - m.expected) for m in rep.mismatches} == {("a", (0,), 1)}
@@ -85,14 +86,16 @@ def test_oracle_counts_the_window_points_a_closed_form_cannot_evaluate(monkeypat
     # interpreter's side by its SKIP points alone
     import loopacc.oracle as oracle_mod
 
-    real = oracle_mod.closed_form_array
+    real = closedform.closed_form_array
 
     def divides_by_j_minus_1(loop, x, table, up):
         lam = real(loop, x, table, up)
+        if not x.arity:
+            return lam
         zero = Bin("*", Const(0), Bin("div", Const(1), plus(sv(lam.params[0]), -1)))
         return Lam(lam.params, Bin("+", lam.body, zero))
 
-    monkeypatch.setattr(oracle_mod, "closed_form_array", divides_by_j_minus_1)
+    monkeypatch.setattr(closedform, "closed_form_array", divides_by_j_minus_1)
     loop, seeds, n_max = swap_loop(), 6, 5
     rep = check_loop(loop, loop_id="swap", seeds=seeds, n_max=n_max)
     visits = window_points = at_one = 0

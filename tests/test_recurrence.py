@@ -4,18 +4,26 @@ fragment, identity verification, and concrete agreement with the interpreter."""
 import random
 from fractions import Fraction
 
-from loopacc.classify import check_a_solvable
+from pathlib import Path
+
+from loopacc.classify import LvalueClass, check_a_solvable
 from loopacc.expr import (
-    Bin, Const, FiniteFn, Sel, State, Var, eval_expr, substitute, sv,
+    Bin, Const, FiniteFn, Sel, State, Var, eval_expr, reset_fresh_counter, substitute, sv,
 )
+from loopacc.gen import gen_loop
 from loopacc.loop import Loop, Rel, run_n
+from loopacc.problem import parse_problem
 from loopacc.recurrence import (
     LvalueSubstitution, N, RecSolution, RecurrenceSystem, Unsolvable,
     build_rec, solve_rec, verify_solution,
 )
+from loopacc.sexpr import to_text
 from loopacc.simplify import linearize
 
 from conftest import A, I, J, K, decrement_loop, plus, swap_loop
+from rec_reference import build_rec_by_search
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_problems"
 
 
 def _theta_text(system, sol):
@@ -24,7 +32,31 @@ def _theta_text(system, sol):
     return {to_text(lv): to_text(sol.of(r)) for lv, r in system.sigma.pairs}
 
 
+def _equations_text(build, loop, verdict):
+    """build's equations as text, from a reset fresh-name counter."""
+    reset_fresh_counter()
+    return [(to_text(r), to_text(e)) for r, e in build(loop, verdict)]
+
+
 class TestBuildRec:
+    def test_recorded_write_gives_the_searched_equations(self):
+        # the write classification matched is the one a per-component
+        # validity search over the writes finds
+        loops = [gen_loop(seed).loop for seed in range(40)]
+        loops += [parse_problem(p).loop for p in sorted(EXAMPLES.glob("*.loop"))]
+        equations = 0
+        for loop in loops:
+            verdict = check_a_solvable(loop)
+            if not verdict.a_solvable:
+                continue
+            got = _equations_text(build_rec, loop, verdict)
+            want = _equations_text(lambda l, v: build_rec_by_search(l, v, v.up), loop, verdict)
+            assert got == want, to_text(loop.guard)
+            assert all(c.partner is not None for c in verdict.labels.values()
+                       if c.label == LvalueClass.INDUCTIVE)
+            equations += len(got)
+        assert equations > len(loops)
+
     def test_swap(self):
         loop = swap_loop()
         system = build_rec(loop, check_a_solvable(loop))

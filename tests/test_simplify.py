@@ -247,7 +247,7 @@ def _loop_forms(loop):
     out += [to_text(poly_to_expr(p)) for p in forms.solution.polys.values()]
     out += [to_text(closed_form_array(loop, x, forms.table, up))
             for x in sorted(loop.written_vars(), key=lambda v: v.name) if x.arity]
-    guard = guard_characterize(loop, forms.table, up, None)
+    guard = guard_characterize(loop, forms, None)
     out.append(guard.detail if isinstance(guard, Failure) else to_text(guard))
     return out
 
