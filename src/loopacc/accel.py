@@ -161,7 +161,7 @@ def encode_reachability(pre: list[Formula], transition: AcceleratedTransition,
         lits.extend(flatten_literals(f))
     lits.extend(flatten_literals(transition.formula))
     rename = {}
-    for x in sorted(transition.loop.variables(), key=lambda v: v.name):
+    for x in transition.loop.variables():
         rename[x] = primed(x) if x.arity else sv(primed(x))
     for f in post:
         renamed = substitute(f, rename)

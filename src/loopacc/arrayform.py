@@ -160,18 +160,18 @@ def closed_form_array(loop: Loop, x: Var, table: ClosedFormTable,
                       up: UpdateSubstitution | None = None):
     """Lambda over fresh cell parameters: ite chain over the last-write cases
     in lvalue order (mutually exclusive guards under (Distinct)), final else
-    the unchanged cell."""
+    the unchanged cell; a written scalar that no right-hand side reads has no
+    table entry and is the chain itself, ``ite(1 <= n, rhs^(n-1), x)``."""
     up = up or build_up(loop)
-    if x.arity == 0:
-        if not loop.writes_to(x):
-            return sv(x)
-        return table.of(Sel(x, ()))
-    if not loop.writes_to(x):
-        return x  # lambda c. x[c] collapses to x itself
+    writes = loop.writes_to(x)
+    if not writes:
+        return x if x.arity else sv(x)  # lambda c. x[c] collapses to x itself
+    if not x.arity and sv(x) in table:
+        return table.of(sv(x))
     params = tuple(fresh_var("c" if x.arity == 1 else f"c{d}", 0) for d in range(x.arity))
     c_exprs = tuple(sv(p) for p in params)
     body: Expr = Sel(x, c_exprs)
-    for lv, _ in reversed(loop.writes_to(x)):
+    for lv, _ in reversed(writes):
         case = last_write_instantiation(loop, lv, c_exprs, sv(N), table, up)
         body = Ite(case.guard, case.value, body)
-    return Lam(params, simplify(body))
+    return Lam(params, simplify(body)) if x.arity else simplify(body)

@@ -151,7 +151,7 @@ def check_a_solvable(loop: Loop, session=None) -> SolvabilityVerdict:
     lvalues count as displacing)."""
     up = build_up(loop)
     verdict = SolvabilityVerdict(False, up=up)
-    for x in sorted(loop.variables(), key=lambda v: v.name):
+    for x in loop.variables():
         verdict.monotone[x] = monotonicity(loop, x, up, session)
         if verdict.monotone[x] == Monotonicity.NONE:
             verdict.reason = f"{x.name} is not monotonic"

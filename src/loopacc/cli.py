@@ -295,8 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, source, nargs="?", default=None)
     source.add_argument("--fuzz", type=_positive, default=None, metavar="K",
                         help="generate and test K random a-solvable loops")
-    p.add_argument("--n-max", type=_natural, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-max", type=_natural, default=8,
+                   help="compare after 0..N_MAX iterations (default 8)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the first random state; with --fuzz, of the first loop too")
     p.add_argument("--states", type=_positive, default=10, help="random states per loop")
     generator = p.add_mutually_exclusive_group()
     generator.add_argument("--scalars-only", action="store_true", help="loops without arrays")

@@ -120,7 +120,7 @@ def closed_forms_all(loop: Loop, session=None) -> ClosedForms | Failure:
         table.entries[progress] = closed_form_displacing(progress, table)
         pending.remove(progress)  # the unknown set strictly shrinks
     variables: dict[Var, Expr | Failure] = {}
-    for x in sorted(loop.variables(), key=lambda v: v.name):
+    for x in loop.variables():
         try:
             variables[x] = closed_form_array(loop, x, table, verdict.up)
         except (ArrayFormError, ClosedFormError) as exc:

@@ -25,6 +25,7 @@ it would save.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import operator
 import threading
@@ -469,26 +470,24 @@ class FiniteFn:
 
     def at(self, points) -> list[int]:
         """The values at many points, each an int tuple of this arity."""
-        get, base, coeffs = self._lookup.get, self.base, self.coeffs
-        if self.arity == 1:
-            c = coeffs[0]
-            return [v if (v := get(p)) is not None else base + c * p[0] for p in points]
-        return [v if (v := get(p)) is not None else base + sum(map(operator.mul, coeffs, p))
-                for p in points]
+        return _values_at(self.arity)(self._lookup.get, points, self.base, *self.coeffs)
 
     def override_map(self) -> dict[tuple[int, ...], int]:
         return dict(self._lookup)
 
     def store(self, point: tuple[int, ...], value: int) -> "FiniteFn":
         """This function with the value at point replaced, in O(k): the
-        override goes into its sorted place; an overwrite keeps its key."""
-        k, ov = tuple(point), list(self.overrides)
+        override goes into its sorted place (an overwrite keeps its key) and
+        into a copy of the lookup dict."""
+        k, v, ov = tuple(point), int(value), list(self.overrides)
         i = bisect.bisect_left(ov, (k,))
         if i < len(ov) and ov[i][0] == k:
-            ov[i] = (ov[i][0], int(value))
+            ov[i] = (ov[i][0], v)
         else:
-            ov.insert(i, (k, int(value)))
-        return FiniteFn(self.arity, self.base, self.coeffs, tuple(ov))
+            ov.insert(i, (k, v))
+        fn = object.__new__(FiniteFn)  # the fields are checked: skip __post_init__
+        fn.__dict__.update(self.__dict__, overrides=tuple(ov), _lookup={**self._lookup, k: v})
+        return fn
 
     def normalized(self) -> "FiniteFn":
         """Drop overrides that coincide with the background."""
@@ -506,6 +505,16 @@ class FiniteFn:
 
 def _norm_overrides(ov: dict) -> tuple:
     return tuple(sorted((tuple(k), int(v)) for k, v in ov.items()))
+
+
+@functools.cache
+def _values_at(arity: int):
+    """``FiniteFn.at``'s loop for one arity, the background unrolled into
+    ``base + c0 * p[0] + c1 * p[1] + ...``."""
+    cs = "".join(f", c{j}" for j in range(arity))
+    bg = "".join(f" + c{j} * p[{j}]" for j in range(arity))
+    return eval(f"lambda get, points, base{cs}: "
+                f"[v if (v := get(p)) is not None else base{bg} for p in points]")
 
 
 class Closure:
@@ -672,18 +681,18 @@ def eval_formula(f: Formula, s: State) -> bool:
 # parser refuses more than 200 nested ones.
 _HOIST_DEPTH = 48
 
-_UNSET = object()
 SKIP = object()  # a probe point where the expression raises EvalError
 
 
 def compile_probe(e):
     """Array expression ``e`` compiled once: ``probe(s, points)`` lists its
     value in ``s`` at each point (an int tuple of its arity), ``SKIP`` where
-    ``eval_expr`` raises ``EvalError``.  The loop over the points runs in the
-    compiled code, which reads input arrays from their ``FiniteFn``'s
-    override dict, the background on a miss.  A non-``FiniteFn`` input, a
-    nested lambda, a tree deeper than ``_HOIST_DEPTH`` or a non-lambda ``e``
-    is interpreted: ``eval_expr(e, s)`` called at each point.  A scalar
+    ``eval_expr`` raises ``EvalError``.  The compiled code loads its free
+    variables from ``s`` once, then loops over the points, reading input
+    arrays from their ``FiniteFn``'s override dict, the background on a miss.
+    An unbound variable, a non-``FiniteFn`` input, a nested lambda, a tree
+    deeper than ``_HOIST_DEPTH`` or a non-lambda ``e`` is interpreted:
+    ``eval_expr(e, s)`` called at each point.  A scalar
     expression ``x`` is the zero-parameter probe ``Lam((), x)`` at ``()``."""
     if not isinstance(e, Lam):
         return _interpreted(e)
@@ -731,19 +740,21 @@ class _Compiler:
         self.free: dict[Var, None] = {}  # read from the state, in first-read order
         self.reads: dict[Var, None] = {}  # the arrays read inline
         self.keys = itertools.count()
-        self.env = dict(_UNSET=_UNSET, _SKIP=SKIP, _fail=_fail, _divides=_divides,
-                        _FiniteFn=FiniteFn, EvalError=EvalError, ArityMismatch=ArityMismatch,
-                        UnboundVariable=UnboundVariable)
+        self.env = dict(_SKIP=SKIP, _fail=_fail, _divides=_divides, _FiniteFn=FiniteFn,
+                        EvalError=EvalError, ArityMismatch=ArityMismatch)
 
     def probe(self, e: Lam):
         body = self.emit(e.body, frozenset(e.params), 0)
         lines = ["def probe(_s, _pts):", "    _m, _out = _s._m, []"]
-        lines += [f"    {self.name(x)} = _m.get(X{self.name(x)}, _UNSET)" for x in self.free]
+        if self.free:
+            lines += [f"    try: {''.join(f'{self.name(x)}, ' for x in self.free)}"
+                      f"= {''.join(f'_m[X{self.name(x)}], ' for x in self.free)}",
+                      "    except KeyError: return _slow(_s, _pts)"]
         for x in self.reads:
             v = self.name(x)
             lines += [f"    if not isinstance({v}, _FiniteFn): return _slow(_s, _pts)",
-                      f"    {v}_d, {v}_b, ({''.join(f'{v}_c{j}, ' for j in range(x.arity))})"
-                      f" = {v}._lookup, {v}.base, {v}.coeffs"]
+                      f"    {v}_g, {v}_b, ({''.join(f'{v}_c{j}, ' for j in range(x.arity))})"
+                      f" = {v}._lookup.get, {v}.base, {v}.coeffs"]
         lines += [f"    for {''.join(f'{self.name(p)}, ' for p in e.params) or '_'} in _pts:",
                   f"        try: _out.append({body})",
                   "        except (ZeroDivisionError, EvalError): _out.append(_SKIP)",
@@ -781,8 +792,7 @@ class _Compiler:
             if e in bound:
                 return v
             self.free[e] = None
-            unbound = f"unbound variable {e.name}"
-            return f"({v} if {v} is not _UNSET else _fail(UnboundVariable, {unbound!r}))"
+            return v
         if isinstance(e, Sel):
             if isinstance(e.arr, Var) and e.arr.arity == len(e.idx) > 0:
                 return self.read(e.arr, [emit(i, bound, d) for i in e.idx])
@@ -821,10 +831,10 @@ class _Compiler:
             return f"({op.join([emit(a, bound, d, True) for a in e.args])})"
         return f"_fail(TypeError, {f'not an expression: {e!r}'!r})"
 
-    def read(self, x: Var, idx: list[str]) -> str:  # a probe's x[idx...], each index once
-        v = self.name(x)
+    def read(self, x: Var, idx: list[str]) -> str:  # a probe's x[idx...]: one dict probe
+        v, r = self.name(x), f"_r{next(self.keys)}"
         self.free[x] = self.reads[x] = None
-        ks = [f"_k{next(self.keys)}" for _ in idx]
+        ks = [f"{r}_{j}" for j in range(len(idx))]
         bg = "".join(f" + {v}_c{j} * {k}" for j, k in enumerate(ks))
-        return (f"({v}_d[{''.join(k + ', ' for k in ks)}] if "
-                f"({''.join(f'{k} := {i}, ' for k, i in zip(ks, idx))}) in {v}_d else {v}_b{bg})")
+        return (f"({r} if ({r} := {v}_g(({''.join(f'{k} := {i}, ' for k, i in zip(ks, idx))})))"
+                f" is not None else {v}_b{bg})")

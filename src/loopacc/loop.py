@@ -9,6 +9,7 @@ updates applied simultaneously; no two lvalues may alias the same cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .backend import validity
 from .expr import (
@@ -53,11 +54,12 @@ class Loop:
     def writes_to(self, x: Var) -> list[tuple[Sel, Expr]]:
         return [(l, r) for l, r in zip(self.lvalues, self.rhs) if l.arr == x]
 
-    def variables(self) -> set[Var]:
-        out = free_vars(self.guard)
-        for l, r in zip(self.lvalues, self.rhs):
-            out |= free_vars(l) | free_vars(r)
-        return out
+    def variables(self) -> tuple[Var, ...]:
+        """The loop's variables in name order, collected on the first call."""
+        if "_variables" not in self.__dict__:
+            found = free_vars(self.guard).union(*map(free_vars, self.lvalues + self.rhs))
+            object.__setattr__(self, "_variables", tuple(sorted(found, key=lambda v: v.name)))
+        return self._variables
 
 
 @dataclass(frozen=True)
@@ -139,8 +141,7 @@ def validate_loop(loop: Loop, session=None) -> ValidationResult:
 # interpreter
 
 
-@dataclass(frozen=True)
-class WriteEvent:
+class WriteEvent(NamedTuple):
     iteration: int  # 1-based
     position: int  # index into loop.lvalues
     var: Var
@@ -162,7 +163,7 @@ def step(loop: Loop, s: State, iteration: int = 1, log: list | None = None) -> S
         return None
     pending = []
     for pos, (lv, r) in enumerate(zip(loop.lvalues, loop.rhs)):
-        point = tuple(eval_expr(i, s) for i in lv.idx)
+        point = tuple([eval_expr(i, s) for i in lv.idx])
         value = eval_expr(r, s)
         pending.append((pos, lv.arr, point, value))
     seen = set()

@@ -12,13 +12,14 @@ advanced by a single step, and the writes accumulate into the probe window.
 
 from __future__ import annotations
 
+import bisect
 import random
 import time
 from dataclasses import dataclass, field
 
 from .closedform import Failure, closed_forms_all
 from .expr import (
-    SKIP, Const, EvalError, FiniteFn, State, Var, compile_probe, eval_expr, substitute,
+    SKIP, Const, EvalError, FiniteFn, State, Var, compile_probe, eval_expr, substitute, sv,
 )
 from .loop import Loop, LoopError, run_n
 from .recurrence import N
@@ -78,7 +79,7 @@ class OracleReport:
 
 def random_state(loop: Loop, rnd: random.Random, span: int = 6) -> State:
     mapping = {}
-    for x in sorted(loop.variables(), key=lambda v: v.name):
+    for x in loop.variables():
         if x.arity == 0:
             mapping[x] = rnd.randint(-span, span)
         else:
@@ -110,27 +111,26 @@ class ProbeWindow:
 
     def _reset(self) -> None:
         self.cells = {(50,) * self.x.arity, (-50,) * self.x.arity}
-        self._widen(self.points or {(0,) * self.x.arity})
         self.order = sorted(self.cells)
+        self._widen(self.points or {(0,) * self.x.arity})
 
-    def _widen(self, points) -> bool:
-        size = len(self.cells)
+    def _widen(self, points) -> None:
+        """Add the widening of points to cells, each new cell in its sorted place in order."""
         for p in points:
             for d in range(-self.margin, self.margin + 1):
-                self.cells.add(tuple([c + d for c in p]))
-                self.cells.add((p[0] + d,) + p[1:])
-        return len(self.cells) != size
+                for c in (tuple([c + d for c in p]), (p[0] + d,) + p[1:]):
+                    if c not in self.cells:
+                        self.cells.add(c)
+                        bisect.insort(self.order, c)
 
     def add(self, writes) -> None:
         new = {w.point for w in writes if w.var == self.x} - self.points
-        if not new:
-            return
-        first = not self.points
-        self.points |= new
-        if first:  # the origin gives way to the first write
+        if new and not self.points:  # the origin gives way to the first write
+            self.points = new
             self._reset()
-        elif self._widen(new):
-            self.order = sorted(self.cells)
+        elif new:
+            self.points |= new
+            self._widen(new)
 
 
 def _failed(report: OracleReport, failure: Failure, t0: float) -> OracleReport:
@@ -150,15 +150,17 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
     if isinstance(forms, Failure):
         return _failed(report, forms, t0)
     written = loop.written_vars()
-    array_forms = {x: cf for x, cf in forms.variables.items() if x.arity and x in written}
-    for cf in array_forms.values():
+    # the written variables the table does not cover: arrays, and scalars no rhs reads
+    outside = {x: cf for x, cf in forms.variables.items()
+               if x in written and (x.arity or sv(x) not in forms.table)}
+    for cf in outside.values():
         if isinstance(cf, Failure):
             return _failed(report, cf, t0)
 
-    probes = {x: compile_probe(lam) for x, lam in array_forms.items()}
-    # the scalar/lvalue table at each n, substituted once for every state
-    tables = [[(lv, substitute(cf, {N: Const(n)})) for lv, cf in forms.table.items()]
-              for n in range(n_max + 1)]
+    probes = {x: compile_probe(lam) for x, lam in outside.items() if x.arity}
+    rows = [*forms.table.items(), *((sv(x), cf) for x, cf in outside.items() if not x.arity)]
+    # the lvalue table and those scalars at each n, substituted once for every state
+    tables = [[(lv, substitute(cf, {N: Const(n)})) for lv, cf in rows] for n in range(n_max + 1)]
     for s_idx in range(seeds):
         rnd = random.Random(seed0 + s_idx)
         state = random_state(loop, rnd)

@@ -223,7 +223,7 @@ PTS2 = [(j, k) for j in range(-2, 4) for k in range(-2, 4)]
     (Lam((J,), Sel(A, (Bin("div", sv(I), sv(J)),))), PTS, True),
     (Lam((J, K), Ite(Rel("=", sv(J), sv(K)), Bin("div", sv(K), sv(J)), Sel(M, (sv(K), sv(I))))),
      PTS2, True),
-    (Lam((J,), Bin("+", sv(J), sv(Var("zz")))), PTS, True),
+    (Lam((J,), Bin("+", sv(J), sv(Var("zz")))), PTS, False),
     (Lam((J,), Sel(Var("zz", 1), (sv(J),))), PTS, False),
     # the deepest chain of reads that is compiled; a deeper one is interpreted
     (Lam((J,), reduce(lambda acc, _: Sel(A, (acc,)), range(_HOIST_DEPTH - 2), sv(J))), PTS, True),
@@ -234,7 +234,7 @@ PTS2 = [(j, k) for j in range(-2, 4) for k in range(-2, 4)]
     (A, PTS, False),
     (Var("zz", 1), PTS, False),
     # an unbound variable is raised only where it is read
-    (Lam((J,), Ite(Rel("<", sv(J), Const(0)), sv(Var("zz")), sv(J))), PTS, True),
+    (Lam((J,), Ite(Rel("<", sv(J), Const(0)), sv(Var("zz")), sv(J))), PTS, False),
     # the parameter j shadows the state's j; i still comes from the state
     (Lam((J,), Bin("+", sv(J), Bin("*", Const(10), sv(I)))), PTS, True),
 ])

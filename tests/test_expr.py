@@ -2,6 +2,7 @@
 variables; fuzzed preservation properties."""
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -351,6 +352,24 @@ def test_substitution_lemma_fuzz():
         checked += 1
     assert checked >= 400
 
+
+
+def test_values_at_many_points_are_the_single_calls():
+    # FiniteFn.at, the oracle's reference read, against __call__ at every
+    # point of a box around the overrides, for arities 1-3
+    rnd = random.Random(4)
+    compared = 0
+    for _ in range(60):
+        arity = rnd.choice([1, 2, 3])
+        coeffs = [rnd.randint(-3, 3) for _ in range(arity)]
+        ov = {tuple(rnd.randint(-3, 3) for _ in range(arity)): rnd.randint(-9, 9)
+              for _ in range(rnd.randint(0, 10))}
+        fn = FiniteFn.affine(arity, rnd.randint(-5, 5), coeffs, ov)
+        points = list(itertools.product(range(-4, 5), repeat=arity))
+        rnd.shuffle(points)
+        assert fn.at(points) == [fn(p) for p in points]
+        compared += len(points)
+    assert compared > 10000
 
 def test_store_sequences_match_the_function_built_at_once():
     # store puts each override in its sorted place; the result is the function

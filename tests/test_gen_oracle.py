@@ -5,8 +5,8 @@ import random
 
 from loopacc import closedform
 from loopacc.classify import check_a_solvable
-from loopacc.closedform import closed_forms_all
-from loopacc.expr import Bin, Const, FiniteFn, Ite, Lam, Rel, Sel, Var, sv
+from loopacc.closedform import ClosedFormError, closed_forms_all
+from loopacc.expr import Bin, Const, EvalError, FiniteFn, Ite, Lam, Rel, Sel, Var, sv
 from loopacc.gen import GenConfig, gen_loop
 from loopacc.loop import Loop, run_n, validate_loop
 from loopacc.oracle import ProbeWindow, check_loop, random_state
@@ -200,3 +200,57 @@ def test_oracle_reports_an_aliasing_loop_as_a_validation_failure():
     rep = check_loop(loop, seeds=10)
     assert not rep.ok and rep.failure.phase == "validation"
     assert "aliasing" in rep.to_json()["failure"]["detail"]
+
+
+def test_window_stays_sorted_and_is_the_widening_of_its_points():
+    # each step's writes go into the window in one add, as in check_loop
+    adds = 0
+    for dim in (1, 2, 3):
+        for seed in range(40):
+            loop = gen_loop(seed, GenConfig(force_dim=dim, arrays=(1, 2))).loop
+            arrays = [x for x in loop.variables() if x.arity and x in loop.written_vars()]
+            state = random_state(loop, random.Random(seed))
+            windows = [ProbeWindow(x, state, 2) for x in arrays]
+            try:
+                writes = run_n(loop, state, 8).writes
+            except EvalError:
+                continue
+            for it in sorted({w.iteration for w in writes}):
+                so_far = [w for w in writes if w.iteration <= it]
+                for x, window in zip(arrays, windows):
+                    window.add([w for w in writes if w.iteration == it])
+                    assert window.order == sorted(window.cells)
+                    assert window.cells == _probe_points_reference(so_far, state, x, 2)
+                    adds += 1
+    assert adds > 1000
+
+
+UNREAD = Var("x")
+UNREAD_LOOP = Loop(guard=Rel("<", sv(I), sv(K)), lvalues=(Sel(I, ()), Sel(UNREAD, ())),
+                   rhs=(plus(sv(I), 1), Const(5)))
+
+
+def test_oracle_compares_a_written_scalar_no_rhs_reads(monkeypatch):
+    # x <- 5 has no table entry: the oracle compares its closed form, and
+    # reports a wrong one or a failure to build one
+    assert Sel(UNREAD, ()) not in closed_forms_all(UNREAD_LOOP).table
+    rep = check_loop(UNREAD_LOOP, seeds=10)
+    assert rep.ok and rep.checked > 0
+    real = closedform.closed_form_array
+
+    def off_by_one(loop, x, table, up):
+        cf = real(loop, x, table, up)
+        return Bin("+", cf, Const(1)) if x == UNREAD else cf
+
+    monkeypatch.setattr(closedform, "closed_form_array", off_by_one)
+    rep = check_loop(UNREAD_LOOP, seeds=10)
+    assert rep.mismatches and {m.subject for m in rep.mismatches} == {"x"}
+
+    def none_for_x(loop, x, table, up):
+        if x == UNREAD:
+            raise ClosedFormError("no closed form for x")
+        return real(loop, x, table, up)
+
+    monkeypatch.setattr(closedform, "closed_form_array", none_for_x)
+    rep = check_loop(UNREAD_LOOP, seeds=10)
+    assert not rep.ok and rep.failure.phase == "array-closed-form"

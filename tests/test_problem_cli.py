@@ -270,6 +270,35 @@ def test_a_crash_exits_3_with_its_traceback(monkeypatch, capsys):
         assert out == "" and err.startswith("Traceback") and "RuntimeError: boom" in err, argv
 
 
+
+UNREAD_SCALAR_TEXT = """
+(declare (i 0) (k 0) (x 0))
+(init (= i 0) (< 0 k))
+(loop
+  (guard (< i k))
+  (update
+    ((lhs i) (rhs (+ i 1)))
+    ((lhs x) (rhs 5))))
+(post (>= i k) (= x 5))
+"""
+
+
+def test_a_written_scalar_no_rhs_reads_is_accelerated(tmp_path, capsys):
+    # no right-hand side reads x, so the lvalue table has no entry for it; its
+    # closed form is its last write, x itself before the first iteration
+    path = str(tmp_path / "unread.loop")
+    Path(path).write_text(UNREAD_SCALAR_TEXT)
+    assert cli.main(["accelerate", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["closed_forms"]["x"] == "(ite (>= n 1) 5 x)"
+    assert "(= x' (ite (>= n 1) 5 x))" in data["formula"]
+    assert cli.main(["check", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["result"] == "unsafe" and data["reverified"]
+    assert (data["witness"]["n"], data["witness"]["x'"]) == (1, 5)
+    assert cli.main(["oracle", path]) == 0
+    assert ": ok  [" in capsys.readouterr().out
+
 # Each command as a new CLI process runs it: the fresh-name counter starts at 0.
 RUN_COMMANDS = """
 import json, sys
