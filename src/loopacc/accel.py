@@ -13,16 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import (
-    And, Bin, BoolConst, Const, Expr, Formula, Not, Or, Rel, Sel, Var,
-    conj, free_vars, lval_set, substitute, substitute_lvalues, sv,
+    And, Bin, BoolConst, Const, Formula, Not, Or, Rel, Var,
+    conj, lval_set, substitute, substitute_lvalues, sv,
 )
 from .backend import validity
-from .classify import LvalueClass, classify_lvalue
-from .closedform import ClosedForms, Failure, closed_forms_all
+from .closedform import ClosedForms, Failure, closed_form_of, closed_forms_all
 from .loop import Loop, validate_loop
 from .recurrence import N
 from .sexpr import to_text
-from .simplify import normal_form_scope, simplify, simplify_formula
+from .simplify import normal_form_scope, simplify_formula
 
 
 def primed(x: Var) -> Var:
@@ -48,27 +47,6 @@ def _guard_atoms(guard: Formula) -> list[Formula]:
     return [guard]
 
 
-def _closed_form_for(lv: Sel, loop: Loop, forms: ClosedForms, session) -> Expr | None:
-    """Closed form for a guard lvalue: table hit, else trivial, else
-    displacing via substituted indices (recursively); None when unresolvable."""
-    if lv in forms.table:
-        return forms.table.of(lv)
-    if not (free_vars(lv) & loop.written_vars()):
-        return lv
-    verdict = forms.verdict
-    label = classify_lvalue(loop, lv, verdict.monotone[lv.arr], verdict.up, session).label
-    if label != LvalueClass.DISPLACING:
-        return None
-    mapping = {}
-    for ix in lv.idx:
-        for sub in lval_set(ix):
-            cf = _closed_form_for(sub, loop, forms, session)
-            if cf is None:
-                return None
-            mapping[sub] = cf
-    return Sel(lv.arr, tuple(simplify(substitute_lvalues(ix, mapping)) for ix in lv.idx))
-
-
 def guard_characterize(loop: Loop, forms: ClosedForms, session=None) -> Formula | Failure:
     """Per guard atom psi: if psi[up] => psi is valid, emit psi at iteration
     n-1 (its lvalues replaced by closed forms at n-1); if psi => psi[up] is
@@ -82,13 +60,13 @@ def guard_characterize(loop: Loop, forms: ClosedForms, session=None) -> Formula 
             mapping = {}
             failed = None
             for lv in lval_set(atom):
-                cf = _closed_form_for(lv, loop, forms, session)
+                cf = closed_form_of(lv, loop, forms.table, forms.verdict, session)
                 if cf is None:
                     failed = lv
                     break
                 mapping[lv] = cf
             if failed is not None:
-                return Failure("guard", f"no closed form for guard lvalue {failed!r}")
+                return Failure("guard", f"no closed form for guard lvalue {to_text(failed)}")
             shifted = substitute_lvalues(atom, mapping)
             shifted = substitute(shifted, {N: Bin("-", sv(N), Const(1))})
             out.append(simplify_formula(shifted))
@@ -99,7 +77,7 @@ def guard_characterize(loop: Loop, forms: ClosedForms, session=None) -> Formula 
             continue
         if post_implies_pre is None or pre_implies_post is None:
             return Failure("guard", "backend inconclusive on guard monotonicity")
-        return Failure("guard", f"guard atom is not monotonic: {atom!r}")
+        return Failure("guard", f"guard atom is not monotonic: {to_text(atom)}")
     return conj(out)
 
 

@@ -20,6 +20,7 @@ from .expr import (
 )
 from .loop import Loop, UpdateSubstitution, build_up
 from .recurrence import N
+from .sexpr import to_text
 from .simplify import as_int_const, simplify, simplify_formula
 
 if TYPE_CHECKING:  # closedform imports this module
@@ -70,7 +71,7 @@ def not_written_qf(loop: Loop, x: Var, m_expr: Expr, n_expr: Expr,
     conjs = []
     for lv, disp in _write_displacements(loop, x, up):
         if not disp.constant:
-            raise ArrayFormError(f"non-constant displacement for {lv!r}")
+            raise ArrayFormError(f"non-constant displacement for {to_text(lv)}")
         conjs.append(_not_written_one(lv, disp, m_expr, n_expr, c_params))
     return conj(conjs)
 
@@ -126,7 +127,7 @@ def last_write_instantiation(loop: Loop, lv: Sel, c_params: tuple[Expr, ...],
     up = up or build_up(loop)
     disp = displacement(loop, lv, up)
     if not disp.constant:
-        raise ArrayFormError(f"non-constant displacement for {lv!r}")
+        raise ArrayFormError(f"non-constant displacement for {to_text(lv)}")
     x = lv.arr
     guard_parts: list[Formula] = []
     if disp.all_zero:

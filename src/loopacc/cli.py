@@ -105,15 +105,13 @@ def cmd_closed_form(args) -> int:
         for lv, e in forms.table.items():
             lines.append(f"  {to_text(lv)} -> {to_text(e)}")
             payload["lvalues"][to_text(lv)] = to_text(e)
-        targets = []
         if args.array:
             targets = [x for x in pf.loop.variables() if x.name == args.array]
             if not targets:
                 print(f"unknown array '{args.array}'", file=sys.stderr)
                 return 2
         else:
-            targets = sorted((x for x in pf.loop.written_vars() if x.arity > 0),
-                             key=lambda v: v.name)
+            targets = list(forms.outside_table(pf.loop))
         for x in targets:
             lam = forms.variables[x]
             if isinstance(lam, Failure):

@@ -1,8 +1,8 @@
 """Closed forms for every lvalue in the closure set: trivial lvalues are their
 own closed form, inductive ones come from the solved recurrence system, and
-displacing ones substitute known closed forms into their index vector.  The
-three steps terminate because unknown lvalues inside a displacing index are
-proper subterms.
+`closed_form_of` substitutes the closed forms of a displacing lvalue's index
+lvalues into its index vector, for the closure and for guard lvalues outside
+it; it terminates because index lvalues are proper subterms.
 """
 
 from __future__ import annotations
@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 
 from .arrayform import ArrayFormError, closed_form_array
 from .expr import Const, Expr, Sel, Var, free_vars, lval_set, substitute, substitute_lvalues
-from .classify import LvalueClass, SolvabilityVerdict, check_a_solvable
+from .classify import LvalueClass, SolvabilityVerdict, check_a_solvable, classify_lvalue
 from .loop import Loop
 from .recurrence import (
     N, RecSolution, RecurrenceSystem, Unsolvable, build_rec, solve_rec, verify_solution,
 )
+from .sexpr import to_text
 from .simplify import simplify
 
 
@@ -29,7 +30,7 @@ class ClosedFormTable:
 
     def of(self, lv: Sel) -> Expr:
         if lv not in self.entries:
-            raise ClosedFormError(f"no closed form for {lv!r}")
+            raise ClosedFormError(f"no closed form for {to_text(lv)}")
         return self.entries[lv]
 
     def __contains__(self, lv: Sel) -> bool:
@@ -46,7 +47,7 @@ class ClosedFormTable:
 
 @dataclass
 class Failure:
-    phase: str  # validation | classification | rec | rec-verify | pick | guard | array-closed-form
+    phase: str  # validation | classification | rec | rec-verify | guard | array-closed-form
     detail: str = ""
 
 
@@ -63,13 +64,29 @@ def closed_form_inductive(lv: Sel, system: RecurrenceSystem, sol: RecSolution) -
     return simplify(system.sigma.unapply(body))
 
 
-def closed_form_displacing(lv: Sel, table: ClosedFormTable) -> Expr:
+def closed_form_of(lv: Sel, loop: Loop, table: ClosedFormTable, verdict: SolvabilityVerdict,
+                   session=None) -> Expr | None:
+    """lv's table entry, else lv when it reads no written variable, else for a
+    displacing lv (the verdict's label, or classified once) lv over its index
+    lvalues' closed forms, stored when lv is in the closure; else None."""
+    if lv in table:
+        return table.of(lv)
+    if not (free_vars(lv) & loop.written_vars()):
+        return lv
+    c = verdict.labels.get(lv) or classify_lvalue(loop, lv, verdict.monotone[lv.arr],
+                                                  verdict.up, session)
+    if c.label != LvalueClass.DISPLACING:
+        return None
     mapping = {}
     for ix in lv.idx:
         for sub in lval_set(ix):
-            mapping[sub] = table.of(sub)
-    idx = tuple(simplify(substitute_lvalues(ix, mapping)) for ix in lv.idx)
-    return Sel(lv.arr, idx)
+            if (cf := closed_form_of(sub, loop, table, verdict, session)) is None:
+                return None
+            mapping[sub] = cf
+    cf = Sel(lv.arr, tuple(simplify(substitute_lvalues(ix, mapping)) for ix in lv.idx))
+    if lv in verdict.labels:
+        table.entries[lv] = cf
+    return cf
 
 
 @dataclass
@@ -82,11 +99,17 @@ class ClosedForms:
     # array, x itself when unwritten), or the Failure of x's closed form
     variables: dict[Var, Expr | Failure]
 
+    def outside_table(self, loop: Loop) -> dict[Var, Expr | Failure]:
+        """The written variables the table does not cover, in name order:
+        arrays, and scalars no right-hand side reads."""
+        return {x: cf for x, cf in self.variables.items() if x in loop.written_vars()
+                and (x.arity or Sel(x, ()) not in self.table)}
+
 
 def closed_forms_all(loop: Loop, session=None) -> ClosedForms | Failure:
-    """Step 1 trivial, step 2 inductive, step 3 repeatedly pick a displacing
-    lvalue whose index lvalues are all known; then every variable's closed
-    form, scalars as arrays of dimension 0."""
+    """Step 1 trivial, step 2 inductive, step 3 displacing through
+    `closed_form_of`; then every variable's closed form, scalars as arrays of
+    dimension 0."""
     verdict = check_a_solvable(loop, session)
     if not verdict.a_solvable:
         return Failure("classification", verdict.reason)
@@ -94,31 +117,21 @@ def closed_forms_all(loop: Loop, session=None) -> ClosedForms | Failure:
     sol = solve_rec(system)
     if isinstance(sol, Unsolvable):
         return Failure("rec", sol.reason)
-    bad = verify_solution(system, sol, session)
+    bad = verify_solution(system, sol)
     if bad is not None:
         return Failure("rec-verify", bad)
 
     table = ClosedFormTable()
-    pending = []
     for lv in verdict.closure:
         label = verdict.labels[lv].label
         if label == LvalueClass.TRIVIAL:
             table.entries[lv] = lv
         elif label == LvalueClass.INDUCTIVE:
             table.entries[lv] = closed_form_inductive(lv, system, sol)
-        else:
-            pending.append(lv)
-    while pending:
-        progress = None
-        for lv in pending:
-            needed = set().union(*(lval_set(ix) for ix in lv.idx)) if lv.idx else set()
-            if all(x in table for x in needed):
-                progress = lv
-                break
-        if progress is None:
-            return Failure("pick", "no displacing lvalue with fully known index")
-        table.entries[progress] = closed_form_displacing(progress, table)
-        pending.remove(progress)  # the unknown set strictly shrinks
+    # an a-solvable verdict labels every index lvalue of the closure, so each
+    # displacing lvalue resolves (and is stored) here
+    for lv in verdict.closure:
+        closed_form_of(lv, loop, table, verdict, session)
     variables: dict[Var, Expr | Failure] = {}
     for x in loop.variables():
         try:

@@ -149,10 +149,7 @@ def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int
     forms = closed_forms_all(loop, session)
     if isinstance(forms, Failure):
         return _failed(report, forms, t0)
-    written = loop.written_vars()
-    # the written variables the table does not cover: arrays, and scalars no rhs reads
-    outside = {x: cf for x, cf in forms.variables.items()
-               if x in written and (x.arity or sv(x) not in forms.table)}
+    outside = forms.outside_table(loop)
     for cf in outside.values():
         if isinstance(cf, Failure):
             return _failed(report, cf, t0)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .backend import validity
-from .expr import Expr, Rel, Sel, Var, free_vars, fresh_var, substitute, substitute_lvalues, sv
+from .expr import Expr, Sel, Var, free_vars, fresh_var, substitute, substitute_lvalues, sv
 from .loop import Loop
 from .classify import LvalueClass, SolvabilityVerdict
 from .simplify import Poly, linearize, poly_add, poly_mul, poly_scale, poly_to_expr
@@ -210,24 +209,17 @@ def compose(poly: Poly, images: dict[str, Poly]) -> Poly:
 # verification
 
 
-def verify_solution(system: RecurrenceSystem, sol: RecSolution, session=None):
-    """Both identities per equation, checked on the exact rational polynomial
-    forms (so the emitted integer div form never obscures equality); backend
-    fallback for solutions supplied from outside the polynomial fragment.
-    Returns None, or the first counterexample description."""
+def verify_solution(system: RecurrenceSystem, sol: RecSolution):
+    """Both identities per equation, checked exactly on the rational
+    polynomial forms (so the emitted integer div form never obscures
+    equality).  Returns None, or the first counterexample description."""
     n_plus_1: Poly = {(("n", sv(N)),): 1, (): 1}
     images = {s.name: sol.poly_of(s) for s in system.sigma.symbols()}
     for rec, e in system.equations.items():
         th = sol.poly_of(rec)
-        shifted = compose(th, {"n": n_plus_1})
-        image = compose(linearize(e), images)
-        if poly_add(shifted, image, sign=-1):
-            if not validity(Rel("=", poly_to_expr(shifted), poly_to_expr(image)), session):
-                return f"theta({rec.name})[n/n+1] != theta(rhs)"
-        at0 = compose(th, {"n": {}})
-        rec_poly: Poly = {((rec.name, sv(rec)),): 1}
-        if poly_add(at0, rec_poly, sign=-1):
-            if not validity(Rel("=", poly_to_expr(at0), sv(rec)), session):
-                return f"theta({rec.name})[n/0] != {rec.name}"
+        if poly_add(compose(th, {"n": n_plus_1}), compose(linearize(e), images), sign=-1):
+            return f"theta({rec.name})[n/n+1] != theta(rhs)"
+        if poly_add(compose(th, {"n": {}}), {((rec.name, sv(rec)),): 1}, sign=-1):
+            return f"theta({rec.name})[n/0] != {rec.name}"
     return None
 

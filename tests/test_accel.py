@@ -5,10 +5,8 @@ import random
 
 import pytest
 
-from loopacc.accel import (
-    _closed_form_for, accelerate, encode_reachability, flatten_literals, primed,
-)
-from loopacc.closedform import Failure, closed_forms_all
+from loopacc.accel import accelerate, encode_reachability, flatten_literals, primed
+from loopacc.closedform import Failure, closed_form_of, closed_forms_all
 from loopacc.expr import (
     And, Bin, BoolConst, Const, FiniteFn, Not, Or, Rel, Sel, State, Var,
     arity_of, eval_expr, eval_formula, sv,
@@ -234,7 +232,7 @@ def test_guard_lvalue_outside_the_closure_is_displaced(session):
     forms = closed_forms_all(loop, session)
     lv = Sel(A, (plus(sv(I), 2),))
     assert lv not in forms.table
-    cf = _closed_form_for(lv, loop, forms, session)
+    cf = closed_form_of(lv, loop, forms.table, forms.verdict, session)
     assert to_text(cf) == "(select a (+ (+ i n) 2))"
     rnd = random.Random(7)
     for _ in range(4):

@@ -330,3 +330,17 @@ class TestClosedFormArray:
 
         with pytest.raises(ArrayFormError):
             closed_form_array(loop, A, cf.table)
+
+
+def test_a_nonconstant_displacement_is_reported_as_text():
+    # j <- 2j moves the write a[j] by j per iteration
+    import pytest
+    from loopacc.arrayform import ArrayFormError
+
+    loop = Loop(Rel("<", sv(J), sv(K)), (Sel(J, ()), Sel(A, (sv(J),))),
+                (Bin("*", Const(2), sv(J)), Const(0)))
+    for build in (lambda: not_written_qf(loop, A, Const(1), sv(N), (sv(C),)),
+                  lambda: last_write_instantiation(loop, loop.lvalues[1], (sv(C),), sv(N), None)):
+        with pytest.raises(ArrayFormError) as exc:
+            build()
+        assert str(exc.value) == "non-constant displacement for (select a j)"

@@ -299,6 +299,40 @@ def test_a_written_scalar_no_rhs_reads_is_accelerated(tmp_path, capsys):
     assert cli.main(["oracle", path]) == 0
     assert ": ok  [" in capsys.readouterr().out
 
+
+def test_closed_form_lists_a_written_scalar_no_rhs_reads(tmp_path, capsys):
+    # scalars are arrays of dimension 0: x is listed with the written arrays
+    path = str(tmp_path / "unread.loop")
+    Path(path).write_text(UNREAD_SCALAR_TEXT)
+    assert cli.main(["closed-form", path]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-2:] == ["  i -> (+ i n)", "x^(n) = (ite (>= n 1) 5 x)"]
+    assert cli.main(["closed-form", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["lvalues"] == {"i": "(+ i n)"}
+    assert data["arrays"] == {"x": "(ite (>= n 1) 5 x)"}
+
+
+NON_MONOTONIC_GUARD_TEXT = """
+(declare (i 0) (a 1))
+(loop
+  (guard (< (select a (+ i 2)) 100))
+  (update
+    ((lhs i) (rhs (+ i 1)))
+    ((lhs (select a i)) (rhs (select a (+ i 1))))))
+"""
+
+
+def test_failure_details_print_expressions_as_text(tmp_path, capsys):
+    path = str(tmp_path / "guard.loop")
+    Path(path).write_text(NON_MONOTONIC_GUARD_TEXT)
+    detail = "guard atom is not monotonic: (< (select a (+ i 2)) 100)"
+    assert cli.main(["accelerate", path]) == 1
+    assert capsys.readouterr().out == f"failure(guard): {detail}\n"
+    assert cli.main(["accelerate", path, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["detail"] == detail
+
+
 # Each command as a new CLI process runs it: the fresh-name counter starts at 0.
 RUN_COMMANDS = """
 import json, sys
