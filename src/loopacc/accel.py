@@ -16,7 +16,6 @@ from .expr import (
     And, Bin, BoolConst, Const, Formula, Not, Or, Rel, Var,
     conj, lval_set, substitute, substitute_lvalues, sv,
 )
-from .backend import validity
 from .closedform import ClosedForms, Failure, closed_form_of, closed_forms_all
 from .loop import Loop, validate_loop
 from .recurrence import N
@@ -47,7 +46,7 @@ def _guard_atoms(guard: Formula) -> list[Formula]:
     return [guard]
 
 
-def guard_characterize(loop: Loop, forms: ClosedForms, session=None) -> Formula | Failure:
+def guard_characterize(loop: Loop, forms: ClosedForms, session) -> Formula | Failure:
     """Per guard atom psi: if psi[up] => psi is valid, emit psi at iteration
     n-1 (its lvalues replaced by closed forms at n-1); if psi => psi[up] is
     valid, emit psi unchanged; otherwise fail."""
@@ -55,7 +54,7 @@ def guard_characterize(loop: Loop, forms: ClosedForms, session=None) -> Formula 
     out = []
     for atom in _guard_atoms(loop.guard):
         post = up.apply(atom)
-        post_implies_pre = validity(Or((Not(post), atom)), session)
+        post_implies_pre = session.is_valid(Or((Not(post), atom)))
         if post_implies_pre:
             mapping = {}
             failed = None
@@ -71,7 +70,7 @@ def guard_characterize(loop: Loop, forms: ClosedForms, session=None) -> Formula 
             shifted = substitute(shifted, {N: Bin("-", sv(N), Const(1))})
             out.append(simplify_formula(shifted))
             continue
-        pre_implies_post = validity(Or((Not(atom), post)), session)
+        pre_implies_post = session.is_valid(Or((Not(atom), post)))
         if pre_implies_post:
             out.append(simplify_formula(atom))
             continue
@@ -82,7 +81,7 @@ def guard_characterize(loop: Loop, forms: ClosedForms, session=None) -> Formula 
 
 
 @normal_form_scope
-def accelerate(loop: Loop, session=None) -> AcceleratedTransition | Failure:
+def accelerate(loop: Loop, session) -> AcceleratedTransition | Failure:
     """n > 0, the guard characterization, and x' = x^(n) for every loop
     variable (unwritten variables keep x' = x so models stay total)."""
     validation = validate_loop(loop, session)

@@ -18,7 +18,7 @@ from .expr import (
     Bin, Const, Expr, Formula, Ite, Lam, Not, Rel, Sel, Var, conj, disj,
     fresh_var, lval_set, substitute, substitute_lvalues, sv,
 )
-from .loop import Loop, UpdateSubstitution, build_up
+from .loop import Loop, UpdateSubstitution
 from .recurrence import N
 from .sexpr import to_text
 from .simplify import as_int_const, simplify, simplify_formula
@@ -47,8 +47,7 @@ class Displacement:
         return self.constant and all(p == 0 for p in self.parts)
 
 
-def displacement(loop: Loop, lv: Sel, up: UpdateSubstitution | None = None) -> Displacement:
-    up = up or build_up(loop)
+def displacement(lv: Sel, up: UpdateSubstitution) -> Displacement:
     parts = []
     for ix in lv.idx:
         d = as_int_const(Bin("-", up.apply(ix), ix))
@@ -58,16 +57,14 @@ def displacement(loop: Loop, lv: Sel, up: UpdateSubstitution | None = None) -> D
 
 def _write_displacements(loop: Loop, x: Var, up: UpdateSubstitution):
     writes = loop.writes_to(x)
-    return [(lv, displacement(loop, lv, up)) for lv, _ in writes]
+    return [(lv, displacement(lv, up)) for lv, _ in writes]
 
 
 def not_written_qf(loop: Loop, x: Var, m_expr: Expr, n_expr: Expr,
-                   c_params: tuple[Expr, ...],
-                   up: UpdateSubstitution | None = None) -> Formula:
+                   c_params: tuple[Expr, ...], up: UpdateSubstitution) -> Formula:
     """Cell x[c] untouched by iterations m..n: conjunction over the writes to
     x of per-component out-of-range or indivisibility disjuncts, plus
     consistency-violation disjuncts between nonzero components."""
-    up = up or build_up(loop)
     conjs = []
     for lv, disp in _write_displacements(loop, x, up):
         if not disp.constant:
@@ -118,14 +115,13 @@ class LastWriteCase:
 
 def last_write_instantiation(loop: Loop, lv: Sel, c_params: tuple[Expr, ...],
                              n_expr: Expr, table: ClosedFormTable,
-                             up: UpdateSubstitution | None = None) -> LastWriteCase:
+                             up: UpdateSubstitution) -> LastWriteCase:
     """The iteration of the last write to x[c] through this lvalue.  With some
     d_i nonzero, e = (c_i - r_i) div d_i + 1 for the first such component;
     equality conjuncts pin the zero components, divisibility and consistency
     conjuncts reconcile the nonzero ones.  All-zero displacement overwrites one
     cell every iteration, so only the final iteration survives: e = n."""
-    up = up or build_up(loop)
-    disp = displacement(loop, lv, up)
+    disp = displacement(lv, up)
     if not disp.constant:
         raise ArrayFormError(f"non-constant displacement for {to_text(lv)}")
     x = lv.arr
@@ -157,13 +153,11 @@ def last_write_instantiation(loop: Loop, lv: Sel, c_params: tuple[Expr, ...],
     return LastWriteCase(lv, simplify(e), simplify_formula(conj(guard_parts)), value)
 
 
-def closed_form_array(loop: Loop, x: Var, table: ClosedFormTable,
-                      up: UpdateSubstitution | None = None):
+def closed_form_array(loop: Loop, x: Var, table: ClosedFormTable, up: UpdateSubstitution):
     """Lambda over fresh cell parameters: ite chain over the last-write cases
     in lvalue order (mutually exclusive guards under (Distinct)), final else
     the unchanged cell; a written scalar that no right-hand side reads has no
     table entry and is the chain itself, ``ite(1 <= n, rhs^(n-1), x)``."""
-    up = up or build_up(loop)
     writes = loop.writes_to(x)
     if not writes:
         return x if x.arity else sv(x)  # lambda c. x[c] collapses to x itself

@@ -10,8 +10,7 @@ bundled solver out of process is ``--backend 'python -m loopacc.solver.server'``
 Every emitted query is quantifier-free linear integer arithmetic plus arrays
 (nested one-dimensional, full-index selects only) and divisibility, encoded as
 ``(_ divisible k)``.  No lambda reaches here: lamsolve sends scalar literals.
-``validity`` is the one validity question of the pipeline: the session's
-answer, or the simplifier's alone when there is no session.
+``BackendSession.is_valid`` answers every validity question of the pipeline.
 """
 
 from __future__ import annotations
@@ -347,15 +346,6 @@ class BackendSession:
                 arity = sort_arity(sort)
                 model.arrays[name] = FiniteFn.const(arity, *_array_parts(body, arity))
         return model
-
-
-def validity(f: Formula, session: BackendSession | None) -> bool | None:
-    """Whether f is valid: the session's answer, or without a session the
-    simplifier's; None when neither can decide."""
-    if session is not None:
-        return session.is_valid(f)
-    g = simplify_formula(f)
-    return g.value if isinstance(g, BoolConst) else None
 
 
 def _pump(stream, out: queue.Queue):

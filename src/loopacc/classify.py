@@ -1,10 +1,10 @@
 """Lvalue closure set, per-variable monotonicity, per-lvalue classification
 (trivial / inductive / displacing) and the a-solvability verdict.
 
-Index comparisons are lexicographic; validity checks go through the
-simplifier first and fall back to the SMT backend, degrading to
-None/Unclassifiable (never to an unsound answer) when the backend cannot
-decide.
+Index comparisons are lexicographic.  Every validity question goes through
+``session.is_valid``, which tries the simplifier before the solver; an answer
+the backend cannot give degrades to an inconclusive monotonicity or an
+Unclassifiable label, never to an unsound one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .backend import validity
 from .expr import Formula, Rel, Sel, Var, conj, disj, free_vars, lval_set
 from .loop import Loop, UpdateSubstitution, build_up
 from .sexpr import to_text
@@ -67,25 +66,26 @@ def compute_L(loop: Loop) -> list[Sel]:
     return out
 
 
-def monotonicity(loop: Loop, x: Var, up: UpdateSubstitution | None = None,
-                 session=None) -> Monotonicity:
+def monotonicity(loop: Loop, x: Var, up: UpdateSubstitution, session) -> Monotonicity | None:
     """Direction of x's written indices under one iteration (Both when there
-    is nothing to compare, e.g. scalars and unwritten variables)."""
-    up = up or build_up(loop)
+    is nothing to compare, e.g. scalars and unwritten variables); None when
+    neither direction is established and the backend left one undecided."""
     writes = loop.writes_to(x)
     inc_parts, dec_parts = [], []
     for lv, _ in writes:
         upped = tuple(up.apply(ix) for ix in lv.idx)
         inc_parts.append(lex_le(lv.idx, upped))
         dec_parts.append(lex_le(upped, lv.idx))
-    inc = validity(conj(inc_parts), session)
-    dec = validity(conj(dec_parts), session)
+    inc = session.is_valid(conj(inc_parts))
+    dec = session.is_valid(conj(dec_parts))
     if inc and dec:
         return Monotonicity.BOTH
     if inc:
         return Monotonicity.INCREASING
     if dec:
         return Monotonicity.DECREASING
+    if inc is None or dec is None:
+        return None
     return Monotonicity.NONE
 
 
@@ -97,12 +97,11 @@ class Classification:
 
 
 def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
-                    up: UpdateSubstitution | None = None, session=None) -> Classification:
+                    up: UpdateSubstitution, session) -> Classification:
     """Strongest applicable label, trivial first.  Inductive membership uses
     semantic index equality (up(r) is rarely syntactically identical to a
     written index); displacing flips the strict comparison for decreasing
     variables."""
-    up = up or build_up(loop)
     written = loop.written_vars()
     if not (free_vars(lv) & written):
         return Classification(LvalueClass.TRIVIAL, "reads no written variable")
@@ -110,7 +109,7 @@ def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
     upped = tuple(up.apply(ix) for ix in lv.idx)
     for wlv, _ in loop.writes_to(x):
         eq = conj(Rel("=", a, b) for a, b in zip(wlv.idx, upped))
-        if validity(eq, session):
+        if session.is_valid(eq):
             just = f"{x.name}[up(r)] = {to_text(wlv)} is written"
             return Classification(LvalueClass.INDUCTIVE, just, wlv)
     writes = loop.writes_to(x)
@@ -123,7 +122,7 @@ def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
         sides.append(("r' > up(r)", lambda w: lex_lt(upped, w)))
     inconclusive = False
     for name, mk in sides:
-        verdict = validity(conj(mk(wlv.idx) for wlv, _ in writes), session)
+        verdict = session.is_valid(conj(mk(wlv.idx) for wlv, _ in writes))
         if verdict:
             return Classification(LvalueClass.DISPLACING,
                                   f"{name} valid for every write to {x.name}")
@@ -137,23 +136,27 @@ def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
 @dataclass
 class SolvabilityVerdict:
     a_solvable: bool
+    up: UpdateSubstitution  # the one the verdict was decided with
     monotone: dict[Var, Monotonicity] = field(default_factory=dict)
     closure: list[Sel] = field(default_factory=list)
     labels: dict[Sel, Classification] = field(default_factory=dict)
     rhs_tags: list[str] = field(default_factory=list)  # per rhs: "a" or "b"
     reason: str = ""
-    up: UpdateSubstitution | None = None  # the one the verdict was decided with
 
 
-def check_a_solvable(loop: Loop, session=None) -> SolvabilityVerdict:
+def check_a_solvable(loop: Loop, session) -> SolvabilityVerdict:
     """Monotonic + full classification of the closure + per-rhs condition:
     (a) only trivial/inductive reads or (b) only displacing reads (trivial
     lvalues count as displacing)."""
     up = build_up(loop)
-    verdict = SolvabilityVerdict(False, up=up)
+    verdict = SolvabilityVerdict(False, up)
     for x in loop.variables():
-        verdict.monotone[x] = monotonicity(loop, x, up, session)
-        if verdict.monotone[x] == Monotonicity.NONE:
+        m = monotonicity(loop, x, up, session)
+        if m is None:
+            verdict.reason = f"backend inconclusive on the monotonicity of {x.name}"
+            return verdict
+        verdict.monotone[x] = m
+        if m == Monotonicity.NONE:
             verdict.reason = f"{x.name} is not monotonic"
             return verdict
     closure = compute_L(loop)

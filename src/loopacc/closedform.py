@@ -65,7 +65,7 @@ def closed_form_inductive(lv: Sel, system: RecurrenceSystem, sol: RecSolution) -
 
 
 def closed_form_of(lv: Sel, loop: Loop, table: ClosedFormTable, verdict: SolvabilityVerdict,
-                   session=None) -> Expr | None:
+                   session) -> Expr | None:
     """lv's table entry, else lv when it reads no written variable, else for a
     displacing lv (the verdict's label, or classified once) lv over its index
     lvalues' closed forms, stored when lv is in the closure; else None."""
@@ -106,7 +106,7 @@ class ClosedForms:
                 and (x.arity or Sel(x, ()) not in self.table)}
 
 
-def closed_forms_all(loop: Loop, session=None) -> ClosedForms | Failure:
+def closed_forms_all(loop: Loop, session) -> ClosedForms | Failure:
     """Step 1 trivial, step 2 inductive, step 3 displacing through
     `closed_form_of`; then every variable's closed form, scalars as arrays of
     dimension 0."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .backend import validity
 from .expr import (
     EvalError, Expr, FiniteFn, Formula, Ite, Lam, Rel, Sel, State, Var,
     beta_reduce, conj, disj, eval_expr, eval_formula, free_vars, fresh_var,
@@ -97,10 +96,9 @@ def build_up(loop: Loop) -> UpdateSubstitution:
     return UpdateSubstitution(mapping)
 
 
-def up_pow(loop: Loop, e, n: int, up: UpdateSubstitution | None = None):
+def up_pow(e, n: int, up: UpdateSubstitution):
     """Symbolic n-fold update followed by beta reduction and simplification;
     second oracle at small n."""
-    up = up or build_up(loop)
     for _ in range(n):
         e = up.apply(e)
     return simplify(e)
@@ -120,7 +118,7 @@ class ValidationResult:
         return self.ok
 
 
-def validate_loop(loop: Loop, session=None) -> ValidationResult:
+def validate_loop(loop: Loop, session) -> ValidationResult:
     """(Distinct): for each pair of updates to the same variable, the index
     vectors must be provably different (disequality valid)."""
     for i in range(len(loop.lvalues)):
@@ -129,7 +127,7 @@ def validate_loop(loop: Loop, session=None) -> ValidationResult:
             if li.arr != lj.arr:
                 continue
             diseq = disj(Rel("!=", a, b) for a, b in zip(li.idx, lj.idx))
-            verdict = validity(diseq, session)
+            verdict = session.is_valid(diseq)
             if verdict is None:
                 return ValidationResult(False, inconclusive=True, violation=(i, j))
             if not verdict:

@@ -141,7 +141,7 @@ def _failed(report: OracleReport, failure: Failure, t0: float) -> OracleReport:
 
 @normal_form_scope
 def check_loop(loop: Loop, *, loop_id: str = "loop", seeds: int = 25, n_max: int = 8,
-               session=None, seed0: int = 0) -> OracleReport:
+               session, seed0: int = 0) -> OracleReport:
     """Closed forms vs run_n: scalars and lvalue table entries pointwise,
     arrays on the probe window, for every n the guard allows."""
     t0 = time.perf_counter()

@@ -275,17 +275,15 @@ def _definition(p: dict, units: set, products: set):
     return name, pscale({k: v for k, v in q.items() if k != name}, -q[name])
 
 
-def _linpoly(e, products: dict | None = None) -> dict:
+def _linpoly(e, products: dict) -> dict:
     """A term of the ground fragment after hoisting and Ackermann reduction
     (Const, Bin + - *, scalar Sel) as a linear poly over variable names.
-    Without a product table, non-linear monomials raise Unsupported; with
-    one, each is abstracted as a consistent fresh name, keyed by the sorted
-    tuple of its names (sound for unsat; sat needs model verification)."""
+    Each non-linear monomial is abstracted as a consistent fresh name from
+    the product table, keyed by the sorted tuple of its names (sound for
+    unsat; sat needs model verification)."""
     poly = _terms(e)
     if not any(k.__class__ is tuple for k in poly):
         return poly
-    if products is None:
-        raise Unsupported(f"non-linear term: {e!r}")
     out: dict = {}
     for k, c in poly.items():
         if k.__class__ is tuple:
@@ -332,12 +330,12 @@ def _monomial(k) -> tuple:
     return () if k is None else (k,) if k.__class__ is str else k
 
 
-def to_linear(f: Formula, products: dict | None = None):
+def to_linear(f: Formula, products: dict):
     """NNF tuple tree over linear atoms."""
     return _nnf(f, False, products)
 
 
-def _nnf(f: Formula, neg: bool, products: dict | None = None):
+def _nnf(f: Formula, neg: bool, products: dict):
     kind = f[0]
     if kind is Rel:
         op = f.op

@@ -27,7 +27,7 @@ def closed_form_displacing(lv, table):
     return Sel(lv.arr, idx)
 
 
-def closed_forms_by_pick(loop, session=None):
+def closed_forms_by_pick(loop, session):
     verdict = check_a_solvable(loop, session)
     if not verdict.a_solvable:
         return Failure("classification", verdict.reason)
@@ -69,7 +69,7 @@ def closed_forms_by_pick(loop, session=None):
     return ClosedForms(table, verdict, system, sol, variables)
 
 
-def closed_form_for(lv, loop, forms, session=None):
+def closed_form_for(lv, loop, forms, session):
     if lv in forms.table:
         return forms.table.of(lv)
     if not (free_vars(lv) & loop.written_vars()):

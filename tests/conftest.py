@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from loopacc.backend import BackendSession
+from loopacc.backend import BackendSession, SatResult
 from loopacc.expr import Bin, Const, FiniteFn, Rel, Sel, State, Var, sv
 from loopacc.loop import Loop
 
@@ -69,4 +69,18 @@ def random_array(rnd: random.Random, arity=1, span=8) -> FiniteFn:
 @pytest.fixture(scope="session")
 def session():
     with BackendSession(timeout=10.0) as s:
+        yield s
+
+
+class UnknownSession(BackendSession):
+    """A session whose solver answers every check-sat ``unknown`` (reason
+    timeout): only what the simplifier decides is decided."""
+
+    def check(self, formulas, want_model: bool = True) -> SatResult:
+        return SatResult("unknown", diagnostic="unknown", reason="timeout")
+
+
+@pytest.fixture
+def unknown_session():
+    with UnknownSession() as s:
         yield s

@@ -15,10 +15,10 @@ from loopacc.solver.presburger import (
 )
 
 
-def linpoly(e, products: dict | None = None) -> dict:
-    """expr -> linear poly over variable names.  Without a product table,
-    non-linear monomials raise Unsupported; with one, they are abstracted as
-    consistent fresh names (sound for unsat; sat needs model verification)."""
+def linpoly(e, products: dict) -> dict:
+    """expr -> linear poly over variable names.  Non-linear monomials are
+    abstracted as consistent fresh names from the product table (sound for
+    unsat; sat needs model verification)."""
     poly = linearize(e)
     out: dict = {}
     for mono, c in poly.items():
@@ -31,8 +31,6 @@ def linpoly(e, products: dict | None = None) -> dict:
             if isinstance(atom, Sel) and isinstance(atom.arr, Var) and atom.arr.arity == 0:
                 name = atom.arr.name
         if name is None:
-            if products is None:
-                raise Unsupported(f"non-linear term: {mono!r}")
             key = tuple(k for k, _ in mono)
             if key not in products:
                 products[key] = f".prod{len(products)}"
@@ -41,12 +39,12 @@ def linpoly(e, products: dict | None = None) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def to_linear(f, products: dict | None = None):
+def to_linear(f, products: dict):
     """NNF tuple tree over linear atoms."""
     return _nnf(f, False, products)
 
 
-def _nnf(f, neg: bool, products: dict | None = None):
+def _nnf(f, neg: bool, products: dict):
     if isinstance(f, BoolConst):
         return f.value != neg
     if isinstance(f, Not):

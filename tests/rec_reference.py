@@ -6,13 +6,12 @@ component, and checks that the rhs reads only closure lvalues."""
 
 from __future__ import annotations
 
-from loopacc.backend import validity
 from loopacc.classify import LvalueClass
 from loopacc.expr import Rel, lval_set
 from loopacc.recurrence import LvalueSubstitution, RecurrenceSystem
 
 
-def build_rec_by_search(loop, verdict, up, session=None) -> RecurrenceSystem:
+def build_rec_by_search(loop, verdict, up, session) -> RecurrenceSystem:
     sigma = LvalueSubstitution.over(verdict.closure)
     known = set(verdict.closure)
     equations = {}
@@ -22,7 +21,7 @@ def build_rec_by_search(loop, verdict, up, session=None) -> RecurrenceSystem:
         upped = tuple(up.apply(ix) for ix in lv.idx)
         rhs = None
         for wlv, wr in loop.writes_to(lv.arr):
-            if all(validity(Rel("=", a, b), session) for a, b in zip(wlv.idx, upped)):
+            if all(session.is_valid(Rel("=", a, b)) for a, b in zip(wlv.idx, upped)):
                 rhs = wr
                 break
         if rhs is None:

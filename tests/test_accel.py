@@ -2,16 +2,20 @@
 biconditional tested by enumeration, and the reachability encoding."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from loopacc.accel import accelerate, encode_reachability, flatten_literals, primed
+from loopacc.accel import (
+    AcceleratedTransition, accelerate, encode_reachability, flatten_literals, primed,
+)
 from loopacc.closedform import Failure, closed_form_of, closed_forms_all
 from loopacc.expr import (
     And, Bin, BoolConst, Const, FiniteFn, Not, Or, Rel, Sel, State, Var,
     arity_of, eval_expr, eval_formula, sv,
 )
 from loopacc.loop import Loop, run_n
+from loopacc.problem import parse_problem
 from loopacc.recurrence import N
 from loopacc.sexpr import to_text
 
@@ -19,6 +23,8 @@ from conftest import (
     A, I, K, decrement_loop, mixing_loop, overview_loop, plus, random_array,
     swap_loop,
 )
+
+EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples_problems").glob("*.loop"))
 
 
 def test_decrement_reference_formula(session):
@@ -56,6 +62,19 @@ def test_non_monotone_guard_fails(session):
                 (Sel(I, ()),), (plus(sv(I), 1),))
     t = accelerate(loop, session)
     assert isinstance(t, Failure) and t.phase == "guard"
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_an_undecided_guard_names_the_backend(path, session, unknown_session):
+    # with a backend that answers unknown, every example but mixing.loop gets
+    # through (Distinct) and classification on the simplifier alone
+    loop = parse_problem(path).loop
+    t = accelerate(loop, unknown_session)
+    if path.name == "mixing.loop":  # rejected before the guard either way
+        assert t == accelerate(loop, session)
+    else:
+        assert isinstance(accelerate(loop, session), AcceleratedTransition)
+        assert t == Failure("guard", "backend inconclusive on guard monotonicity")
 
 
 def test_mixing_loop_fails_classification(session):

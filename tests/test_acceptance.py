@@ -43,12 +43,12 @@ def ses():
         yield s
 
 
-def test_criterion_01_swap_closed_form_exact():
+def test_criterion_01_swap_closed_form_exact(ses):
     """a^(n) agrees with run_n exactly on the stated grid; < 5 s."""
     t0 = time.monotonic()
     loop = swap_loop()
-    cf = closed_forms_all(loop)
-    lam = closed_form_array(loop, A, cf.table)
+    cf = closed_forms_all(loop, ses)
+    lam = closed_form_array(loop, A, cf.table, cf.verdict.up)
     rnd = random.Random(2024)
     mismatches = 0
     for seed in range(50):
@@ -176,24 +176,24 @@ def test_criterion_08_dependent_recurrence():
     report(8, t0)
 
 
-def test_criterion_09_mixing_rejection_reason():
+def test_criterion_09_mixing_rejection_reason(ses):
     """The inductive/displacing mixing loop is rejected with the stated
     reason."""
     t0 = time.monotonic()
-    v = check_a_solvable(mixing_loop())
+    v = check_a_solvable(mixing_loop(), ses)
     assert not v.a_solvable
     assert v.reason == "mixed inductive/displacing in Lval(r_2)"
     report(9, t0, repr(v.reason))
 
 
-def test_criterion_10_fuzz_200_generated_loops():
+def test_criterion_10_fuzz_200_generated_loops(ses):
     """200 seeded a-solvable loops: every closed form matches run_n for n <= 8
     on probe windows; zero mismatches; < 120 s."""
     t0 = time.monotonic()
     total_checks = 0
     for seed in range(200):
         g = gen_loop(seed)
-        rep = check_loop(g.loop, loop_id=f"gen[{seed}]", seeds=4, n_max=8)
+        rep = check_loop(g.loop, loop_id=f"gen[{seed}]", seeds=4, n_max=8, session=ses)
         assert rep.failure is None, (seed, rep.failure)
         assert not rep.mismatches, (seed, rep.mismatches[:3])
         total_checks += rep.checked
@@ -224,7 +224,8 @@ def test_criterion_11_not_written_matches_enumeration():
             if x.arity == 0:
                 continue
             params = tuple(Var(f"c{d}") for d in range(x.arity))
-            f = not_written_qf(loop, x, sv(M), sv(N), tuple(sv(p) for p in params))
+            f = not_written_qf(loop, x, sv(M), sv(N), tuple(sv(p) for p in params),
+                               build_up(loop))
             for trial in range(2):
                 base = State({v: rnd.randint(-3, 3) for v in loop.variables()
                               if v.arity == 0})
@@ -244,7 +245,7 @@ def test_criterion_11_not_written_matches_enumeration():
     report(11, t0, f"{checks} instances")
 
 
-def test_criterion_12_last_write_unique_and_named():
+def test_criterion_12_last_write_unique_and_named(ses):
     """At most one last-write guard true per (c, n); the true one names the
     iteration and lvalue the interpreter's write log recorded."""
     t0 = time.monotonic()
@@ -255,7 +256,7 @@ def test_criterion_12_last_write_unique_and_named():
     rnd = random.Random(9)
     checks = 0
     for name, loop in _corpus_constant_displacement().items():
-        cf = closed_forms_all(loop)
+        cf = closed_forms_all(loop, ses)
         up = build_up(loop)
         for x in sorted(loop.written_vars(), key=lambda v: v.name):
             if x.arity == 0:

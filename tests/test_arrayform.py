@@ -8,7 +8,7 @@ import random
 from loopacc.arrayform import (
     closed_form_array, displacement, last_write_instantiation, not_written_qf,
 )
-from loopacc.closedform import closed_forms_all
+from loopacc.closedform import Failure, closed_forms_all
 from loopacc.expr import (
     Bin, Const, Sel, State, Var, eval_expr, eval_formula, substitute, sv,
 )
@@ -58,21 +58,21 @@ class TestDisplacement:
     def test_swap_both_one(self):
         loop = swap_loop()
         up = build_up(loop)
-        assert displacement(loop, Sel(A, (sv(I),)), up).parts == (1,)
-        assert displacement(loop, Sel(A, (plus(sv(I), 1),)), up).parts == (1,)
+        assert displacement(Sel(A, (sv(I),)), up).parts == (1,)
+        assert displacement(Sel(A, (plus(sv(I), 1),)), up).parts == (1,)
 
     def test_nonconstant(self):
         loop = Loop(Rel("<", sv(J), sv(K)),
                     (Sel(J, ()), Sel(A, (sv(J),))),
                     (Bin("*", Const(2), sv(J)), Const(0)))
         up = build_up(loop)
-        d = displacement(loop, Sel(A, (sv(J),)), up)
+        d = displacement(Sel(A, (sv(J),)), up)
         assert d.parts == (None,) and not d.constant
 
     def test_stationary(self):
         loop = corpus()["stationary"]
         up = build_up(loop)
-        d = displacement(loop, Sel(A, (Const(5),)), up)
+        d = displacement(Sel(A, (Const(5),)), up)
         assert d.parts == (0,) and d.all_zero
 
 
@@ -82,7 +82,7 @@ def _written_points(loop, x, state, m, n):
     up = build_up(loop)
     pts = set()
     for lv, _ in loop.writes_to(x):
-        d = displacement(loop, lv, up)
+        d = displacement(lv, up)
         base = tuple(eval_expr(ix, state) for ix in lv.idx)
         for mp in range(m, n + 1):
             pts.add(tuple(b + di * (mp - 1) for b, di in zip(base, d.parts)))
@@ -102,7 +102,7 @@ class TestNotWrittenQF:
     def test_swap_shape(self):
         # (c < i+m-1 or i+n-1 < c) and (c < i+m or i+n < c), modulo order
         loop = swap_loop()
-        f = not_written_qf(loop, A, sv(M), sv(N), (sv(C),))
+        f = not_written_qf(loop, A, sv(M), sv(N), (sv(C),), build_up(loop))
         rnd = random.Random(3)
         for _ in range(300):
             s = State({I: rnd.randint(-4, 4), M: rnd.randint(-1, 7),
@@ -119,7 +119,8 @@ class TestNotWrittenQF:
             arrays = [x for x in loop.written_vars() if x.arity > 0]
             for x in arrays:
                 params = tuple(Var(f"c{d}") for d in range(x.arity))
-                f = not_written_qf(loop, x, sv(M), sv(N), tuple(sv(p) for p in params))
+                f = not_written_qf(loop, x, sv(M), sv(N), tuple(sv(p) for p in params),
+                                   build_up(loop))
                 for trial in range(3):
                     base = State({v: rnd.randint(-3, 3) for v in loop.variables()
                                   if v.arity == 0})
@@ -136,7 +137,7 @@ class TestNotWrittenQF:
 
     def test_d_zero_single_point(self):
         loop = corpus()["stationary"]
-        f = not_written_qf(loop, A, sv(M), sv(N), (sv(C),))
+        f = not_written_qf(loop, A, sv(M), sv(N), (sv(C),), build_up(loop))
         # nonempty interval: exactly c != 5
         s = State({M: 1, N: 3, C: 5, I: 0})
         assert eval_formula(f, s) is False
@@ -146,16 +147,16 @@ class TestNotWrittenQF:
 
     def test_stride_divisibility_fires(self):
         loop = corpus()["stride2"]
-        f = not_written_qf(loop, A, sv(M), sv(N), (sv(C),))
+        f = not_written_qf(loop, A, sv(M), sv(N), (sv(C),), build_up(loop))
         # writes hit even offsets from 2j: odd-offset cells are never written
         s = State({J: 0, M: 1, N: 6, C: 1})
         assert eval_formula(f, s) is True
 
 
 class TestLastWrite:
-    def test_swap_cases(self):
+    def test_swap_cases(self, session):
         loop = swap_loop()
-        cf = closed_forms_all(loop)
+        cf = closed_forms_all(loop, session)
         up = build_up(loop)
         case_ai = last_write_instantiation(loop, Sel(A, (sv(I),)), (sv(C),), sv(N),
                                            cf.table, up)
@@ -174,9 +175,9 @@ class TestLastWrite:
             want = 1 <= s[C] - s[I] == s[N]
             assert eval_formula(case_ai1.guard, s) == want
 
-    def test_stationary_case(self):
+    def test_stationary_case(self, session):
         loop = corpus()["stationary"]
-        cf = closed_forms_all(loop)
+        cf = closed_forms_all(loop, session)
         case = last_write_instantiation(loop, Sel(A, (Const(5),)), (sv(C),), sv(N),
                                         cf.table, build_up(loop))
         assert case.instantiation == sv(N)
@@ -185,12 +186,12 @@ class TestLastWrite:
         assert eval_formula(case.guard, s.bind({C: 4})) is False
         assert eval_formula(case.guard, s.bind({N: 0})) is False
 
-    def test_uniqueness_and_log_agreement(self):
+    def test_uniqueness_and_log_agreement(self, session):
         # at most one guard true per (c, n); the true one names the write the
         # interpreter's log recorded last for that cell
         rnd = random.Random(13)
         for name, loop in corpus().items():
-            cf = closed_forms_all(loop)
+            cf = closed_forms_all(loop, session)
             up = build_up(loop)
             arrays = [x for x in loop.written_vars() if x.arity > 0]
             for x in arrays:
@@ -230,13 +231,13 @@ class TestLastWrite:
                                 assert not hits
 
 
-def test_closed_form_application_beta_reduces():
+def test_closed_form_application_beta_reduces(session):
     # a^(n)[i'] turns into the ite chain with the cell parameter replaced
     from loopacc.expr import Ite, Lam, beta_reduce, free_vars
 
     loop = swap_loop()
-    cf = closed_forms_all(loop)
-    lam = closed_form_array(loop, A, cf.table)
+    cf = closed_forms_all(loop, session)
+    lam = closed_form_array(loop, A, cf.table, cf.verdict.up)
     ip = Var("i'")
     red = beta_reduce(Sel(lam, (sv(ip),)))
     assert isinstance(red, Ite)
@@ -250,10 +251,10 @@ def test_closed_form_application_beta_reduces():
 
 
 class TestClosedFormArray:
-    def test_swap_matches_reference_form(self):
+    def test_swap_matches_reference_form(self, session):
         loop = swap_loop()
-        cf = closed_forms_all(loop)
-        lam = closed_form_array(loop, A, cf.table)
+        cf = closed_forms_all(loop, session)
+        lam = closed_form_array(loop, A, cf.table, cf.verdict.up)
         # semantic check against the expected shifted form:
         # lambda c. ite(0 <= c-i < n, a[c+1], ite(1 <= c-i = n, a[i], a[c]))
         rnd = random.Random(19)
@@ -271,32 +272,32 @@ class TestClosedFormArray:
                     want = s[A]((c,))
                 assert fn((c,)) == want
 
-    def test_unwritten_array(self):
+    def test_unwritten_array(self, session):
         loop = swap_loop()
-        cf = closed_forms_all(loop)
-        assert closed_form_array(loop, B, cf.table) == B
+        cf = closed_forms_all(loop, session)
+        assert closed_form_array(loop, B, cf.table, cf.verdict.up) == B
 
-    def test_n0_collapse_all_guards_false(self):
+    def test_n0_collapse_all_guards_false(self, session):
         # at n = 0 every case guard simplifies away and the array is unchanged
         from loopacc.expr import Lam
 
         loop = swap_loop()
-        cf = closed_forms_all(loop)
-        lam = closed_form_array(loop, A, cf.table)
+        cf = closed_forms_all(loop, session)
+        lam = closed_form_array(loop, A, cf.table, cf.verdict.up)
         collapsed = simplify(substitute(lam, {N: Const(0)}))
         assert isinstance(collapsed, Lam)
         assert collapsed.body == Sel(A, (sv(collapsed.params[0]),))
 
-    def test_scalar_collapses(self):
+    def test_scalar_collapses(self, session):
         loop = swap_loop()
-        cf = closed_forms_all(loop)
-        assert closed_form_array(loop, I, cf.table) == Bin("+", sv(I), sv(N))
-        assert closed_form_array(loop, K, cf.table) == sv(K)
+        cf = closed_forms_all(loop, session)
+        assert closed_form_array(loop, I, cf.table, cf.verdict.up) == Bin("+", sv(I), sv(N))
+        assert closed_form_array(loop, K, cf.table, cf.verdict.up) == sv(K)
 
-    def test_array_closed_forms_oracle_corpus(self):
+    def test_array_closed_forms_oracle_corpus(self, session):
         rnd = random.Random(23)
         for name, loop in corpus().items():
-            cf = closed_forms_all(loop)
+            cf = closed_forms_all(loop, session)
             up = build_up(loop)
             for x in sorted(loop.written_vars(), key=lambda v: v.name):
                 if x.arity == 0:
@@ -316,20 +317,13 @@ class TestClosedFormArray:
                         for c in _window(loop, x, s, 6, margin=1):
                             assert fn(c) == r.state[x](c), (name, x.name, n, c)
 
-    def test_nonconstant_displacement_fails(self):
+    def test_nonconstant_displacement_fails(self, session):
         loop = Loop(Rel("<", sv(J), sv(K)),
                     (Sel(J, ()), Sel(A, (sv(J),))),
                     (Bin("*", Const(2), sv(J)), Const(0)))
-        cf = closed_forms_all(loop)
-        from loopacc.closedform import Failure
-
-        if isinstance(cf, Failure):
-            return  # rejected earlier (j <- 2j is outside the rec fragment)
-        import pytest
-        from loopacc.arrayform import ArrayFormError
-
-        with pytest.raises(ArrayFormError):
-            closed_form_array(loop, A, cf.table)
+        # j <- 2j moves the write a[j] down for negative j and up for
+        # positive j: the classification rejects the loop first
+        assert closed_forms_all(loop, session) == Failure("classification", "a is not monotonic")
 
 
 def test_a_nonconstant_displacement_is_reported_as_text():
@@ -339,8 +333,10 @@ def test_a_nonconstant_displacement_is_reported_as_text():
 
     loop = Loop(Rel("<", sv(J), sv(K)), (Sel(J, ()), Sel(A, (sv(J),))),
                 (Bin("*", Const(2), sv(J)), Const(0)))
-    for build in (lambda: not_written_qf(loop, A, Const(1), sv(N), (sv(C),)),
-                  lambda: last_write_instantiation(loop, loop.lvalues[1], (sv(C),), sv(N), None)):
+    up = build_up(loop)
+    for build in (lambda: not_written_qf(loop, A, Const(1), sv(N), (sv(C),), up),
+                  lambda: last_write_instantiation(loop, loop.lvalues[1], (sv(C),), sv(N), None,
+                                                   up)):
         with pytest.raises(ArrayFormError) as exc:
             build()
         assert str(exc.value) == "non-constant displacement for (select a j)"

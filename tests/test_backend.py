@@ -15,7 +15,7 @@ import pytest
 
 from loopacc import cli
 from loopacc.accel import accelerate, encode_reachability
-from loopacc.backend import BackendSession, SatResult, validity
+from loopacc.backend import BackendSession, SatResult
 from loopacc.expr import (
     And, Bin, Const, Ite, Not, Or, Rel, Sel, State, Var, eval_formula, sv,
 )
@@ -86,7 +86,7 @@ def test_fsubst_agrees_with_evaluation():
     rnd = random.Random(5)
     xs = [Var("x"), Var("y"), Var("z")]
     for trial in range(300):
-        f = to_linear(_rand_formula(rnd, xs, 3))
+        f = to_linear(_rand_formula(rnd, xs, 3), {})
         img = {k: c for k, c in (("y", rnd.randint(-3, 3)), ("z", rnd.randint(-3, 3)),
                                  (None, rnd.randint(-4, 4))) if c}
         g = fsubst(f, {"x": img})
@@ -94,7 +94,7 @@ def test_fsubst_agrees_with_evaluation():
         for _ in range(5):
             m = {n: rnd.randint(-6, 6) for n in "xyz"}
             assert feval(g, m) == feval(f, {**m, "x": peval(img, m)}), f"trial {trial}: {f}"
-        without_x = to_linear(_rand_formula(rnd, xs[1:], 3))
+        without_x = to_linear(_rand_formula(rnd, xs[1:], 3), {})
         assert fsubst(without_x, {"x": img}) is without_x
 
 
@@ -119,7 +119,7 @@ def test_split_vs_cooper_and_enumeration():
     for trial in range(150):
         vs = xs[:rnd.randint(1, 3)]
         f = _rand_formula(rnd, vs, 3)
-        lin = fand([to_linear(g) for g in [f] + [Rel(">=", sv(x), Const(-B)) for x in vs]
+        lin = fand([to_linear(g, {}) for g in [f] + [Rel(">=", sv(x), Const(-B)) for x in vs]
                     + [Rel("<=", sv(x), Const(B)) for x in vs]])
         names = sorted(fvars(lin))
         enum_sat = any(feval(lin, dict(zip(names, point)))
@@ -186,7 +186,7 @@ def test_list_search_matches_the_tree_reference():
         vs = xs[:rnd.randint(1, 3)]
         box = [Rel(">=", sv(x), Const(-3)) for x in vs] + [Rel("<=", sv(x), Const(3)) for x in vs]
         f = _rand_formula(rnd, vs, 3)
-        lin = fand([to_linear(g) for g in [f] + box * (trial % 2)])
+        lin = fand([to_linear(g, {}) for g in [f] + box * (trial % 2)])
         split = _Recorder(branch_limit=5000)
         try:
             split.find_model(lin)
@@ -355,7 +355,7 @@ def test_presolve_chained_equalities_come_back_in_the_model():
                 Rel("=", Bin("*", Const(2), sv(w)), sv(z)),
                 Rel(">", sv(w), Const(3))]
     gp = GroundProblem({v: 0 for v in (x, y, z, w)})
-    left = gp.presolve([a for f in formulas for a in ground._top(to_linear(f))])
+    left = gp.presolve([a for f in formulas for a in ground._top(to_linear(f, gp.products))])
     # x is solved before y, and y before z: the replay runs in reverse
     assert [name for name, _ in gp.presolve_log] == ["x", "y", "z"]
     assert left == [("gt", {"w": 1, None: -3})]
@@ -371,7 +371,7 @@ def test_presolve_finds_an_equality_a_substitution_made():
     # y >= x and y <= 2 - x: no pair until x = 1 is substituted
     rows = [a for f in (Rel(">=", sv(y), sv(x)), Rel("<=", sv(y), Bin("-", Const(2), sv(x))),
                         Rel("=", sv(x), Const(1)))
-            for a in ground._top(to_linear(f))]
+            for a in ground._top(to_linear(f, gp.products))]
     assert gp.presolve(rows) == []
     assert gp.presolve_log == [("x", {None: 1}), ("y", {None: 1})]
     assert gp.presolve(rows + [("gt", {"x": -1})]) == [False]
@@ -691,11 +691,15 @@ def test_smt_log_replays(tmp_path, capsys):
     assert compared > 0
 
 
-def test_validity_without_session_uses_the_simplifier():
+def test_is_valid_answers_from_the_simplifier_without_a_check_sat(tmp_path):
     i, k = sv(Var("i")), sv(Var("k"))
-    assert validity(Rel("<=", i, Bin("+", i, Const(1))), None) is True
-    assert validity(Rel("<", i, i), None) is False
-    assert validity(Rel("<", i, k), None) is None
+    log = tmp_path / "dialogue.smt2"
+    with BackendSession(smt_log=str(log)) as s:
+        assert s.is_valid(Rel("<=", i, Bin("+", i, Const(1)))) is True
+        assert s.is_valid(Rel("<", i, i)) is False
+        assert "(check-sat)" not in log.read_text()
+        assert s.is_valid(Rel("<", i, k)) is False
+        assert "(check-sat)" in log.read_text()
 
 
 def test_unsupported_model_sort_is_unknown():

@@ -33,66 +33,93 @@ class TestComputeL:
 
 
 class TestMonotonicity:
-    def test_swap_array_increasing(self):
-        assert monotonicity(swap_loop(), A) == Monotonicity.INCREASING
+    def test_swap_array_increasing(self, session):
+        loop = swap_loop()
+        assert monotonicity(loop, A, build_up(loop), session) == Monotonicity.INCREASING
 
-    def test_scalar_both(self):
-        assert monotonicity(swap_loop(), I) == Monotonicity.BOTH
+    def test_scalar_both(self, session):
+        loop = swap_loop()
+        assert monotonicity(loop, I, build_up(loop), session) == Monotonicity.BOTH
 
-    def test_decreasing_writes(self):
+    def test_decreasing_writes(self, session):
         loop = Loop(Rel(">", sv(I), Const(0)),
                     (Sel(I, ()), Sel(A, (sv(I),))),
                     (Bin("-", sv(I), Const(1)), Const(0)))
-        assert monotonicity(loop, A) == Monotonicity.DECREASING
+        assert monotonicity(loop, A, build_up(loop), session) == Monotonicity.DECREASING
 
-    def test_lexicographic_two_dim(self):
+    def test_lexicographic_two_dim(self, session):
         m = Var("m", 2)
         loop = Loop(Rel("<", sv(I), sv(K)),
                     (Sel(I, ()), Sel(m, (sv(I), Bin("-", Const(0), sv(I))))),
                     (plus(sv(I), 1), Const(1)))
         # index (i, -i): first component grows, so lexicographically increasing
-        assert monotonicity(loop, m) == Monotonicity.INCREASING
+        assert monotonicity(loop, m, build_up(loop), session) == Monotonicity.INCREASING
+
+    def test_inconclusive_backend_is_named(self, session, unknown_session):
+        # a[i div 2] grows with i, which only the solver shows; a backend that
+        # answers unknown must not make it "not monotonic"
+        loop = Loop(Rel("<", sv(I), sv(K)),
+                    (Sel(A, (Bin("div", sv(I), Const(2)),)), Sel(I, ())),
+                    (Const(0), plus(sv(I), 1)))
+        v = check_a_solvable(loop, session)
+        assert v.a_solvable and v.monotone[A] == Monotonicity.INCREASING
+        assert monotonicity(loop, A, build_up(loop), unknown_session) is None
+        v = check_a_solvable(loop, unknown_session)
+        assert not v.a_solvable
+        assert v.reason == "backend inconclusive on the monotonicity of a"
 
 
 class TestClassify:
-    def test_swap_labels(self):
+    def test_swap_labels(self, session):
         loop = swap_loop()
         up = build_up(loop)
-        ai = classify_lvalue(loop, Sel(A, (sv(I),)), Monotonicity.INCREASING, up)
+        ai = classify_lvalue(loop, Sel(A, (sv(I),)), Monotonicity.INCREASING, up, session)
         assert ai.label == LvalueClass.INDUCTIVE
-        ai1 = classify_lvalue(loop, Sel(A, (plus(sv(I), 1),)), Monotonicity.INCREASING, up)
+        ai1 = classify_lvalue(loop, Sel(A, (plus(sv(I), 1),)), Monotonicity.INCREASING, up,
+                              session)
         assert ai1.label == LvalueClass.DISPLACING
-        scalar = classify_lvalue(loop, Sel(I, ()), Monotonicity.BOTH, up)
+        scalar = classify_lvalue(loop, Sel(I, ()), Monotonicity.BOTH, up, session)
         assert scalar.label == LvalueClass.INDUCTIVE
 
-    def test_unwritten_is_trivial(self):
+    def test_unwritten_is_trivial(self, session):
         loop = swap_loop()
         up = build_up(loop)
-        c = classify_lvalue(loop, Sel(K, ()), Monotonicity.BOTH, up)
+        c = classify_lvalue(loop, Sel(K, ()), Monotonicity.BOTH, up, session)
         assert c.label == LvalueClass.TRIVIAL
 
-    def test_unwritten_array_with_written_index(self):
+    def test_unwritten_array_with_written_index(self, session):
         # b[i] with b unwritten but i written: reads a written variable, and
         # vacuously satisfies the displacing comparison
         loop = swap_loop()
         up = build_up(loop)
-        c = classify_lvalue(loop, Sel(B, (sv(I),)), Monotonicity.BOTH, up)
+        c = classify_lvalue(loop, Sel(B, (sv(I),)), Monotonicity.BOTH, up, session)
         assert c.label == LvalueClass.DISPLACING
+
+    def test_inconclusive_backend_leaves_it_unclassifiable(self, session, unknown_session):
+        # i < 2*((i+1) div 2) + 2 holds, but only the solver shows it
+        read = Sel(A, (Bin("+", Bin("*", Const(2), Bin("div", sv(I), Const(2))), Const(2)),))
+        loop = Loop(Rel("<", sv(I), sv(K)), (Sel(I, ()), Sel(A, (sv(I),))),
+                    (plus(sv(I), 1), read))
+        up = build_up(loop)
+        c = classify_lvalue(loop, read, Monotonicity.INCREASING, up, session)
+        assert c.label == LvalueClass.DISPLACING
+        c = classify_lvalue(loop, read, Monotonicity.INCREASING, up, unknown_session)
+        assert (c.label, c.justification) == (LvalueClass.UNCLASSIFIABLE, "backend inconclusive")
 
 
 class TestASolvable:
-    def test_swap(self):
-        v = check_a_solvable(swap_loop())
+    def test_swap(self, session):
+        v = check_a_solvable(swap_loop(), session)
         assert v.a_solvable
         assert v.rhs_tags == ["a", "a", "b"]
 
-    def test_mixing_rejected(self):
-        v = check_a_solvable(mixing_loop())
+    def test_mixing_rejected(self, session):
+        v = check_a_solvable(mixing_loop(), session)
         assert not v.a_solvable
         assert v.reason.startswith("mixed inductive/displacing in Lval(r_")
 
-    def test_scalar_only(self):
-        v = check_a_solvable(decrement_loop())
+    def test_scalar_only(self, session):
+        v = check_a_solvable(decrement_loop(), session)
         assert v.a_solvable and v.rhs_tags == ["a"]
 
     def test_non_monotonic_rejected(self, session):
@@ -111,21 +138,22 @@ class TestStability:
         # lvalue reads in iteration n was never written in iterations <= m
         rnd = random.Random(13)
         loop = swap_loop()
+        up = build_up(loop)
         lv = Sel(A, (plus(sv(I), 1),))  # displacing
         for _ in range(8):
             s = State({I: rnd.randint(-2, 2), K: 30, A: random_array(rnd)})
             for n in range(0, 6):
-                idx_expr = up_pow(loop, lv.idx[0], n)
+                idx_expr = up_pow(lv.idx[0], n, up)
                 cell = eval_expr(idx_expr, s)
                 for m in range(0, n + 1):
                     r = run_n(loop, s, m)
                     assert r.state[A]((cell,)) == s[A]((cell,))
 
     def test_trivial_fixed_under_up(self):
-        loop = swap_loop()
+        up = build_up(swap_loop())
         lv = Sel(B, (Const(3),))
         for n in range(6):
-            assert up_pow(loop, lv, n) == lv
+            assert up_pow(lv, n, up) == lv
 
 
 def _mirror_loop(loop: Loop) -> Loop:
@@ -146,17 +174,17 @@ def _mirror_loop(loop: Loop) -> Loop:
     return Loop(loop.guard, tuple(lvs), tuple(rhs))
 
 
-def test_mirror_symmetry():
+def test_mirror_symmetry(session):
     # increasing corpus loop vs its index-negated counterpart: monotonicity
     # flips and the displacing classification is preserved
     loop = Loop(Rel("<", sv(I), sv(K)),
                 (Sel(I, ()), Sel(A, (sv(I),))),
                 (plus(sv(I), 1), Const(0)))
     mirrored = _mirror_loop(loop)
-    assert monotonicity(loop, A) == Monotonicity.INCREASING
-    assert monotonicity(mirrored, A) == Monotonicity.DECREASING
+    assert monotonicity(loop, A, build_up(loop), session) == Monotonicity.INCREASING
+    assert monotonicity(mirrored, A, build_up(mirrored), session) == Monotonicity.DECREASING
     up, mup = build_up(loop), build_up(mirrored)
-    ahead = classify_lvalue(loop, Sel(A, (plus(sv(I), 1),)), Monotonicity.INCREASING, up)
+    ahead = classify_lvalue(loop, Sel(A, (plus(sv(I), 1),)), Monotonicity.INCREASING, up, session)
     behind = classify_lvalue(mirrored, Sel(A, (Bin("-", Const(0), plus(sv(I), 1)),)),
-                             Monotonicity.DECREASING, mup)
+                             Monotonicity.DECREASING, mup, session)
     assert ahead.label == behind.label == LvalueClass.DISPLACING

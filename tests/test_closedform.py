@@ -23,8 +23,8 @@ from loopacc.simplify import simplify
 from conftest import A, B, I, J, K, decrement_loop, mixing_loop, plus, random_array, swap_loop
 
 
-def test_swap_table():
-    cf = closed_forms_all(swap_loop())
+def test_swap_table(session):
+    cf = closed_forms_all(swap_loop(), session)
     t = cf.table
     assert t.of(Sel(I, ())) == Bin("+", sv(I), sv(N))
     assert t.of(Sel(A, (sv(I),))) == Sel(A, (sv(I),))
@@ -33,8 +33,8 @@ def test_swap_table():
     assert simplify(Bin("-", entry.idx[0], Bin("+", Bin("+", sv(I), sv(N)), Const(1)))) == Const(0)
 
 
-def test_decrement_inductive():
-    cf = closed_forms_all(decrement_loop())
+def test_decrement_inductive(session):
+    cf = closed_forms_all(decrement_loop(), session)
     got = cf.table.at(Sel(I, ()), 5)
     assert got == Bin("-", sv(I), Const(5))
     # oracle at n = 1..5
@@ -44,67 +44,67 @@ def test_decrement_inductive():
         assert eval_expr(cf.table.at(Sel(I, ()), n), s) == r.state[I]
 
 
-def test_mixing_fails_classification():
-    out = closed_forms_all(mixing_loop())
+def test_mixing_fails_classification(session):
+    out = closed_forms_all(mixing_loop(), session)
     assert isinstance(out, Failure) and out.phase == "classification"
 
 
-def test_trivial_entries():
+def test_trivial_entries(session):
     # b[c] with b, c unwritten stays itself
     loop = Loop(Rel("<", sv(I), sv(K)),
                 (Sel(I, ()),),
                 (Bin("+", sv(I), Sel(B, (Const(3),))),))
-    cf = closed_forms_all(loop)
+    cf = closed_forms_all(loop, session)
     assert cf.table.of(Sel(B, (Const(3),))) == Sel(B, (Const(3),))
 
 
-def test_two_counter_displacing():
+def test_two_counter_displacing(session):
     # j advances by 2: reading a[j+2] is displacing with closed form a[j+2n+2]
     loop = Loop(Rel("<", sv(J), sv(K)),
                 (Sel(J, ()), Sel(A, (sv(J),))),
                 (plus(sv(J), 2), Sel(A, (plus(sv(J), 2),))))
-    cf = closed_forms_all(loop)
+    cf = closed_forms_all(loop, session)
     entry = cf.table.of(Sel(A, (plus(sv(J), 2),)))
     want = Bin("+", Bin("+", sv(J), Bin("*", Const(2), sv(N))), Const(2))
     assert simplify(Bin("-", entry.idx[0], want)) == Const(0)
 
 
-def test_def8_three_way_agreement():
+def test_def8_three_way_agreement(session):
     # eval(l^(n)[n:=k], s) == eval of up^k(l) in s == interpreter probe
     rnd = random.Random(37)
     loop = swap_loop()
-    cf = closed_forms_all(loop)
+    cf = closed_forms_all(loop, session)
     for _ in range(6):
         s = State({I: rnd.randint(-2, 2), K: 40, A: random_array(rnd)})
         for n in range(0, 9):
             r = run_n(loop, s, n)
             for lv, entry in cf.table.items():
                 via_table = eval_expr(substitute(entry, {N: Const(n)}), s)
-                via_up = eval_expr(up_pow(loop, lv, n), s)
+                via_up = eval_expr(up_pow(lv, n, cf.verdict.up), s)
                 via_run = eval_expr(lv, r.state)
                 assert via_table == via_up == via_run
 
 
-def test_n0_collapse_syntactic():
-    cf = closed_forms_all(swap_loop())
+def test_n0_collapse_syntactic(session):
+    cf = closed_forms_all(swap_loop(), session)
     for lv, entry in cf.table.items():
         assert simplify(substitute(entry, {N: Const(0)})) == simplify(lv)
 
 
-def test_empty_update_table():
+def test_empty_update_table(session):
     loop = Loop(Rel("<", sv(I), sv(K)), (Sel(J, ()),), (Const(5),))
-    cf = closed_forms_all(loop)
+    cf = closed_forms_all(loop, session)
     assert list(cf.table.items()) == []  # rhs has no lvalues
 
 
-def test_pick_progress_on_chained_displacing():
+def test_pick_progress_on_chained_displacing(session):
     # a[b[j]] where b[j] is itself displacing-resolvable through j
     loop = Loop(Rel("<", sv(J), sv(K)),
                 (Sel(J, ()), Sel(A, (sv(J),)), Sel(B, (sv(J),))),
                 (plus(sv(J), 1),
                  Sel(A, (Sel(B, (plus(sv(J), 1),)),)),
                  Const(7)))
-    cf = closed_forms_all(loop)
+    cf = closed_forms_all(loop, session)
     if isinstance(cf, Failure):
         # a[b[j+1]]'s index reads b[j+1], which is inductive; acceptable here
         # is either a full table or a classification failure, but never a
@@ -114,13 +114,13 @@ def test_pick_progress_on_chained_displacing():
         assert all(lv in cf.table for lv in cf.verdict.closure)
 
 
-def test_only_recurrence_errors_become_failures(monkeypatch):
+def test_only_recurrence_errors_become_failures(monkeypatch, session):
     def build_rec(*args):
         raise ZeroDivisionError("a bug")
 
     monkeypatch.setattr(closedform, "build_rec", build_rec)
     with pytest.raises(ZeroDivisionError):
-        closed_forms_all(decrement_loop())
+        closed_forms_all(decrement_loop(), session)
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,12 @@ def as_closures(s: State) -> State:
     return s.bind(rebound)
 
 
-def generated():
+def generated(session):
     """The closed forms of generated loops in random states at random n: per
     state the table's entries, and each array lambda with 25 random points."""
     for seed in range(30):
         loop = gen_loop(seed).loop
-        forms = closed_forms_all(loop)
+        forms = closed_forms_all(loop, session)
         up = build_up(loop)
         lams = [closed_form_array(loop, x, forms.table, up)
                 for x in sorted(loop.written_vars(), key=lambda v: v.name) if x.arity]
@@ -78,11 +78,11 @@ def generated():
                 for lam in lams]
 
 
-def test_generated_closed_forms_agree():
+def test_generated_closed_forms_agree(session):
     """Each table entry as a zero-parameter probe, each array lambda at its
     points."""
     compared = 0
-    for s, entries, lams in generated():
+    for s, entries, lams in generated(session):
         for cf in entries:
             probe_agrees(Lam((), cf), s, [()])
             compared += 1
@@ -194,9 +194,9 @@ def interpreted(monkeypatch):
     return seen
 
 
-def test_probe_agrees_on_generated_closed_forms(interpreted):
+def test_probe_agrees_on_generated_closed_forms(interpreted, session):
     compared = 0
-    for s, _, lams in generated():
+    for s, _, lams in generated(session):
         arrays = [x for x, _ in s.items() if x.arity]
         for lam, pts in lams:
             probe_agrees(lam, s, pts)
@@ -284,9 +284,9 @@ def matches_reference(e, s: State, points=(), formula=False):
     return kind
 
 
-def test_evaluator_matches_the_reference_on_generated_trees():
+def test_evaluator_matches_the_reference_on_generated_trees(session):
     kinds = Counter()
-    for s, entries, lams in generated():
+    for s, entries, lams in generated(session):
         for cf in entries:
             kinds[matches_reference(cf, s)] += 1
         for lam, pts in lams:

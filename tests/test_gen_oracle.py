@@ -14,55 +14,55 @@ from loopacc.oracle import ProbeWindow, check_loop, random_state
 from conftest import A, I, J, K, plus, swap_loop
 
 
-def test_generator_postcondition_is_total():
+def test_generator_postcondition_is_total(session):
     # every generated loop satisfies (Distinct) and is a-solvable
     for seed in range(120):
         g = gen_loop(seed)
-        assert validate_loop(g.loop).ok, seed
-        assert check_a_solvable(g.loop).a_solvable, seed
+        assert validate_loop(g.loop, session).ok, seed
+        assert check_a_solvable(g.loop, session).a_solvable, seed
 
 
-def test_generator_scalars_only():
+def test_generator_scalars_only(session):
     for seed in range(20):
         g = gen_loop(seed, GenConfig(scalars_only=True))
         assert not any(v.arity for v in g.loop.written_vars())
-        assert check_a_solvable(g.loop).a_solvable
+        assert check_a_solvable(g.loop, session).a_solvable
 
 
-def test_generator_two_dim():
+def test_generator_two_dim(session):
     found = 0
     for seed in range(20):
         g = gen_loop(seed, GenConfig(force_dim=2, arrays=(1, 2)))
-        v = check_a_solvable(g.loop)
+        v = check_a_solvable(g.loop, session)
         assert v.a_solvable
         if any(x.arity == 2 for x in g.loop.written_vars()):
             found += 1
     assert found >= 10
 
 
-def test_oracle_clean_on_swap():
-    rep = check_loop(swap_loop(), loop_id="swap", seeds=10, n_max=6)
+def test_oracle_clean_on_swap(session):
+    rep = check_loop(swap_loop(), loop_id="swap", seeds=10, n_max=6, session=session)
     assert rep.ok and rep.checked > 500
 
 
-def test_oracle_detects_corrupted_closed_form(monkeypatch):
+def test_oracle_detects_corrupted_closed_form(monkeypatch, session):
     # harness self-test: corrupt one table entry and expect mismatches
     import loopacc.oracle as oracle_mod
 
     real = closed_forms_all
 
-    def corrupted(loop, session=None):
+    def corrupted(loop, session):
         cf = real(loop, session)
         lv = Sel(I, ())
         cf.table.entries[lv] = Bin("+", cf.table.entries[lv], Const(1))
         return cf
 
     monkeypatch.setattr(oracle_mod, "closed_forms_all", corrupted)
-    rep = check_loop(swap_loop(), loop_id="swap", seeds=3, n_max=4)
+    rep = check_loop(swap_loop(), loop_id="swap", seeds=3, n_max=4, session=session)
     assert not rep.ok and rep.mismatches
 
 
-def test_oracle_detects_corrupted_array_closed_form(monkeypatch):
+def test_oracle_detects_corrupted_array_closed_form(monkeypatch, session):
     # harness self-test on the array side: the swap loop's lambda is off by
     # one at the cell 0 alone
     real = closedform.closed_form_array
@@ -75,12 +75,12 @@ def test_oracle_detects_corrupted_array_closed_form(monkeypatch):
         return Lam(lam.params, Ite(at_zero, Bin("+", lam.body, Const(1)), lam.body))
 
     monkeypatch.setattr(closedform, "closed_form_array", corrupted)
-    rep = check_loop(swap_loop(), loop_id="swap", seeds=3, n_max=4)
+    rep = check_loop(swap_loop(), loop_id="swap", seeds=3, n_max=4, session=session)
     assert not rep.ok and rep.mismatches
     assert {(m.subject, m.point, m.got - m.expected) for m in rep.mismatches} == {("a", (0,), 1)}
 
 
-def test_oracle_counts_the_window_points_a_closed_form_cannot_evaluate(monkeypatch):
+def test_oracle_counts_the_window_points_a_closed_form_cannot_evaluate(monkeypatch, session):
     # the swap loop's lambda plus 0 * (1 div (j - 1)): the same values, but no
     # value at j = 1, so each window holding j = 1 differs from the
     # interpreter's side by its SKIP points alone
@@ -97,7 +97,7 @@ def test_oracle_counts_the_window_points_a_closed_form_cannot_evaluate(monkeypat
 
     monkeypatch.setattr(closedform, "closed_form_array", divides_by_j_minus_1)
     loop, seeds, n_max = swap_loop(), 6, 5
-    rep = check_loop(loop, loop_id="swap", seeds=seeds, n_max=n_max)
+    rep = check_loop(loop, loop_id="swap", seeds=seeds, n_max=n_max, session=session)
     visits = window_points = at_one = 0
     for s_idx in range(seeds):
         cur = random_state(loop, random.Random(s_idx))
@@ -112,38 +112,38 @@ def test_oracle_counts_the_window_points_a_closed_form_cannot_evaluate(monkeypat
             visits += 1
             window_points += len(window.order)
             at_one += sum(p == (1,) for p in window.order)
-    table = closed_forms_all(loop).table.entries
+    table = closed_forms_all(loop, session).table.entries
     assert rep.failure is None and rep.mismatches == []
     assert rep.skipped == at_one > 0
     assert rep.checked + rep.skipped == window_points + visits * len(table)
 
 
-def test_oracle_json_shape():
-    rep = check_loop(swap_loop(), loop_id="swap", seeds=2, n_max=3)
+def test_oracle_json_shape(session):
+    rep = check_loop(swap_loop(), loop_id="swap", seeds=2, n_max=3, session=session)
     data = rep.to_json()
     assert data["ok"] is True and data["loop"] == "swap"
     assert set(data) >= {"seeds", "n_max", "checked", "mismatches"}
 
 
-def test_oracle_counts_cells_that_do_not_evaluate():
+def test_oracle_counts_cells_that_do_not_evaluate(session):
     # x accumulates a[k div j]: the states with j = 0 cannot evaluate that cell
     x = Var("x")
     loop = Loop(guard=Rel("<", sv(I), sv(K)),
                 lvalues=(Sel(I, ()), Sel(x, ())),
                 rhs=(plus(sv(I), 1), Bin("+", sv(x), Sel(A, (Bin("div", sv(K), sv(J)),)))))
-    rep = check_loop(loop, seeds=40)
+    rep = check_loop(loop, seeds=40, session=session)
     assert rep.ok and rep.skipped > 0
     assert rep.to_json()["skipped"] == rep.skipped
 
 
-def test_oracle_skips_runs_the_interpreter_cannot_finish():
+def test_oracle_skips_runs_the_interpreter_cannot_finish(session):
     # a[i] <- 10 div (j - j) fails whenever the loop runs: the interpreter
     # and the array closed form both divide by zero
     zero = Bin("-", sv(J), sv(J))
     loop = Loop(guard=Rel("<", sv(I), sv(K)),
                 lvalues=(Sel(A, (sv(I),)), Sel(I, ())),
                 rhs=(Bin("div", Const(10), zero), plus(sv(I), 1)))
-    rep = check_loop(loop, seeds=10, seed0=41)
+    rep = check_loop(loop, seeds=10, seed0=41, session=session)
     assert rep.failure is None and not rep.mismatches
     assert rep.skipped > 0
 
@@ -192,12 +192,12 @@ def test_incremental_window_matches_rebuilt_window():
     assert compared > 1000 and grown_from_origin > 0
 
 
-def test_oracle_reports_an_aliasing_loop_as_a_validation_failure():
+def test_oracle_reports_an_aliasing_loop_as_a_validation_failure(session):
     # a[i] and a[j] are the same cell whenever i = j
     loop = Loop(guard=Rel("<", sv(I), sv(K)),
                 lvalues=(Sel(I, ()), Sel(A, (sv(I),)), Sel(A, (sv(J),))),
                 rhs=(plus(sv(I), 1), Const(1), Const(2)))
-    rep = check_loop(loop, seeds=10)
+    rep = check_loop(loop, seeds=10, session=session)
     assert not rep.ok and rep.failure.phase == "validation"
     assert "aliasing" in rep.to_json()["failure"]["detail"]
 
@@ -230,11 +230,11 @@ UNREAD_LOOP = Loop(guard=Rel("<", sv(I), sv(K)), lvalues=(Sel(I, ()), Sel(UNREAD
                    rhs=(plus(sv(I), 1), Const(5)))
 
 
-def test_oracle_compares_a_written_scalar_no_rhs_reads(monkeypatch):
+def test_oracle_compares_a_written_scalar_no_rhs_reads(monkeypatch, session):
     # x <- 5 has no table entry: the oracle compares its closed form, and
     # reports a wrong one or a failure to build one
-    assert Sel(UNREAD, ()) not in closed_forms_all(UNREAD_LOOP).table
-    rep = check_loop(UNREAD_LOOP, seeds=10)
+    assert Sel(UNREAD, ()) not in closed_forms_all(UNREAD_LOOP, session).table
+    rep = check_loop(UNREAD_LOOP, seeds=10, session=session)
     assert rep.ok and rep.checked > 0
     real = closedform.closed_form_array
 
@@ -243,7 +243,7 @@ def test_oracle_compares_a_written_scalar_no_rhs_reads(monkeypatch):
         return Bin("+", cf, Const(1)) if x == UNREAD else cf
 
     monkeypatch.setattr(closedform, "closed_form_array", off_by_one)
-    rep = check_loop(UNREAD_LOOP, seeds=10)
+    rep = check_loop(UNREAD_LOOP, seeds=10, session=session)
     assert rep.mismatches and {m.subject for m in rep.mismatches} == {"x"}
 
     def none_for_x(loop, x, table, up):
@@ -252,5 +252,5 @@ def test_oracle_compares_a_written_scalar_no_rhs_reads(monkeypatch):
         return real(loop, x, table, up)
 
     monkeypatch.setattr(closedform, "closed_form_array", none_for_x)
-    rep = check_loop(UNREAD_LOOP, seeds=10)
+    rep = check_loop(UNREAD_LOOP, seeds=10, session=session)
     assert not rep.ok and rep.failure.phase == "array-closed-form"

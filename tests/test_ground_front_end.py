@@ -56,19 +56,11 @@ def test_linpoly_matches_the_reference():
     nonlinear = 0
     for trial in range(500):
         e = _poly_term(rnd, 4)
-        assert ground._linpoly(e, products) == ref.linpoly(e, ref_products), f"trial {trial}: {e}"
+        got = ground._linpoly(e, products)
+        assert got == ref.linpoly(e, ref_products), f"trial {trial}: {e}"
         # the same keys, in the same order, under the same fresh names
         assert list(products.items()) == list(ref_products.items()), f"trial {trial}: {e}"
-        try:
-            want = ref.linpoly(e)
-        except Unsupported:
-            want = "nonlinear"
-            nonlinear += 1
-        try:
-            got = ground._linpoly(e)
-        except Unsupported:
-            got = "nonlinear"
-        assert got == want, f"trial {trial}: {e}"
+        nonlinear += any(k in products.values() for k in got)
     assert nonlinear >= 100 and len(products) >= 50
 
 

@@ -118,34 +118,35 @@ class TestRunN:
 
 class TestUpPow:
     def test_swap_examples(self):
-        loop = swap_loop()
-        assert up_pow(loop, sv(I), 2) == plus(sv(I), 2)
-        assert up_pow(loop, Sel(A, (plus(sv(I), 1),)), 1) == Sel(A, (plus(sv(I), 2),))
+        up = build_up(swap_loop())
+        assert up_pow(sv(I), 2, up) == plus(sv(I), 2)
+        assert up_pow(Sel(A, (plus(sv(I), 1),)), 1, up) == Sel(A, (plus(sv(I), 2),))
         e = Bin("+", sv(I), Const(5))
-        assert up_pow(loop, e, 0) == simplify(e)
+        assert up_pow(e, 0, up) == simplify(e)
 
     def test_up_pow_agrees_with_run_n(self):
         # eval(up^n(x), s) == run_n(s, n)(x), probed on >= 20 indices, n <= 8
         rnd = random.Random(9)
         loop = swap_loop()
+        up = build_up(loop)
         for trial in range(6):
             s = State({I: rnd.randint(-2, 2), K: 40, A: random_array(rnd)})
             for n in range(0, 9):
                 r = run_n(loop, s, n)
                 assert r.stuck_at is None
-                assert eval_expr(up_pow(loop, sv(I), n), s) == r.state[I]
-                lam = up_pow(loop, Sel(A, (sv(J),)), n)  # open cell expression
+                assert eval_expr(up_pow(sv(I), n, up), s) == r.state[I]
+                lam = up_pow(Sel(A, (sv(J),)), n, up)  # open cell expression
                 for c in range(-8, 14):
                     got = eval_expr(lam, s.bind({J: c}))
                     assert got == r.state[A]((c,))
 
 
 class TestValidate:
-    def test_swap_ok(self):
-        assert validate_loop(swap_loop()).ok
+    def test_swap_ok(self, session):
+        assert validate_loop(swap_loop(), session).ok
 
-    def test_single_lvalue_ok(self):
-        assert validate_loop(decrement_loop()).ok
+    def test_single_lvalue_ok(self, session):
+        assert validate_loop(decrement_loop(), session).ok
 
     def test_potential_alias_rejected(self, session):
         bad = Loop(Rel("=", Sel(A, (sv(J),)), Const(0)),
@@ -155,9 +156,9 @@ class TestValidate:
         assert not v.ok and not v.inconclusive
         assert v.violation == (0, 1)
 
-    def test_inconclusive_without_backend(self):
+    def test_inconclusive_when_the_backend_is(self, unknown_session):
         bad = Loop(Rel("<", sv(I), sv(K)),
                    (Sel(A, (sv(I),)), Sel(A, (sv(J),))),
                    (Const(0), Const(1)))
-        v = validate_loop(bad, None)
+        v = validate_loop(bad, unknown_session)
         assert not v.ok and v.inconclusive

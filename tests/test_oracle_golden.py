@@ -35,26 +35,27 @@ def skip_loops():
     return {"skip-cell": (cell, dict(seeds=40)), "skip-run": (run, dict(seeds=10, seed0=41))}
 
 
-def golden_reports() -> dict:
+def golden_reports(session) -> dict:
     """`to_json()` minus `elapsed` of every pinned oracle run."""
     out = {}
     for seed in range(GEN_SEEDS):
         reset_fresh_counter()
-        rep = check_loop(gen_loop(seed).loop, loop_id=f"gen[{seed}]", seeds=STATES, n_max=N_MAX)
+        rep = check_loop(gen_loop(seed).loop, loop_id=f"gen[{seed}]", seeds=STATES, n_max=N_MAX,
+                         session=session)
         out[rep.loop_id] = rep.to_json()
     for name, (lp, kw) in skip_loops().items():
         reset_fresh_counter()
-        out[name] = check_loop(lp, loop_id=name, **kw).to_json()
+        out[name] = check_loop(lp, loop_id=name, session=session, **kw).to_json()
     for data in out.values():
         del data["elapsed"]
     return out
 
 
-def test_oracle_reports_are_unchanged():
-    assert golden_reports() == json.loads(GOLDEN.read_text())
+def test_oracle_reports_are_unchanged(session):
+    assert golden_reports(session) == json.loads(GOLDEN.read_text())
 
 
-def test_oracle_runs_the_interpreter_once_per_state(monkeypatch):
+def test_oracle_runs_the_interpreter_once_per_state(monkeypatch, session):
     calls = 0
     real = loop_mod.step
 
@@ -66,11 +67,11 @@ def test_oracle_runs_the_interpreter_once_per_state(monkeypatch):
     monkeypatch.setattr(loop_mod, "step", counted)
     for seed in range(5):
         calls = 0
-        rep = check_loop(gen_loop(seed).loop, seeds=STATES, n_max=N_MAX)
+        rep = check_loop(gen_loop(seed).loop, seeds=STATES, n_max=N_MAX, session=session)
         assert rep.ok and calls <= STATES * N_MAX, (seed, calls)
     for name, (lp, kw) in skip_loops().items():
         calls = 0
-        check_loop(lp, **kw)
+        check_loop(lp, session=session, **kw)
         assert calls <= kw["seeds"] * N_MAX, (name, calls)
 
 

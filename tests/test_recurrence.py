@@ -39,27 +39,28 @@ def _equations_text(build, loop, verdict):
 
 
 class TestBuildRec:
-    def test_recorded_write_gives_the_searched_equations(self):
+    def test_recorded_write_gives_the_searched_equations(self, session):
         # the write classification matched is the one a per-component
         # validity search over the writes finds
         loops = [gen_loop(seed).loop for seed in range(40)]
         loops += [parse_problem(p).loop for p in sorted(EXAMPLES.glob("*.loop"))]
         equations = 0
         for loop in loops:
-            verdict = check_a_solvable(loop)
+            verdict = check_a_solvable(loop, session)
             if not verdict.a_solvable:
                 continue
             got = _equations_text(build_rec, loop, verdict)
-            want = _equations_text(lambda l, v: build_rec_by_search(l, v, v.up), loop, verdict)
+            want = _equations_text(lambda l, v: build_rec_by_search(l, v, v.up, session),
+                                   loop, verdict)
             assert got == want, to_text(loop.guard)
             assert all(c.partner is not None for c in verdict.labels.values()
                        if c.label == LvalueClass.INDUCTIVE)
             equations += len(got)
         assert equations > len(loops)
 
-    def test_swap(self):
+    def test_swap(self, session):
         loop = swap_loop()
-        system = build_rec(loop, check_a_solvable(loop))
+        system = build_rec(loop, check_a_solvable(loop, session))
         sigma = system.sigma
         ri = sigma.symbol(Sel(I, ()))
         rai = sigma.symbol(Sel(A, (sv(I),)))
@@ -67,18 +68,18 @@ class TestBuildRec:
         assert system.equations[rai] == sv(rai)
         assert len(system.equations) == 2  # a[i+1] is displacing: no equation
 
-    def test_decrement(self):
+    def test_decrement(self, session):
         loop = decrement_loop()
-        system = build_rec(loop, check_a_solvable(loop))
+        system = build_rec(loop, check_a_solvable(loop, session))
         ri = system.sigma.symbol(Sel(I, ()))
         assert system.equations[ri] == Bin("-", sv(ri), Const(1))
 
-    def test_dependent_scalars(self):
+    def test_dependent_scalars(self, session):
         # i <- i+1, j <- j+i
         loop = Loop(Rel("<", sv(I), sv(K)),
                     (Sel(I, ()), Sel(J, ())),
                     (plus(sv(I), 1), Bin("+", sv(J), sv(I))))
-        system = build_rec(loop, check_a_solvable(loop))
+        system = build_rec(loop, check_a_solvable(loop, session))
         ri = system.sigma.symbol(Sel(I, ()))
         rj = system.sigma.symbol(Sel(J, ()))
         assert system.equations[rj] == Bin("+", sv(rj), sv(ri))
@@ -188,10 +189,10 @@ class TestRoundTrips:
                 v = eval_expr(substitute(sol.of(r), env), State({}))
                 assert isinstance(v, int)
 
-    def test_theorem_2_concrete(self):
+    def test_theorem_2_concrete(self, session):
         # closed forms from Rec match run_n probes for n <= 10
         loop = swap_loop()
-        verdict = check_a_solvable(loop)
+        verdict = check_a_solvable(loop, session)
         system = build_rec(loop, verdict)
         sol = solve_rec(system)
         rnd = random.Random(31)

@@ -160,7 +160,7 @@ def test_eliminate_drops_true_literals_without_a_definition():
     assert eliminate([TRUE, lit, TRUE], lambda f: None) == ([lit], [])
 
 
-def _generated_terms(seeds):
+def _generated_terms(seeds, session):
     """Expressions and formulas met on generated loops: rhs, guards, recurrence
     equations, lvalue closed forms and array lambdas; and the recurrence
     solutions' polynomials."""
@@ -168,7 +168,7 @@ def _generated_terms(seeds):
     for seed in seeds:
         loop = gen_loop(seed).loop
         terms += [loop.guard, *loop.rhs]
-        forms = closed_forms_all(loop)
+        forms = closed_forms_all(loop, session)
         terms += [e for _, e in forms.system] + list(forms.table.entries.values())
         polys += forms.solution.polys.values()
         up = build_up(loop)
@@ -183,9 +183,9 @@ def _assert_narrow(poly):
         assert c.__class__ is int or (c.__class__ is Fraction and c.denominator != 1), poly
 
 
-def test_int_coefficients_match_the_fraction_reference():
+def test_int_coefficients_match_the_fraction_reference(session):
     rnd = random.Random(23)
-    terms, polys = _generated_terms(range(60))
+    terms, polys = _generated_terms(range(60), session)
     terms += [gen_expr(rnd, 4, SC, AR) for _ in range(600)]
     terms += [gen_formula(rnd, 3, SC, AR) for _ in range(600)]
     for t in terms:
@@ -224,9 +224,9 @@ def _normal_forms(terms):
     return out
 
 
-def test_memoized_functions_agree_inside_and_outside_a_scope():
+def test_memoized_functions_agree_inside_and_outside_a_scope(session):
     rnd = random.Random(31)
-    terms, polys = _generated_terms(range(60))  # the loops of oracle --fuzz 60 --seed 0
+    terms, polys = _generated_terms(range(60), session)  # the loops of oracle --fuzz 60 --seed 0
     terms += [poly_to_expr(p) for p in polys]
     terms += [gen_expr(rnd, 4, SC, AR) for _ in range(400)]
     terms += [gen_formula(rnd, 3, SC, AR) for _ in range(400)]
@@ -235,11 +235,11 @@ def test_memoized_functions_agree_inside_and_outside_a_scope():
     assert normal_form_scope(_normal_forms)(terms) == outside
 
 
-def _loop_forms(loop):
+def _loop_forms(loop, session):
     """Closed forms, recurrence solution, array lambdas and the characterized
     guard of a loop, as text, from a reset fresh-name counter."""
     reset_fresh_counter()
-    forms = closed_forms_all(loop)
+    forms = closed_forms_all(loop, session)
     if isinstance(forms, Failure):
         return [forms.phase, forms.detail]
     up = build_up(loop)
@@ -247,15 +247,15 @@ def _loop_forms(loop):
     out += [to_text(poly_to_expr(p)) for p in forms.solution.polys.values()]
     out += [to_text(closed_form_array(loop, x, forms.table, up))
             for x in sorted(loop.written_vars(), key=lambda v: v.name) if x.arity]
-    guard = guard_characterize(loop, forms, None)
+    guard = guard_characterize(loop, forms, session)
     out.append(guard.detail if isinstance(guard, Failure) else to_text(guard))
     return out
 
 
-def test_closed_forms_and_guards_agree_inside_and_outside_a_scope():
+def test_closed_forms_and_guards_agree_inside_and_outside_a_scope(session):
     for seed in range(60):
         loop = gen_loop(seed).loop
-        assert normal_form_scope(_loop_forms)(loop) == _loop_forms(loop), seed
+        assert normal_form_scope(_loop_forms)(loop, session) == _loop_forms(loop, session), seed
 
 
 class _ReadOnlyPolys(defaultdict):
@@ -288,7 +288,7 @@ def test_no_caller_mutates_a_memoized_polynomial(monkeypatch, capsys):
     assert views and all(isinstance(v, MappingProxyType) for v in views)
 
 
-def test_the_memo_lives_as_long_as_the_outermost_entry(monkeypatch):
+def test_the_memo_lives_as_long_as_the_outermost_entry(monkeypatch, session):
     seen = []
     real = accel.closed_forms_all
 
@@ -299,13 +299,13 @@ def test_the_memo_lives_as_long_as_the_outermost_entry(monkeypatch):
     monkeypatch.setattr(accel, "closed_forms_all", spy)
     loop = gen_loop(3).loop
     assert _scope.memo is None
-    accelerate(loop)
+    accelerate(loop, session)
     assert seen[-1] is not None and seen[-1][simplify.__wrapped__]
     assert _scope.memo is None
 
     def outer():
         memo = _scope.memo
-        accelerate(loop)
+        accelerate(loop, session)
         assert seen[-1] is memo and _scope.memo is memo
         other = threading.Thread(target=lambda: seen.append(_scope.memo))
         other.start()
