@@ -6,6 +6,10 @@ The guard is characterized through monotonicity: an atom that holds after the
 body whenever it held before only needs to hold at iteration n-1; an atom
 preserved forward only needs to hold at iteration 0.  Anything else fails the
 acceleration (no quantified fallback is ever emitted).
+
+The reachability encoding conjoins init, the accelerated formula and the post
+renamed to the final state, and splits the conjunction at its ands only: a
+disjunction or a negation stays one conjunct for the theory solver.
 """
 
 from __future__ import annotations
@@ -35,15 +39,17 @@ class AcceleratedTransition:
     guard_formula: Formula
 
 
-def _guard_atoms(guard: Formula) -> list[Formula]:
-    if isinstance(guard, And):
+def conjuncts_of(f: Formula) -> list[Formula]:
+    """The conjuncts of f, nested ands flattened and true dropped; any other
+    formula, a disjunction too, is one conjunct."""
+    if isinstance(f, And):
         out = []
-        for a in guard.args:
-            out.extend(_guard_atoms(a))
+        for a in f.args:
+            out.extend(conjuncts_of(a))
         return out
-    if isinstance(guard, BoolConst) and guard.value:
+    if isinstance(f, BoolConst) and f.value:
         return []
-    return [guard]
+    return [f]
 
 
 def guard_characterize(loop: Loop, forms: ClosedForms, session) -> Formula | Failure:
@@ -52,7 +58,7 @@ def guard_characterize(loop: Loop, forms: ClosedForms, session) -> Formula | Fai
     valid, emit psi unchanged; otherwise fail."""
     up = forms.verdict.up
     out = []
-    for atom in _guard_atoms(loop.guard):
+    for atom in conjuncts_of(loop.guard):
         post = up.apply(atom)
         post_implies_pre = session.is_valid(Or((Not(post), atom)))
         if post_implies_pre:
@@ -95,7 +101,7 @@ def accelerate(loop: Loop, session) -> AcceleratedTransition | Failure:
     if isinstance(guard, Failure):
         return guard
     conjuncts: list[Formula] = [Rel(">", sv(N), Const(0))]
-    conjuncts.extend(_guard_atoms(guard))
+    conjuncts.extend(conjuncts_of(guard))
     for x, cf in forms.variables.items():
         if isinstance(cf, Failure):
             return cf
@@ -107,40 +113,15 @@ def accelerate(loop: Loop, session) -> AcceleratedTransition | Failure:
 # reachability encoding
 
 
-class EncodeError(Exception):
-    pass
-
-
-def flatten_literals(f: Formula) -> list[Formula]:
-    """Conjunction to a flat literal list; disjunctive structure is rejected
-    (CNF splitting is out of scope)."""
-    if isinstance(f, BoolConst):
-        return [] if f.value else [f]
-    if isinstance(f, And):
-        out = []
-        for a in f.args:
-            out.extend(flatten_literals(a))
-        return out
-    if isinstance(f, Rel):
-        return [f]
-    if isinstance(f, Not) and isinstance(f.arg, Rel):
-        return [f]
-    raise EncodeError(f"not a literal conjunction: {to_text(f)}")
-
-
 def encode_reachability(pre: list[Formula], transition: AcceleratedTransition,
                         post: list[Formula]) -> list[Formula]:
-    """pre /\\ accelerated formula /\\ post[x/x'] as a flat literal list for
+    """pre /\\ accelerated formula /\\ post[x/x'] as a list of conjuncts for
     the lambda theory solver; post is stated over unprimed variables and
     renamed to the primed final state."""
-    lits: list[Formula] = []
-    for f in pre:
-        lits.extend(flatten_literals(f))
-    lits.extend(flatten_literals(transition.formula))
     rename = {}
     for x in transition.loop.variables():
         rename[x] = primed(x) if x.arity else sv(primed(x))
-    for f in post:
-        renamed = substitute(f, rename)
-        lits.extend(flatten_literals(renamed))
+    lits: list[Formula] = []
+    for f in [*pre, transition.formula, *(substitute(f, rename) for f in post)]:
+        lits.extend(conjuncts_of(f))
     return lits

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .expr import (
     NEGATED, And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
-    Sel, State, Var, free_vars,
+    Sel, State, Var, arity_of, free_vars,
 )
 from .sexpr import ParseError, balanced, read_all, smt_int, smt_symbol, sort_arity, sort_text
 from .simplify import as_int_const, simplify_formula
@@ -101,6 +101,8 @@ class Encoder:
         raise EncodingUnsupported(f"formula {f!r}")
 
     def atom(self, f: Rel, negated: bool) -> str:
+        if arity_of(f.left) > 0:  # lamsolve takes every one that is a conjunct
+            raise EncodingUnsupported("unsupported: array equality under a connective")
         if f.op == "divides":
             d = as_int_const(f.left)
             if d is None:

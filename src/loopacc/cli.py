@@ -21,12 +21,13 @@ import json
 import sys
 import traceback
 
-from .accel import EncodeError, accelerate, encode_reachability
+from .accel import accelerate, conjuncts_of, encode_reachability
 from .backend import BackendSession, DEFAULT_TIMEOUT
 from .classify import check_a_solvable
 from .closedform import Failure, closed_forms_all
+from .expr import free_vars
 from .gen import GenConfig, gen_loop
-from .lamsolve import finite_fn_expr, solve, verify_model
+from .lamsolve import SolveResult, finite_fn_expr, solve, verify_model
 from .loop import validate_loop
 from .oracle import check_loop
 from .problem import parse_problem
@@ -156,35 +157,40 @@ def cmd_check(args) -> int:
         return 2
     with _session(args) as ses:
         t = accelerate(pf.loop, ses)
-        if not isinstance(t, Failure):
-            try:
-                lits = encode_reachability(pf.init, t, pf.post)
-            except EncodeError as exc:
-                t = Failure("encode", str(exc))
         if isinstance(t, Failure):
             _emit(args, f"unknown ({t.phase}: {t.detail})",
                   {"result": "unknown", "phase": t.phase, "detail": t.detail})
             return 2
+        lits = encode_reachability(pf.init, t, pf.post)
         res = solve(lits, ses)
+        lemmas, zero = res.lemmas, res.status == "unsat"
+        if zero:  # the accelerated formula has n > 0; the initial state may meet post
+            lits = [c for f in pf.init + pf.post for c in conjuncts_of(f)]
+            res = solve(lits, ses)
+            lemmas += res.lemmas
         if res.status == "model":
             model = res.model
-            witness = {k: v for k, v in sorted(model.scalars.items())
-                       if not k.startswith("i*")}
+            if zero:  # the solver also values the names of the main query
+                names = {x.name for f in lits for x in free_vars(f)} | {"n"}
+                model.scalars = {k: v for k, v in {**model.scalars, "n": 0}.items() if k in names}
+                model.arrays = {k: v for k, v in model.arrays.items() if k in names}
+            witness = {k: v for k, v in sorted(model.scalars.items()) if not k.startswith("i*")}
             arrays = {k: to_text(finite_fn_expr(v)) for k, v in sorted(model.arrays.items())}
             derived = {k: (to_text(v) if not isinstance(v, int) else v)
                        for k, v in sorted(model.derived.items())}
-            verified = verify_model(model, lits, ses)
-            human = "unsafe\n" + "\n".join(f"  {k} = {v}" for k, v in witness.items())
-            _emit(args, human, {"result": "unsafe", "witness": witness,
-                                "arrays": arrays, "derived": derived,
-                                "reverified": verified, "lemmas": res.lemmas})
-            return 0
+            if verify_model(model, lits, ses):
+                human = "unsafe\n" + "\n".join(f"  {k} = {v}" for k, v in witness.items())
+                _emit(args, human, {"result": "unsafe", "witness": witness,
+                                    "arrays": arrays, "derived": derived,
+                                    "reverified": True, "lemmas": lemmas})
+                return 0
+            res = SolveResult("unknown", diagnostic="model not re-verified")
         if res.status == "unsat":
-            _emit(args, "safe-bounded", {"result": "safe-bounded", "lemmas": res.lemmas})
+            _emit(args, "safe-bounded", {"result": "safe-bounded", "lemmas": lemmas})
             return 1
         why = f"{res.diagnostic}: {res.reason}" if res.reason else res.diagnostic
         _emit(args, f"unknown ({why})", {"result": "unknown", "detail": res.diagnostic,
-                                         "reason": res.reason, "lemmas": res.lemmas})
+                                         "reason": res.reason, "lemmas": lemmas})
         return 2
 
 

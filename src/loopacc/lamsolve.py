@@ -1,11 +1,13 @@
-"""Theory solver for literal conjunctions with lambda array terms, layered
-over the ground backend: eliminate array disequalities through extensionality,
-propagate equalities and beta-reduce to a fixpoint (``simplify.eliminate``,
-with this module's rule for which literal defines which variable), send the
-backend the scalar literals left, then check its model against the array
-equalities and add instantiation lemmas p[e] = q[e] at syntactic index
-vectors until the model lifts, the scalar literals and lemmas are
-unsatisfiable, or no lemma is left (unknown).
+"""Theory solver for conjunctions with lambda array terms, layered over the
+ground backend.  Array (in)equalities must be conjuncts of their own; any
+other conjunct, a disjunction of scalar atoms too, reaches the backend as it
+is.  Eliminate array disequalities through extensionality, propagate
+equalities and beta-reduce to a fixpoint (``simplify.eliminate``, with this
+module's rule for which literal defines which variable), send the backend the
+scalar conjuncts left, then check its model against the array equalities and
+add instantiation lemmas p[e] = q[e] at syntactic index vectors until the
+model lifts, the scalar conjuncts and lemmas are unsatisfiable, or no lemma
+is left (unknown).
 """
 
 from __future__ import annotations
@@ -35,15 +37,9 @@ class SolveResult:
     reason: str = ""  # the backend's reason behind an unknown check
 
 
-def is_literal(f: Formula) -> bool:
-    if isinstance(f, Rel):
-        return True
-    return isinstance(f, Not) and isinstance(f.arg, Rel)
-
-
 def eliminate_diseq(lits: list[Formula]) -> list[Formula]:
     """Array literals p != q become p[i*] != q[i*] with fresh scalar index
-    variables (extensionality); scalar literals pass through."""
+    variables (extensionality); every other conjunct passes through."""
     out = []
     for f in lits:
         neg = isinstance(f, Not)
@@ -188,11 +184,8 @@ def finite_fn_expr(fn: FiniteFn) -> Lam:
 @normal_form_scope
 def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
     """Algorithm: preprocess, then alternate backend checks of the scalar
-    literals with instantiation-lemma refinement; unknown when no new lemma
+    conjuncts with instantiation-lemma refinement; unknown when no new lemma
     exists."""
-    for f in lits:
-        if not (is_literal(f) or isinstance(f, BoolConst)):
-            raise SolveError(f"not a flat literal: {f!r}")
     try:
         lits = eliminate_diseq(lits)
     except SolveError as exc:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from loopacc.accel import (
-    AcceleratedTransition, accelerate, encode_reachability, flatten_literals, primed,
+    AcceleratedTransition, accelerate, conjuncts_of, encode_reachability, primed,
 )
 from loopacc.closedform import Failure, closed_form_of, closed_forms_all
 from loopacc.expr import (
@@ -84,7 +84,7 @@ def test_mixing_loop_fails_classification(session):
 
 def test_unwritten_variables_are_framed(session):
     t = accelerate(swap_loop(), session)
-    lits = flatten_literals(t.formula)
+    lits = conjuncts_of(t.formula)
     assert Rel("=", sv(Var("k'")), sv(K)) in lits
 
 
@@ -107,7 +107,7 @@ def _transition_holds(t, s: State, s2: State, n: int) -> bool:
         env[primed(x)] = s2[x]
     env[N] = n
     st = State(env)
-    for lit in flatten_literals(t.formula):
+    for lit in conjuncts_of(t.formula):
         neg = isinstance(lit, Not)
         atom = lit.arg if neg else lit
         if isinstance(atom, Rel) and atom.op in ("=", "!=") and arity_of(atom.left) > 0:
@@ -226,13 +226,12 @@ def test_encode_reachability_shape(session):
     assert all(not isinstance(l, (And, Or)) for l in lits)
 
 
-def test_encode_rejects_disjunction(session):
-    from loopacc.accel import EncodeError
-
+def test_encode_keeps_a_disjunction_as_one_conjunct(session):
     t = accelerate(decrement_loop(), session)
-    with pytest.raises(EncodeError):
-        encode_reachability([Or((Rel("=", sv(I), Const(0)), Rel("=", sv(I), Const(1))))],
-                            t, [])
+    either = Or((Rel("=", sv(I), Const(0)), Rel("=", sv(I), Const(1))))
+    lits = encode_reachability([either], t, [Not(And((either, either)))])
+    renamed = Or((Rel("=", sv(Var("i'")), Const(0)), Rel("=", sv(Var("i'")), Const(1))))
+    assert lits == [either, *conjuncts_of(t.formula), Not(And((renamed, renamed)))]
 
 
 def test_post_false_is_unsat(session):

@@ -4,8 +4,6 @@ documented unknown case, and sat-soundness on forward-constructed formulas."""
 import random
 from pathlib import Path
 
-import pytest
-
 from loopacc.accel import accelerate, encode_reachability
 from loopacc.closedform import Failure
 from loopacc.expr import (
@@ -143,11 +141,15 @@ class TestSolve:
         assert r.status == "model"
         assert not r.model.arrays["a"].same_function(r.model.arrays["b"])
 
-    def test_rejects_non_literal(self, session):
-        from loopacc.lamsolve import SolveError
-
-        with pytest.raises(SolveError):
-            solve([Or((Rel("=", sv(X), Const(0)), Rel("=", sv(X), Const(1))))], session)
+    def test_a_scalar_disjunction_goes_to_the_backend(self, session):
+        either = Or((Rel("=", sv(X), Const(0)), Rel("=", sv(X), Const(1))))
+        r = solve([either, Rel("!=", sv(X), Const(0))], session)
+        assert r.status == "model" and r.model.scalars["x"] == 1
+        assert verify_model(r.model, [either], session)
+        # only an array (in)equality must be a conjunct of its own
+        r = solve([Or((Rel("=", A, B), Rel("=", sv(X), Const(1))))], session)
+        assert (r.status, r.diagnostic) == (
+            "unknown", "unsupported: array equality under a connective")
 
 
 class TestCheckModel:

@@ -245,18 +245,29 @@ DISJUNCTIVE_POST_TEXT = """
 """
 
 
-def test_check_outside_the_encoding_is_unknown(tmp_path, capsys):
-    # a post that is not a conjunction of literals answers unknown, not the
-    # traceback and exit code 1 (safe-bounded) of an escaping EncodeError
+def test_check_answers_a_disjunctive_post(tmp_path, capsys):
+    # a post that is not a conjunction of literals goes to the ground solver
+    # as it is
     path = str(tmp_path / "or.loop")
     Path(path).write_text(DISJUNCTIVE_POST_TEXT)
-    assert cli.main(["check", path]) == 2
+    assert cli.main(["check", path]) == 0
     out, err = capsys.readouterr()
-    assert out == "unknown (encode: not a literal conjunction: (or (= i' 3) (= i' 4)))\n"
-    assert err == ""
+    assert out.startswith("unsafe\n") and err == ""
+    assert cli.main(["check", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["result"], data["reverified"]) == ("unsafe", True)
+    assert data["witness"]["n"] == data["witness"]["i'"] in (3, 4)
+
+
+def test_a_model_that_is_not_re_verified_is_unknown(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "or.loop")
+    Path(path).write_text(DISJUNCTIVE_POST_TEXT)
+    monkeypatch.setattr(cli, "verify_model", lambda *args: False)
+    assert cli.main(["check", path]) == 2
+    assert capsys.readouterr().out == "unknown (model not re-verified)\n"
     assert cli.main(["check", path, "--json"]) == 2
     data = json.loads(capsys.readouterr().out)
-    assert (data["result"], data["phase"]) == ("unknown", "encode")
+    assert (data["result"], data["detail"]) == ("unknown", "model not re-verified")
 
 
 def test_a_crash_exits_3_with_its_traceback(monkeypatch, capsys):
