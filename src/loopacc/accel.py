@@ -8,8 +8,9 @@ preserved forward only needs to hold at iteration 0.  Anything else fails the
 acceleration (no quantified fallback is ever emitted).
 
 The reachability encoding conjoins init, the accelerated formula and the post
-renamed to the final state, and splits the conjunction at its ands only: a
-disjunction or a negation stays one conjunct for the theory solver.
+renamed to the final state, and splits the conjunction at its ands and its
+negated ors: any other disjunction or negation stays one conjunct for the
+theory solver.
 """
 
 from __future__ import annotations
@@ -40,8 +41,13 @@ class AcceleratedTransition:
 
 
 def conjuncts_of(f: Formula) -> list[Formula]:
-    """The conjuncts of f, nested ands flattened and true dropped; any other
+    """The conjuncts of f: nested ands flattened, a negated or split into
+    its negated disjuncts, double negations and true dropped; any other
     formula, a disjunction too, is one conjunct."""
+    if isinstance(f, Not) and isinstance(f.arg, Or):
+        return conjuncts_of(And(tuple(Not(a) for a in f.arg.args)))
+    if isinstance(f, Not) and isinstance(f.arg, Not):
+        return conjuncts_of(f.arg.arg)
     if isinstance(f, And):
         out = []
         for a in f.args:

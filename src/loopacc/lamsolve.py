@@ -3,25 +3,30 @@ ground backend.  Array (in)equalities must be conjuncts of their own; any
 other conjunct, a disjunction of scalar atoms too, reaches the backend as it
 is.  Eliminate array disequalities through extensionality, propagate
 equalities and beta-reduce to a fixpoint (``simplify.eliminate``, with this
-module's rule for which literal defines which variable), send the backend the
-scalar conjuncts left, then check its model against the array equalities and
-add instantiation lemmas p[e] = q[e] at syntactic index vectors until the
-model lifts, the scalar conjuncts and lemmas are unsatisfiable, or no lemma
-is left (unknown).
+module's rule for which literal defines which variable), and send the backend
+the scalar conjuncts left.  Lemmas on demand: each round evaluates every
+array equality p = q at the query's syntactic index vectors e in the
+backend's model, and each violated instance adds the lemma p[e] = q[e].
+Only a model that no instance refutes is checked at every index
+(``check_model``); it lifts, or no lemma is left (unknown).  Unsat ends the
+rounds.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from .backend import BackendSession, Model
 from .expr import (
-    And, Bin, BoolConst, Const, EvalError, Expr, FiniteFn, Formula, Ite, Lam,
-    Not, Rel, Sel, State, Var, arity_of, beta_reduce, eval_expr,
-    eval_formula, free_vars, fresh_var, lval_set, substitute, sv,
+    FALSE, TRUE, And, Bin, BoolConst, Const, EvalError, Expr, FiniteFn, Formula, Ite,
+    Lam, Not, Or, Rel, Sel, State, Var, arity_of, beta_reduce, conj, eval_expr,
+    eval_formula, free_vars, fresh_var, lval_set, map_children, substitute, sv,
 )
 from .sexpr import to_text
-from .simplify import eliminate, normal_form_scope, simplify, simplify_formula
+from .simplify import (
+    _contradicting, eliminate, normal_form_scope, simplify, simplify_formula,
+)
 
 
 class SolveError(Exception):
@@ -126,9 +131,12 @@ def verify_model(model: Model, lits: list[Formula], session: BackendSession) -> 
 
 
 def check_model(model: Model, lits: list[Formula], session: BackendSession) -> bool:
-    """Scalar literals evaluate directly; array equalities are checked as
-    validity of p[i*] = q[i*] after substituting the model's scalar values and
-    default-plus-overrides array values."""
+    """Scalar literals evaluate directly.  An array equality p = q holds
+    when p[i*] = q[i*] holds at every index i*, after substituting the
+    model's scalar values and default-plus-overrides array values; the
+    question is split into cases over i* and only the cases the simplifier
+    cannot decide reach the backend (``_equal_by_cases``).  solve calls
+    this only on a model that no instance of an array equality refutes."""
     variables = set()
     for f in lits:
         variables |= free_vars(f)
@@ -163,7 +171,69 @@ def _array_eq_holds(p, q, state: State, session: BackendSession) -> bool | None:
     fresh = tuple(sv(fresh_var("i*")) for _ in range(arity_of(p)))
     lhs = simplify(beta_reduce(Sel(ps, fresh)))
     rhs = simplify(beta_reduce(Sel(qs, fresh)))
-    return session.is_valid(Rel("=", lhs, rhs))
+    return _equal_by_cases(lhs, rhs, frozenset(fresh), session)
+
+
+def _equal_by_cases(lhs, rhs, index, session: BackendSession) -> bool | None:
+    """Whether lhs = rhs at every value of the index variables, terms over
+    them alone: split on the atoms of ite conditions that bound or fix one
+    index variable, drop the cases whose bounds contradict, fix an index an
+    equality pins, and simplify.  A case left with other conditions goes to
+    the backend as case => lhs = rhs.  None past the session's timeout, or
+    when the backend leaves some case undecided and none fails."""
+    deadline = time.monotonic() + session.timeout
+    undecided = False
+    cases = [((), lhs, rhs)]
+    while cases:
+        if time.monotonic() > deadline:
+            return None
+        path, l, r = cases.pop()
+        if l == r:
+            continue
+        atom = _index_atom(l, index) or _index_atom(r, index)
+        if atom is None:
+            holds = session.is_valid(Or((Not(conj(path)), Rel("=", l, r))))
+            if holds is False:
+                return False
+            undecided |= holds is None
+            continue
+        for case in (simplify_formula(Not(atom)), atom):
+            branch = path + (case,)
+            if not _contradicting(branch):
+                cases.append((branch, _assume(l, case), _assume(r, case)))
+    return None if undecided else True
+
+
+def _index_atom(e, index):
+    """The first atom x op k (x an index variable) of an ite condition in e."""
+    k = type(e)
+    if k is Rel:
+        return e if e.left in index and type(e.right) is Const else None
+    if k is Ite:
+        return (_index_atom(e.cond, index) or _index_atom(e.then, index)
+                or _index_atom(e.other, index))
+    if k is Bin:
+        return _index_atom(e.left, index) or _index_atom(e.right, index)
+    if k is And or k is Or:
+        return next(filter(None, (_index_atom(a, index) for a in e.args)), None)
+    if k is Not:
+        return _index_atom(e.arg, index)
+    return None
+
+
+def _assume(e, case: Rel):
+    """e simplified under the case, the atom or its negation: an index fixed
+    by an equality is substituted, else both are replaced by their truth."""
+    if case.op == "=":
+        return simplify(substitute(e, {case.left.arr: case.right}))
+    truth = {case: TRUE, simplify_formula(Not(case)): FALSE}
+    return simplify(_replace_atoms(e, truth))
+
+
+def _replace_atoms(e, truth: dict):
+    if type(e) is Rel:
+        return truth.get(e, e)
+    return map_children(e, _replace_atoms, truth)
 
 
 def finite_fn_expr(fn: FiniteFn) -> Lam:
@@ -220,10 +290,8 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
                 model.scalars.setdefault(x.name, 0)
             else:
                 model.arrays.setdefault(x.name, FiniteFn.const(x.arity, 0))
-        if check_model(model, phi, session):
-            return SolveResult("model", _finish_model(model, prop.log), lemmas=lemmas)
-        # refinement: add every violated instantiation found this round, on
-        # the original sides, beta-reduced
+        # refinement: every instance p[e] = q[e] the model violates becomes a
+        # lemma, on the original sides, beta-reduced
         progress = False
         state = model.as_state(all_vars)
         for k, (p, q) in enumerate(equalities):
@@ -242,8 +310,13 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
                                                      beta_reduce(Sel(q, e)))))
                     lemmas += 1
                     progress = True
-        if not progress:
-            return SolveResult("unknown", diagnostic="refinement failed", lemmas=lemmas)
+        if progress:
+            continue
+        # no instance refutes the model: it lifts when every array equality
+        # holds at every index
+        if check_model(model, phi, session):
+            return SolveResult("model", _finish_model(model, prop.log), lemmas=lemmas)
+        return SolveResult("unknown", diagnostic="refinement failed", lemmas=lemmas)
 
 
 def _eval_apply(p, e: tuple, state: State) -> int:

@@ -78,6 +78,21 @@ def test_named_boolean_and_zero_iteration_verdicts(tmp_path, run_check):
     assert data["detail"] == "unsupported: array equality under a connective"
 
 
+def test_a_negated_disjunction_is_the_conjunction_of_the_negations(tmp_path, run_check):
+    # hoare13 with post a != b and i != 4, spelled three ways: each array
+    # disequality is a conjunct of its own for lamsolve
+    spellings = ["(post (distinct a b) (distinct i 4))",
+                 "(post (not (or (= a b) (= i 4))))",
+                 "(post (not (not (distinct a b))) (not (= i 4)))"]
+    post = "(post (>= i k) (distinct (select a i) (select b j)))"
+    answers = []
+    for k, spelled in enumerate(spellings):
+        code, data = run_check(write(tmp_path, f"post{k}", HOARE13.replace(post, spelled)))
+        answers.append((code, data["result"], data["reverified"], data["witness"]))
+    assert answers[0][:3] == (0, "unsafe", True) and answers[0][3]["n"] == 2
+    assert answers[1] == answers[2] == answers[0]
+
+
 def test_zero_iteration_witness_names_only_the_initial_state(tmp_path, capsys):
     assert cli.main(["check", str(write(tmp_path, "zero", NAMED["zero"]))]) == 0
     assert capsys.readouterr().out == "unsafe\n  i = 5\n  k = 5\n  n = 0\n"
