@@ -1,14 +1,17 @@
-"""Client side of the ground-solver protocol: SMT-LIB2 text, one command at a
-time, written and read with the helpers of ``sexpr``.  By default the bundled
-solver answers in-process (a ``solver.session.Session`` fed the same text);
-``--backend CMD`` / LOOPACC_BACKEND instead runs CMD as a subprocess speaking
-SMT-LIB2 over stdin/stdout, killed and answered ``unknown`` (reason
-``timeout``) when it takes more than the timeout plus a one-second grace.  The
-bundled solver out of process is ``--backend 'python -m loopacc.solver.server'``
-(also ``loopacc-smt``).
+"""Client side of the ground solver: one push/pop-scoped check at a time.
+The Encoder puts each formula in the form every solver gets.  By default the
+bundled solver answers in-process: a ``solver.session.Session`` called with
+those formulas, no text in between.  ``--backend CMD`` / LOOPACC_BACKEND
+instead runs CMD as a subprocess speaking SMT-LIB2 over stdin/stdout,
+written and read with the helpers of ``sexpr``, killed and answered
+``unknown`` (reason ``timeout``) when it takes more than the timeout plus a
+one-second grace.  The bundled solver out of process is
+``--backend 'python -m loopacc.solver.server'`` (also ``loopacc-smt``).
+SMT-LIB2 text is printed only where it is read: for such a command and for
+the ``--smt-log`` dialogue, which is the same on both transports.
 
-Every emitted query is quantifier-free linear integer arithmetic plus arrays
-(nested one-dimensional, full-index selects only) and divisibility, encoded as
+Every query is quantifier-free linear integer arithmetic plus arrays
+(nested one-dimensional, full-index selects only) and divisibility, spelled
 ``(_ divisible k)``.  No lambda reaches here: lamsolve sends scalar literals.
 ``BackendSession.is_valid`` answers every validity question of the pipeline.
 """
@@ -27,9 +30,9 @@ from .expr import (
     NEGATED, And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
     Sel, State, Var, arity_of, free_vars,
 )
-from .sexpr import ParseError, balanced, read_all, smt_int, smt_symbol, sort_arity, sort_text
+from .sexpr import ParseError, balanced, read_all, smt_symbol, smt_text, sort_arity, sort_text
 from .simplify import as_int_const, simplify_formula
-from .solver.session import Session, error_text
+from .solver.session import Session
 
 ENV_BACKEND = "LOOPACC_BACKEND"
 DEFAULT_TIMEOUT = 2.0
@@ -61,60 +64,58 @@ def resolve_command(backend: str | None) -> list[str] | None:
 
 
 class Encoder:
-    def term(self, e) -> str:
+    """The one place that decides the backend fragment.  Each formula comes
+    back in the form every solver is given: negations pushed into the atoms
+    (a negated divisibility keeps its not), floor division and divisibility
+    by positive numerals, divisibility by 0 as an equation.  In-process the
+    solver takes it as it is; ``smt_text`` spells it for a --backend command
+    and the log.  Raises EncodingUnsupported outside the fragment."""
+
+    def term(self, e):
         if isinstance(e, Const):
-            return smt_int(e.value)
+            return e
         if isinstance(e, Bin):
             if e.op == "div":
                 d = as_int_const(e.right)
                 if d is None or d == 0:
                     raise EncodingUnsupported("division by a non-constant")
-                # floor(e/d): euclidean div with positive divisor
+                # floor(e/d) = floor(-e/-d): SMT-LIB's euclidean div agrees
+                # with floor division on a positive divisor
                 if d > 0:
-                    return f"(div {self.term(e.left)} {d})"
-                return f"(div (- {self.term(e.left)}) {-d})"
-            return f"({e.op} {self.term(e.left)} {self.term(e.right)})"
+                    return Bin("div", self.term(e.left), Const(d))
+                return Bin("div", Bin("-", Const(0), self.term(e.left)), Const(-d))
+            return Bin(e.op, self.term(e.left), self.term(e.right))
         if isinstance(e, Sel):
             if isinstance(e.arr, Lam):
                 raise EncodingUnsupported("lambda in backend query")
-            out = smt_symbol(e.arr.name)
-            for i in e.idx:
-                out = f"(select {out} {self.term(i)})"
-            return out
+            return Sel(e.arr, tuple(map(self.term, e.idx))) if e.idx else e
         if isinstance(e, Ite):
-            return f"(ite {self.formula(e.cond)} {self.term(e.then)} {self.term(e.other)})"
+            return Ite(self.formula(e.cond), self.term(e.then), self.term(e.other))
         raise EncodingUnsupported(f"term {e!r}")
 
-    def formula(self, f: Formula, negated: bool = False) -> str:
+    def formula(self, f: Formula, negated: bool = False) -> Formula:
         if isinstance(f, BoolConst):
-            return "false" if f.value == negated else "true"
+            return BoolConst(f.value != negated)
         if isinstance(f, Not):
             return self.formula(f.arg, not negated)
-        if isinstance(f, And):
-            parts = " ".join(self.formula(a, negated) for a in f.args)
-            return f"({'or' if negated else 'and'} {parts})"
-        if isinstance(f, Or):
-            parts = " ".join(self.formula(a, negated) for a in f.args)
-            return f"({'and' if negated else 'or'} {parts})"
+        if isinstance(f, (And, Or)):
+            parts = tuple(self.formula(a, negated) for a in f.args)
+            return Or(parts) if isinstance(f, And) == negated else And(parts)
         if isinstance(f, Rel):
             return self.atom(f, negated)
         raise EncodingUnsupported(f"formula {f!r}")
 
-    def atom(self, f: Rel, negated: bool) -> str:
+    def atom(self, f: Rel, negated: bool) -> Formula:
         if arity_of(f.left) > 0:  # lamsolve takes every one that is a conjunct
             raise EncodingUnsupported("unsupported: array equality under a connective")
         if f.op == "divides":
             d = as_int_const(f.left)
             if d is None:
                 raise EncodingUnsupported("divisibility by a non-constant")
-            if d == 0:
-                body = f"(= {self.term(f.right)} 0)"
-            else:
-                body = f"((_ divisible {abs(d)}) {self.term(f.right)})"
-            return f"(not {body})" if negated else body
-        ops = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "=", "!=": "distinct"}
-        op = ops[NEGATED[f.op] if negated else f.op]
-        return f"({op} {self.term(f.left)} {self.term(f.right)})"
+            t = self.term(f.right)
+            body = Rel("=", t, Const(0)) if d == 0 else Rel("divides", Const(abs(d)), t)
+            return Not(body) if negated else body
+        return Rel(NEGATED[f.op] if negated else f.op, self.term(f.left), self.term(f.right))
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +155,14 @@ class SatResult:
 
 
 class BackendSession:
-    """Push/pop-scoped queries as SMT-LIB2 text.  Without ``backend`` or
-    LOOPACC_BACKEND the bundled solver's ``Session`` answers in-process, with
-    ``timeout`` as its deadline per check-sat; otherwise the command runs as
-    one subprocess per session, restarted if it dies or overruns.  Both
-    transports share the encoding, the ``smt_log`` dialogue and the answer
-    parsing.  Not thread-safe -- use one session per thread."""
+    """Push/pop-scoped satisfiability checks.  Without ``backend`` or
+    LOOPACC_BACKEND the bundled solver's ``Session`` answers in-process: it
+    is called with the Encoder's formulas, and ``timeout`` is its deadline
+    per check-sat.  Otherwise the command runs as one subprocess per session,
+    restarted if it dies or overruns, and gets the same formulas as SMT-LIB2
+    text.  Both transports write the same ``smt_log`` dialogue, and a model
+    values the names free in its check's formulas.  Not thread-safe -- use
+    one session per thread."""
 
     def __init__(self, backend: str | None = None, timeout: float = DEFAULT_TIMEOUT,
                  smt_log: str | None = None):
@@ -169,9 +172,9 @@ class BackendSession:
         self.server: Session | None = None
         self.declared: dict[str, int] = {}
         self._log = open(smt_log, "a") if smt_log else None
-        self._lines: queue.Queue = queue.Queue()
+        self._lines: queue.Queue | None = None  # a child's output lines
 
-    # -- low-level protocol --
+    # -- transport --
 
     def _alive(self) -> bool:
         return self.server is not None or (self.proc is not None and self.proc.poll() is None)
@@ -180,7 +183,6 @@ class BackendSession:
         if self._alive():
             return
         self._stop()  # reap a child that died
-        self._lines = queue.Queue()
         if self.command is None:
             self.server = Session(timeout=self.timeout)
         else:
@@ -188,6 +190,7 @@ class BackendSession:
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL, text=True,
             )
+            self._lines = queue.Queue()
             t = threading.Thread(target=_pump, args=(self.proc.stdout, self._lines), daemon=True)
             t.start()
         self._clear()
@@ -199,29 +202,27 @@ class BackendSession:
         self._send("(set-logic ALL)")
 
     def _send(self, line: str):
-        """One command; its answer, if any, is queued for _read_line."""
-        self._ensure()
+        """One command as text, to the log and to a child."""
         if self._log:
             self._log.write(line + "\n")
             self._log.flush()
-        if self.server is not None:
+        if self.proc is not None:
             try:
-                (form,) = read_all(line)
-                answer = self.server.command(form)
-            except ParseError as exc:
-                answer = error_text(str(exc))
-            if answer:
-                self._lines.put(answer)
-            return
-        try:
-            self.proc.stdin.write(line + "\n")
-            self.proc.stdin.flush()
-        except BrokenPipeError as exc:
-            raise BackendError(f"backend died: {exc}") from exc
+                self.proc.stdin.write(line + "\n")
+                self.proc.stdin.flush()
+            except BrokenPipeError as exc:
+                raise BackendError(f"backend died: {exc}") from exc
+
+    def _logged(self, answer: str) -> str:
+        """An answer, written to the log as a '; <- ' line."""
+        if self._log:
+            self._log.write("; <- " + answer.replace("\n", " ") + "\n")
+            self._log.flush()
+        return answer
 
     def _read_line(self) -> str:
-        """The next answer; a child that overruns the timeout and its grace
-        is killed (the next command restarts it)."""
+        """A child's next answer; a child that overruns the timeout and its
+        grace is killed (the next check restarts it)."""
         deadline = time.monotonic() + self.timeout + TIMEOUT_GRACE
         out = ""
         while True:
@@ -237,10 +238,7 @@ class BackendSession:
                 raise BackendError("backend closed its output")
             out += ch
             if out.strip() and balanced(out):
-                if self._log:
-                    self._log.write("; <- " + out.strip().replace("\n", " ") + "\n")
-                    self._log.flush()
-                return out.strip()
+                return self._logged(out.strip())
 
     def _stop(self):
         """Kill and reap the solver child, or drop the in-process solver."""
@@ -277,46 +275,77 @@ class BackendSession:
                 continue
             self.declared[x.name] = x.arity
             self._send(f"(declare-const {smt_symbol(x.name)} {sort_text(x.arity)})")
+            if self.server is not None:
+                self.server.declare(x.name, x.arity)
 
     def check(self, formulas, want_model: bool = True) -> SatResult:
         """Satisfiability of the conjunction within a fresh push/pop scope.
         Declarations stay in the outer scope so they survive the pop; a name
-        declared there at another arity clears it with (reset) first."""
+        declared there at another arity clears it with (reset) first.  The
+        model values the names free in the formulas."""
         formulas = list(formulas)
         try:
             self._ensure()
+            srv = self.server  # None for a child
             enc = Encoder()
-            texts = [enc.formula(f) for f in formulas]
+            encoded = [enc.formula(f) for f in formulas]
             names = [free_vars(f) for f in formulas]
             if any(self.declared.get(x.name, x.arity) != x.arity for vs in names for x in vs):
                 self._send("(reset)")
+                if srv is not None:
+                    srv.reset()
                 self._clear()
             for vs in names:
                 self.declare(vs)
             self._send("(push 1)")
+            if srv is not None:
+                srv.push()
             try:
-                for t in texts:
-                    self._send(f"(assert {t})")
+                for g in encoded:
+                    if self._log or self.proc is not None:  # someone reads the text
+                        self._send(f"(assert {smt_text(g)})")
+                    if srv is not None:
+                        srv.assert_formula(g)
                 self._send("(check-sat)")
-                status = self._read_line()
+                status = self._read_line() if srv is None else self._logged(srv.check_sat())
                 if status == "sat" and want_model:
                     self._send("(get-model)")
-                    model = self._parse_model(self._read_line())
-                    return SatResult("sat", model)
+                    return SatResult("sat", self._model(set().union(*names)))
                 if status in ("sat", "unsat"):
                     return SatResult(status)
                 reason = ""
                 if status == "unknown":
                     self._send("(get-info :reason-unknown)")
-                    reason = _reason_text(self._read_line())
+                    if srv is None:
+                        reason = _reason_text(self._read_line())
+                    else:
+                        reason = srv.reason
+                        self._logged(srv.get_info(":reason-unknown"))
                 return SatResult("unknown", diagnostic=status, reason=reason)
             finally:
                 if self._alive():
                     self._send("(pop 1)")
+                    if srv is not None:
+                        srv.pop()
         except BackendTimeout:
             return SatResult("unknown", diagnostic="unknown", reason="timeout")
         except (BackendError, ParseError) as exc:
             return SatResult("unknown", diagnostic=str(exc))
+
+    def _model(self, names) -> Model:
+        """The answer to (get-model), over names only."""
+        if self.server is None:
+            values = self._parse_model(self._read_line())
+        else:
+            if self._log:
+                self._logged(self.server.format_model())
+            state = self.server.last_model()
+            values = {x.name: state[x] for x in names}
+        model = Model()
+        for x in names:
+            if x.name in values:
+                (model.arrays if x.arity else model.scalars)[x.name] = values[x.name]
+        return model
 
     def is_valid(self, f: Formula) -> bool | None:
         """Validity via unsatisfiability of the negation; None when unknown.
@@ -329,13 +358,14 @@ class BackendSession:
 
     # -- model parsing --
 
-    def _parse_model(self, text: str) -> Model:
+    def _parse_model(self, text: str) -> dict:
+        """A child's (get-model) answer: each name's integer or FiniteFn."""
         forms = read_all(text)
         if len(forms) == 1 and isinstance(forms[0], list):
             forms = forms[0]
         if forms and forms[0] == "model":  # older printers prefix with 'model'
             forms = forms[1:]
-        model = Model()
+        values = {}
         for form in forms:
             if not (isinstance(form, list) and len(form) >= 5 and form[0] == "define-fun"):
                 continue
@@ -343,11 +373,11 @@ class BackendSession:
             if args:
                 continue  # not one of ours
             if sort == "Int":
-                model.scalars[name] = _int_value(body)
+                values[name] = _int_value(body)
             else:
                 arity = sort_arity(sort)
-                model.arrays[name] = FiniteFn.const(arity, *_array_parts(body, arity))
-        return model
+                values[name] = FiniteFn.const(arity, *_array_parts(body, arity))
+        return values
 
 
 def _pump(stream, out: queue.Queue):

@@ -25,7 +25,6 @@ from .accel import accelerate, conjuncts_of, encode_reachability
 from .backend import BackendSession, DEFAULT_TIMEOUT
 from .classify import check_a_solvable
 from .closedform import Failure, closed_forms_all
-from .expr import free_vars
 from .gen import GenConfig, gen_loop
 from .lamsolve import SolveResult, finite_fn_expr, solve, verify_model
 from .loop import validate_loop
@@ -170,11 +169,9 @@ def cmd_check(args) -> int:
             lemmas += res.lemmas
         if res.status == "model":
             model = res.model
-            if zero:  # the solver also values the names of the main query
-                names = {x.name for f in lits for x in free_vars(f)} | {"n"}
-                model.scalars = {k: v for k, v in {**model.scalars, "n": 0}.items() if k in names}
-                model.arrays = {k: v for k, v in model.arrays.items() if k in names}
-            witness = {k: v for k, v in sorted(model.scalars.items()) if not k.startswith("i*")}
+            if zero:  # the initial state itself meets post
+                model.scalars["n"] = 0
+            witness = dict(sorted(model.scalars.items()))
             arrays = {k: to_text(finite_fn_expr(v)) for k, v in sorted(model.arrays.items())}
             derived = {k: (to_text(v) if not isinstance(v, int) else v)
                        for k, v in sorted(model.derived.items())}

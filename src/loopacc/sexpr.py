@@ -200,6 +200,37 @@ def to_text(e) -> str:
     raise TypeError(f"not printable: {e!r}")
 
 
+def smt_text(e) -> str:
+    """A term or formula of the backend fragment in SMT-LIB spelling:
+    symbols quoted where needed, a negative numeral as (- k), one select per
+    index and (divides k t) as ((_ divisible k) t).  parse_formula reads it
+    back to a formula that simplifies alike: -k reads back as 0 - k."""
+    k = e.__class__
+    if k is Const:
+        return smt_int(e.value)
+    if k is Sel:
+        out = smt_symbol(e.arr.name)
+        for i in e.idx:
+            out = f"(select {out} {smt_text(i)})"
+        return out
+    if k is Bin:
+        return f"({e.op} {smt_text(e.left)} {smt_text(e.right)})"
+    if k is Rel:
+        if e.op == "divides":
+            return f"((_ divisible {e.left.value}) {smt_text(e.right)})"
+        op = "distinct" if e.op == "!=" else e.op
+        return f"({op} {smt_text(e.left)} {smt_text(e.right)})"
+    if k is And or k is Or:
+        return f"({'and' if k is And else 'or'} {' '.join(map(smt_text, e.args))})"
+    if k is Not:
+        return f"(not {smt_text(e.arg)})"
+    if k is Ite:
+        return f"(ite {smt_text(e.cond)} {smt_text(e.then)} {smt_text(e.other)})"
+    if k is BoolConst:
+        return "true" if e.value else "false"
+    raise TypeError(f"not in the backend fragment: {e!r}")
+
+
 # ---------------------------------------------------------------------------
 # parsing to the AST
 

@@ -1,21 +1,27 @@
-"""One SMT-LIB2 session of the bundled ground solver: the declarations, the
-assertion stack and the last model, answering one command form at a time.
+"""One session of the bundled ground solver: the declarations, the assertion
+stack and the last model.
+
+Its API takes ``expr`` values: ``declare`` a name at an arity, ``push`` and
+``pop``, ``assert_formula``, ``check_sat``, then ``last_model`` as a
+``State`` and ``reason`` for an unknown.  ``BackendSession`` calls it
+directly in-process.  ``command`` reaches it from one SMT-LIB2 command form:
+``server`` runs it over stdin/stdout, and an ``--smt-log`` replays through it.
 
 Supports quantifier-free linear integer arithmetic with ite, euclidean div by
 constants, ((_ divisible k) t), and (possibly nested) integer arrays with
 full-index selects.  An equality between arrays is outside the fragment:
 check-sat answers unknown, with reason "unsupported: array equality" (the
-acceleration pipeline sends none).  Asserted formulas and get-value terms
-are read by the problem-file parser of sexpr.py against the declarations;
-floor_div first spells SMT-LIB's euclidean div as that parser's floor div.
-``BackendSession`` feeds it in-process; ``server`` runs it over stdin/stdout.
+acceleration pipeline sends none).  ``command`` reads asserted formulas and
+get-value terms with the problem-file parser of sexpr.py against the
+declarations; floor_div first spells SMT-LIB's euclidean div as that
+parser's floor div.
 """
 
 from __future__ import annotations
 
 import time
 
-from ..expr import FiniteFn, State, Var, eval_expr
+from ..expr import FiniteFn, Formula, State, Var, eval_expr
 from ..sexpr import (
     ParseError, parse_expr, parse_formula, smt_int, smt_symbol, sort_arity, sort_text,
 )
@@ -50,60 +56,26 @@ class Session:
         self.print_success = False
         self.reason = ""  # why the last check-sat answered unknown
 
-    def command(self, form) -> str | None:
-        head, args = (form[0], form[1:]) if isinstance(form, list) and form else (form, [])
-        if isinstance(head, str) and len(args) not in _ARGUMENTS.get(head, (len(args),)):
-            raise SmtError(f"{head}: wrong number of arguments ({len(args)})")
-        if head in ("push", "pop") and not all(isinstance(a, str) and a.isdecimal() for a in args):
-            raise SmtError(f"{head}: expected a numeral, got {args[0]!r}")
-        if head in ("set-logic", "set-info"):
-            return self._ok()
-        if head == "set-option":
-            if len(form) >= 3 and form[1] == ":print-success":
-                self.print_success = form[2] == "true"
-            return self._ok()
-        if head == "declare-const":
-            name, sort = form[1], form[2]
-            self.env[name] = sort_arity(sort)
-            return self._ok()
-        if head == "declare-fun":
-            name, args, sort = form[1], form[2], form[3]
-            if args:
-                raise SmtError("only 0-ary declare-fun is supported")
-            self.env[name] = sort_arity(sort)
-            return self._ok()
-        if head == "assert":
-            self.stack[-1].append(parse_formula(floor_div(form[1]), self.env))
-            return self._ok()
-        if head == "push":
-            for _ in range(int(args[0]) if args else 1):
-                self.stack.append([])
-            return self._ok()
-        if head == "pop":  # a failed pop leaves the stack as it was
-            k = int(args[0]) if args else 1
-            if k >= len(self.stack):
-                raise SmtError(f"pop: {k} exceeds the stack depth {len(self.stack) - 1}")
-            del self.stack[len(self.stack) - k:]
-            return self._ok()
-        if head == "reset":
-            self.__init__(self.timeout)
-            return self._ok()
-        if head == "check-sat":
-            return self.check_sat()
-        if head == "get-model":
-            return self.format_model()
-        if head == "get-value":
-            return self.get_value(form[1])
-        if head == "get-info":
-            return self.get_info(form[1])
-        if head == "echo":
-            return form[1][1] if isinstance(form[1], tuple) else str(form[1])
-        if head == "exit":
-            return None
-        raise SmtError(f"unsupported command {head!r}")
+    # -- the API, over expr values --
 
-    def _ok(self):
-        return "success" if self.print_success else ""
+    def declare(self, name: str, arity: int):
+        self.env[name] = arity
+
+    def push(self, k: int = 1):
+        for _ in range(k):
+            self.stack.append([])
+
+    def pop(self, k: int = 1):
+        """A failed pop leaves the stack as it was."""
+        if k >= len(self.stack):
+            raise SmtError(f"pop: {k} exceeds the stack depth {len(self.stack) - 1}")
+        del self.stack[len(self.stack) - k:]
+
+    def assert_formula(self, f: Formula):
+        self.stack[-1].append(f)
+
+    def reset(self):
+        self.__init__(self.timeout)
 
     def check_sat(self) -> str:
         self.model = None
@@ -124,14 +96,7 @@ class Session:
             return "sat"
         return "unsat"
 
-    def get_info(self, key) -> str:
-        """Answers :reason-unknown (an empty reason unless the last check-sat
-        answered unknown); other keywords are unsupported."""
-        if key == ":reason-unknown":
-            return f"(:reason-unknown {smt_string(self.reason)})"
-        return "unsupported"
-
-    def _total_model(self) -> State:
+    def last_model(self) -> State:
         """The last model with every declared name it leaves open fixed:
         scalars to 0, arrays to the constant 0."""
         if self.model is None:
@@ -145,8 +110,63 @@ class Session:
                 fixed[v] = FiniteFn.const(ar, 0)
         return self.model.bind(fixed)
 
+    # -- SMT-LIB text --
+
+    def command(self, form) -> str | None:
+        head, args = (form[0], form[1:]) if isinstance(form, list) and form else (form, [])
+        if isinstance(head, str) and len(args) not in _ARGUMENTS.get(head, (len(args),)):
+            raise SmtError(f"{head}: wrong number of arguments ({len(args)})")
+        if head in ("push", "pop") and not all(isinstance(a, str) and a.isdecimal() for a in args):
+            raise SmtError(f"{head}: expected a numeral, got {args[0]!r}")
+        if head in ("set-logic", "set-info"):
+            return self._ok()
+        if head == "set-option":
+            if len(form) >= 3 and form[1] == ":print-success":
+                self.print_success = form[2] == "true"
+            return self._ok()
+        if head == "declare-const":
+            self.declare(form[1], sort_arity(form[2]))
+            return self._ok()
+        if head == "declare-fun":
+            if form[2]:
+                raise SmtError("only 0-ary declare-fun is supported")
+            self.declare(form[1], sort_arity(form[3]))
+            return self._ok()
+        if head == "assert":
+            self.assert_formula(parse_formula(floor_div(form[1]), self.env))
+            return self._ok()
+        if head in ("push", "pop"):
+            getattr(self, head)(int(args[0]) if args else 1)
+            return self._ok()
+        if head == "reset":
+            self.reset()
+            return self._ok()
+        if head == "check-sat":
+            return self.check_sat()
+        if head == "get-model":
+            return self.format_model()
+        if head == "get-value":
+            return self.get_value(form[1])
+        if head == "get-info":
+            return self.get_info(form[1])
+        if head == "echo":
+            return form[1][1] if isinstance(form[1], tuple) else str(form[1])
+        if head == "exit":
+            return None
+        raise SmtError(f"unsupported command {head!r}")
+
+    def _ok(self):
+        return "success" if self.print_success else ""
+
+    def get_info(self, key) -> str:
+        """Answers :reason-unknown (an empty reason unless the last check-sat
+        answered unknown); other keywords are unsupported."""
+        if key == ":reason-unknown":
+            return f"(:reason-unknown {smt_string(self.reason)})"
+        return "unsupported"
+
     def format_model(self) -> str:
-        model = self._total_model()
+        model = self.last_model()
         lines = ["("]
         for name in sorted(self.env):
             ar = self.env[name]
@@ -159,7 +179,7 @@ class Session:
     def get_value(self, forms) -> str:
         if not isinstance(forms, list):
             raise SmtError(f"get-value: expected a list of terms, got {forms!r}")
-        model = self._total_model()
+        model = self.last_model()
         parts = []
         for f in forms:
             term = parse_expr(floor_div(f), self.env)

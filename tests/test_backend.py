@@ -1,11 +1,13 @@
 """Ground solver and protocol layer: the case split and Cooper search against
-brute-force enumeration, array reasoning, the SMT-LIB server loop, and model
+brute-force enumeration, array reasoning, the SMT-LIB server loop, the
+in-process solver API against the text a --backend command reads, and model
 parsing."""
 
 import functools
 import itertools
 import json
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -15,14 +17,16 @@ import pytest
 
 from loopacc import cli
 from loopacc.accel import accelerate, encode_reachability
-from loopacc.backend import BackendSession, SatResult
+from loopacc.backend import BackendSession, Encoder, SatResult
 from loopacc.expr import (
-    And, Bin, Const, Ite, Not, Or, Rel, Sel, State, Var, eval_formula, sv,
+    And, Bin, Const, Ite, Not, Or, Rel, Sel, State, Var, eval_formula, reset_fresh_counter, sv,
 )
 from loopacc.lamsolve import SolveResult, solve, verify_model
 from loopacc.problem import parse_problem
-from loopacc.sexpr import ParseError, smt_int
+from loopacc.sexpr import ParseError, parse_formula, read_one, smt_int, smt_text
+from loopacc.simplify import simplify_formula
 from loopacc.solver import ground, server
+from loopacc.solver.session import floor_div
 from loopacc.solver.ground import GroundProblem, check, to_linear
 from loopacc.solver.presburger import (
     PresburgerSolver, SolverTimeout, Unsupported, _propagate, fand, feval, fnot, fsubst, fvars,
@@ -56,6 +60,41 @@ def _rand_formula(rnd, xs, depth):
         return Not(_rand_formula(rnd, xs, depth - 1))
     parts = tuple(_rand_formula(rnd, xs, depth - 1) for _ in range(2))
     return And(parts) if roll < 0.65 else Or(parts)
+
+
+def _rand_term(rnd, xs, depth):
+    """A term with selects of a 1- and a 2-dimensional array, ite and floor
+    division by a constant of either sign."""
+    roll = rnd.random()
+    if depth == 0 or roll < 0.4:
+        return _rand_poly(rnd, xs)
+    sub = functools.partial(_rand_term, rnd, xs, depth - 1)
+    if roll < 0.55:
+        return Bin("div", sub(), Const(rnd.choice([-3, -2, 2, 3])))
+    if roll < 0.7:
+        return Sel(Var("a", 1), (sub(),))
+    if roll < 0.8:
+        return Sel(Var("m", 2), (sub(), sub()))
+    if roll < 0.9:
+        return Ite(_rand_formula(rnd, xs, 1), sub(), sub())
+    return Bin(rnd.choice("+-*"), sub(), sub())
+
+
+def test_encoded_formulas_read_back_from_their_text():
+    # what a --backend command and the log read is what the in-process
+    # solver gets, once the ground solver has simplified both
+    rnd = random.Random(5)
+    xs = [Var("x"), Var("y'"), Var("i*!1")]
+    env = {"x": 0, "y'": 0, "i*!1": 0, "a": 1, "m": 2}
+    for trial in range(300):
+        op = rnd.choice(["<", "=", "!=", "divides"])
+        left = Const(rnd.choice([-4, 0, 3])) if op == "divides" else _rand_term(rnd, xs, 2)
+        atom = Rel(op, left, _rand_term(rnd, xs, 2))
+        f = Not(Or((atom, _rand_formula(rnd, xs, 2)))) if trial % 2 else And((Not(atom),))
+        g = Encoder().formula(f)
+        text = smt_text(g)
+        back = parse_formula(floor_div(read_one(text)), env)
+        assert simplify_formula(back) == simplify_formula(g), text
 
 
 def test_cooper_vs_enumeration():
@@ -559,8 +598,8 @@ def test_model_parse_store_chain():
     text += "(define-fun a () (Array Int Int) (store ((as const (Array Int Int)) 1) 2 9)))"
     s = BackendSession()
     m = s._parse_model(text)
-    assert m.scalars["x"] == -7
-    assert m.arrays["a"]((2,)) == 9 and m.arrays["a"]((5,)) == 1
+    assert m["x"] == -7
+    assert m["a"]((2,)) == 9 and m["a"]((5,)) == 1
 
 
 def test_string_literal_escapes():
@@ -649,6 +688,38 @@ def test_one_name_at_two_arities_on_one_session(backend, tmp_path):
                                  "(set-logic ALL)\n") == 2
 
 
+@pytest.mark.parametrize("backend", [None, SERVER], ids=["in-process", "subprocess"])
+def test_a_model_values_only_the_names_of_its_check(backend):
+    # the names an earlier check declared stay declared but are not valued
+    i, k, x = sv(Var("i*!2")), sv(Var("k")), sv(Var("x"))
+    with BackendSession(backend=backend, timeout=5.0) as s:
+        assert s.is_valid(Rel("<", i, k)) is False
+        assert s.check([Rel(">", Sel(Var("a", 1), (k,)), Const(0))]).status == "sat"
+        r = s.check([Rel(">", x, Const(0))])
+    assert r.status == "sat"
+    assert (list(r.model.scalars), r.model.arrays) == (["x"], {})
+    assert r.model.scalars["x"] > 0
+
+
+def test_the_in_process_solver_gets_no_text(monkeypatch):
+    # without a log it takes the encoded formulas and gives back values: no
+    # command or answer is printed or parsed, and none goes through a queue
+    def text(*args):
+        raise AssertionError("SMT-LIB text in-process")
+
+    for name in ("loopacc.backend.read_all", "loopacc.backend.smt_text", "queue.Queue",
+                 "loopacc.backend.BackendSession._parse_model",
+                 "loopacc.solver.session.parse_formula",
+                 "loopacc.solver.session.Session.format_model"):
+        monkeypatch.setattr(name, text)
+    x, a = sv(Var("x")), Var("a", 1)
+    with BackendSession() as s:
+        r = s.check([Rel("=", Sel(a, (x,)), Bin("+", x, Const(1))), Rel(">", x, Const(2))])
+        assert r.status == "sat" and r.model.arrays["a"]((r.model.scalars["x"],)) > 3
+        r = s.check([Rel("=", Bin("*", x, x), Const(4))])
+        assert r.status == "unknown" and r.reason.startswith("unsupported: ")
+
+
 def test_one_name_at_two_arities_in_one_query_is_unknown(session):
     x = Var("x")
     r = session.check([Rel(">", sv(x), Const(0)),
@@ -657,15 +728,29 @@ def test_one_name_at_two_arities_in_one_query_is_unknown(session):
     assert session.check([Rel(">", sv(x), Const(0))]).status == "sat"
 
 
-def _verdict(path: Path, capsys, *options) -> str:
+def check_json(path: Path, capsys, *options) -> str:
+    """check --json's report on a file, with the fresh-name counter reset as
+    in a new process; empty when the file has no post."""
+    reset_fresh_counter()
     cli.main(["check", str(path), "--json", *options])
-    out = capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+def _verdict(path: Path, capsys, *options) -> str:
+    out = check_json(path, capsys, *options)
     return json.loads(out)["result"] if out else "no post"
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
 def test_transport_parity(path, capsys):
-    assert _verdict(path, capsys) == _verdict(path, capsys, "--backend", SERVER)
+    # the whole report: verdict, witness, arrays, derived values and lemmas
+    assert check_json(path, capsys) == check_json(path, capsys, "--backend", SERVER)
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_logging_changes_nothing(path, capsys, tmp_path):
+    log = str(tmp_path / "dialogue.smt2")
+    assert check_json(path, capsys) == check_json(path, capsys, "--smt-log", log)
 
 
 def test_smt_log_replays(tmp_path, capsys):
@@ -702,15 +787,26 @@ def test_is_valid_answers_from_the_simplifier_without_a_check_sat(tmp_path):
         assert "(check-sat)" in log.read_text()
 
 
-def test_unsupported_model_sort_is_unknown():
-    x = Var("x")
-    with BackendSession() as s:
-        s._ensure()
-        for sort in ("Real", "(Array Bool Int)"):
-            s.server.format_model = lambda: f"((define-fun x () {sort} 1))"
-            r = s.check([Rel("=", sv(x), Const(1))])
-            assert (r.status, r.model) == ("unknown", None)
-            assert "sort" in r.diagnostic
+# a --backend command that answers sat, and a model of x at the sort argv[1]
+FAKE_SOLVER = """
+import sys
+for line in sys.stdin:
+    if line.startswith("(check-sat)"):
+        print("sat", flush=True)
+    elif line.startswith("(get-model)"):
+        print(f"((define-fun x () {sys.argv[1]} 1))", flush=True)
+"""
+
+
+def test_unsupported_model_sort_is_unknown(tmp_path):
+    script = tmp_path / "fake_solver.py"
+    script.write_text(FAKE_SOLVER)
+    for sort in ("Real", "(Array Bool Int)"):
+        command = shlex.join([sys.executable, str(script), sort])
+        with BackendSession(backend=command) as s:
+            r = s.check([Rel("=", sv(Var("x")), Const(1))])
+        assert (r.status, r.model) == ("unknown", None)
+        assert "sort" in r.diagnostic
 
 
 def test_backend_command_gets_a_deadline():

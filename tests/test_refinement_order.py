@@ -15,7 +15,7 @@ from loopacc.accel import accelerate, conjuncts_of, encode_reachability
 from loopacc.backend import BackendSession
 from loopacc.expr import (
     And, Bin, Const, FiniteFn, Ite, Lam, Rel, Sel, State, Var, beta_reduce, eval_expr,
-    eval_formula, free_vars, fresh_var, sv,
+    eval_formula, fresh_var, sv,
 )
 from loopacc.lamsolve import _equal_by_cases, finite_fn_expr, solve
 from loopacc.loop import step
@@ -70,27 +70,23 @@ def _renumbered(text: str) -> str:
     return _FRESH.sub(lambda m: f"{m[1]}!{seen.setdefault(m[0], len(seen))}", text)
 
 
-def _answer(res, names: set):
-    """Status, diagnostic, lemma count and the model's values of the query's
-    variables (the backend's model also lists the index variables of earlier
-    validity questions in the session)."""
+def _answer(res):
+    """Status, diagnostic, lemma count and the model."""
     model = None
     if res.model is not None:
-        model = ({x: v for x, v in res.model.scalars.items() if x in names},
-                 {x: v for x, v in res.model.arrays.items() if x in names},
+        model = (res.model.scalars, res.model.arrays,
                  {x: v if isinstance(v, int) else _renumbered(to_text(v))
                   for x, v in res.model.derived.items()})
     return res.status, res.diagnostic, res.lemmas, model
 
 
 def _both(lits):
-    names = {x.name for f in lits for x in free_vars(f)}
     expr.reset_fresh_counter()
     with BackendSession() as ses:
-        new = _answer(solve(lits, ses), names)
+        new = _answer(solve(lits, ses))
     expr.reset_fresh_counter()
     with BackendSession() as ses:
-        old = _answer(solve_check_first(lits, ses), names)
+        old = _answer(solve_check_first(lits, ses))
     return new, old
 
 

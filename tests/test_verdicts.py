@@ -11,11 +11,11 @@ from pathlib import Path
 import pytest
 
 from loopacc import cli
-from loopacc.expr import State, Var, eval_formula
+from loopacc.expr import State, Var, eval_formula, reset_fresh_counter
 from loopacc.loop import step
 from loopacc.problem import parse_problem
 
-from test_backend import SERVER, _verdict
+from test_backend import SERVER, check_json
 
 HOARE13 = (Path(__file__).resolve().parent.parent / "examples_problems" / "hoare13.loop").read_text()
 COUNTER = """
@@ -37,8 +37,10 @@ NAMED = {
 
 @pytest.fixture
 def run_check(capsys):
-    """check --json on a file: its exit code and its report."""
+    """check --json on a file: its exit code and its report, with the
+    fresh-name counter reset as in a new process."""
     def run(path, *options) -> tuple[int, dict]:
+        reset_fresh_counter()
         code = cli.main(["check", str(path), "--json", *options])
         return code, json.loads(capsys.readouterr().out)
     return run
@@ -181,4 +183,4 @@ def test_transport_parity_on_boolean_posts(tmp_path, capsys):
     problems = dict(NAMED, **{f"random{k}": random_problem(rng)[0] for k in range(3)})
     for name, text in problems.items():
         path = write(tmp_path, name, text)
-        assert _verdict(path, capsys) == _verdict(path, capsys, "--backend", SERVER), name
+        assert check_json(path, capsys) == check_json(path, capsys, "--backend", SERVER), name
