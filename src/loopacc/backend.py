@@ -1,11 +1,12 @@
-"""Client side of the ground solver: one push/pop-scoped check at a time.
+"""Client side of the ground solver: one self-contained check at a time.
 The Encoder puts each formula in the form every solver gets.  By default the
-bundled solver answers in-process: a ``solver.session.Session`` called with
-those formulas, no text in between.  ``--backend CMD`` / LOOPACC_BACKEND
-instead runs CMD as a subprocess speaking SMT-LIB2 over stdin/stdout,
-written and read with the helpers of ``sexpr``, killed and answered
-``unknown`` (reason ``timeout``) when it takes more than the timeout plus a
-one-second grace.  The bundled solver out of process is
+bundled solver answers in-process: each check is one ``solver.session.solve``
+call with those formulas and the session's declarations, no text in between.
+``--backend CMD`` / LOOPACC_BACKEND instead runs CMD as a subprocess
+speaking SMT-LIB2 over stdin/stdout, each check in a push/pop scope, written
+and read with the helpers of ``sexpr``, killed and answered ``unknown``
+(reason ``timeout``) when it takes more than the timeout plus a one-second
+grace.  The bundled solver out of process is
 ``--backend 'python -m loopacc.solver.server'`` (also ``loopacc-smt``).
 SMT-LIB2 text is printed only where it is read: for such a command and for
 the ``--smt-log`` dialogue, which is the same on both transports.
@@ -32,7 +33,7 @@ from .expr import (
 )
 from .sexpr import ParseError, balanced, read_all, smt_symbol, smt_text, sort_arity, sort_text
 from .simplify import as_int_const, simplify_formula
-from .solver.session import Session
+from .solver.session import model_text, reason_text, solve
 
 ENV_BACKEND = "LOOPACC_BACKEND"
 DEFAULT_TIMEOUT = 2.0
@@ -155,37 +156,36 @@ class SatResult:
 
 
 class BackendSession:
-    """Push/pop-scoped satisfiability checks.  Without ``backend`` or
-    LOOPACC_BACKEND the bundled solver's ``Session`` answers in-process: it
-    is called with the Encoder's formulas, and ``timeout`` is its deadline
-    per check-sat.  Otherwise the command runs as one subprocess per session,
-    restarted if it dies or overruns, and gets the same formulas as SMT-LIB2
-    text.  Both transports write the same ``smt_log`` dialogue, and a model
-    values the names free in its check's formulas.  Not thread-safe -- use
-    one session per thread."""
+    """Satisfiability checks.  Without ``backend`` or LOOPACC_BACKEND the
+    bundled solver answers in-process: each check is one ``solve`` call with
+    the Encoder's formulas, and ``timeout`` is its deadline.  Otherwise the
+    command runs as one subprocess per session, restarted if it dies or
+    overruns, and gets the same formulas as SMT-LIB2 text.  Both transports
+    write the same ``smt_log`` dialogue, and a model values the names free
+    in its check's formulas.  Not thread-safe -- use one session per
+    thread."""
 
     def __init__(self, backend: str | None = None, timeout: float = DEFAULT_TIMEOUT,
                  smt_log: str | None = None):
         self.timeout = timeout
         self.command = resolve_command(backend)
         self.proc: subprocess.Popen | None = None
-        self.server: Session | None = None
-        self.declared: dict[str, int] = {}
+        self.declared: dict[str, int] | None = None  # None until the solver starts
         self._log = open(smt_log, "a") if smt_log else None
         self._lines: queue.Queue | None = None  # a child's output lines
 
     # -- transport --
 
     def _alive(self) -> bool:
-        return self.server is not None or (self.proc is not None and self.proc.poll() is None)
+        if self.command is None:
+            return self.declared is not None
+        return self.proc is not None and self.proc.poll() is None
 
     def _ensure(self):
         if self._alive():
             return
         self._stop()  # reap a child that died
-        if self.command is None:
-            self.server = Session(timeout=self.timeout)
-        else:
+        if self.command is not None:
             self.proc = subprocess.Popen(
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL, text=True,
@@ -241,7 +241,7 @@ class BackendSession:
                 return self._logged(out.strip())
 
     def _stop(self):
-        """Kill and reap the solver child, or drop the in-process solver."""
+        """Kill and reap the solver child; no solver is left either way."""
         if self.proc is not None:
             self.proc.kill()
             self.proc.wait()
@@ -250,7 +250,7 @@ class BackendSession:
             except OSError:  # unflushed input to a dead child
                 pass
             self.proc = None
-        self.server = None
+        self.declared = None
 
     def close(self):
         self._stop()
@@ -266,80 +266,66 @@ class BackendSession:
 
     # -- queries --
 
-    def declare(self, variables):
-        self._ensure()
-        for x in sorted(set(variables), key=lambda v: v.name):
-            if x.name in self.declared:
-                if self.declared[x.name] != x.arity:
-                    raise BackendError(f"{x.name} redeclared with different arity")
-                continue
-            self.declared[x.name] = x.arity
-            self._send(f"(declare-const {smt_symbol(x.name)} {sort_text(x.arity)})")
-            if self.server is not None:
-                self.server.declare(x.name, x.arity)
-
     def check(self, formulas, want_model: bool = True) -> SatResult:
-        """Satisfiability of the conjunction within a fresh push/pop scope.
-        Declarations stay in the outer scope so they survive the pop; a name
-        declared there at another arity clears it with (reset) first.  The
-        model values the names free in the formulas."""
+        """Satisfiability of the conjunction, asked within a push/pop scope.
+        The names are declared in the outer scope, so they survive the pop; a
+        name declared there at another arity clears it with (reset) first.
+        The model values the names free in the formulas."""
         formulas = list(formulas)
         try:
             self._ensure()
-            srv = self.server  # None for a child
             enc = Encoder()
             encoded = [enc.formula(f) for f in formulas]
             names = [free_vars(f) for f in formulas]
             if any(self.declared.get(x.name, x.arity) != x.arity for vs in names for x in vs):
                 self._send("(reset)")
-                if srv is not None:
-                    srv.reset()
                 self._clear()
             for vs in names:
-                self.declare(vs)
+                for x in sorted(vs, key=lambda v: v.name):
+                    if x.name not in self.declared:
+                        self.declared[x.name] = x.arity
+                        self._send(f"(declare-const {smt_symbol(x.name)} {sort_text(x.arity)})")
+                    elif self.declared[x.name] != x.arity:
+                        raise BackendError(f"{x.name} redeclared with different arity")
             self._send("(push 1)")
-            if srv is not None:
-                srv.push()
             try:
                 for g in encoded:
                     if self._log or self.proc is not None:  # someone reads the text
                         self._send(f"(assert {smt_text(g)})")
-                    if srv is not None:
-                        srv.assert_formula(g)
                 self._send("(check-sat)")
-                status = self._read_line() if srv is None else self._logged(srv.check_sat())
+                if self.proc is None:
+                    status, state, reason = solve(encoded, self.declared, self.timeout)
+                    self._logged(status)
+                else:
+                    status, state, reason = self._read_line(), None, ""
                 if status == "sat" and want_model:
                     self._send("(get-model)")
-                    return SatResult("sat", self._model(set().union(*names)))
+                    return SatResult("sat", self._model(set().union(*names), state))
                 if status in ("sat", "unsat"):
                     return SatResult(status)
-                reason = ""
                 if status == "unknown":
                     self._send("(get-info :reason-unknown)")
-                    if srv is None:
-                        reason = _reason_text(self._read_line())
-                    else:
-                        reason = srv.reason
-                        self._logged(srv.get_info(":reason-unknown"))
+                    if self.proc is not None:
+                        reason = _parse_reason(self._read_line())
+                    elif self._log:
+                        self._logged(reason_text(reason))
                 return SatResult("unknown", diagnostic=status, reason=reason)
             finally:
                 if self._alive():
                     self._send("(pop 1)")
-                    if srv is not None:
-                        srv.pop()
         except BackendTimeout:
             return SatResult("unknown", diagnostic="unknown", reason="timeout")
         except (BackendError, ParseError) as exc:
             return SatResult("unknown", diagnostic=str(exc))
 
-    def _model(self, names) -> Model:
-        """The answer to (get-model), over names only."""
-        if self.server is None:
+    def _model(self, names, state: State | None) -> Model:
+        """The answer to (get-model), over names only: a child's, read from
+        its text, or the in-process solver's model."""
+        if state is None:
             values = self._parse_model(self._read_line())
         else:
             if self._log:
-                self._logged(self.server.format_model())
-            state = self.server.last_model()
+                self._logged(model_text(self.declared, state))
             values = {x.name: state[x] for x in names}
         model = Model()
         for x in names:
@@ -387,7 +373,7 @@ def _pump(stream, out: queue.Queue):
     out.put(None)
 
 
-def _reason_text(answer: str) -> str:
+def _parse_reason(answer: str) -> str:
     """The value of a (:reason-unknown ...) answer; any other answer (an error
     or ``unsupported`` from an external solver) as it is."""
     try:

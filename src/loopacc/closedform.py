@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arrayform import ArrayFormError, closed_form_array
-from .expr import Const, Expr, Sel, Var, free_vars, lval_set, substitute, substitute_lvalues
+from .expr import Expr, Sel, Var, free_vars, lval_set, substitute_lvalues
 from .classify import LvalueClass, SolvabilityVerdict, check_a_solvable, classify_lvalue
 from .loop import Loop
 from .recurrence import (
@@ -38,11 +38,6 @@ class ClosedFormTable:
 
     def items(self):
         return self.entries.items()
-
-    def at(self, lv: Sel, n_value) -> Expr:
-        """Closed form with n instantiated (an int or an expression)."""
-        img = n_value if not isinstance(n_value, int) else Const(n_value)
-        return simplify(substitute(self.of(lv), {N: img}))
 
 
 @dataclass

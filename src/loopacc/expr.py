@@ -489,19 +489,6 @@ class FiniteFn:
         fn.__dict__.update(self.__dict__, overrides=tuple(ov), _lookup={**self._lookup, k: v})
         return fn
 
-    def normalized(self) -> "FiniteFn":
-        """Drop overrides that coincide with the background."""
-        ov = {k: v for k, v in self.overrides if v != self.background(k)}
-        return FiniteFn(self.arity, self.base, self.coeffs, _norm_overrides(ov))
-
-    def same_function(self, other: "FiniteFn") -> bool:
-        if self.arity != other.arity:
-            return False
-        a, b = self.normalized(), other.normalized()
-        if a.base != b.base or a.coeffs != b.coeffs:
-            return False
-        return a.overrides == b.overrides
-
 
 def _norm_overrides(ov: dict) -> tuple:
     return tuple(sorted((tuple(k), int(v)) for k, v in ov.items()))

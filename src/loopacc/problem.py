@@ -11,18 +11,18 @@ post block, in s-expression syntax.
 
 The guard is a conjunction of (in)equations over rvalues; updates are
 simultaneous; `n` is reserved for the iteration counter.  (nondet lo hi) in
-init/post becomes a fresh declared scalar with range conjuncts.  Variables
-used only in init/post (like j above) must be declared too.
+init/post becomes a fresh scalar, named apart from every declared name, with
+range conjuncts.  Variables used only in init/post (like j above) must be
+declared too.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .expr import (
-    And, BoolConst, Formula, Rel, Var, is_lvalue, is_rvalue, sv,
-)
+from .expr import And, BoolConst, Formula, Rel, Var, is_lvalue, is_rvalue
 from .loop import Loop, LoopError
 from .sexpr import ParseError, parse_expr, parse_formula, read_all
 
@@ -53,20 +53,24 @@ def parse_problem(source: str | Path, *, is_path: bool = True) -> ProblemFile:
     post: list[Formula] | None = None
     loop = None
     nondets: list[Var] = []
-    counter = [0]
+    # a nondet's fresh name is one no declare block takes, before or after it
+    taken = {str(e[0]) for f in forms if isinstance(f, list) and f[:1] == ["declare"]
+             for e in f[1:] if isinstance(e, list) and e}
+    names = (name for k in itertools.count() if (name := f"nd{k}") not in taken)
 
-    def nondet_sink_factory(sink_list):
-        def sink(lo, hi):
-            name = f"nd{counter[0]}"
-            counter[0] += 1
-            decls[name] = 0
-            v = Var(name, 0)
-            nondets.append(v)
-            sink_list.append(Rel("<=", lo, sv(v)))
-            sink_list.append(Rel("<=", sv(v), hi))
-            return sv(v)
+    def fresh() -> str:
+        name = next(names)
+        decls[name] = 0
+        nondets.append(Var(name, 0))
+        return name
 
-        return sink
+    def conjuncts(block) -> list[Formula]:
+        """The block's formulas, each after its nondets' range conjuncts."""
+        lifted = []
+        for g in block[1:]:
+            lifted.append(_lift_nondets(g, fresh, lifted))
+        env = dict(decls)
+        return [parse_formula(g, env) for g in lifted]
 
     for form in forms:
         if not isinstance(form, list) or not form:
@@ -87,22 +91,31 @@ def parse_problem(source: str | Path, *, is_path: bool = True) -> ProblemFile:
                     raise ParseError(f"{name} redeclared with a different arity")
                 decls[name] = int(arity)
         elif head == "init":
-            env = dict(decls)
-            for g in form[1:]:
-                init.append(parse_formula(g, env, nondet_sink_factory(init)))
+            init += conjuncts(form)
         elif head == "loop":
             loop = _parse_loop(form, decls)
         elif head == "post":
-            if post is None:
-                post = []
-            env = dict(decls)
-            for g in form[1:]:
-                post.append(parse_formula(g, env, nondet_sink_factory(post)))
+            post = (post or []) + conjuncts(form)
         else:
             raise ParseError(f"unknown block '{head}'")
     if loop is None:
         raise ParseError("no (loop ...) block")
     return ProblemFile(decls, init, loop, post, nondets)
+
+
+def _lift_nondets(form, fresh, ranges: list):
+    """form with each (nondet lo hi) replaced by the name fresh() gives; the
+    range conjuncts go to ranges, inner nondets first."""
+    if not isinstance(form, list):
+        return form
+    form = [_lift_nondets(f, fresh, ranges) for f in form]
+    if form[:1] != ["nondet"]:
+        return form
+    if len(form) != 3:
+        raise ParseError("(nondet lo hi)")
+    name = fresh()
+    ranges += [["<=", form[1], name], ["<=", name, form[2]]]
+    return name
 
 
 def _parse_loop(form, env: dict[str, int]) -> Loop:

@@ -125,13 +125,6 @@ def balanced(text: str) -> bool:
     return depth <= 0
 
 
-def read_one(text: str):
-    forms = read_all(text)
-    if len(forms) != 1:
-        raise ParseError(f"expected a single form, got {len(forms)}")
-    return forms[0]
-
-
 def _is_int(tok: str) -> bool:
     return tok.lstrip("-").isdigit() and tok not in ("-", "")
 
@@ -238,7 +231,7 @@ _REL = {"<", "<=", ">", ">=", "="}
 _ARITH = {"+", "-", "*", "div"}
 
 
-def parse_expr(form, env: dict[str, int], nondet_sink=None):
+def parse_expr(form, env: dict[str, int]):
     if isinstance(form, tuple):
         raise ParseError(f"string literal {form[1]!r} is not an expression")
     if isinstance(form, str):
@@ -256,7 +249,7 @@ def parse_expr(form, env: dict[str, int], nondet_sink=None):
     if not isinstance(head, str):
         raise ParseError(f"unknown expression head {head!r}")
     if head in _ARITH:
-        args = [parse_expr(a, env, nondet_sink) for a in form[1:]]
+        args = [parse_expr(a, env) for a in form[1:]]
         if head == "-" and len(args) == 1:
             return Bin("-", Const(0), args[0])
         if len(args) < 2 or (head == "div" and len(args) != 2):
@@ -272,8 +265,8 @@ def parse_expr(form, env: dict[str, int], nondet_sink=None):
         # SMT-LIB selects one index at a time: (select (select a i) j)
         while isinstance(arr_form, list) and len(arr_form) > 1 and arr_form[0] == "select":
             arr_form, idx_forms = arr_form[1], arr_form[2:] + idx_forms
-        arr = parse_array(arr_form, env, nondet_sink)
-        idx = tuple(parse_expr(x, env, nondet_sink) for x in idx_forms)
+        arr = parse_array(arr_form, env)
+        idx = tuple(parse_expr(x, env) for x in idx_forms)
         ar = arr.arity if isinstance(arr, Var) else len(arr.params)
         if len(idx) != ar:
             raise ParseError(f"select on arity-{ar} array with {len(idx)} indices")
@@ -281,21 +274,13 @@ def parse_expr(form, env: dict[str, int], nondet_sink=None):
     if head == "ite":
         if len(form) != 4:
             raise ParseError("(ite guard then else)")
-        return Ite(parse_formula(form[1], env, nondet_sink),
-                   parse_expr(form[2], env, nondet_sink),
-                   parse_expr(form[3], env, nondet_sink))
-    if head == "nondet":
-        if nondet_sink is None:
-            raise ParseError("(nondet lo hi) is only allowed in init/post blocks")
-        if len(form) != 3:
-            raise ParseError("(nondet lo hi)")
-        lo = parse_expr(form[1], env, nondet_sink)
-        hi = parse_expr(form[2], env, nondet_sink)
-        return nondet_sink(lo, hi)
+        return Ite(parse_formula(form[1], env),
+                   parse_expr(form[2], env),
+                   parse_expr(form[3], env))
     raise ParseError(f"unknown expression head '{head}'")
 
 
-def parse_array(form, env: dict[str, int], nondet_sink=None):
+def parse_array(form, env: dict[str, int]):
     if isinstance(form, str):
         ar = env.get(form)
         if ar is None:
@@ -311,12 +296,12 @@ def parse_array(form, env: dict[str, int], nondet_sink=None):
             names.append(p)
         if len(set(names)) != len(names):
             raise ParseError("duplicate lambda parameters")
-        body = parse_expr(form[2], {**env, **dict.fromkeys(names, 0)}, nondet_sink)
+        body = parse_expr(form[2], {**env, **dict.fromkeys(names, 0)})
         return Lam(tuple(Var(p, 0) for p in names), body)
     raise ParseError(f"not an array expression: {form!r}")
 
 
-def parse_formula(form, env: dict[str, int], nondet_sink=None) -> Formula:
+def parse_formula(form, env: dict[str, int]) -> Formula:
     if form == "true":
         return BoolConst(True)
     if form == "false":
@@ -330,7 +315,7 @@ def parse_formula(form, env: dict[str, int], nondet_sink=None) -> Formula:
         if len(head) != 3 or head[:2] != ["_", "divisible"] or not _is_int(head[2]) \
                 or len(form) != 2:
             raise ParseError(f"unknown formula head {head!r}")
-        return Rel("divides", Const(int(head[2])), parse_expr(form[1], env, nondet_sink))
+        return Rel("divides", Const(int(head[2])), parse_expr(form[1], env))
     if head in _REL or head == "distinct":
         if len(form) != 3:
             raise ParseError(f"({head} ...) takes two arguments")
@@ -345,32 +330,32 @@ def parse_formula(form, env: dict[str, int], nondet_sink=None) -> Formula:
             return 0
 
         if op in ("=", "!=") and (_side_arity(form[1]) > 0 or _side_arity(form[2]) > 0):
-            l = parse_array(form[1], env, nondet_sink)
-            r = parse_array(form[2], env, nondet_sink)
+            l = parse_array(form[1], env)
+            r = parse_array(form[2], env)
             la = l.arity if isinstance(l, Var) else len(l.params)
             ra = r.arity if isinstance(r, Var) else len(r.params)
             if la != ra:
                 raise ParseError(f"array literal with arities {la} and {ra}")
             return Rel(op, l, r)
-        return Rel(op, parse_expr(form[1], env, nondet_sink),
-                   parse_expr(form[2], env, nondet_sink))
+        return Rel(op, parse_expr(form[1], env),
+                   parse_expr(form[2], env))
     if head == "divides":
         if len(form) != 3:
             raise ParseError("(divides d e)")
-        return Rel("divides", parse_expr(form[1], env, nondet_sink),
-                   parse_expr(form[2], env, nondet_sink))
+        return Rel("divides", parse_expr(form[1], env),
+                   parse_expr(form[2], env))
     if head == "and":
-        return conj(parse_formula(a, env, nondet_sink) for a in form[1:])
+        return conj(parse_formula(a, env) for a in form[1:])
     if head == "or":
-        return disj(parse_formula(a, env, nondet_sink) for a in form[1:])
+        return disj(parse_formula(a, env) for a in form[1:])
     if head == "not":
         if len(form) != 2:
             raise ParseError("(not f)")
-        return Not(parse_formula(form[1], env, nondet_sink))
+        return Not(parse_formula(form[1], env))
     if head == "=>":
         if len(form) < 3:
             raise ParseError("(=> f g ...)")
-        parts = [parse_formula(a, env, nondet_sink) for a in form[1:]]
+        parts = [parse_formula(a, env) for a in form[1:]]
         out = parts[-1]
         for a in reversed(parts[:-1]):  # associates to the right
             out = Or((Not(a), out))
@@ -378,7 +363,7 @@ def parse_formula(form, env: dict[str, int], nondet_sink=None) -> Formula:
     if head == "<=>":
         if len(form) != 3:
             raise ParseError("(<=> f g)")
-        a = parse_formula(form[1], env, nondet_sink)
-        b = parse_formula(form[2], env, nondet_sink)
+        a = parse_formula(form[1], env)
+        b = parse_formula(form[2], env)
         return Or((And((a, b)), And((Not(a), Not(b)))))
     raise ParseError(f"unknown formula head '{head}'")

@@ -1,18 +1,22 @@
-"""One session of the bundled ground solver: the declarations, the assertion
-stack and the last model.
+"""The bundled ground solver behind one call, and the SMT-LIB2 session that
+reaches it from text.
 
-Its API takes ``expr`` values: ``declare`` a name at an arity, ``push`` and
-``pop``, ``assert_formula``, ``check_sat``, then ``last_model`` as a
-``State`` and ``reason`` for an unknown.  ``BackendSession`` calls it
-directly in-process.  ``command`` reaches it from one SMT-LIB2 command form:
-``server`` runs it over stdin/stdout, and an ``--smt-log`` replays through it.
+``solve`` answers one satisfiability question over ``expr`` values: the
+formulas, the declarations they use and a timeout in; the status, the model
+as a ``State`` and the reason behind an unknown out.  ``BackendSession``
+calls it directly in-process.  ``Session`` interprets SMT-LIB2 commands one
+form at a time, keeping the declarations, the assertion stack and the last
+answer; its check-sat calls the same ``solve``.  ``server`` runs it over
+stdin/stdout, and an ``--smt-log`` replays through it.  ``model_text`` and
+``reason_text`` print the get-model and :reason-unknown answers for both, so
+a logged dialogue reads the same whichever side wrote it.
 
 Supports quantifier-free linear integer arithmetic with ite, euclidean div by
 constants, ((_ divisible k) t), and (possibly nested) integer arrays with
 full-index selects.  An equality between arrays is outside the fragment:
 check-sat answers unknown, with reason "unsupported: array equality" (the
 acceleration pipeline sends none).  ``command`` reads asserted formulas and
-get-value terms with the problem-file parser of sexpr.py against the
+get-value terms with the expression parser of sexpr.py against the
 declarations; floor_div first spells SMT-LIB's euclidean div as that
 parser's floor div.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import time
 
-from ..expr import FiniteFn, Formula, State, Var, eval_expr
+from ..expr import FiniteFn, State, Var, eval_expr
 from ..sexpr import (
     ParseError, parse_expr, parse_formula, smt_int, smt_symbol, sort_arity, sort_text,
 )
@@ -47,6 +51,39 @@ _ARGUMENTS = {"declare-const": (2,), "declare-fun": (3,), "assert": (1,), "push"
               "pop": (0, 1), "get-value": (1,), "get-info": (1,), "echo": (1,)}
 
 
+def solve(formulas, env: dict[str, int], timeout: float | None):
+    """The conjunction of formulas over the names env declares (name ->
+    arity), decided within timeout seconds (None: no limit).  Returns
+    (status, model, reason): the model as a ``State`` on sat, and on unknown
+    the reason -- "timeout", "branch budget exhausted" or "unsupported: ..."."""
+    deadline = time.monotonic() + timeout if timeout else None
+    try:
+        status, model = check(list(formulas), {Var(n, a): a for n, a in env.items()},
+                              deadline=deadline)
+    except SolverTimeout as exc:
+        return "unknown", None, str(exc)
+    except Unsupported as exc:
+        return "unknown", None, f"unsupported: {exc}"
+    return status, model, ""
+
+
+def model_text(env: dict[str, int], model: State) -> str:
+    """The (get-model) answer: each declared name's value in model."""
+    lines = ["("]
+    for name in sorted(env):
+        ar = env[name]
+        val = model[Var(name, ar)]
+        text = array_text(val) if ar else smt_int(val)
+        lines.append(f"  (define-fun {smt_symbol(name)} () {sort_text(ar)} {text})")
+    lines.append(")")
+    return "\n".join(lines)
+
+
+def reason_text(reason: str) -> str:
+    """The (get-info :reason-unknown) answer."""
+    return f"(:reason-unknown {smt_string(reason)})"
+
+
 class Session:
     def __init__(self, timeout: float | None = None):
         self.env: dict[str, int] = {}  # the declarations: name -> arity
@@ -55,62 +92,6 @@ class Session:
         self.timeout = timeout
         self.print_success = False
         self.reason = ""  # why the last check-sat answered unknown
-
-    # -- the API, over expr values --
-
-    def declare(self, name: str, arity: int):
-        self.env[name] = arity
-
-    def push(self, k: int = 1):
-        for _ in range(k):
-            self.stack.append([])
-
-    def pop(self, k: int = 1):
-        """A failed pop leaves the stack as it was."""
-        if k >= len(self.stack):
-            raise SmtError(f"pop: {k} exceeds the stack depth {len(self.stack) - 1}")
-        del self.stack[len(self.stack) - k:]
-
-    def assert_formula(self, f: Formula):
-        self.stack[-1].append(f)
-
-    def reset(self):
-        self.__init__(self.timeout)
-
-    def check_sat(self) -> str:
-        self.model = None
-        self.reason = ""
-        asserts = [f for frame in self.stack for f in frame]
-        declared = {Var(n, a): a for n, a in self.env.items()}
-        deadline = time.monotonic() + self.timeout if self.timeout else None
-        try:
-            status, model = check(asserts, declared, deadline=deadline)
-        except SolverTimeout as exc:  # "timeout" or "branch budget exhausted"
-            self.reason = str(exc)
-            return "unknown"
-        except Unsupported as exc:
-            self.reason = f"unsupported: {exc}"
-            return "unknown"
-        if status == "sat":
-            self.model = model
-            return "sat"
-        return "unsat"
-
-    def last_model(self) -> State:
-        """The last model with every declared name it leaves open fixed:
-        scalars to 0, arrays to the constant 0."""
-        if self.model is None:
-            raise SmtError("no model available")
-        fixed = {}
-        for name, ar in self.env.items():
-            v = Var(name, ar)
-            if ar == 0 and v not in self.model:
-                fixed[v] = 0
-            elif ar and not isinstance(self.model.get(v), FiniteFn):
-                fixed[v] = FiniteFn.const(ar, 0)
-        return self.model.bind(fixed)
-
-    # -- SMT-LIB text --
 
     def command(self, form) -> str | None:
         head, args = (form[0], form[1:]) if isinstance(form, list) and form else (form, [])
@@ -125,30 +106,40 @@ class Session:
                 self.print_success = form[2] == "true"
             return self._ok()
         if head == "declare-const":
-            self.declare(form[1], sort_arity(form[2]))
+            self.env[form[1]] = sort_arity(form[2])
             return self._ok()
         if head == "declare-fun":
             if form[2]:
                 raise SmtError("only 0-ary declare-fun is supported")
-            self.declare(form[1], sort_arity(form[3]))
+            self.env[form[1]] = sort_arity(form[3])
             return self._ok()
         if head == "assert":
-            self.assert_formula(parse_formula(floor_div(form[1]), self.env))
+            self.stack[-1].append(parse_formula(floor_div(form[1]), self.env))
             return self._ok()
         if head in ("push", "pop"):
-            getattr(self, head)(int(args[0]) if args else 1)
+            k = int(args[0]) if args else 1
+            if head == "push":
+                self.stack += [[] for _ in range(k)]
+            elif k >= len(self.stack):  # a failed pop leaves the stack as it was
+                raise SmtError(f"pop: {k} exceeds the stack depth {len(self.stack) - 1}")
+            else:
+                del self.stack[len(self.stack) - k:]
             return self._ok()
         if head == "reset":
-            self.reset()
+            self.__init__(self.timeout)
             return self._ok()
         if head == "check-sat":
-            return self.check_sat()
+            self.model, self.reason = None, ""  # none left if the solver raises
+            status, self.model, self.reason = solve(
+                [f for frame in self.stack for f in frame], self.env, self.timeout)
+            return status
         if head == "get-model":
-            return self.format_model()
+            return model_text(self.env, self.last_model())
         if head == "get-value":
             return self.get_value(form[1])
         if head == "get-info":
-            return self.get_info(form[1])
+            # the reason is empty unless the last check-sat answered unknown
+            return reason_text(self.reason) if form[1] == ":reason-unknown" else "unsupported"
         if head == "echo":
             return form[1][1] if isinstance(form[1], tuple) else str(form[1])
         if head == "exit":
@@ -158,23 +149,19 @@ class Session:
     def _ok(self):
         return "success" if self.print_success else ""
 
-    def get_info(self, key) -> str:
-        """Answers :reason-unknown (an empty reason unless the last check-sat
-        answered unknown); other keywords are unsupported."""
-        if key == ":reason-unknown":
-            return f"(:reason-unknown {smt_string(self.reason)})"
-        return "unsupported"
-
-    def format_model(self) -> str:
-        model = self.last_model()
-        lines = ["("]
-        for name in sorted(self.env):
-            ar = self.env[name]
-            val = model[Var(name, ar)]
-            text = array_text(val) if ar else smt_int(val)
-            lines.append(f"  (define-fun {smt_symbol(name)} () {sort_text(ar)} {text})")
-        lines.append(")")
-        return "\n".join(lines)
+    def last_model(self) -> State:
+        """The last model with every declared name it leaves open fixed:
+        scalars to 0, arrays to the constant 0."""
+        if self.model is None:
+            raise SmtError("no model available")
+        fixed = {}
+        for name, ar in self.env.items():
+            v = Var(name, ar)
+            if ar == 0 and v not in self.model:
+                fixed[v] = 0
+            elif ar and not isinstance(self.model.get(v), FiniteFn):
+                fixed[v] = FiniteFn.const(ar, 0)
+        return self.model.bind(fixed)
 
     def get_value(self, forms) -> str:
         if not isinstance(forms, list):

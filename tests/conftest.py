@@ -58,6 +58,14 @@ def identity_state(i=0, k=5) -> State:
     return State({I: i, K: k, A: FiniteFn.identity()})
 
 
+def same_function(f: FiniteFn, g: FiniteFn) -> bool:
+    """Whether two finite functions agree everywhere: the same background,
+    and the same value at every point either of them overrides."""
+    points = {p for p, _ in f.overrides + g.overrides}
+    return ((f.arity, f.base, f.coeffs) == (g.arity, g.base, g.coeffs)
+            and all(f(p) == g(p) for p in points))
+
+
 def random_array(rnd: random.Random, arity=1, span=8) -> FiniteFn:
     base = FiniteFn.const(arity, rnd.randint(-3, 3))
     for _ in range(rnd.randint(0, 6)):

@@ -21,7 +21,7 @@ from loopacc.sexpr import to_text
 
 from conftest import (
     A, I, K, decrement_loop, mixing_loop, overview_loop, plus, random_array,
-    swap_loop,
+    same_function, swap_loop,
 )
 
 EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples_problems").glob("*.loop"))
@@ -115,7 +115,7 @@ def _transition_holds(t, s: State, s2: State, n: int) -> bool:
             rfn = eval_expr(atom.right, st)
             same = all(lfn(pt) == rfn(pt) for pt in _probe_points(arity_of(atom.left)))
             if isinstance(lfn, FiniteFn) and isinstance(rfn, FiniteFn):
-                same = lfn.same_function(rfn)
+                same = same_function(lfn, rfn)
             want = (atom.op == "=") != neg
             if same != want:
                 return False

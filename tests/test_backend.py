@@ -23,7 +23,7 @@ from loopacc.expr import (
 )
 from loopacc.lamsolve import SolveResult, solve, verify_model
 from loopacc.problem import parse_problem
-from loopacc.sexpr import ParseError, parse_formula, read_one, smt_int, smt_text
+from loopacc.sexpr import ParseError, parse_formula, read_all, smt_int, smt_text
 from loopacc.simplify import simplify_formula
 from loopacc.solver import ground, server
 from loopacc.solver.session import floor_div
@@ -93,7 +93,7 @@ def test_encoded_formulas_read_back_from_their_text():
         f = Not(Or((atom, _rand_formula(rnd, xs, 2)))) if trial % 2 else And((Not(atom),))
         g = Encoder().formula(f)
         text = smt_text(g)
-        back = parse_formula(floor_div(read_one(text)), env)
+        back = parse_formula(floor_div(read_all(text)[0]), env)
         assert simplify_formula(back) == simplify_formula(g), text
 
 
@@ -710,7 +710,7 @@ def test_the_in_process_solver_gets_no_text(monkeypatch):
     for name in ("loopacc.backend.read_all", "loopacc.backend.smt_text", "queue.Queue",
                  "loopacc.backend.BackendSession._parse_model",
                  "loopacc.solver.session.parse_formula",
-                 "loopacc.solver.session.Session.format_model"):
+                 "loopacc.backend.model_text", "loopacc.backend.reason_text"):
         monkeypatch.setattr(name, text)
     x, a = sv(Var("x")), Var("a", 1)
     with BackendSession() as s:
@@ -718,6 +718,29 @@ def test_the_in_process_solver_gets_no_text(monkeypatch):
         assert r.status == "sat" and r.model.arrays["a"]((r.model.scalars["x"],)) > 3
         r = s.check([Rel("=", Bin("*", x, x), Const(4))])
         assert r.status == "unknown" and r.reason.startswith("unsupported: ")
+
+
+@pytest.mark.parametrize("logged", [False, True], ids=["no-log", "smt-log"])
+def test_in_process_checks_build_no_session(logged, monkeypatch, tmp_path):
+    # each in-process check is one solve call: the SMT-LIB session is only
+    # for loopacc-smt and log replays
+    def no_session(*args, **kwargs):
+        raise AssertionError("a Session built in-process")
+
+    monkeypatch.setattr("loopacc.solver.session.Session.__init__", no_session)
+    log = str(tmp_path / "dialogue.smt2") if logged else None
+    x, a = sv(Var("x")), Var("a", 1)
+    with BackendSession(timeout=5.0, smt_log=log) as s:
+        r = s.check([Rel("=", Sel(a, (x,)), Bin("+", x, Const(1))), Rel(">", x, Const(2))])
+        assert r.status == "sat" and r.model.arrays["a"]((r.model.scalars["x"],)) > 3
+        assert s.check([Rel(">", x, Const(0)), Rel("<", x, Const(0))]).status == "unsat"
+        r = s.check([Rel("=", Bin("*", x, x), Const(4))])
+        assert r.status == "unknown" and r.reason.startswith("unsupported: ")
+    with BackendSession(timeout=0.05, smt_log=log) as s:
+        r = s.check(_many_selects())
+        assert (r.status, r.reason) == ("unknown", "timeout")
+    if logged:
+        assert Path(log).read_text().count("; <- (:reason-unknown") == 2
 
 
 def test_one_name_at_two_arities_in_one_query_is_unknown(session):

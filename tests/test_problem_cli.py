@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from loopacc import cli
-from loopacc.expr import Rel, Var, sv
+from loopacc.expr import Const, Rel, Var, sv
 from loopacc.problem import parse_problem
 from loopacc.sexpr import ParseError, to_text
 
@@ -37,11 +37,11 @@ class TestParseProblem:
     def test_round_trip_via_printer(self):
         pf = parse_problem(SWAP_TEXT, is_path=False)
         for lv, r in zip(pf.loop.lvalues, pf.loop.rhs):
-            from loopacc.sexpr import parse_expr, read_one
+            from loopacc.sexpr import parse_expr, read_all
 
             env = pf.env()
-            assert parse_expr(read_one(to_text(lv)), env) == lv
-            assert parse_expr(read_one(to_text(r)), env) == r
+            assert parse_expr(read_all(to_text(lv))[0], env) == lv
+            assert parse_expr(read_all(to_text(r))[0], env) == r
 
     def test_malformed_paren(self):
         with pytest.raises(ParseError):
@@ -85,6 +85,18 @@ class TestParseProblem:
         nd = pf.nondets[0]
         assert pf.declarations[nd.name] == 0
         assert len(pf.init) == 3  # range conjuncts + the equation
+
+    def test_nondet_names_avoid_declared_names(self):
+        # nd0 and nd2 are declared, one of them only after the init block
+        text = """(declare (i 0) (nd0 0))
+        (init (= i (nondet 0 (nondet 1 2))) (= nd0 7))
+        (loop (guard (< i 3)) (update ((lhs i) (rhs (+ i 1)))))
+        (declare (nd2 0))"""
+        pf = parse_problem(text, is_path=False)
+        assert [v.name for v in pf.nondets] == ["nd1", "nd3"]
+        inner, outer = (sv(v) for v in pf.nondets)
+        assert pf.init[:4] == [Rel("<=", Const(1), inner), Rel("<=", inner, Const(2)),
+                               Rel("<=", Const(0), outer), Rel("<=", outer, inner)]
 
     def test_nondet_outside_init_post_rejected(self):
         bad = """(declare (i 0))
@@ -257,6 +269,26 @@ def test_check_answers_a_disjunctive_post(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert (data["result"], data["reverified"]) == ("unsafe", True)
     assert data["witness"]["n"] == data["witness"]["i'"] in (3, 4)
+
+
+NONDET_CLASH_TEXT = """
+(declare (i 0) (k 0) (nd0 0))
+(init (= nd0 7) (= i (nondet 0 3)) (= k 5))
+(loop (guard (< i k)) (update ((lhs i) (rhs (+ i 1)))))
+(post (>= i k))
+"""
+
+
+def test_a_nondet_does_not_take_a_declared_name(tmp_path, capsys):
+    # were the nondet named nd0, init would read nd0 = 7 and 0 <= nd0 <= 3,
+    # and the file would be wrongly safe-bounded
+    path = str(tmp_path / "clash.loop")
+    Path(path).write_text(NONDET_CLASH_TEXT)
+    assert cli.main(["check", path, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["result"], data["reverified"]) == ("unsafe", True)
+    assert data["witness"]["n"] == 5 - data["witness"]["i"]
+    assert data["derived"]["nd0"] == 7
 
 
 def test_a_model_that_is_not_re_verified_is_unknown(tmp_path, capsys, monkeypatch):

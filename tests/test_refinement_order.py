@@ -23,6 +23,7 @@ from loopacc.problem import parse_problem
 from loopacc.sexpr import to_text
 from loopacc.simplify import simplify
 
+from conftest import same_function
 from lamsolve_reference import solve_check_first
 from test_verdicts import random_problem
 
@@ -142,7 +143,7 @@ def replays(pf, model) -> bool:
 
     def holds(f, s):
         if isinstance(f, Rel) and isinstance(f.left, Var):  # a = b
-            return s[f.left].same_function(s[f.right]) == (f.op == "=")
+            return same_function(s[f.left], s[f.right]) == (f.op == "=")
         return eval_formula(f, s)
 
     if not all(holds(f, state) for f in pf.init):

@@ -7,7 +7,7 @@ import pytest
 from loopacc.expr import And, Lam, Not, Or, Rel, Var
 from loopacc.problem import parse_problem
 from loopacc.sexpr import (
-    ParseError, balanced, parse_expr, parse_formula, read_all, read_one, smt_symbol, to_text,
+    ParseError, balanced, parse_expr, parse_formula, read_all, smt_symbol, to_text,
 )
 
 from test_expr import AR, SC, gen_expr, gen_formula
@@ -21,12 +21,12 @@ def test_round_trip_fuzz():
     for _ in range(600):
         e = gen_expr(rnd, 3, SC, AR)
         text = to_text(e)
-        back = parse_expr(read_one(text), ENV)
+        back = parse_expr(read_all(text)[0], ENV)
         assert back == e, text
     for _ in range(600):
         f = gen_formula(rnd, 3, SC, AR)
         text = to_text(f)
-        back = parse_formula(read_one(text), ENV)
+        back = parse_formula(read_all(text)[0], ENV)
         assert back == f, text
 
 
@@ -34,18 +34,18 @@ def test_lambda_round_trip():
     text = "(lambda (c) (ite (= c (+ i 1)) (select a i) (select a c)))"
     from loopacc.sexpr import parse_array
 
-    lam = parse_array(read_one(text), ENV)
+    lam = parse_array(read_all(text)[0], ENV)
     assert isinstance(lam, Lam)
     assert to_text(lam) == text
 
 
 def test_implication_desugars():
-    f = parse_formula(read_one("(=> (< i k) (<= i k))"), ENV)
+    f = parse_formula(read_all("(=> (< i k) (<= i k))")[0], ENV)
     assert isinstance(f, Or) and isinstance(f.args[0], Not)
 
 
 def test_iff_desugars():
-    f = parse_formula(read_one("(<=> true false)"), ENV)
+    f = parse_formula(read_all("(<=> true false)")[0], ENV)
     assert isinstance(f, Or) and all(isinstance(a, And) for a in f.args)
 
 
@@ -59,7 +59,7 @@ def test_iff_desugars():
 ])
 def test_smtlib_term_forms(smt, plain):
     env = ENV | {"m": 2}
-    assert parse_expr(read_one(smt), env) == parse_expr(read_one(plain), env)
+    assert parse_expr(read_all(smt)[0], env) == parse_expr(read_all(plain)[0], env)
 
 
 @pytest.mark.parametrize("smt, plain", [
@@ -67,7 +67,7 @@ def test_smtlib_term_forms(smt, plain):
     ("(=> (< i k) (<= i k) (< i 5))", "(=> (< i k) (=> (<= i k) (< i 5)))"),
 ])
 def test_smtlib_formula_forms(smt, plain):
-    assert parse_formula(read_one(smt), ENV) == parse_formula(read_one(plain), ENV)
+    assert parse_formula(read_all(smt)[0], ENV) == parse_formula(read_all(plain)[0], ENV)
 
 
 def test_smtlib_forms_in_a_problem_file():
@@ -87,7 +87,7 @@ def test_smtlib_forms_in_a_problem_file():
 ])
 def test_malformed_arithmetic_is_a_parse_error(text):
     with pytest.raises(ParseError):
-        parse_expr(read_one(text), ENV)
+        parse_expr(read_all(text)[0], ENV)
 
 
 @pytest.mark.parametrize("text", [
@@ -95,37 +95,37 @@ def test_malformed_arithmetic_is_a_parse_error(text):
 ])
 def test_malformed_formula_is_a_parse_error(text):
     with pytest.raises(ParseError):
-        parse_formula(read_one(text), ENV | {"m": 2})
+        parse_formula(read_all(text)[0], ENV | {"m": 2})
 
 
 def test_malformed_paren_has_position():
     with pytest.raises(ParseError):
-        read_one("(+ i 1))")
+        read_all("(+ i 1))")
 
 
 def test_undeclared_variable():
     with pytest.raises(ParseError):
-        parse_expr(read_one("(+ zz 1)"), ENV)
+        parse_expr(read_all("(+ zz 1)")[0], ENV)
 
 
 def test_array_used_without_index():
     with pytest.raises(ParseError):
-        parse_expr(read_one("(+ a 1)"), ENV)
+        parse_expr(read_all("(+ a 1)")[0], ENV)
 
 
 def test_select_arity_checked():
     with pytest.raises(ParseError):
-        parse_expr(read_one("(select a i k)"), ENV)
+        parse_expr(read_all("(select a i k)")[0], ENV)
 
 
 def test_array_literal_parses():
-    f = parse_formula(read_one("(= a b)"), ENV)
+    f = parse_formula(read_all("(= a b)")[0], ENV)
     assert isinstance(f, Rel) and isinstance(f.left, Var) and f.left.arity == 1
 
 
 def test_comments_ignored():
-    f = parse_formula(read_one("; note\n(and true (< i k)) ; trailing"), ENV)
-    assert f == parse_formula(read_one("(and true (< i k))"), ENV)
+    f = parse_formula(read_all("; note\n(and true (< i k)) ; trailing")[0], ENV)
+    assert f == parse_formula(read_all("(and true (< i k))")[0], ENV)
 
 
 def test_problem_rejects_string_literal():
@@ -133,7 +133,7 @@ def test_problem_rejects_string_literal():
     with pytest.raises(ParseError, match="string literal"):
         parse_problem(text, is_path=False)
     with pytest.raises(ParseError):
-        parse_formula(read_one('"true"'), ENV)
+        parse_formula(read_all('"true"')[0], ENV)
 
 
 def test_quoted_symbol_round_trips():
