@@ -320,7 +320,8 @@ class BackendSession:
 
     def _model(self, names, state: State | None) -> Model:
         """The answer to (get-model), over names only: a child's, read from
-        its text, or the in-process solver's model."""
+        its text, or the in-process solver's model, keyed in name order."""
+        names = sorted(names, key=lambda v: v.name)
         if state is None:
             values = self._parse_model(self._read_line())
         else:

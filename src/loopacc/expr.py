@@ -260,29 +260,30 @@ def free_vars(e) -> set[Var]:
 
 
 def _free_vars(e, bound: frozenset[Var], out: set[Var]):
-    if isinstance(e, Var):
+    k = type(e)
+    if k is Var:
         if e not in bound:
             out.add(e)
-    elif isinstance(e, (Const, BoolConst)):
-        pass
-    elif isinstance(e, (Bin, Rel)):
-        _free_vars(e.left, bound, out)
-        _free_vars(e.right, bound, out)
-    elif isinstance(e, Sel):
+    elif k is Sel:
         _free_vars(e.arr, bound, out)
         for i in e.idx:
             _free_vars(i, bound, out)
-    elif isinstance(e, Ite):
+    elif k is Const or k is BoolConst:
+        pass
+    elif k is Bin or k is Rel:
+        _free_vars(e.left, bound, out)
+        _free_vars(e.right, bound, out)
+    elif k is Ite:
         _free_vars(e.cond, bound, out)
         _free_vars(e.then, bound, out)
         _free_vars(e.other, bound, out)
-    elif isinstance(e, Lam):
-        _free_vars(e.body, bound | set(e.params), out)
-    elif isinstance(e, Not):
-        _free_vars(e.arg, bound, out)
-    elif isinstance(e, (And, Or)):
+    elif k is And or k is Or:
         for a in e.args:
             _free_vars(a, bound, out)
+    elif k is Lam:
+        _free_vars(e.body, bound | set(e.params), out)
+    elif k is Not:
+        _free_vars(e.arg, bound, out)
     else:
         raise TypeError(f"not an expression: {e!r}")
 

@@ -14,6 +14,10 @@ In a normal-form scope (per thread), ``simplify``, ``simplify_formula`` and
 ``verify_model`` and ``check_loop`` open it, so each query has its own;
 nested entries share it, the outermost exit drops it.  Only pure functions
 are memoized (``substitute`` draws fresh names); callers never mutate results.
+The memo stores each result of ``simplify`` and ``simplify_formula`` under
+itself as well, as its own fixed point, so a normal form handed back is a hit;
+both must stay idempotent.  The walks branch on ``type(e)``, the most frequent
+node kinds first.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 from math import gcd, lcm
 
 from .expr import (
@@ -58,15 +62,25 @@ def normal_form_scope(fn):
     return run
 
 
-def _memoized(fn):
+def _memoized(fn, fixed_point=False):
+    """fn memoized in the open scope; with fixed_point, each result is also
+    stored under itself, so fn must be idempotent."""
     @wraps(fn)
     def run(e):
         memo = _scope.memo
         if memo is None:
             return fn(e)
-        out = memo[fn].get(e)
-        return memo[fn].setdefault(e, fn(e)) if out is None else out
+        table = memo[fn]
+        out = table.get(e)
+        if out is None:
+            out = table.setdefault(e, fn(e))
+            if fixed_point:
+                table.setdefault(out, out)
+        return out
     return run
+
+
+_normalizing = partial(_memoized, fixed_point=True)
 
 
 def _coef(c):
@@ -127,9 +141,8 @@ def linearize(e) -> Poly:
     """Total: any expression becomes a polynomial over opaque atoms, with int
     coefficients (a division folds only when it is exact).  Children of atoms
     are simplified before the atom is frozen."""
-    if isinstance(e, Const):
-        return poly_const(e.value)
-    if isinstance(e, Bin):
+    k = type(e)
+    if k is Bin:
         if e.op == "+":
             return poly_add(linearize(e.left), linearize(e.right))
         if e.op == "-":
@@ -146,11 +159,13 @@ def linearize(e) -> Poly:
                 if all(c % den == 0 for c in num.values()):
                     return {m: c // den for m, c in num.items()}
             return poly_atom(Bin("div", poly_to_expr(num), simplify(e.right)))
-    if isinstance(e, Sel):
+    if k is Sel:
         return poly_atom(simplify(e))
-    if isinstance(e, Ite):
+    if k is Const:
+        return poly_const(e.value)
+    if k is Ite:
         s = simplify(e)
-        if isinstance(s, Ite):
+        if type(s) is Ite:
             return poly_atom(s)
         return linearize(s)
     raise TypeError(f"not an arithmetic expression: {e!r}")
@@ -191,16 +206,15 @@ def as_int_const(e):
     return poly_is_const(linearize(e))
 
 
-@_memoized
+@_normalizing
 def simplify(e):
     """Normalize an expression or formula; evaluation-preserving."""
-    if isinstance(e, (BoolConst, Rel, Not, And, Or)):
-        return simplify_formula(e)
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, Lam):
-        return Lam(e.params, simplify(e.body))
-    if isinstance(e, Ite):
+    k = type(e)
+    if k is Sel:
+        if type(e.arr) is Lam:
+            return Sel(simplify(e.arr), tuple(simplify(i) for i in e.idx))
+        return Sel(e.arr, tuple(simplify(i) for i in e.idx))
+    if k is Ite:
         cond = simplify_formula(e.cond)
         if cond == TRUE:
             return simplify(e.then)
@@ -210,11 +224,13 @@ def simplify(e):
         if then == other:
             return then
         return Ite(cond, then, other)
-    if isinstance(e, Sel):
-        if isinstance(e.arr, Lam):
-            return Sel(simplify(e.arr), tuple(simplify(i) for i in e.idx))
-        return Sel(e.arr, tuple(simplify(i) for i in e.idx))
-    return poly_to_expr(linearize(e))
+    if k is Bin or k is Const:
+        return poly_to_expr(linearize(e))
+    if k is Lam:
+        return Lam(e.params, simplify(e.body))
+    if k is Var:
+        return e
+    return simplify_formula(e)
 
 
 # ---------------------------------------------------------------------------
@@ -223,23 +239,13 @@ def simplify(e):
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
-@_memoized
+@_normalizing
 def simplify_formula(f: Formula) -> Formula:
-    if isinstance(f, BoolConst):
-        return f
-    if isinstance(f, Rel):
+    k = type(f)
+    if k is Rel:
         return _simplify_rel(f)
-    if isinstance(f, Not):
-        a = simplify_formula(f.arg)
-        if isinstance(a, BoolConst):
-            return BoolConst(not a.value)
-        if isinstance(a, Rel) and a.op in NEGATED:
-            return _simplify_rel(Rel(NEGATED[a.op], a.left, a.right))
-        if isinstance(a, Not):
-            return a.arg
-        return Not(a)
-    if isinstance(f, (And, Or)):
-        unit, absorbing = (TRUE, FALSE) if isinstance(f, And) else (FALSE, TRUE)
+    if k is And or k is Or:
+        unit, absorbing = (TRUE, FALSE) if k is And else (FALSE, TRUE)
         flat = []
         for a in f.args:
             a = simplify_formula(a)
@@ -247,11 +253,23 @@ def simplify_formula(f: Formula) -> Formula:
                 return absorbing
             if a == unit:
                 continue
-            flat.extend(a.args if isinstance(a, type(f)) else [a])
+            flat.extend(a.args if type(a) is k else [a])
         flat = list(dict.fromkeys(flat))
-        if isinstance(f, Or):
+        if k is Or:
             return disj(flat)
         return FALSE if _contradicting(flat) else conj(flat)
+    if k is BoolConst:
+        return f
+    if k is Not:
+        a = simplify_formula(f.arg)
+        ka = type(a)
+        if ka is BoolConst:
+            return BoolConst(not a.value)
+        if ka is Rel and a.op in NEGATED:
+            return _simplify_rel(Rel(NEGATED[a.op], a.left, a.right))
+        if ka is Not:
+            return a.arg
+        return Not(a)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -6,6 +6,7 @@ parsing."""
 import functools
 import itertools
 import json
+import os
 import random
 import shlex
 import subprocess
@@ -686,6 +687,28 @@ def test_one_name_at_two_arities_on_one_session(backend, tmp_path):
         assert s.check([scalar]).status == "sat"  # no clash: no reset
     assert log.read_text().count("(reset)\n(set-option :produce-models true)\n"
                                  "(set-logic ALL)\n") == 2
+
+
+MODEL_KEYS = """
+import sys
+from loopacc.backend import BackendSession
+from loopacc.expr import Bin, Const, Rel, Var, sv
+x, y, z, w = (sv(Var(name)) for name in "xyzw")
+with BackendSession(backend=sys.argv[1] or None, timeout=5.0) as s:
+    r = s.check([Rel("=", Bin("+", x, y), Const(6)), Rel("=", z, Const(2)),
+                 Rel("=", w, Const(3))])
+print(list(r.model.scalars))
+"""
+
+
+@pytest.mark.parametrize("backend", ["", SERVER], ids=["in-process", "subprocess"])
+def test_a_model_lists_its_names_in_the_same_order_in_every_process(backend):
+    """Node hashes mix in the address of the node's class, so a set of names
+    iterates in another order in each process, whatever PYTHONHASHSEED says."""
+    outs = [subprocess.run([sys.executable, "-c", MODEL_KEYS, backend], capture_output=True,
+                           text=True, timeout=60, env={**os.environ, "PYTHONHASHSEED": "0"})
+            for _ in range(2)]
+    assert [out.stdout for out in outs] == ["['w', 'x', 'y', 'z']\n"] * 2, outs[0].stderr
 
 
 @pytest.mark.parametrize("backend", [None, SERVER], ids=["in-process", "subprocess"])

@@ -1,7 +1,8 @@
 """Normal forms: constant folding, linear normalization, guard collapse; the
-rewrites must preserve evaluation on the fuzz corpus.  The normal-form scope
-must give the results an unscoped call gives, share nothing that a caller
-mutates, and hold its memo only while the outermost entry runs."""
+rewrites must preserve evaluation on the fuzz corpus and be idempotent.  The
+normal-form scope must give the results an unscoped call gives, answer a
+normal form handed back from its memo, share nothing that a caller mutates,
+and hold its memo only while the outermost entry runs."""
 
 import json
 import random
@@ -256,6 +257,67 @@ def test_closed_forms_and_guards_agree_inside_and_outside_a_scope(session):
     for seed in range(60):
         loop = gen_loop(seed).loop
         assert normal_form_scope(_loop_forms)(loop, session) == _loop_forms(loop, session), seed
+
+
+@pytest.fixture(scope="module")
+def pipeline_terms():
+    """The lvalue and variable closed forms, characterized guards and
+    accelerated formulas of the checked-in examples and of generated loops
+    0..19."""
+    loops = [parse_problem(p).loop for p in sorted((ROOT / "examples_problems").glob("*.loop"))]
+    loops += [gen_loop(seed).loop for seed in range(20)]
+    terms = []
+    with BackendSession(timeout=10.0) as session:
+        for loop in loops:
+            forms = closed_forms_all(loop, session)
+            t = accelerate(loop, session)
+            if isinstance(t, Failure):  # mixing.loop is not a-solvable
+                continue
+            terms += [*forms.table.entries.values(), *t.closed_forms.values(),
+                      t.guard_formula, t.formula]
+    assert len(terms) > 100
+    return terms
+
+
+def _random_terms(seed):
+    rnd = random.Random(seed)
+    return ([gen_expr(rnd, 4, SC, AR) for _ in range(1000)]
+            + [gen_formula(rnd, 3, SC, AR) for _ in range(1000)])
+
+
+def test_simplify_and_simplify_formula_are_idempotent(pipeline_terms):
+    """The memo stores each normal form as its own fixed point, which is sound
+    only while normalizing a normal form gives it back."""
+    assert _scope.memo is None
+    for t in pipeline_terms + _random_terms(41):
+        once = simplify(t)
+        assert simplify(once) == once, t
+        if isinstance(t, FORMULAS):
+            once = simplify_formula(t)
+            assert simplify_formula(once) == once, t
+
+
+class _Misses(dict):
+    """A memo table that counts its lookups that miss: each runs the body of
+    the memoized function."""
+
+    misses = 0
+
+    def get(self, key):
+        self.misses += key not in self
+        return super().get(key)
+
+
+def test_a_normal_form_handed_back_is_a_memo_hit(monkeypatch, pipeline_terms):
+    memo = defaultdict(_Misses)
+    monkeypatch.setattr(_scope, "memo", memo)  # the outermost scope
+    for t in pipeline_terms + _random_terms(43):
+        for fn in (simplify, simplify_formula) if isinstance(t, FORMULAS) else (simplify,):
+            once = fn(t)
+            table = memo[fn.__wrapped__]
+            misses = table.misses
+            assert fn(once) == once and table.misses == misses, t
+    assert memo[simplify.__wrapped__].misses and memo[simplify_formula.__wrapped__].misses
 
 
 class _ReadOnlyPolys(defaultdict):
