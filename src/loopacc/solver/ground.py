@@ -8,8 +8,9 @@ Pipeline per check-sat:
   1. hoist ite terms and floor divisions by constants into fresh variables
      with defining constraints over parts already hoisted (functional, hence
      polarity-independent at the top-level conjunction);
-  2. Ackermann reduction: one fresh integer per (array, index vector) select,
-     congruence implications per select pair of one array;
+  2. Ackermann reduction: one fresh integer per (array, index vector)
+     select; each select's index is kept as linear rows (array_axioms) for
+     the congruence of each select pair of one array;
   3. NNF into linear atoms (to_linear), once: one walker reads each term
      (Const, + - *, scalar select) straight into a {name: int} poly, and a
      nonlinear monomial, keyed by its sorted names, becomes a fresh name;
@@ -17,7 +18,12 @@ Pipeline per check-sat:
      is the equality p = 1; one with a +-1 coefficient is solved for that
      name and the image substituted (presburger.fsubst) into every unit.
      At the units' fixpoint each clause takes the composed substitution
-     once, and the units a clause collapses to re-enter the unit loop;
+     once, and the units a clause collapses to re-enter the unit loop.  At
+     the first fixpoint each select's index takes it once too, and only
+     the select pairs whose indices no coordinate then tells apart by a
+     nonzero constant get their congruence clause, which goes the way of
+     every clause: a pair told apart would be true, and its clause is never
+     built;
   5. presburger.find_model case-splits over the disjunctions (ite
      definitions, congruences, disequalities) guided by candidate models, and
      decides each conjunction of atoms it assumes with Cooper's search;
@@ -32,7 +38,7 @@ import time
 
 from ..expr import (
     NEGATED, And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
-    Sel, State, Var, arity_of, conj, eval_expr, eval_formula, free_vars, map_children, sv,
+    Sel, State, Var, arity_of, eval_expr, eval_formula, free_vars, map_children, sv,
 )
 from ..simplify import as_int_const, simplify_formula
 from .presburger import (
@@ -59,8 +65,10 @@ class GroundProblem:
         return Var(f".{base}{next(self._fresh)}", 0)
 
     def tick(self):
-        """Every stage before the Cooper search can grow quadratically in the
-        selects, so each one keeps the deadline too."""
+        """The stages before the Cooper search do work per conjunct, per
+        select and per congruence clause built, and the pairs of selects
+        left open can grow quadratically in the selects, so each stage keeps
+        the deadline too."""
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SolverTimeout("timeout")
 
@@ -144,19 +152,30 @@ class GroundProblem:
             return map_children(e, self._ack_term)
         raise Unsupported(f"term not supported post-hoisting: {e!r}")
 
-    def array_axioms(self) -> list[Formula]:
-        """Per-array functional congruence: equal indices, equal selects."""
-        out: list[Formula] = []
+    def array_axioms(self) -> list[tuple[list, list]]:
+        """Per-array functional congruence, equal indices then equal selects,
+        as index rows: for each array with two selects or more, each select's
+        index as a tuple of linear rows (_linpoly), and the names of its
+        select variables.  presolve turns them into clauses.  Product names
+        are taken in the order in which to_linear reads the clauses of the
+        pairs in turn: the first pair's indices coordinate by coordinate,
+        then each later select's."""
+        out = []
         for table in self.selects.values():
-            for (i1, v1), (i2, v2) in itertools.combinations(table.items(), 2):
+            if len(table) < 2:
+                continue
+            idx = list(table)
+            head = [_linpoly(e, self.products) for pair in zip(idx[0], idx[1]) for e in pair]
+            rows = [tuple(head[0::2]), tuple(head[1::2])]
+            for i in idx[2:]:
                 self.tick()
-                eq = conj(Rel("=", a, b) for a, b in zip(i1, i2))
-                out.append(Or((Not(eq), Rel("=", sv(v1), sv(v2)))))
+                rows.append(tuple(_linpoly(e, self.products) for e in i))
+            out.append((rows, [v.name for v in table.values()]))
         return out
 
     # -- step 4: equality presolve on the linear rows -------------------------
 
-    def presolve(self, conjuncts: list) -> list:
+    def presolve(self, conjuncts: list, arrays=()) -> list:
         """Solve-and-substitute over the top-level conjuncts of the linear
         NNF, to a fixpoint.  The first unit, in conjunct order, that forms
         an equality with another, a pair of gt units p > 0 and 2 - p > 0
@@ -170,6 +189,15 @@ class GroundProblem:
         conjunct keeps its position.  Returns the remaining conjuncts, or
         [False] once one of them is false.
 
+        arrays, from array_axioms, gives the congruence clauses, one
+        position per select pair after every conjunct, pairs in order.  Two
+        selects with equal index rows are equal: that pair's units join the
+        others from the start.  At the units' first fixpoint each select's
+        index takes the composed substitution once, and only the pairs that
+        no coordinate then tells apart by a nonzero constant get their
+        clause (_congruence), which then takes the substitution as every
+        clause does.  A pair told apart would be true there; it gets none.
+
         Solving the units of a collapsed clause only after the other units
         changes the order of the eliminations when that clause precedes a
         unit equality solved meanwhile; the remaining conjuncts are then
@@ -178,8 +206,21 @@ class GroundProblem:
         products = set(self.products.values())
         units, clauses = [], []  # (position, formula, names[, unit key]), in order
         for pos, f in enumerate(conjuncts):
+            if f is False:
+                return [False]
             if f is not True:
                 _place((pos,), f, fvars(f), units, clauses)
+        blocks, base = [], len(conjuncts)
+        for rows, sels in arrays:
+            row_keys = [tuple(frozenset(p.items()) for p in row) for row in rows]
+            blocks.append((base, rows, sels, row_keys))
+            equal = _equal_pairs(row_keys)
+            for a, b in equal:
+                for j, g in enumerate(_top(_congruence(rows[a], sels[a], rows[b], sels[b]))):
+                    _place((base + _rank(a, b, len(rows)), j), g, fvars(g), units, clauses)
+            if equal:
+                units.sort()
+            base += len(rows) * (len(rows) - 1) // 2
         applied = 0  # the log entries every clause has taken
         start = 0
         while True:
@@ -193,6 +234,16 @@ class GroundProblem:
                 sub = _composed(self.presolve_log[applied:])
                 applied = len(self.presolve_log)
                 old, clauses, fresh = clauses, [], []
+                for base, rows, sels, row_keys in blocks:
+                    for a, b in _open_pairs(rows, row_keys, sub):
+                        self.tick()
+                        # the clause's names and any its indices cancel, a superset
+                        # as _substituted_names gives
+                        names = {sels[a], sels[b]}.union(*rows[a], *rows[b])
+                        names.discard(None)
+                        f = _congruence(rows[a], sels[a], rows[b], sels[b])
+                        old.append(((base + _rank(a, b, len(rows)),), f, names))
+                blocks = ()
                 for pos, f, names in old:
                     if names.isdisjoint(sub):
                         clauses.append((pos, f, names))
@@ -235,6 +286,58 @@ def _place(pos, f, names, units, clauses):
         clauses.append((pos, f, names))
     else:
         units.append((pos, f, names, atom_key(f) if isinstance(f, tuple) and f[0] == "gt" else None))
+
+
+def _rank(a, b, n) -> int:
+    """The place of the pair (a, b), a < b, among the pairs of range(n) in
+    the order of itertools.combinations."""
+    return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
+def _equal_pairs(row_keys):
+    """The pairs (a, b), a < b, with row_keys[a] == row_keys[b]."""
+    groups = {}
+    for t, k in enumerate(row_keys):
+        groups.setdefault(k, []).append(t)
+    return [pair for ts in groups.values() for pair in itertools.combinations(ts, 2)]
+
+
+def _open_pairs(rows, row_keys, sub) -> list:
+    """The pairs (a, b), a < b, of selects whose index rows, with sub
+    applied, no coordinate tells apart by a nonzero constant, but for the
+    pairs of equal rows (row_keys): they are units already.  The selects are
+    grouped by the rows' name parts and, within a group, by their
+    constants, so a pair told apart is never visited."""
+    groups = {}
+    for t, row in enumerate(rows):
+        row = [psubst(p, sub) for p in row]
+        consts = tuple([p.get(None, 0) for p in row])
+        names = tuple([frozenset(p.items() - {(None, c)}) for p, c in zip(row, consts)])
+        groups.setdefault(names, {}).setdefault(consts, []).append(t)
+    out = []
+    groups = list(groups.items())
+    for n, (names, buckets) in enumerate(groups):
+        for ts in buckets.values():
+            out += [(a, b) for a, b in itertools.combinations(ts, 2) if row_keys[a] != row_keys[b]]
+        for names2, buckets2 in groups[n + 1:]:
+            same = [k for k, (u, w) in enumerate(zip(names, names2)) if u == w]
+            for c1, ts1 in buckets.items():
+                for c2, ts2 in buckets2.items():
+                    if all(c1[k] == c2[k] for k in same):
+                        out += [(a, b) if a < b else (b, a) for a in ts1 for b in ts2]
+    return out
+
+
+def _congruence(i1, v1, i2, v2):
+    """The clause i1 = i2 -> v1 = v2 over the index rows i1, i2 of two
+    selects with variables v1, v2, as to_linear reads it: each coordinate's
+    disequality, then the selects' equality."""
+    parts = []
+    for p, q in zip(i1, i2):
+        diff = padd(p, q, -1)
+        parts += (gt_atom(diff), gt_atom(pscale(diff, -1)))
+    parts.append(("and", [("gt", {None: 1, v1: 1, v2: -1}), ("gt", {None: 1, v1: -1, v2: 1})]))
+    return f_or(parts)
 
 
 def _substituted_names(names, sub) -> set:
@@ -379,12 +482,11 @@ def check(formulas: list[Formula], declared: dict[Var, int], deadline=None):
     gp = GroundProblem(declared, deadline)
     hoisted = [gp.hoist_formula(simplify_formula(f)) for f in formulas]
     acked = [gp.ackermannize(f) for f in hoisted + gp.defs]
-    acked += gp.array_axioms()
     parts = []
     for f in acked:
         gp.tick()
         parts.append(to_linear(f, gp.products))
-    conjuncts = gp.presolve(_top(fand(parts)))
+    conjuncts = gp.presolve(_top(fand(parts)), gp.array_axioms())
     m = PresburgerSolver(deadline=deadline).find_model(fand(conjuncts))
     if m is None:
         return "unsat", None

@@ -20,13 +20,15 @@ clause the resulting model violates.  The Cooper search (_search) decides a
 conjunction, given as a flat list of atoms.  It walks the candidate
 substitutions depth-first instead of materializing the eliminated formula, so
 a satisfying assignment falls out of the successful branch; exhausting every
-candidate at a level is a proof of unsatisfiability for that subproblem.
+candidate at a level is a proof of unsatisfiability for that subproblem.  The
+conjunction is indexed by name (_Conjunction), so that a level reads and
+rewrites only the atoms of the name it eliminates, in place, and a
+backtrack undoes that.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import chain
 from math import gcd
 
 
@@ -330,41 +332,39 @@ class PresburgerSolver:
 
     def _search(self, atoms, xs) -> dict | None:
         """A model over the names xs of the conjunction of atoms, whose names
-        all lie in xs, or None.  Cooper's elimination, depth-first: x is the
-        name in the fewest atoms, unit coefficients first, and its atoms are
-        scaled to coefficients +-lam, read as xh = lam*x.  Each lower bound
-        b < xh gives the candidates xh = b + j for j = 1..delta.  Without a
-        lower bound xh may lie below every upper bound, which then all hold,
-        and only the other atoms constrain xh = j modulo delta.  A level's
-        model satisfies its atoms by construction, so the model is checked
-        against them once, here; a failure is a bug in the search."""
-        m = self._cooper(atoms, xs)
+        all lie in xs, or None.  Cooper's elimination, depth-first over the
+        conjunction indexed by name (_Conjunction): x is the name in the
+        fewest atoms, unit coefficients first, and its atoms are scaled to
+        coefficients +-lam, read as xh = lam*x.  Each lower bound b < xh
+        gives the candidates xh = b + j for j = 1..delta.  Without a lower
+        bound xh may lie below every upper bound, which then all hold, and
+        only the other atoms constrain xh = j modulo delta.  A candidate
+        replaces x's atoms only, in place, and is undone before the next.
+        A level's model satisfies its atoms by construction, so the model
+        is checked against them once, here; a failure is a bug in the
+        search."""
+        m = self._eliminate(_Conjunction(atoms), xs)
         if m is not None and not all(feval(a, m) for a in atoms):
             raise AssertionError(f"Cooper's model {m} fails its atoms")
         return m
 
-    def _cooper(self, atoms, xs) -> dict | None:
+    def _eliminate(self, conj, xs) -> dict | None:
         self._tick()
-        counts, lams = {}, {}
-        for a in atoms:
-            for v, c in _poly(a).items():
-                if v is not None:
-                    counts[v] = counts.get(v, 0) + 1
-                    lams[v] = _lcm(lams.get(v, 1), abs(c))
-        if not counts:
+        if not conj.keys:
             return dict.fromkeys(xs, 0)
-        x = min(counts, key=lambda v: (lams[v] != 1, counts[v], v))
-        lam = delta = lams[x]
-        scaled, others, lower, upper = [], [], [], []  # others: all but x's gt atoms
-        for a in atoms:
-            c = _poly(a).get(x)
-            if c is None:
-                others.append(a)
-            elif a[0] != "gt":
+        x = min(conj.keys.values())[2]
+        lam = 1
+        for c in conj.occ[x].values():
+            lam = _lcm(lam, c)
+        delta = lam
+        scaled, lower, upper = [], [], []  # scaled: x's atoms by slot, in order
+        for slot in sorted(conj.occ[x]):
+            a = conj.slots[slot]
+            c = _poly(a)[x]
+            if a[0] != "gt":
                 k = lam // abs(c)
                 a = (a[0], a[1] * k, pscale(a[2], k))
                 delta = _lcm(delta, a[1])
-                others.append(a)
             else:
                 a = ("gt", pscale(a[1], lam // abs(c)))
                 t = {v: w for v, w in a[1].items() if v != x}
@@ -372,27 +372,108 @@ class PresburgerSolver:
                     upper.append(t)  # xh < t
                 elif (b := pscale(t, -1)) not in lower:
                     lower.append(b)  # b < xh
-            scaled.append(a)
-        rest = [y for y in xs if y != x]
+            scaled.append((slot, a))
         if lower:
             cands = ((padd(b, {None: j}), j) for j in range(1, delta + 1) for b in lower)
         else:
+            # the upper bounds all hold below them: their atoms go
+            scaled = [(slot, None if a[0] == "gt" else a) for slot, a in scaled]
             cands = (({None: j}, j) for j in range(1, delta + 1))
         for cand, j in cands:
             self._tick()
-            sub = _substituted(scaled if lower else others, x, cand, lam)
-            m = None if sub is None else self._cooper(sub, rest)
-            if m is None:
-                continue
-            if lower:
-                xh = peval(cand, m)
-            else:  # strictly below every upper bound, congruent to j
-                top = min(peval(t, m) for t in upper) - 1 if upper else j
-                xh = top - (top - j) % delta
-            if xh % lam == 0:
-                m[x] = xh // lam
-                return m
+            mark = len(conj.trail)
+            m = self._eliminate(conj, xs) if conj.substitute(scaled, x, cand, lam) else None
+            if m is not None:
+                if lower:
+                    xh = peval(cand, m)
+                else:  # strictly below every upper bound, congruent to j
+                    top = min(peval(t, m) for t in upper) - 1 if upper else j
+                    xh = top - (top - j) % delta
+                if xh % lam == 0:
+                    m[x] = xh // lam
+                    return m
+            conj.undo(mark)
         return None
+
+
+class _Conjunction:
+    """A conjunction of atoms for Cooper's search, indexed by name.  slots
+    holds the atoms in list order, None where one was dropped; occ maps
+    each name to its slots, in no order, with the magnitude of its
+    coefficient in each, and nonunit to how many of those are not 1; keys
+    maps it to the choice key (lam != 1, count, name).  put changes a slot
+    and logs the old atom on trail, and undo takes the changes back to a
+    mark."""
+
+    def __init__(self, atoms):
+        self.slots, self.occ, self.nonunit, self.keys = [], {}, {}, {}
+        for a in atoms:
+            self.slots.append(a)
+            self._link(len(self.slots) - 1, a)
+        self.trail = []
+
+    def substitute(self, scaled, x, cand, lam) -> bool:
+        """x's atoms, each (slot, atom scaled to +-lam) or (slot, None) to drop
+        it, with xh := cand (xh = lam*x), and lam | cand after the last slot,
+        dropping the atoms that became true; False when one became false."""
+        for slot, a in scaled:
+            if a is not None:
+                a = _subst_atom(a, x, cand, lam)
+                if a is False:
+                    return False
+            self.put(slot, None if a is True else a)
+        a = div_atom(lam, cand)
+        if a is not True:
+            if a is False:
+                return False
+            self.put(len(self.slots), a)
+        return True
+
+    def put(self, slot, a):
+        """slot holds atom a, or nothing when a is None, from now on; a slot
+        one past the last is appended."""
+        if slot == len(self.slots):
+            self.slots.append(None)
+        old = self.slots[slot]
+        self.trail.append((slot, old))
+        if old is not None:
+            self._unlink(slot, old)
+        self.slots[slot] = a
+        if a is not None:
+            self._link(slot, a)
+
+    def undo(self, mark):
+        """Take back the changes logged on trail after mark, last first; a
+        slot that held nothing was appended, and goes."""
+        while len(self.trail) > mark:
+            slot, old = self.trail.pop()
+            a = self.slots[slot]
+            if a is not None:
+                self._unlink(slot, a)
+            if old is None:
+                self.slots.pop()
+            else:
+                self.slots[slot] = old
+                self._link(slot, old)
+
+    def _link(self, slot, a):
+        for v, c in _poly(a).items():
+            if v is not None:
+                occ = self.occ.setdefault(v, {})
+                occ[slot] = c = abs(c)
+                n = self.nonunit[v] = self.nonunit.get(v, 0) + (c != 1)
+                self.keys[v] = (n > 0, len(occ), v)
+
+    def _unlink(self, slot, a):
+        for v in _poly(a):
+            if v is not None:
+                occ = self.occ[v]
+                n = self.nonunit[v] - (occ.pop(slot) != 1)
+                if occ:
+                    self.nonunit[v] = n
+                    self.keys[v] = (n > 0, len(occ), v)
+                else:
+                    del self.occ[v], self.nonunit[v], self.keys[v]
 
 
 def atom_key(a):
@@ -550,16 +631,3 @@ def _propagate(units, clauses):
 
 def _false_atoms(d, m):
     return sum(not feval(c, m) for c in _conjuncts(d))
-
-
-def _substituted(atoms, x, cand, lam):
-    """atoms, scaled to x-coefficients +-lam, with xh := cand (xh = lam*x) and
-    lam | cand added, dropping the atoms that became true; None when one
-    became false."""
-    out = []
-    for a in chain((_subst_atom(a, x, cand, lam) for a in atoms), [div_atom(lam, cand)]):
-        if a is False:
-            return None
-        if a is not True:
-            out.append(a)
-    return out

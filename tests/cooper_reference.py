@@ -1,15 +1,95 @@
-"""Reference Cooper search for differential tests of loopacc.solver.presburger:
-the whole-formula search over NNF trees with "and" and "or" nodes, as the
-solver ran it before its _search took flat lists of atoms.  Call _search
-directly (find_model hands _search lists and is not meant to run here); it
-ticks the budget and deadline of the solver it extends."""
+"""Reference Cooper searches for differential tests of
+loopacc.solver.presburger.  TreeCooper is the whole-formula search over NNF
+trees with "and" and "or" nodes, as the solver ran it before its _search
+took flat lists of atoms: call its _search directly (find_model hands
+_search lists and is not meant to run there).  ListCooper is the search over
+a flat list of atoms that counts every atom's names and substitutes into
+every atom at each level, as the solver ran it before it kept the
+conjunction indexed by name; its find_model is the solver's.  Both tick the
+budget and deadline of the solver they extend."""
 
 from __future__ import annotations
+
+from itertools import chain
 
 from loopacc.solver.presburger import (
     PresburgerSolver, _lcm, _poly, _subst_atom, div_atom, fand, feval, fvars, map_atoms,
     padd, peval, pscale,
 )
+
+
+class ListCooper(PresburgerSolver):
+    """Cooper's elimination over a flat list of atoms, rebuilt per level."""
+
+    def _search(self, atoms, xs) -> dict | None:
+        m = self._cooper(atoms, xs)
+        if m is not None and not all(feval(a, m) for a in atoms):
+            raise AssertionError(f"Cooper's model {m} fails its atoms")
+        return m
+
+    def _cooper(self, atoms, xs) -> dict | None:
+        self._tick()
+        counts, lams = {}, {}
+        for a in atoms:
+            for v, c in _poly(a).items():
+                if v is not None:
+                    counts[v] = counts.get(v, 0) + 1
+                    lams[v] = _lcm(lams.get(v, 1), abs(c))
+        if not counts:
+            return dict.fromkeys(xs, 0)
+        x = min(counts, key=lambda v: (lams[v] != 1, counts[v], v))
+        lam = delta = lams[x]
+        scaled, others, lower, upper = [], [], [], []  # others: all but x's gt atoms
+        for a in atoms:
+            c = _poly(a).get(x)
+            if c is None:
+                others.append(a)
+            elif a[0] != "gt":
+                k = lam // abs(c)
+                a = (a[0], a[1] * k, pscale(a[2], k))
+                delta = _lcm(delta, a[1])
+                others.append(a)
+            else:
+                a = ("gt", pscale(a[1], lam // abs(c)))
+                t = {v: w for v, w in a[1].items() if v != x}
+                if c < 0:
+                    upper.append(t)  # xh < t
+                elif (b := pscale(t, -1)) not in lower:
+                    lower.append(b)  # b < xh
+            scaled.append(a)
+        rest = [y for y in xs if y != x]
+        if lower:
+            cands = ((padd(b, {None: j}), j) for j in range(1, delta + 1) for b in lower)
+        else:
+            cands = (({None: j}, j) for j in range(1, delta + 1))
+        for cand, j in cands:
+            self._tick()
+            sub = _substituted(scaled if lower else others, x, cand, lam)
+            m = None if sub is None else self._cooper(sub, rest)
+            if m is None:
+                continue
+            if lower:
+                xh = peval(cand, m)
+            else:  # strictly below every upper bound, congruent to j
+                top = min(peval(t, m) for t in upper) - 1 if upper else j
+                xh = top - (top - j) % delta
+            if xh % lam == 0:
+                m[x] = xh // lam
+                return m
+        return None
+
+
+def _substituted(atoms, x, cand, lam):
+    """atoms, scaled to x-coefficients +-lam, with xh := cand (xh = lam*x) and
+    lam | cand added, dropping the atoms that became true; None when one
+    became false."""
+    out = []
+    for a in chain((_subst_atom(a, x, cand, lam) for a in atoms), [div_atom(lam, cand)]):
+        if a is False:
+            return None
+        if a is not True:
+            out.append(a)
+    return out
 
 
 class TreeCooper(PresburgerSolver):

@@ -1,18 +1,61 @@
 """The ground solver's earlier front end, kept as a test reference:
-linearisation through simplify.linearize, which keys every atom of a
-monomial by its printed text, and the presolve that substitutes each solved
-name into every conjunct mentioning it, clauses included, one name at a
-time, over presburger's current atom operations.  ground.to_linear must give
-the same formulas and product names; GroundProblem.presolve, which solves
-the units a clause collapses to only after the other units, the same rows
-on the inputs the tests draw."""
+eager congruence, the clause of every pair of selects of one array built as
+an expr formula and read by to_linear; linearisation through
+simplify.linearize, which keys every atom of a monomial by its printed
+text; and the presolve that substitutes each solved name into every
+conjunct mentioning it, clauses included, one name at a time, over
+presburger's current atom operations.  ground.check, which builds a
+congruence clause in its presolve and only for a pair of selects it cannot
+tell apart, must give the same answers, models, presolve logs and rows as
+check here with Eager; ground.to_linear the same formulas and product names
+as to_linear here; and GroundProblem.presolve, which solves the units a
+clause collapses to only after the other units, the same rows as
+GroundProblem.presolve here on the inputs the tests draw."""
 
-from loopacc.expr import And, BoolConst, Not, Or, Rel, Sel, Var
+import itertools
+
+from loopacc.expr import And, BoolConst, Not, Or, Rel, Sel, Var, conj, eval_formula, sv
 from loopacc.simplify import as_int_const, linearize
 from loopacc.solver import ground
 from loopacc.solver.presburger import (
     Unsupported, atom_key, div_atom, f_or, fand, fsubst, fvars, gt_atom, padd, pscale,
 )
+
+
+class Eager(ground.GroundProblem):
+    def array_axioms(self):
+        """Per-array functional congruence: equal indices, equal selects."""
+        out = []
+        for table in self.selects.values():
+            for (i1, v1), (i2, v2) in itertools.combinations(table.items(), 2):
+                self.tick()
+                eq = conj(Rel("=", a, b) for a, b in zip(i1, i2))
+                out.append(Or((Not(eq), Rel("=", sv(v1), sv(v2)))))
+        return out
+
+
+def check(formulas, declared, deadline=None, problem=Eager, linear=ground.to_linear):
+    """ground.check with eager congruence: the clauses of array_axioms go
+    through linear after every other conjunct, and presolve gets no index
+    rows.  The simplifier and the search are ground's, looked up at the
+    call."""
+    gp = problem(declared, deadline)
+    hoisted = [gp.hoist_formula(ground.simplify_formula(f)) for f in formulas]
+    acked = [gp.ackermannize(f) for f in hoisted + gp.defs]
+    acked += gp.array_axioms()
+    parts = []
+    for f in acked:
+        gp.tick()
+        parts.append(linear(f, gp.products))
+    conjuncts = gp.presolve(ground._top(fand(parts)))
+    m = ground.PresburgerSolver(deadline=deadline).find_model(fand(conjuncts))
+    if m is None:
+        return "unsat", None
+    state = ground.rebuild_model(gp, m)
+    for f in formulas:
+        if not eval_formula(f, state):
+            raise Unsupported("model verification failed (nonlinear residue)")
+    return "sat", state
 
 
 def linpoly(e, products: dict) -> dict:
@@ -83,7 +126,7 @@ def _nnf(f, neg: bool, products: dict):
     raise Unsupported(f"formula {f!r}")
 
 
-class GroundProblem(ground.GroundProblem):
+class GroundProblem(Eager):
     def presolve(self, conjuncts: list) -> list:
         """Solve-and-substitute over the top-level conjuncts of the linear
         NNF, to a fixpoint.  The first equality found, a pair of gt units

@@ -34,7 +34,7 @@ from loopacc.solver.presburger import (
     peval,
 )
 
-from cooper_reference import TreeCooper
+from cooper_reference import ListCooper, TreeCooper
 
 # the bundled solver as an external command: the subprocess transport
 SERVER = f"{sys.executable} -m loopacc.solver.server"
@@ -183,7 +183,7 @@ class _Recorder(PresburgerSolver):
         self.asked = []
 
     def _search(self, atoms, xs):
-        self.asked.append(list(atoms))
+        self.asked.append((list(atoms), list(xs)))
         return super()._search(atoms, xs)
 
 
@@ -195,8 +195,10 @@ class _CheckedAtEveryLevel(PresburgerSolver):
         super().__init__(**kw)
         self.checks = self.failed = 0
 
-    def _cooper(self, atoms, xs):
-        m = super()._cooper(atoms, xs)
+    def _eliminate(self, conj, xs):
+        # this level's atoms, read before the search changes them in place
+        atoms = [a for a in conj.slots if a is not None]
+        m = super()._eliminate(conj, xs)
         if m is not None:
             self.checks += 1
             self.failed += not all(feval(a, m) for a in atoms)
@@ -232,7 +234,7 @@ def test_list_search_matches_the_tree_reference():
             split.find_model(lin)
         except SolverTimeout:
             pass
-        for atoms in split.asked:
+        for atoms, _ in split.asked:
             names = sorted(fvars(fand(atoms)))
             ref, ref_nodes = _nodes(TreeCooper(branch_limit=5000), fand(atoms), names)
             if ref == "budget":
@@ -244,6 +246,52 @@ def test_list_search_matches_the_tree_reference():
             compared += 1
             inner_checks += checked.checks
     assert compared >= 200 and inner_checks >= 400
+
+
+def _same_search_as_the_list(asked, limit):
+    """Each (atoms, names) decided by the indexed search and by ListCooper
+    with a budget of limit nodes: the same model, or both out of budget,
+    in the same number of nodes."""
+    for n, (atoms, names) in enumerate(asked):
+        got = _nodes(PresburgerSolver(branch_limit=limit), atoms, names)
+        assert got == _nodes(ListCooper(branch_limit=limit), atoms, names), f"{n}: {atoms}"
+
+
+def test_indexed_search_matches_the_list_on_every_conjunction_of_the_split():
+    rnd = random.Random(23)
+    xs = [Var("x"), Var("y"), Var("z")]
+    asked = []
+    for trial in range(400):
+        vs = xs[:rnd.randint(1, 3)]
+        box = [Rel(">=", sv(x), Const(-3)) for x in vs] + [Rel("<=", sv(x), Const(3)) for x in vs]
+        lin = fand([to_linear(g, {}) for g in [_rand_formula(rnd, vs, 3)] + box * (trial % 2)])
+        split = _Recorder(branch_limit=5000)
+        try:
+            split.find_model(lin)
+        except SolverTimeout:
+            pass
+        asked += split.asked
+    assert len(asked) >= 300
+    _same_search_as_the_list(asked, 5000)
+
+
+def test_indexed_search_matches_the_list_on_mutated_hoare_k(monkeypatch):
+    # every conjunction find_model hands Cooper while lamsolve finds the
+    # witnesses of mutated Hoare-K, K = 1..16
+    solvers = []
+
+    def recording(**kw):
+        solvers.append(_Recorder(**kw))
+        return solvers[-1]
+
+    monkeypatch.setattr(ground, "PresburgerSolver", recording)
+    for k in range(1, 17):
+        res, verified, _ = _check_triple(_hoare_k(k, True))
+        assert res.status == "model" and verified
+    monkeypatch.undo()
+    asked = [q for s in solvers for q in s.asked]
+    assert len(asked) >= 100
+    _same_search_as_the_list(asked, 2_000_000)
 
 
 def test_bounds_propagate_through_inequalities_and_stop_on_cycles():
@@ -327,6 +375,19 @@ def test_hoare_k_no_longer_falls_off_the_cliff():
     assert res.status == "unsat"
     res, verified, _ = _check_triple(_hoare_k(5, True))
     assert res.status == "model" and verified
+
+
+def test_congruence_clauses_grow_linearly_on_valid_hoare_k(monkeypatch):
+    # the selects of one array make s(s - 1)/2 pairs, 2,145 at K = 32; once
+    # presolve has made the indices m_t = i + t, all but 5K - 1 of them
+    # differ by a nonzero constant and get no clause
+    built = []
+    monkeypatch.setattr(ground, "_congruence",
+                        lambda *args, real=ground._congruence: built.append(args) or real(*args))
+    for k in (8, 16, 32):
+        built.clear()
+        res, _, _ = _check_triple(_hoare_k(k, False))
+        assert res.status == "unsat" and 0 < len(built) <= 5 * k, (k, len(built))
 
 
 def test_cooper_unbounded_models():
