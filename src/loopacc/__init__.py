@@ -2,7 +2,7 @@
 inductive/displacing/trivial lvalue classification, recurrence solving and
 quantifier elimination, discharged with a lemmas-on-demand theory solver."""
 
-from .accel import AcceleratedTransition, accelerate, encode_reachability
+from .accel import AcceleratedTransition, accelerate, check_reachability, encode_reachability
 from .arrayform import closed_form_array, displacement, last_write_instantiation, not_written_qf
 from .backend import BackendSession
 from .classify import LvalueClass, Monotonicity, check_a_solvable, compute_L

@@ -10,7 +10,7 @@ acceleration (no quantified fallback is ever emitted).
 The reachability encoding conjoins init, the accelerated formula and the post
 renamed to the final state, and splits the conjunction at its ands and its
 negated ors: any other disjunction or negation stays one conjunct for the
-theory solver.
+theory solver.  ``check_reachability`` asks it and the n = 0 query.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .expr import (
     conj, lval_set, substitute, substitute_lvalues, sv,
 )
 from .closedform import ClosedForms, Failure, closed_form_of, closed_forms_all
+from .lamsolve import SolveResult, solve, verify_model
 from .loop import Loop, validate_loop
 from .recurrence import N
 from .sexpr import to_text
@@ -131,3 +132,32 @@ def encode_reachability(pre: list[Formula], transition: AcceleratedTransition,
     for f in [*pre, transition.formula, *(substitute(f, rename) for f in post)]:
         lits.extend(conjuncts_of(f))
     return lits
+
+
+def check_reachability(pre: list[Formula], loop: Loop, post: list[Formula],
+                       session) -> SolveResult | Failure:
+    """Whether a state meeting post is reachable from one meeting pre: the
+    acceleration's Failure, or the answer of two queries, n > 0
+    (``encode_reachability``) and then n = 0 (pre and post alone; its model
+    gets n = 0).  A model counts once ``verify_model`` re-checks it; unsat
+    needs both queries unsat; else the first undecided answer.  lemmas are
+    summed over both queries."""
+    t = accelerate(loop, session)
+    if isinstance(t, Failure):
+        return t
+    queries = (encode_reachability(pre, t, post),
+               [c for f in pre + post for c in conjuncts_of(f)])
+    lemmas, answers = 0, []
+    for zero, lits in enumerate(queries):
+        res = solve(lits, session)
+        lemmas += res.lemmas
+        if res.status == "model":
+            if zero:  # the initial state itself meets post
+                res.model.scalars["n"] = 0
+            if verify_model(res.model, lits, session):
+                return SolveResult("model", res.model, lemmas=lemmas)
+            res = SolveResult("unknown", diagnostic="model not re-verified")
+        answers.append(res)
+    res = next((r for r in answers if r.status != "unsat"), SolveResult("unsat"))
+    res.lemmas = lemmas
+    return res

@@ -21,12 +21,12 @@ import json
 import sys
 import traceback
 
-from .accel import accelerate, conjuncts_of, encode_reachability
+from .accel import accelerate, check_reachability
 from .backend import BackendSession, DEFAULT_TIMEOUT
 from .classify import check_a_solvable
 from .closedform import Failure, closed_forms_all
 from .gen import GenConfig, gen_loop
-from .lamsolve import SolveResult, finite_fn_expr, solve, verify_model
+from .lamsolve import finite_fn_expr
 from .loop import validate_loop
 from .oracle import check_loop
 from .problem import parse_problem
@@ -155,40 +155,28 @@ def cmd_check(args) -> int:
               file=sys.stderr)
         return 2
     with _session(args) as ses:
-        t = accelerate(pf.loop, ses)
-        if isinstance(t, Failure):
-            _emit(args, f"unknown ({t.phase}: {t.detail})",
-                  {"result": "unknown", "phase": t.phase, "detail": t.detail})
-            return 2
-        lits = encode_reachability(pf.init, t, pf.post)
-        res = solve(lits, ses)
-        lemmas, zero = res.lemmas, res.status == "unsat"
-        if zero:  # the accelerated formula has n > 0; the initial state may meet post
-            lits = [c for f in pf.init + pf.post for c in conjuncts_of(f)]
-            res = solve(lits, ses)
-            lemmas += res.lemmas
-        if res.status == "model":
-            model = res.model
-            if zero:  # the initial state itself meets post
-                model.scalars["n"] = 0
-            witness = dict(sorted(model.scalars.items()))
-            arrays = {k: to_text(finite_fn_expr(v)) for k, v in sorted(model.arrays.items())}
-            derived = {k: (to_text(v) if not isinstance(v, int) else v)
-                       for k, v in sorted(model.derived.items())}
-            if verify_model(model, lits, ses):
-                human = "unsafe\n" + "\n".join(f"  {k} = {v}" for k, v in witness.items())
-                _emit(args, human, {"result": "unsafe", "witness": witness,
-                                    "arrays": arrays, "derived": derived,
-                                    "reverified": True, "lemmas": lemmas})
-                return 0
-            res = SolveResult("unknown", diagnostic="model not re-verified")
-        if res.status == "unsat":
-            _emit(args, "safe-bounded", {"result": "safe-bounded", "lemmas": lemmas})
-            return 1
-        why = f"{res.diagnostic}: {res.reason}" if res.reason else res.diagnostic
-        _emit(args, f"unknown ({why})", {"result": "unknown", "detail": res.diagnostic,
-                                         "reason": res.reason, "lemmas": lemmas})
+        res = check_reachability(pf.init, pf.loop, pf.post, ses)
+    if isinstance(res, Failure):
+        _emit(args, f"unknown ({res.phase}: {res.detail})",
+              {"result": "unknown", "phase": res.phase, "detail": res.detail})
         return 2
+    if res.status == "model":
+        m = res.model
+        witness = dict(sorted(m.scalars.items()))
+        _emit(args, "unsafe\n" + "\n".join(f"  {k} = {v}" for k, v in witness.items()),
+              {"result": "unsafe", "witness": witness,
+               "arrays": {k: to_text(finite_fn_expr(v)) for k, v in sorted(m.arrays.items())},
+               "derived": {k: v if isinstance(v, int) else to_text(v)
+                           for k, v in sorted(m.derived.items())},
+               "reverified": True, "lemmas": res.lemmas})
+        return 0
+    if res.status == "unsat":
+        _emit(args, "safe-bounded", {"result": "safe-bounded", "lemmas": res.lemmas})
+        return 1
+    why = f"{res.diagnostic}: {res.reason}" if res.reason else res.diagnostic
+    _emit(args, f"unknown ({why})", {"result": "unknown", "detail": res.diagnostic,
+                                     "reason": res.reason, "lemmas": res.lemmas})
+    return 2
 
 
 def _oracle_status(r) -> str:

@@ -679,9 +679,9 @@ def compile_probe(e):
     variables from ``s`` once, then loops over the points, reading input
     arrays from their ``FiniteFn``'s override dict, the background on a miss.
     An unbound variable, a non-``FiniteFn`` input, a nested lambda, a tree
-    deeper than ``_HOIST_DEPTH`` or a non-lambda ``e`` is interpreted:
-    ``eval_expr(e, s)`` called at each point.  A scalar
-    expression ``x`` is the zero-parameter probe ``Lam((), x)`` at ``()``."""
+    deeper than ``_HOIST_DEPTH``, one that ``eval_expr`` rejects or a
+    non-lambda ``e`` is interpreted: ``eval_expr(e, s)`` called at each
+    point.  A scalar ``x`` is the zero-parameter probe ``Lam((), x)`` at ``()``."""
     if not isinstance(e, Lam):
         return _interpreted(e)
     try:
@@ -706,11 +706,6 @@ class _Interpret(Exception):
     """Raised by the emitter at what it does not compile inline."""
 
 
-def _fail(cls, message, *operands):
-    """Raise after the operands, evaluated as call arguments, were computed."""
-    raise cls(message)
-
-
 def _divides(d, r) -> bool:
     return r == 0 if d == 0 else r % d == 0
 
@@ -728,8 +723,7 @@ class _Compiler:
         self.free: dict[Var, None] = {}  # read from the state, in first-read order
         self.reads: dict[Var, None] = {}  # the arrays read inline
         self.keys = itertools.count()
-        self.env = dict(_SKIP=SKIP, _fail=_fail, _divides=_divides, _FiniteFn=FiniteFn,
-                        EvalError=EvalError, ArityMismatch=ArityMismatch)
+        self.env = dict(_SKIP=SKIP, _divides=_divides, _FiniteFn=FiniteFn, EvalError=EvalError)
 
     def probe(self, e: Lam):
         body = self.emit(e.body, frozenset(e.params), 0)
@@ -759,12 +753,11 @@ class _Compiler:
 
     def emit(self, e, bound: frozenset, depth: int, formula: bool = False) -> str:
         """Source of one Python expression for ``e``, in a loop body where
-        ``bound`` are locals; raises ``_Interpret`` at a lambda or at
-        ``_HOIST_DEPTH``."""
-        if depth >= _HOIST_DEPTH or isinstance(e, Lam):
+        ``bound`` are locals; raises ``_Interpret`` at a lambda, at
+        ``_HOIST_DEPTH`` and at a tree ``eval_expr`` rejects."""
+        if depth >= _HOIST_DEPTH or isinstance(e, Lam) or (
+                formula and not isinstance(e, _FORMULAS)):
             raise _Interpret
-        if formula and not isinstance(e, _FORMULAS):
-            return f"_fail(TypeError, {f'not a formula: {e!r}'!r})"
         emit, d = self.emit, depth + 1
         if isinstance(e, Const):
             return f"({e.value!r})"
@@ -774,7 +767,7 @@ class _Compiler:
                 return f"({l} {e.op} {r})"
             if e.op == "div":  # floor division; ZeroDivisionError is turned into SKIP
                 return f"({l} // {r})"
-            return f"_fail(EvalError, {f'unknown operator {e.op}'!r}, {l}, {r})"
+            raise _Interpret
         if isinstance(e, Var):
             v = self.name(e)
             if e in bound:
@@ -785,14 +778,11 @@ class _Compiler:
             if isinstance(e.arr, Var) and e.arr.arity == len(e.idx) > 0:
                 return self.read(e.arr, [emit(i, bound, d) for i in e.idx])
             fn = emit(e.arr, bound, d)
-            point = ""
-            for i in e.idx:
-                point += f"{emit(i, bound, d)}, "
             if isinstance(e.arr, Var) and e.arr.arity == 0:  # a scalar is bound to an int
-                if point:  # raised, as eval_expr does, once the indices are computed
-                    return f"_fail(ArityMismatch, 'scalar applied to indices', {fn}, {point})"
+                if e.idx:
+                    raise _Interpret
                 return fn
-            return f"{fn}(({point}))"
+            return f"{fn}(({''.join(f'{emit(i, bound, d)}, ' for i in e.idx)}))"
         if isinstance(e, Ite):
             c = emit(e.cond, bound, d, True)
             return f"({emit(e.then, bound, d)} if {c} else {emit(e.other, bound, d)})"
@@ -800,8 +790,7 @@ class _Compiler:
             return repr(e.value)
         if isinstance(e, Rel):
             if e.op in ("=", "!=") and (arity_of(e.left) > 0 or arity_of(e.right) > 0):
-                return ("_fail(EvalError, 'array equality is not concretely evaluable; "
-                        "probe the functions')")
+                raise _Interpret
             l, r = emit(e.left, bound, d), emit(e.right, bound, d)
             if e.op in _REL_OPS:
                 return f"({l} {_REL_OPS[e.op]} {r})"
@@ -809,7 +798,7 @@ class _Compiler:
                 if type(e.left) is Const and e.left.value != 0:
                     return f"({r} % {e.left.value!r} == 0)"
                 return f"_divides({l}, {r})"
-            return f"_fail(EvalError, {f'unknown relation {e.op}'!r}, {l}, {r})"
+            raise _Interpret
         if isinstance(e, Not):
             return f"(not {emit(e.arg, bound, d, True)})"
         if isinstance(e, (And, Or)):
@@ -817,7 +806,7 @@ class _Compiler:
                 return repr(isinstance(e, And))
             op = " and " if isinstance(e, And) else " or "
             return f"({op.join([emit(a, bound, d, True) for a in e.args])})"
-        return f"_fail(TypeError, {f'not an expression: {e!r}'!r})"
+        raise _Interpret
 
     def read(self, x: Var, idx: list[str]) -> str:  # a probe's x[idx...]: one dict probe
         v, r = self.name(x), f"_r{next(self.keys)}"

@@ -264,7 +264,6 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
     phi = prop.literals
     if any(f == BoolConst(False) for f in phi):
         return SolveResult("unsat")
-    phi = [f for f in phi if f != BoolConst(True)]
     # the backend sees the scalar literals and the lemmas; check_model checks
     # the array equalities
     sent = [f for f in phi if not (isinstance(f, Rel) and arity_of(f.left) > 0)]

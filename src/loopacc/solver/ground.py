@@ -77,8 +77,6 @@ class GroundProblem:
     def hoist(self, e):
         if isinstance(e, (Const, BoolConst)):
             return e
-        if isinstance(e, Var):
-            return e
         if isinstance(e, Bin):
             l, r = self.hoist(e.left), self.hoist(e.right)
             if e.op in ("+", "-", "*"):

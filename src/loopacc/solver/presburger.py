@@ -300,7 +300,6 @@ class PresburgerSolver:
         if f is False:
             return None
         names = sorted(fvars(f))
-        zero = dict.fromkeys(names, 0)
         units, clauses = [], []
         _split(f, units, clauses)
         stack = [(units, clauses, None)]  # depth-first, next node last
@@ -311,10 +310,9 @@ class PresburgerSolver:
             if units is None:
                 continue
             if model is None or not all(feval(u, model) for u in units):
-                m = self._search(units, names)
-                if m is None:
+                model = self._search(units, names)
+                if model is None:
                     continue
-                model = {**zero, **m}
             violated = [c for c in clauses if not any(feval(d, model) for d in c)]
             if not violated:
                 return model
@@ -488,9 +486,7 @@ def _split(f, units, clauses):
     list of its disjuncts, to clauses."""
     if f is True:
         return
-    if f is False:
-        units.append(False)
-    elif f[0] == "and":
+    if f[0] == "and":
         for g in f[1]:
             _split(g, units, clauses)
     elif f[0] == "or":
@@ -521,7 +517,7 @@ class _Facts:
     def add(self, units) -> bool:
         """Assume units; False when they contradict what is known."""
         for u in units:
-            if u is False or self.value(u) is False:
+            if self.value(u) is False:
                 return False
             self.keys.add(atom_key(u))
             self.negs.add(atom_key(fnot(u)))
@@ -608,18 +604,17 @@ def _propagate(units, clauses):
                 break  # satisfied
             if False not in vals:
                 ds.append(d)
+                kept = vals
         else:
             if not ds:
                 return None, None
             if len(ds) > 1:
                 live.append(ds)
                 continue
-            new = []
-            _split(ds[0], new, todo)
-            vals = [facts.value(u) for u in new]
-            if False in vals:
-                return None, None
-            new = [u for u, v in zip(new, vals) if v is None]
+            new = []  # the one disjunct's unsettled atoms; its clauses go to todo
+            for c, v in zip(_conjuncts(ds[0]), kept):
+                if v is None:
+                    _split(c, new, todo)
             if not facts.add(new):
                 return None, None
             units += new

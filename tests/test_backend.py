@@ -16,13 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from loopacc import cli
-from loopacc.accel import accelerate, encode_reachability
+from loopacc import accel, cli
+from loopacc.accel import accelerate, check_reachability, encode_reachability
 from loopacc.backend import BackendSession, Encoder, SatResult
 from loopacc.expr import (
     And, Bin, Const, Ite, Not, Or, Rel, Sel, State, Var, eval_formula, reset_fresh_counter, sv,
 )
-from loopacc.lamsolve import SolveResult, solve, verify_model
+from loopacc.lamsolve import SolveResult, solve
 from loopacc.problem import parse_problem
 from loopacc.sexpr import ParseError, parse_formula, read_all, smt_int, smt_text
 from loopacc.simplify import simplify_formula
@@ -286,8 +286,8 @@ def test_indexed_search_matches_the_list_on_mutated_hoare_k(monkeypatch):
 
     monkeypatch.setattr(ground, "PresburgerSolver", recording)
     for k in range(1, 17):
-        res, verified, _ = _check_triple(_hoare_k(k, True))
-        assert res.status == "model" and verified
+        res, _ = _check_triple(_hoare_k(k, True))
+        assert res.status == "model"
     monkeypatch.undo()
     asked = [q for s in solvers for q in s.asked]
     assert len(asked) >= 100
@@ -356,37 +356,39 @@ def _hoare_k(k: int, mutated: bool) -> str:
 
 
 def _check_triple(text: str):
-    """(lamsolve result, whether a model passes verify_model, seconds)."""
+    """(check_reachability's result, seconds)."""
     pf = parse_problem(text, is_path=False)
     t0 = time.monotonic()
     with BackendSession() as ses:
-        lits = encode_reachability(pf.init, accelerate(pf.loop, ses), pf.post)
-        res = solve(lits, ses)
-        verified = res.status == "model" and verify_model(res.model, lits, ses)
-    return res, verified, time.monotonic() - t0
+        res = check_reachability(pf.init, pf.loop, pf.post, ses)
+    return res, time.monotonic() - t0
 
 
 def test_hoare_k_no_longer_falls_off_the_cliff():
     # valid K >= 2 used to time out: one Cooper search re-branched on every
     # ite, congruence and distinct disjunction under every candidate
-    res, _, seconds = _check_triple(_hoare_k(3, False))
+    res, seconds = _check_triple(_hoare_k(3, False))
     assert res.status == "unsat" and seconds < 1.0
-    res, _, _ = _check_triple(_hoare_k(5, False))
+    res, _ = _check_triple(_hoare_k(5, False))
     assert res.status == "unsat"
-    res, verified, _ = _check_triple(_hoare_k(5, True))
-    assert res.status == "model" and verified
+    res, _ = _check_triple(_hoare_k(5, True))
+    assert res.status == "model"
 
 
 def test_congruence_clauses_grow_linearly_on_valid_hoare_k(monkeypatch):
     # the selects of one array make s(s - 1)/2 pairs, 2,145 at K = 32; once
     # presolve has made the indices m_t = i + t, all but 5K - 1 of them
-    # differ by a nonzero constant and get no clause
+    # differ by a nonzero constant and get no clause.  Counted over the
+    # acceleration and the n > 0 query; check_reachability's n = 0 query
+    # adds K - 1 more.
     built = []
     monkeypatch.setattr(ground, "_congruence",
                         lambda *args, real=ground._congruence: built.append(args) or real(*args))
     for k in (8, 16, 32):
+        pf = parse_problem(_hoare_k(k, False), is_path=False)
         built.clear()
-        res, _, _ = _check_triple(_hoare_k(k, False))
+        with BackendSession() as ses:
+            res = solve(encode_reachability(pf.init, accelerate(pf.loop, ses), pf.post), ses)
         assert res.status == "unsat" and 0 < len(built) <= 5 * k, (k, len(built))
 
 
@@ -938,7 +940,7 @@ def test_close_releases_the_log_and_the_child(tmp_path):
 
 
 def test_check_prints_the_reason_for_unknown(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "solve", lambda lits, ses: SolveResult(
+    monkeypatch.setattr(accel, "solve", lambda lits, ses: SolveResult(
         "unknown", diagnostic="unknown", reason="timeout"))
     path = str(EXAMPLES[0].parent / "overview.loop")
     assert cli.main(["check", path]) == 2

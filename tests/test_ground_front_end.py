@@ -126,8 +126,8 @@ def _hoare_queries(k_max):
         mp.setattr(session, "check", recording)
         for k in range(1, k_max + 1):
             for mutated in (False, True):
-                res, verified, _ = _check_triple(_hoare_k(k, mutated))
-                assert (res.status, verified) == (("model", True) if mutated else ("unsat", False))
+                res, _ = _check_triple(_hoare_k(k, mutated))
+                assert res.status == ("model" if mutated else "unsat")
     return queries
 
 

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from loopacc import cli
+from loopacc import accel, cli
+from loopacc.accel import check_reachability
+from loopacc.backend import BackendSession
 from loopacc.expr import Const, Rel, Var, sv
 from loopacc.problem import parse_problem
 from loopacc.sexpr import ParseError, to_text
@@ -294,7 +296,7 @@ def test_a_nondet_does_not_take_a_declared_name(tmp_path, capsys):
 def test_a_model_that_is_not_re_verified_is_unknown(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "or.loop")
     Path(path).write_text(DISJUNCTIVE_POST_TEXT)
-    monkeypatch.setattr(cli, "verify_model", lambda *args: False)
+    monkeypatch.setattr(accel, "verify_model", lambda *args: False)
     assert cli.main(["check", path]) == 2
     assert capsys.readouterr().out == "unknown (model not re-verified)\n"
     assert cli.main(["check", path, "--json"]) == 2
@@ -306,12 +308,66 @@ def test_a_crash_exits_3_with_its_traceback(monkeypatch, capsys):
     def crash(*args):
         raise RuntimeError("boom")
 
+    monkeypatch.setattr(accel, "accelerate", crash)  # the call check_reachability makes
     monkeypatch.setattr(cli, "accelerate", crash)
     for argv in (["check", str(EXAMPLES / "hoare13.loop")], ["accelerate", str(EXAMPLES / "swap.loop")]):
         assert cli.main(argv) == 3, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("Traceback") and "RuntimeError: boom" in err, argv
 
+
+
+UNDECIDED_THEN_INITIAL_TEXT = """
+(declare (i 0) (k 0) (s 0))
+(init (= s 3) (= i 1))
+(loop (guard (< i k)) (update ((lhs i) (rhs (+ i 1))) ((lhs s) (rhs (+ s i)))))
+(post (= s 3))
+"""
+
+
+def test_the_initial_state_is_asked_when_n_above_0_is_undecided(tmp_path, capsys):
+    # the n > 0 query leaves a nonlinear residue (unknown); the initial state
+    # meets post, so the n = 0 query decides the file
+    pf = parse_problem(UNDECIDED_THEN_INITIAL_TEXT, is_path=False)
+    with BackendSession() as ses:
+        res = check_reachability(pf.init, pf.loop, pf.post, ses)
+    assert res.status == "model"
+    assert {k: res.model.scalars[k] for k in ("n", "i", "s")} == {"n": 0, "i": 1, "s": 3}
+    path = tmp_path / "zero.loop"
+    path.write_text(UNDECIDED_THEN_INITIAL_TEXT)
+    assert cli.main(["check", str(path), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["result"], data["reverified"]) == ("unsafe", True)
+    assert (data["witness"]["n"], data["witness"]["i"], data["witness"]["s"]) == (0, 1, 3)
+
+
+SWAP_ACROSS_TEXT = """
+(declare (i 0) (j 0) (a 1))
+(init (= i 0) (= j 9))
+(loop
+  (guard (< i j))
+  (update
+    ((lhs (select a i)) (rhs (select a j)))
+    ((lhs (select a j)) (rhs (select a i)))
+    ((lhs i) (rhs (+ i 1)))
+    ((lhs j) (rhs (- j 1)))))
+(post (>= i j) (distinct (select a 0) (select a 0)))
+"""
+
+
+def test_accelerate_refuses_a_loop_whose_distinct_is_not_established(tmp_path, capsys):
+    # a[i] and a[j] may be one cell, which (Distinct) forbids
+    detail = "(Distinct) not established: pair (0, 1)"
+    pf = parse_problem(SWAP_ACROSS_TEXT, is_path=False)
+    with BackendSession() as ses:
+        res = check_reachability(pf.init, pf.loop, pf.post, ses)
+    assert (res.phase, res.detail) == ("validation", detail)
+    path = str(tmp_path / "swap_across.loop")
+    Path(path).write_text(SWAP_ACROSS_TEXT)
+    assert cli.main(["accelerate", path]) == 1
+    assert capsys.readouterr().out == f"failure(validation): {detail}\n"
+    assert cli.main(["check", path]) == 2
+    assert capsys.readouterr().out == f"unknown (validation: {detail})\n"
 
 
 UNREAD_SCALAR_TEXT = """
@@ -379,7 +435,9 @@ def test_failure_details_print_expressions_as_text(tmp_path, capsys):
 # Each command as a new CLI process runs it: the fresh-name counter starts at 0.
 RUN_COMMANDS = """
 import json, sys
-from loopacc import cli
+from loopacc import accel, cli
+from loopacc.accel import check_reachability
+from loopacc.backend import BackendSession
 from loopacc.expr import reset_fresh_counter
 for argv in json.loads(sys.argv[1]):
     reset_fresh_counter()
