@@ -1,7 +1,7 @@
 """Client side of the ground solver: one self-contained check at a time.
-The Encoder puts each formula in the form every solver gets.  By default the
-bundled solver answers in-process: each check is one ``solver.session.solve``
-call with those formulas and the session's declarations, no text in between.
+By default the bundled solver answers in-process: each check is one
+``solver.session.solve`` call with the formulas and the session's
+declarations, no text in between, and ``ground.check`` encodes them.
 ``--backend CMD`` / LOOPACC_BACKEND instead runs CMD as a subprocess
 speaking SMT-LIB2 over stdin/stdout, each check in a push/pop scope, written
 and read with the helpers of ``sexpr``, killed and answered ``unknown``
@@ -9,7 +9,9 @@ and read with the helpers of ``sexpr``, killed and answered ``unknown``
 grace.  The bundled solver out of process is
 ``--backend 'python -m loopacc.solver.server'`` (also ``loopacc-smt``).
 SMT-LIB2 text is printed only where it is read: for such a command and for
-the ``--smt-log`` dialogue, which is the same on both transports.
+the ``--smt-log`` dialogue, which is the same on both transports.  It spells
+the formulas ``ground.encode`` gives, so a formula outside the solver's
+fragment is refused in the same words on every route, before it is sent.
 
 Every query is quantifier-free linear integer arithmetic plus arrays
 (nested one-dimensional, full-index selects only) and divisibility, spelled
@@ -27,12 +29,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .expr import (
-    NEGATED, And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
-    Sel, State, Var, arity_of, free_vars,
-)
+from .expr import BoolConst, FiniteFn, Formula, Not, State, Var, free_vars
 from .sexpr import ParseError, balanced, read_all, smt_symbol, smt_text, sort_arity, sort_text
-from .simplify import as_int_const, simplify_formula
+from .simplify import simplify_formula
+from .solver.ground import encode
+from .solver.presburger import Unsupported
 from .solver.session import model_text, reason_text, solve
 
 ENV_BACKEND = "LOOPACC_BACKEND"
@@ -42,10 +43,6 @@ TIMEOUT_GRACE = 1.0  # seconds a --backend command may take beyond the timeout
 
 class BackendError(Exception):
     pass
-
-
-class EncodingUnsupported(BackendError):
-    """Formula outside the backend fragment (e.g. non-constant divisor)."""
 
 
 class BackendTimeout(BackendError):
@@ -58,65 +55,6 @@ def resolve_command(backend: str | None) -> list[str] | None:
     if backend is None:
         backend = os.environ.get(ENV_BACKEND)
     return None if backend is None else shlex.split(backend)
-
-
-# ---------------------------------------------------------------------------
-# encoding
-
-
-class Encoder:
-    """The one place that decides the backend fragment.  Each formula comes
-    back in the form every solver is given: negations pushed into the atoms
-    (a negated divisibility keeps its not), floor division and divisibility
-    by positive numerals, divisibility by 0 as an equation.  In-process the
-    solver takes it as it is; ``smt_text`` spells it for a --backend command
-    and the log.  Raises EncodingUnsupported outside the fragment."""
-
-    def term(self, e):
-        if isinstance(e, Const):
-            return e
-        if isinstance(e, Bin):
-            if e.op == "div":
-                d = as_int_const(e.right)
-                if d is None or d == 0:
-                    raise EncodingUnsupported("division by a non-constant")
-                # floor(e/d) = floor(-e/-d): SMT-LIB's euclidean div agrees
-                # with floor division on a positive divisor
-                if d > 0:
-                    return Bin("div", self.term(e.left), Const(d))
-                return Bin("div", Bin("-", Const(0), self.term(e.left)), Const(-d))
-            return Bin(e.op, self.term(e.left), self.term(e.right))
-        if isinstance(e, Sel):
-            if isinstance(e.arr, Lam):
-                raise EncodingUnsupported("lambda in backend query")
-            return Sel(e.arr, tuple(map(self.term, e.idx))) if e.idx else e
-        if isinstance(e, Ite):
-            return Ite(self.formula(e.cond), self.term(e.then), self.term(e.other))
-        raise EncodingUnsupported(f"term {e!r}")
-
-    def formula(self, f: Formula, negated: bool = False) -> Formula:
-        if isinstance(f, BoolConst):
-            return BoolConst(f.value != negated)
-        if isinstance(f, Not):
-            return self.formula(f.arg, not negated)
-        if isinstance(f, (And, Or)):
-            parts = tuple(self.formula(a, negated) for a in f.args)
-            return Or(parts) if isinstance(f, And) == negated else And(parts)
-        if isinstance(f, Rel):
-            return self.atom(f, negated)
-        raise EncodingUnsupported(f"formula {f!r}")
-
-    def atom(self, f: Rel, negated: bool) -> Formula:
-        if arity_of(f.left) > 0:  # lamsolve takes every one that is a conjunct
-            raise EncodingUnsupported("unsupported: array equality under a connective")
-        if f.op == "divides":
-            d = as_int_const(f.left)
-            if d is None:
-                raise EncodingUnsupported("divisibility by a non-constant")
-            t = self.term(f.right)
-            body = Rel("=", t, Const(0)) if d == 0 else Rel("divides", Const(abs(d)), t)
-            return Not(body) if negated else body
-        return Rel(NEGATED[f.op] if negated else f.op, self.term(f.left), self.term(f.right))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +96,9 @@ class SatResult:
 class BackendSession:
     """Satisfiability checks.  Without ``backend`` or LOOPACC_BACKEND the
     bundled solver answers in-process: each check is one ``solve`` call with
-    the Encoder's formulas, and ``timeout`` is its deadline.  Otherwise the
-    command runs as one subprocess per session, restarted if it dies or
-    overruns, and gets the same formulas as SMT-LIB2 text.  Both transports
+    the formulas, and ``timeout`` is its deadline.  Otherwise the command
+    runs as one subprocess per session, restarted if it dies or overruns,
+    and gets their encoding as SMT-LIB2 text.  Both transports
     write the same ``smt_log`` dialogue, and a model values the names free
     in its check's formulas.  Not thread-safe -- use one session per
     thread."""
@@ -270,13 +208,16 @@ class BackendSession:
         """Satisfiability of the conjunction, asked within a push/pop scope.
         The names are declared in the outer scope, so they survive the pop; a
         name declared there at another arity clears it with (reset) first.
-        The model values the names free in the formulas."""
+        The model values the names free in the formulas.  A formula outside
+        the solver's fragment is unknown, reason "unsupported: ...", on
+        every transport."""
         formulas = list(formulas)
         try:
             self._ensure()
-            enc = Encoder()
-            encoded = [enc.formula(f) for f in formulas]
             names = [free_vars(f) for f in formulas]
+            reads_text = self._log is not None or self.proc is not None
+            if reads_text:  # in-process, ground.check encodes them itself
+                formulas = [encode(f) for f in formulas]
             if any(self.declared.get(x.name, x.arity) != x.arity for vs in names for x in vs):
                 self._send("(reset)")
                 self._clear()
@@ -289,12 +230,12 @@ class BackendSession:
                         raise BackendError(f"{x.name} redeclared with different arity")
             self._send("(push 1)")
             try:
-                for g in encoded:
-                    if self._log or self.proc is not None:  # someone reads the text
+                if reads_text:
+                    for g in formulas:
                         self._send(f"(assert {smt_text(g)})")
                 self._send("(check-sat)")
                 if self.proc is None:
-                    status, state, reason = solve(encoded, self.declared, self.timeout)
+                    status, state, reason = solve(formulas, self.declared, self.timeout)
                     self._logged(status)
                 else:
                     status, state, reason = self._read_line(), None, ""
@@ -315,6 +256,8 @@ class BackendSession:
                     self._send("(pop 1)")
         except BackendTimeout:
             return SatResult("unknown", diagnostic="unknown", reason="timeout")
+        except Unsupported as exc:  # as solve answers it
+            return SatResult("unknown", diagnostic="unknown", reason=f"unsupported: {exc}")
         except (BackendError, ParseError) as exc:
             return SatResult("unknown", diagnostic=str(exc))
 

@@ -101,7 +101,8 @@ def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
     """Strongest applicable label, trivial first.  Inductive membership uses
     semantic index equality (up(r) is rarely syntactically identical to a
     written index); displacing flips the strict comparison for decreasing
-    variables."""
+    variables.  direction is never NONE: check_a_solvable stops at a
+    variable that is not monotonic."""
     written = loop.written_vars()
     if not (free_vars(lv) & written):
         return Classification(LvalueClass.TRIVIAL, "reads no written variable")
@@ -113,8 +114,6 @@ def classify_lvalue(loop: Loop, lv: Sel, direction: Monotonicity,
             just = f"{x.name}[up(r)] = {to_text(wlv)} is written"
             return Classification(LvalueClass.INDUCTIVE, just, wlv)
     writes = loop.writes_to(x)
-    if direction == Monotonicity.NONE:
-        return Classification(LvalueClass.UNCLASSIFIABLE, f"{x.name} is not monotonic")
     sides = []
     if direction in (Monotonicity.INCREASING, Monotonicity.BOTH):
         sides.append(("r' < up(r)", lambda w: lex_lt(w, upped)))

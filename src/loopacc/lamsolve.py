@@ -4,12 +4,13 @@ other conjunct, a disjunction of scalar atoms too, reaches the backend as it
 is.  Eliminate array disequalities through extensionality, propagate
 equalities and beta-reduce to a fixpoint (``simplify.eliminate``, with this
 module's rule for which literal defines which variable), and send the backend
-the scalar conjuncts left.  Lemmas on demand: each round evaluates every
-array equality p = q at the query's syntactic index vectors e in the
-backend's model, and each violated instance adds the lemma p[e] = q[e].
-Only a model that no instance refutes is checked at every index
-(``check_model``); it lifts, or no lemma is left (unknown).  Unsat ends the
-rounds.
+the scalar conjuncts left; literals whose bounds on one linear form
+contradict are unsat without a check (``simplify._contradicting``).  Lemmas
+on demand: each round evaluates every array equality p = q at the query's
+syntactic index vectors e in the backend's model, and each violated
+instance adds the lemma p[e] = q[e].  Only a model that no instance refutes
+is checked at every index (``check_model``); it lifts, or no lemma is left
+(unknown).  Unsat ends the rounds.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
         return SolveResult("unknown", diagnostic=str(exc))
     prop = propagate_and_reduce(lits)
     phi = prop.literals
-    if any(f == BoolConst(False) for f in phi):
+    if any(f == BoolConst(False) for f in phi) or _contradicting(phi):
         return SolveResult("unsat")
     # the backend sees the scalar literals and the lemmas; check_model checks
     # the array equalities

@@ -114,9 +114,6 @@ class ValidationResult:
     inconclusive: bool = False
     violation: tuple[int, int] | None = None
 
-    def __bool__(self):
-        return self.ok
-
 
 def validate_loop(loop: Loop, session) -> ValidationResult:
     """(Distinct): for each pair of updates to the same variable, the index

@@ -5,6 +5,8 @@ scalar/array values.  An equality between arrays is outside the fragment
 their instances p[e] = q[e].
 
 Pipeline per check-sat:
+  0. encode each input formula: the one gate of the fragment on every
+     route here (in-process, a --backend child, loopacc-smt, a log replay);
   1. hoist ite terms and floor divisions by constants into fresh variables
      with defining constraints over parts already hoisted (functional, hence
      polarity-independent at the top-level conjunction);
@@ -47,6 +49,60 @@ from .presburger import (
 )
 
 
+# -- step 0: the fragment ---------------------------------------------------
+
+
+def encode(f: Formula, negated: bool = False) -> Formula:
+    """f, negated when negated, in the form the solver takes: negations
+    pushed into the atoms (a negated divisibility keeps its not), floor
+    division and divisibility by positive numerals, divisibility by 0 as an
+    equation.  The one place that decides the fragment: raises Unsupported
+    outside it.  Idempotent, so a formula read back from the text of its
+    encoding encodes to itself."""
+    if isinstance(f, BoolConst):
+        return BoolConst(f.value != negated)
+    if isinstance(f, Not):
+        return encode(f.arg, not negated)
+    if isinstance(f, (And, Or)):
+        parts = tuple(encode(a, negated) for a in f.args)
+        return Or(parts) if isinstance(f, And) == negated else And(parts)
+    if not isinstance(f, Rel):
+        raise Unsupported(f"formula not supported: {f!r}")
+    if arity_of(f.left) > 0 or arity_of(f.right) > 0:  # lamsolve decides each conjunct one
+        raise Unsupported("array equality")
+    if f.op == "divides":
+        d = as_int_const(f.left)
+        if d is None:
+            raise Unsupported("divisibility by a non-constant")
+        t = _encode_term(f.right)
+        body = Rel("=", t, Const(0)) if d == 0 else Rel("divides", Const(abs(d)), t)
+        return Not(body) if negated else body
+    return Rel(NEGATED[f.op] if negated else f.op, _encode_term(f.left), _encode_term(f.right))
+
+
+def _encode_term(e):
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Bin):
+        if e.op == "div":
+            d = as_int_const(e.right)
+            if not d:
+                raise Unsupported("division by a non-constant or zero")
+            # floor(e/d) = floor(-e/-d): SMT-LIB's euclidean div agrees
+            # with floor division on a positive divisor
+            if d > 0:
+                return Bin("div", _encode_term(e.left), Const(d))
+            return Bin("div", Bin("-", Const(0), _encode_term(e.left)), Const(-d))
+        return Bin(e.op, _encode_term(e.left), _encode_term(e.right))
+    if isinstance(e, Sel):
+        if isinstance(e.arr, Lam):
+            raise Unsupported("lambda reached the ground solver")
+        return Sel(e.arr, tuple(map(_encode_term, e.idx))) if e.idx else e
+    if isinstance(e, Ite):
+        return Ite(encode(e.cond), _encode_term(e.then), _encode_term(e.other))
+    raise Unsupported(f"term not supported: {e!r}")
+
+
 class GroundProblem:
     def __init__(self, declared: dict[Var, int], deadline=None):
         self.declared = dict(declared)  # Var -> arity
@@ -84,11 +140,7 @@ class GroundProblem:
             key = ("div", l, r)
             if key in self.term_map:
                 return sv(self.term_map[key])
-            d = as_int_const(r)
-            if d is None or d == 0:
-                raise Unsupported("division by a non-constant or zero")
-            if d < 0:  # floor(l/d) = floor(-l/-d)
-                l, d = Bin("-", Const(0), l), -d
+            d = r.value  # a positive numeral, as encode leaves it
             # floor division: v with l = d*v + rem and rem in [0, d)
             v = self.fresh("q")
             rem = self.fresh("r")
@@ -98,8 +150,6 @@ class GroundProblem:
             self.defs.append(Rel("<=", sv(rem), Const(d - 1)))
             return sv(v)
         if isinstance(e, Sel):
-            if isinstance(e.arr, Lam):
-                raise Unsupported("lambda reached the ground solver")
             return Sel(e.arr, tuple(self.hoist(i) for i in e.idx))
         if isinstance(e, Ite):
             cond = self.hoist_formula(e.cond)
@@ -117,8 +167,6 @@ class GroundProblem:
     def hoist_formula(self, f: Formula) -> Formula:
         self.tick()
         if isinstance(f, Rel):
-            if f.op in ("=", "!=") and (arity_of(f.left) > 0 or arity_of(f.right) > 0):
-                raise Unsupported("array equality")
             return map_children(f, self.hoist)
         if isinstance(f, (Not, And, Or, BoolConst)):
             return map_children(f, self.hoist_formula)
@@ -441,10 +489,7 @@ def _nnf(f: Formula, neg: bool, products: dict):
     if kind is Rel:
         op = f.op
         if op == "divides":
-            d = as_int_const(f.left)
-            if d is None:
-                raise Unsupported("divisibility by a non-constant")
-            return div_atom(d, _linpoly(f.right, products), neg=neg)
+            return div_atom(f.left.value, _linpoly(f.right, products), neg=neg)
         diff = padd(_linpoly(f.left, products), _linpoly(f.right, products), -1)
         if neg:
             op = NEGATED[op]
@@ -477,6 +522,7 @@ def check(formulas: list[Formula], declared: dict[Var, int], deadline=None):
     (a time.monotonic() value) is kept by every stage, not only the search.
     The model is verified against the input conjunction before being
     returned."""
+    formulas = [encode(f) for f in formulas]
     gp = GroundProblem(declared, deadline)
     hoisted = [gp.hoist_formula(simplify_formula(f)) for f in formulas]
     acked = [gp.ackermannize(f) for f in hoisted + gp.defs]

@@ -133,11 +133,7 @@ def gt_atom(p):
 
 
 def div_atom(d, p, neg=False):
-    d = abs(d)
-    if d == 0:
-        # 0 | p  <=>  p = 0
-        eq = fand([gt_atom(padd({None: 1}, p)), gt_atom(padd({None: 1}, pscale(p, -1)))])
-        return fnot(eq) if neg else eq
+    """d | p, or its negation, for a positive d."""
     p = {k: v % d for k, v in p.items()}
     p = {k: v for k, v in p.items() if v}
     if d == 1 or not pvars(p):
@@ -147,15 +143,8 @@ def div_atom(d, p, neg=False):
 
 
 def fnot(f):
-    if f is True:
-        return False
-    if f is False:
-        return True
+    """The negation of an atom."""
     tag = f[0]
-    if tag == "and":
-        return f_or([fnot(x) for x in f[1]])
-    if tag == "or":
-        return fand([fnot(x) for x in f[1]])
     if tag == "gt":
         # not(p > 0)  <=>  -p >= 0  <=>  -p + 1 > 0
         return gt_atom(padd({None: 1}, pscale(f[1], -1)))

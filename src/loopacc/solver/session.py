@@ -13,9 +13,9 @@ a logged dialogue reads the same whichever side wrote it.
 
 Supports quantifier-free linear integer arithmetic with ite, euclidean div by
 constants, ((_ divisible k) t), and (possibly nested) integer arrays with
-full-index selects.  An equality between arrays is outside the fragment:
-check-sat answers unknown, with reason "unsupported: array equality" (the
-acceleration pipeline sends none).  ``command`` reads asserted formulas and
+full-index selects.  ``ground.encode`` decides the fragment: outside it,
+check-sat answers unknown with reason "unsupported: ...", in the words a
+client in-process gets, such as "unsupported: array equality".  ``command`` reads asserted formulas and
 get-value terms with the expression parser of sexpr.py against the
 declarations; floor_div first spells SMT-LIB's euclidean div as that
 parser's floor div.

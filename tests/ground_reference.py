@@ -38,7 +38,8 @@ def check(formulas, declared, deadline=None, problem=Eager, linear=ground.to_lin
     """ground.check with eager congruence: the clauses of array_axioms go
     through linear after every other conjunct, and presolve gets no index
     rows.  The simplifier and the search are ground's, looked up at the
-    call."""
+    call.  It encodes its input as ground.check does."""
+    formulas = [ground.encode(f) for f in formulas]
     gp = problem(declared, deadline)
     hoisted = [gp.hoist_formula(ground.simplify_formula(f)) for f in formulas]
     acked = [gp.ackermannize(f) for f in hoisted + gp.defs]

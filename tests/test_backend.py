@@ -18,7 +18,7 @@ import pytest
 
 from loopacc import accel, cli
 from loopacc.accel import accelerate, check_reachability, encode_reachability
-from loopacc.backend import BackendSession, Encoder, SatResult
+from loopacc.backend import BackendSession, SatResult
 from loopacc.expr import (
     And, Bin, Const, Ite, Not, Or, Rel, Sel, State, Var, eval_formula, reset_fresh_counter, sv,
 )
@@ -92,7 +92,7 @@ def test_encoded_formulas_read_back_from_their_text():
         left = Const(rnd.choice([-4, 0, 3])) if op == "divides" else _rand_term(rnd, xs, 2)
         atom = Rel(op, left, _rand_term(rnd, xs, 2))
         f = Not(Or((atom, _rand_formula(rnd, xs, 2)))) if trial % 2 else And((Not(atom),))
-        g = Encoder().formula(f)
+        g = ground.encode(f)
         text = smt_text(g)
         back = parse_formula(floor_div(read_all(text)[0]), env)
         assert simplify_formula(back) == simplify_formula(g), text
@@ -916,6 +916,55 @@ def test_unsupported_model_sort_is_unknown(tmp_path):
             r = s.check([Rel("=", sv(Var("x")), Const(1))])
         assert (r.status, r.model) == ("unknown", None)
         assert "sort" in r.diagnostic
+
+
+# a --backend command that gives its arguments in turn as the answers to
+# check-sat, get-model and get-info
+CANNED_SOLVER = """
+import sys
+answers = iter(sys.argv[1:])
+for line in sys.stdin:
+    if line.startswith(("(check-sat)", "(get-model)", "(get-info")):
+        print(next(answers), flush=True)
+"""
+
+
+def test_models_and_reasons_in_an_external_solvers_syntax(tmp_path):
+    # z3's spellings, each answering one check of the session
+    script = tmp_path / "canned_solver.py"
+    script.write_text(CANNED_SOLVER)
+    grid = "(Array Int (Array Int Int))"
+    row = "((as const (Array Int Int)) 0)"
+    answers = {
+        # an older printer's (model ...) prefix; a define-fun with arguments
+        # is not one of ours
+        "prefix": ("sat", "(model (define-fun x () Int (- 3)) (define-fun f ((y Int)) Int y))"),
+        "grid": ("sat", f"((define-fun m () {grid} (store ((as const {grid}) {row}) 1 "
+                        f"(store {row} 2 5))))"),
+        "non-uniform": ("sat", f"((define-fun m () {grid} (store ((as const {grid}) {row}) 1 "
+                               "((as const (Array Int Int)) 7))))"),
+        "bad int": ("sat", "((define-fun x () Int (/ 1 2)))"),
+        "bad array": ("sat", f"((define-fun m () {grid} (_ as-array k!0)))"),
+        "symbol reason": ("unknown", "(:reason-unknown incomplete)"),
+        "no reason": ("unknown", "unsupported"),
+        "unparsable": ("unknown", "(:reason-unknown incomplete))"),
+    }
+    command = shlex.join([sys.executable, str(script), *itertools.chain(*answers.values())])
+    x = Rel(">", sv(Var("x")), Const(0))
+    m = Rel("=", Sel(Var("m", 2), (Const(1), Const(2))), Const(5))
+    with BackendSession(backend=command, timeout=10.0) as s:
+        r = s.check([x])
+        assert (r.status, r.model.scalars, r.model.arrays) == ("sat", {"x": -3}, {})
+        grid = s.check([m]).model.arrays["m"]
+        assert (grid((1, 2)), grid((1, 3)), grid((0, 2))) == (5, 0, 0)
+        for formula, diagnostic in ((m, "nested array with non-uniform default"),
+                                    (x, "unsupported integer value: ['/', '1', '2']"),
+                                    (m, "unsupported array value: ['_', 'as-array', 'k!0']")):
+            r = s.check([formula])
+            assert (r.status, r.model, r.diagnostic) == ("unknown", None, diagnostic)
+        for reason in ("incomplete", "unsupported", "(:reason-unknown incomplete))"):
+            r = s.check([x])
+            assert (r.status, r.diagnostic, r.reason) == ("unknown", "unknown", reason)
 
 
 def test_backend_command_gets_a_deadline():

@@ -148,8 +148,8 @@ class TestSolve:
         assert verify_model(r.model, [either], session)
         # only an array (in)equality must be a conjunct of its own
         r = solve([Or((Rel("=", A, B), Rel("=", sv(X), Const(1))))], session)
-        assert (r.status, r.diagnostic) == (
-            "unknown", "unsupported: array equality under a connective")
+        assert (r.status, r.diagnostic, r.reason) == (
+            "unknown", "unknown", "unsupported: array equality")
 
 
 class TestCheckModel:
@@ -240,6 +240,17 @@ def test_solve_passes_on_the_backend_reason(session, monkeypatch):
     res = solve([Rel("=", sv(X), Const(1))], session)
     assert (res.status, res.diagnostic, res.reason) == (
         "unknown", "unknown", "branch budget exhausted")
+
+
+def test_literals_that_bound_one_form_from_both_sides_need_no_check(session, monkeypatch):
+    # i < k and i >= k: the n = 0 query of valid Hoare-K
+    def check(formulas, want_model=True):
+        raise AssertionError("a check-sat for a contradiction of bounds")
+
+    monkeypatch.setattr(session, "check", check)
+    i, k = sv(Var("i")), sv(Var("k"))
+    res = solve([Rel("<", i, k), Rel(">=", i, k), Rel("!=", A, B)], session)
+    assert (res.status, res.lemmas) == ("unsat", 0)
 
 
 def test_alpha_equivalent_recursive_lambdas_decided_by_a_lemma():

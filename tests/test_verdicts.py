@@ -6,6 +6,8 @@ guard holds for its n iterations and the state they reach meets post."""
 import itertools
 import json
 import random
+import shlex
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -77,7 +79,35 @@ def test_named_boolean_and_zero_iteration_verdicts(tmp_path, run_check):
         assert replays(parse_problem(path), data["witness"]), name
     code, data = run_check(write(tmp_path, "array-or", NAMED["array-or"]))
     assert (code, data["result"]) == (2, "unknown")
-    assert data["detail"] == "unsupported: array equality under a connective"
+    assert (data["detail"], data["reason"]) == ("unknown", "unsupported: array equality")
+
+
+# posts outside the solver's fragment, and the one reason each gets
+REFUSED = {
+    "(= (div i y) 3)": "unsupported: division by a non-constant or zero",
+    "(divides y i)": "unsupported: divisibility by a non-constant",
+    "(or (= a b) (> i 3))": "unsupported: array equality",
+}
+
+
+def test_a_query_outside_the_fragment_gets_one_reason_on_every_route(tmp_path, run_check):
+    # check in-process, with a log and through a --backend child, and
+    # loopacc-smt on the same assertion
+    declare = "(declare (i 0) (k 0) (y 0) (a 1) (b 1))"
+    for post, reason in REFUSED.items():
+        path = write(tmp_path, "refused", COUNTER.format(init="(= i 0)", post=post).replace(
+            "(declare (i 0) (k 0))", declare))
+        for options in ((), ("--smt-log", str(tmp_path / "dialogue.smt2")), ("--backend", SERVER)):
+            code, data = run_check(path, *options)
+            assert (code, data["result"], data["detail"], data["reason"]) == (
+                2, "unknown", "unknown", reason), (post, options)
+    script = "".join(f"(declare-const {x} Int)" for x in "iy") + "".join(
+        f"(declare-const {x} (Array Int Int))" for x in "ab") + "".join(
+        f"(push 1)(assert {post})(check-sat)(get-info :reason-unknown)(pop 1)" for post in REFUSED)
+    answers = subprocess.run(shlex.split(SERVER), input=script, capture_output=True, text=True,
+                             timeout=60).stdout.splitlines()
+    assert answers == [line for reason in REFUSED.values()
+                       for line in ("unknown", f'(:reason-unknown "{reason}")')]
 
 
 def test_a_negated_disjunction_is_the_conjunction_of_the_negations(tmp_path, run_check):
