@@ -98,7 +98,6 @@ def gen_loop(seed: int, config: GenConfig | None = None) -> GenLoop:
         scalar_updates.append((Sel(v, ()), rhs))
 
     trivial_arr = Var("t0", 1)  # unwritten; read-only trivial cells
-    array_updates: list[tuple[Sel, Expr]] = []
     arrays = []
     for ai in range(n_arrays):
         dim = cfg.force_dim or rnd.randint(1, MAX_DIM)
@@ -124,8 +123,6 @@ def gen_loop(seed: int, config: GenConfig | None = None) -> GenLoop:
             idx = tuple(b(off if d == 0 else 0) for d, b in enumerate(builders))
             writes.append(Sel(x, idx))
         arrays.append((x, writes, disps, offsets))
-        for w in writes:
-            array_updates.append((w, Const(0)))  # placeholder rhs, filled below
 
     def scalar_poly() -> Expr:
         e: Expr = Const(rnd.randint(-3, 3))
@@ -141,7 +138,7 @@ def gen_loop(seed: int, config: GenConfig | None = None) -> GenLoop:
 
     # fill array rhs: mode (a) reads the write's inductive partner cell,
     # mode (b) reads cells strictly ahead of every write
-    filled = []
+    filled: list[tuple[Sel, Expr]] = []
     for x, writes, disps, offsets in arrays:
         lead = max(offsets) if all(d >= 0 for d in disps) else min(offsets)
         for w, off in zip(writes, offsets):
@@ -158,7 +155,6 @@ def gen_loop(seed: int, config: GenConfig | None = None) -> GenLoop:
             else:
                 rhs = scalar_poly()
             filled.append((w, rhs))
-    array_updates = filled
 
     if drivers and rnd.random() < 0.8:
         g, inc = drivers[0]
@@ -166,7 +162,7 @@ def gen_loop(seed: int, config: GenConfig | None = None) -> GenLoop:
         guard = Rel("<" if inc > 0 else ">", sv(g), Const(bound))
     else:
         guard = Rel("<", Const(0), Const(1))  # effectively true, still an inequation
-    updates = scalar_updates + array_updates
+    updates = scalar_updates + filled
     loop = Loop(guard, tuple(lv for lv, _ in updates), tuple(r for _, r in updates))
     return GenLoop(loop, dict(drivers))
 

@@ -4,8 +4,9 @@ two defining identities  theta(rec)[n/n+1] = theta(e)  and  theta(rec)[n/0] = re
 
 Supported fragment: topologically ordered systems where each equation is
 rec' = rec + q with q polynomial in previously solved symbols, equation-less
-symbols (constants) and integer literals.  Anything else is reported
-unsolvable, not an error.
+symbols (constants) and integer literals; an opaque term of q (ite, inexact
+div) may read only constants.  Anything else is reported unsolvable, not an
+error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ from math import comb
 from .expr import Expr, Sel, Var, free_vars, fresh_var, substitute, substitute_lvalues, sv
 from .loop import Loop
 from .classify import LvalueClass, SolvabilityVerdict
-from .simplify import Poly, linearize, poly_add, poly_mul, poly_scale, poly_to_expr
+from .sexpr import to_text
+from .simplify import (
+    Poly, linearize, poly_add, poly_atoms, poly_by_degree, poly_compose, poly_const, poly_is_const,
+    poly_mul, poly_scale, poly_to_expr, poly_var,
+)
 
 
 @dataclass(frozen=True)
@@ -69,9 +74,7 @@ class RecSolution:
     polys: dict[Var, Poly]
 
     def poly_of(self, rec: Var) -> Poly:
-        if rec in self.polys:
-            return self.polys[rec]
-        return {((rec.name, sv(rec)),): 1}
+        return self.polys[rec] if rec in self.polys else poly_var(rec)
 
     def of(self, rec: Var) -> Expr:
         return poly_to_expr(self.poly_of(rec))
@@ -98,7 +101,7 @@ def build_rec(loop: Loop, verdict: SolvabilityVerdict) -> RecurrenceSystem:
 def _power_sum(d: int) -> Poly:
     """sum_{k=0}^{n-1} k^d as a polynomial in n with rational coefficients,
     via the Faulhaber recursion  (d+1) S_d = n^(d+1) - sum_j C(d+1,j) S_j."""
-    n_poly = {(("n", sv(N)),): 1}
+    n_poly = poly_var(N)
     sums: list[Poly] = [dict(n_poly)]  # S_0 = n
     for m in range(1, d + 1):
         acc = _poly_pow(n_poly, m + 1)
@@ -109,21 +112,9 @@ def _power_sum(d: int) -> Poly:
 
 
 def _poly_pow(p: Poly, k: int) -> Poly:
-    out: Poly = {(): 1}
+    out = poly_const(1)
     for _ in range(k):
         out = poly_mul(out, p)
-    return out
-
-
-def _split_n(p: Poly) -> dict[int, Poly]:
-    """Group a polynomial by its degree in n; the coefficient polys are n-free."""
-    nkey = ("n", sv(N))
-    out: dict[int, Poly] = {}
-    for mono, c in p.items():
-        deg = sum(1 for k in mono if k == nkey)
-        rest = tuple(k for k in mono if k != nkey)
-        out.setdefault(deg, {})
-        out[deg] = poly_add(out[deg], {rest: c})
     return out
 
 
@@ -135,18 +126,19 @@ class Unsolvable:
 def solve_rec(system: RecurrenceSystem) -> RecSolution | Unsolvable:
     """Symbolic summation for rec' = rec + q: theta(rec) = rec + sum q(k) for
     k in [0..n).  Self-coefficient must be exactly 1; dependencies must be
-    acyclic apart from that self-loop."""
+    acyclic apart from that self-loop.  An opaque term that reads a symbol
+    with an equation is not constant across iterations: unsolvable."""
     eqs = system.equations
-    symbols = {s.name: s for s in system.sigma.symbols()}
     deps: dict[Var, set[Var]] = {}
     for rec, e in eqs.items():
-        poly = linearize(e)
-        mentions = set()
-        for mono in poly:
-            for name, atom in mono:
-                if isinstance(atom, Sel) and isinstance(atom.arr, Var) and atom.arr.name in symbols:
-                    mentions.add(symbols[atom.arr.name])
-        deps[rec] = mentions - {rec}
+        deps[rec] = set()
+        for atom in poly_atoms(linearize(e)):
+            if atom.__class__ is Sel and not atom.idx:
+                deps[rec].add(atom.arr)
+            elif not free_vars(atom).isdisjoint(eqs):
+                return Unsolvable("inductive lvalue inside an opaque term: "
+                                  + to_text(system.sigma.unapply(atom)))
+        deps[rec].discard(rec)
     order: list[Var] = []
     pending = set(eqs)
     while pending:
@@ -158,51 +150,23 @@ def solve_rec(system: RecurrenceSystem) -> RecSolution | Unsolvable:
         pending -= set(ready)
 
     theta_polys: dict[Var, Poly] = {}
-
-    def substituted(poly: Poly) -> Poly:
-        return compose(poly, {s.name: p for s, p in theta_polys.items()})
-
     for rec in order:
-        poly = linearize(eqs[rec])
-        self_mono = ((rec.name, sv(rec)),)
-        coeff = poly.get(self_mono, 0)
-        higher = any(
-            any(name == rec.name for name, _ in mono) and mono != self_mono
-            for mono in poly
-        )
-        if higher or coeff != 1:
-            return Unsolvable(
-                f"equation for {rec.name} is not rec' = rec + q (self coefficient {coeff})"
-            )
-        q = dict(poly)
-        del q[self_mono]
-        q = substituted(q)  # q over n, constants and solved closed forms
-        by_deg = _split_n(q)
-        for deg, cp in by_deg.items():
-            for mono in cp:
-                for _, atom in mono:
-                    if N in free_vars(atom):
-                        return Unsolvable("n inside an opaque term")
-        total: Poly = {self_mono: 1}
+        by_self = poly_by_degree(linearize(eqs[rec]), rec)
+        coeff = by_self.get(1, {})
+        if by_self.keys() - {0, 1} or poly_is_const(coeff) != 1:
+            return Unsolvable(f"equation for {rec.name} is not rec' = rec + q "
+                              f"(self coefficient {to_text(poly_to_expr(coeff))})")
+        # q over n, constants and solved closed forms
+        by_deg = poly_by_degree(poly_compose(by_self.get(0, {}), theta_polys), N)
+        for cp in by_deg.values():
+            if any(N in free_vars(atom) for atom in poly_atoms(cp)):
+                return Unsolvable("n inside an opaque term")
+        total = poly_var(rec)
         for deg, cp in by_deg.items():
             total = poly_add(total, poly_mul(cp, _power_sum(deg)))
         theta_polys[rec] = total
 
     return RecSolution(theta_polys)
-
-
-def compose(poly: Poly, images: dict[str, Poly]) -> Poly:
-    """Substitute polynomials for named scalar atoms inside a polynomial."""
-    out: Poly = {}
-    for mono, c in poly.items():
-        term: Poly = {(): c}
-        for name, atom in mono:
-            if name in images:
-                term = poly_mul(term, images[name])
-            else:
-                term = poly_mul(term, {((name, atom),): 1})
-        out = poly_add(out, term)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +177,13 @@ def verify_solution(system: RecurrenceSystem, sol: RecSolution):
     """Both identities per equation, checked exactly on the rational
     polynomial forms (so the emitted integer div form never obscures
     equality).  Returns None, or the first counterexample description."""
-    n_plus_1: Poly = {(("n", sv(N)),): 1, (): 1}
-    images = {s.name: sol.poly_of(s) for s in system.sigma.symbols()}
+    n_plus_1 = poly_add(poly_var(N), poly_const(1))
+    images = {s: sol.poly_of(s) for s in system.sigma.symbols()}
     for rec, e in system.equations.items():
         th = sol.poly_of(rec)
-        if poly_add(compose(th, {"n": n_plus_1}), compose(linearize(e), images), sign=-1):
+        if poly_add(poly_compose(th, {N: n_plus_1}), poly_compose(linearize(e), images), sign=-1):
             return f"theta({rec.name})[n/n+1] != theta(rhs)"
-        if poly_add(compose(th, {"n": {}}), {((rec.name, sv(rec)),): 1}, sign=-1):
+        if poly_add(poly_compose(th, {N: {}}), poly_var(rec), sign=-1):
             return f"theta({rec.name})[n/0] != {rec.name}"
     return None
 

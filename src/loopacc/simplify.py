@@ -30,14 +30,16 @@ from math import gcd, lcm
 
 from .expr import (
     And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, NEGATED, Not, Or, RELATIONS, Rel,
-    Sel, TRUE, Var, beta_reduce, conj, disj, free_vars, substitute,
+    Sel, TRUE, Var, beta_reduce, conj, disj, free_vars, substitute, sv,
 )
 from .sexpr import to_text
 
 # A polynomial is a map from monomials to nonzero coefficients, each an int,
 # or a Fraction when it is not integral (never an integral Fraction).  A
-# monomial is a sorted tuple of opaque atom expressions (Sel / Ite /
-# non-constant div); the empty monomial is the constant term.
+# monomial is a sorted tuple of (to_text(atom), atom) pairs, one per factor,
+# over opaque atom expressions (Sel / Ite / non-constant div); the empty
+# monomial is the constant term.  Only this module builds or unpacks them:
+# other modules read polynomials through the poly_* functions.
 
 Poly = dict
 
@@ -96,6 +98,49 @@ def poly_const(c: int) -> Poly:
 
 def poly_atom(e) -> Poly:
     return {((to_text(e), e),): 1}
+
+
+def poly_var(x: Var) -> Poly:
+    """The scalar x as a polynomial."""
+    return poly_atom(sv(x))
+
+
+def poly_terms(p: Poly):
+    """(atoms, coefficient) per monomial of p, the factors in order; the
+    constant term's atoms are ()."""
+    return [(tuple([a for _, a in m]), c) for m, c in p.items()]
+
+
+def poly_atoms(p: Poly) -> list:
+    """The opaque atoms of p's monomials, each once, in order of first
+    occurrence (a set's order may vary between processes)."""
+    return list(dict.fromkeys([a for m in p for _, a in m]))
+
+
+def poly_by_degree(p: Poly, x: Var) -> dict:
+    """p grouped by its degree in the scalar x: degree -> the x-free
+    coefficient polynomial, degrees in order of first occurrence."""
+    xa = sv(x)
+    out: dict = {}
+    for m, c in p.items():
+        rest = tuple([k for k in m if k[1] != xa])
+        # m is rest with len(m) - len(rest) factors x, so no two collide
+        out.setdefault(len(m) - len(rest), {})[rest] = c
+    return out
+
+
+def poly_compose(p: Poly, images: dict) -> Poly:
+    """p with each scalar x in images (keyed by Var) replaced by the
+    polynomial images[x]; the atoms of other factors are left as they are."""
+    images = {sv(x): q for x, q in images.items()}
+    out: Poly = {}
+    for m, c in p.items():
+        term: Poly = {(): c}
+        for k in m:
+            image = images.get(k[1])
+            term = poly_mul(term, {(k,): 1} if image is None else image)
+        out = poly_add(out, term)
+    return out
 
 
 def poly_add(p: Poly, q: Poly, sign=1) -> Poly:

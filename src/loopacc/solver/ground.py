@@ -13,9 +13,10 @@ Pipeline per check-sat:
   2. Ackermann reduction: one fresh integer per (array, index vector)
      select; each select's index is kept as linear rows (array_axioms) for
      the congruence of each select pair of one array;
-  3. NNF into linear atoms (to_linear), once: one walker reads each term
-     (Const, + - *, scalar select) straight into a {name: int} poly, and a
-     nonlinear monomial, keyed by its sorted names, becomes a fresh name;
+  3. NNF into linear atoms (to_linear), once: each term (Const, + - *,
+     scalar select) is read from its simplify.linearize polynomial into a
+     {name: int} poly, the constant under None, and a nonlinear monomial,
+     keyed by its factors' names, becomes a fresh name;
   4. equality presolve on those rows: a pair of gt units p > 0 and 2 - p > 0
      is the equality p = 1; one with a +-1 coefficient is solved for that
      name and the image substituted (presburger.fsubst) into every unit.
@@ -42,7 +43,7 @@ from ..expr import (
     NEGATED, And, Bin, BoolConst, Const, FiniteFn, Formula, Ite, Lam, Not, Or, Rel,
     Sel, State, Var, arity_of, eval_expr, eval_formula, free_vars, map_children, sv,
 )
-from ..simplify import as_int_const, simplify_formula
+from ..simplify import as_int_const, linearize, poly_terms, simplify_formula
 from .presburger import (
     PresburgerSolver, SolverTimeout, Unsupported, atom_key, div_atom, fand, f_or, fsubst,
     fvars, gt_atom, padd, pconst, pscale, psubst,
@@ -428,55 +429,18 @@ def _linpoly(e, products: dict) -> dict:
     """A term of the ground fragment after hoisting and Ackermann reduction
     (Const, Bin + - *, scalar Sel) as a linear poly over variable names.
     Each non-linear monomial is abstracted as a consistent fresh name from
-    the product table, keyed by the sorted tuple of its names (sound for
-    unsat; sat needs model verification)."""
-    poly = _terms(e)
-    if not any(k.__class__ is tuple for k in poly):
-        return poly
+    the product table, keyed by the tuple of its names (sound for unsat;
+    sat needs model verification)."""
     out: dict = {}
-    for k, c in poly.items():
-        if k.__class__ is tuple:
-            k = products.setdefault(k, f".prod{len(products)}")
-        out[k] = out.get(k, 0) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def _terms(e) -> dict:
-    """e as a polynomial: the constant under None, a name, or a sorted tuple
-    of two or more names for a non-linear monomial, to nonzero int
-    coefficients."""
-    kind = e[0]
-    if kind is Sel and not e.idx and e.arr[0] is Var:
-        return {e.arr.name: 1}
-    if kind is Const:
-        return {None: e.value} if e.value else {}
-    if kind is Bin:
-        l, r = _terms(e.left), _terms(e.right)
-        if e.op == "+":
-            return padd(l, r)
-        if e.op == "-":
-            return padd(l, r, -1)
-        if e.op == "*":
-            if len(l) == 1 and None in l:
-                return pscale(r, l[None])
-            if len(r) == 1 and None in r:
-                return pscale(l, r[None])
-            out: dict = {}
-            for k1, c1 in l.items():
-                for k2, c2 in r.items():
-                    m = tuple(sorted(_monomial(k1) + _monomial(k2)))
-                    k = m[0] if len(m) == 1 else m or None
-                    c = out.get(k, 0) + c1 * c2
-                    if c:
-                        out[k] = c
-                    else:
-                        out.pop(k, None)
-            return out
-    raise Unsupported(f"term not supported post-hoisting: {e!r}")
-
-
-def _monomial(k) -> tuple:
-    return () if k is None else (k,) if k.__class__ is str else k
+    for atoms, c in poly_terms(linearize(e)):
+        if len(atoms) == 1:
+            out[atoms[0].arr.name] = c
+        elif atoms:
+            names = tuple([a.arr.name for a in atoms])
+            out[products.setdefault(names, f".prod{len(products)}")] = c
+        else:
+            out[None] = c
+    return out
 
 
 def to_linear(f: Formula, products: dict):
@@ -560,12 +524,5 @@ def rebuild_model(gp: GroundProblem, m: dict) -> State:
             point = tuple(eval_lin(i) for i in idx)
             arrays.setdefault(arr, {})[point] = values.get(v.name, 0)
 
-    state_map: dict[Var, object] = {}
-    for x, ar in gp.declared.items():
-        state_map[x] = FiniteFn.const(ar, 0, arrays.get(x, {})) if ar else values.get(x.name, 0)
-    # fresh select/presolve variables may be needed when verifying defs
-    for name, val in values.items():
-        v = Var(name, 0)
-        if v not in state_map:
-            state_map[v] = val
-    return State(state_map)
+    return State({x: FiniteFn.const(ar, 0, arrays.get(x, {})) if ar else values.get(x.name, 0)
+                  for x, ar in gp.declared.items()})

@@ -1,8 +1,8 @@
 """The ground solver's earlier front end, kept as a test reference:
 eager congruence, the clause of every pair of selects of one array built as
 an expr formula and read by to_linear; linearisation through
-simplify.linearize, which keys every atom of a monomial by its printed
-text; and the presolve that substitutes each solved name into every
+simplify.linearize, which keys every nonlinear monomial by its factors'
+printed text; and the presolve that substitutes each solved name into every
 conjunct mentioning it, clauses included, one name at a time, over
 presburger's current atom operations.  ground.check, which builds a
 congruence clause in its presolve and only for a pair of selects it cannot
@@ -15,7 +15,8 @@ GroundProblem.presolve here on the inputs the tests draw."""
 import itertools
 
 from loopacc.expr import And, BoolConst, Not, Or, Rel, Sel, Var, conj, eval_formula, sv
-from loopacc.simplify import as_int_const, linearize
+from loopacc.sexpr import to_text
+from loopacc.simplify import as_int_const, linearize, poly_terms
 from loopacc.solver import ground
 from loopacc.solver.presburger import (
     Unsupported, atom_key, div_atom, f_or, fand, fsubst, fvars, gt_atom, padd, pscale,
@@ -61,21 +62,18 @@ def check(formulas, declared, deadline=None, problem=Eager, linear=ground.to_lin
 
 def linpoly(e, products: dict) -> dict:
     """expr -> linear poly over variable names.  Non-linear monomials are
-    abstracted as consistent fresh names from the product table (sound for
-    unsat; sat needs model verification)."""
-    poly = linearize(e)
+    abstracted as consistent fresh names from the product table, keyed by
+    their factors' printed text (sound for unsat; sat needs model
+    verification)."""
     out: dict = {}
-    for mono, c in poly.items():
-        if mono == ():
-            out[None] = out.get(None, 0) + c
-            continue
-        name = None
-        if len(mono) == 1:
-            _, atom = mono[0]
-            if isinstance(atom, Sel) and isinstance(atom.arr, Var) and atom.arr.arity == 0:
-                name = atom.arr.name
-        if name is None:
-            key = tuple(k for k, _ in mono)
+    for atoms, c in poly_terms(linearize(e)):
+        if not atoms:
+            name = None
+        elif len(atoms) == 1 and isinstance(atoms[0], Sel) and isinstance(atoms[0].arr, Var) \
+                and atoms[0].arr.arity == 0:
+            name = atoms[0].arr.name
+        else:
+            key = tuple(to_text(a) for a in atoms)
             if key not in products:
                 products[key] = f".prod{len(products)}"
             name = products[key]

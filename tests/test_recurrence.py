@@ -133,6 +133,35 @@ class TestSolve:
         got = substitute(sol.of(ri), {ri: Const(2), rk: Const(5), N: Const(4)})
         assert eval_expr(got, State({})) == 2 + 4 * 5
 
+    def test_self_coefficient_other_than_one_is_named(self):
+        sig = LvalueSubstitution.over([Sel(I, ()), Sel(K, ())])
+        ri, rk = sig.symbols()
+        for rhs, coeff in ((Const(5), "0"), (Bin("*", Const(2), sv(ri)), "2"),
+                           (Bin("*", sv(ri), sv(ri)), "0"), (Bin("-", Const(0), sv(ri)), "-1")):
+            out = solve_rec(RecurrenceSystem({ri: rhs}, sig))
+            assert out == Unsolvable(f"equation for {ri.name} is not rec' = rec + q "
+                                     f"(self coefficient {coeff})"), to_text(rhs)
+        out = solve_rec(RecurrenceSystem({ri: Bin("*", sv(ri), Bin("+", sv(rk), Const(1)))}, sig))
+        assert out == Unsolvable(f"equation for {ri.name} is not rec' = rec + q "
+                                 f"(self coefficient (+ {rk.name} 1))")
+
+    def test_an_opaque_term_over_an_inductive_symbol_is_unsolvable(self):
+        # s <- s + (div i 2) with i <- i + 1: (div i 2) changes every
+        # iteration, so summing it as a constant would be wrong
+        sig = LvalueSubstitution.over([Sel(I, ()), Sel(J, ()), Sel(K, ())])
+        ri, rj, rk = sig.symbols()
+        half = lambda r: Bin("div", sv(r), Const(2))
+        for eqs, term in (({ri: plus(sv(ri), 1), rj: Bin("+", sv(rj), half(ri))}, "(div i 2)"),
+                          ({rj: Bin("+", sv(rj), half(rj))}, "(div j 2)")):
+            out = solve_rec(RecurrenceSystem(eqs, sig))
+            assert out == Unsolvable(f"inductive lvalue inside an opaque term: {term}")
+        # over the equation-less k it is a constant: theta(j) = j + n * (k div 2)
+        system = RecurrenceSystem({ri: plus(sv(ri), 1), rj: Bin("+", sv(rj), half(rk))}, sig)
+        sol = solve_rec(system)
+        assert verify_solution(system, sol) is None
+        got = substitute(sol.of(rj), {rj: Const(1), rk: Const(7), N: Const(4)})
+        assert eval_expr(got, State({})) == 1 + 4 * 3
+
 
 class TestVerify:
     def test_off_by_one_counterexample(self):

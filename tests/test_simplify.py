@@ -21,8 +21,8 @@ from loopacc.arrayform import closed_form_array
 from loopacc.backend import BackendSession
 from loopacc.closedform import Failure, closed_forms_all
 from loopacc.expr import (
-    And, Bin, BoolConst, Const, EvalError, Ite, Lam, Not, Or, Rel, Sel, TRUE, Var,
-    reset_fresh_counter, sv,
+    And, Bin, BoolConst, Const, EvalError, FiniteFn, Ite, Lam, Not, Or, Rel, Sel, State, TRUE,
+    Var, free_vars, reset_fresh_counter, substitute, sv,
 )
 from loopacc.gen import gen_loop
 from loopacc.lamsolve import solve, verify_model
@@ -30,7 +30,8 @@ from loopacc.loop import build_up
 from loopacc.problem import parse_problem
 from loopacc.sexpr import to_text
 from loopacc.simplify import (
-    _scope, as_int_const, eliminate, linearize, normal_form_scope, poly_to_expr, simplify,
+    _scope, as_int_const, eliminate, linearize, normal_form_scope, poly_add, poly_atoms,
+    poly_by_degree, poly_compose, poly_const, poly_mul, poly_to_expr, poly_var, simplify,
     simplify_formula,
 )
 
@@ -295,6 +296,89 @@ def test_simplify_and_simplify_formula_are_idempotent(pipeline_terms):
         if isinstance(t, FORMULAS):
             once = simplify_formula(t)
             assert simplify_formula(once) == once, t
+
+
+# ---------------------------------------------------------------------------
+# the polynomial interface
+
+N = Var("n")
+
+
+def _arithmetic_parts(t):
+    """The integer terms of t: t itself, or the sides of its relations."""
+    if isinstance(t, (Var, Lam)):
+        return []
+    if isinstance(t, Rel):
+        return _arithmetic_parts(t.left) + _arithmetic_parts(t.right)
+    if isinstance(t, (And, Or)):
+        return [p for a in t.args for p in _arithmetic_parts(a)]
+    if isinstance(t, Not):
+        return _arithmetic_parts(t.arg)
+    if isinstance(t, BoolConst):
+        return []
+    return [t]
+
+
+@pytest.fixture(scope="module")
+def pipeline_polys(pipeline_terms, session):
+    """The polynomials of pipeline_terms and the recurrence solutions of the
+    loops of oracle --fuzz 60 --seed 0."""
+    polys = [linearize(e) for t in pipeline_terms for e in _arithmetic_parts(t)]
+    polys += _generated_terms(range(60), session)[1]
+    assert len(polys) > 200 and any(len(poly_atoms(p)) > 1 for p in polys)
+    return polys
+
+
+def _plain_scalars(p):
+    """The scalars of p that are factors of its monomials."""
+    return {a.arr for a in poly_atoms(p) if isinstance(a, Sel) and not a.idx}
+
+
+def _state(rnd, exprs):
+    """Random values for the names of exprs, drawn in name order."""
+    names = sorted(set().union(*map(free_vars, exprs)), key=lambda v: (v.name, v.arity))
+    return State({x: FiniteFn.const(x.arity, rnd.randint(-3, 3)) if x.arity
+                  else rnd.randint(-6, 6) for x in names})
+
+
+def test_poly_compose_evaluates_like_substitution(pipeline_polys):
+    # only scalars that no opaque atom reads are replaced: poly_compose leaves
+    # the atoms as they are, where substitute reaches inside them
+    rnd = random.Random(53)
+    checked = 0
+    for p in pipeline_polys:
+        opaque = set().union(*(free_vars(a) for a in poly_atoms(p)
+                               if not (isinstance(a, Sel) and not a.idx)))
+        xs = sorted(_plain_scalars(p) - opaque - {N}, key=lambda v: v.name)
+        images = {}
+        for x in rnd.sample(xs, min(len(xs), 2)) + [N] * (N not in opaque):
+            images[x] = rnd.choice([poly_const(0), poly_add(poly_var(x), poly_const(1)),
+                                    linearize(gen_expr(rnd, 2, SC, AR))])
+        got = poly_to_expr(poly_compose(p, images))
+        want = substitute(poly_to_expr(p), {x: poly_to_expr(q) for x, q in images.items()})
+        for _ in range(3):
+            s = _state(rnd, [got, want])
+            ok, value = _try_eval(want, s)
+            if ok:
+                assert _try_eval(got, s) == (True, value), (to_text(want), to_text(got))
+                checked += 1
+    assert checked > 500
+
+
+def test_poly_by_degree_recombines_to_the_polynomial(pipeline_polys):
+    checked = 0
+    for p in pipeline_polys:
+        for x in _plain_scalars(p) | {N, Var("absent")}:
+            power, total = poly_const(1), {}
+            parts = poly_by_degree(p, x)
+            for d in range(max(parts, default=0) + 1):
+                cp = parts.get(d, {})
+                assert sv(x) not in poly_atoms(cp)
+                total = poly_add(total, poly_mul(cp, power))
+                power = poly_mul(power, poly_var(x))
+            assert total == p and all(parts.values())
+            checked += len(parts) > 1
+    assert checked > 50
 
 
 class _Misses(dict):

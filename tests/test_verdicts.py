@@ -110,6 +110,33 @@ def test_a_query_outside_the_fragment_gets_one_reason_on_every_route(tmp_path, r
                        for line in ("unknown", f'(:reason-unknown "{reason}")')]
 
 
+# s <- s + (div i 2) and x <- x + (div x 2) read an inductive lvalue under an
+# inexact div: summed as constants, they gave s' = 0 at i = 4 and x' = 16 after
+# two steps, and an unsafe verdict, where a run gives s = 2 and x = 18
+HALVING = """
+(declare (i 0) (k 0) ({x} 0) (m 0))
+(init (= i 0) (= k {k}) (= m 5) (= {x} {start}))
+(loop (guard (< i k)) (update ((lhs i) (rhs (+ i 1))) ((lhs {x}) (rhs (+ {x} (div {y} 2))))))
+(post (>= i k) (= {x} {end}))
+"""
+
+
+def test_an_inductive_lvalue_under_an_inexact_div_is_refused(tmp_path, run_check, capsys):
+    for y, x, k, start, end in (("i", "s", 4, 0, 0), ("x", "x", 2, 8, 16)):
+        path = write(tmp_path, "halving", HALVING.format(x=x, y=y, k=k, start=start, end=end))
+        detail = f"inductive lvalue inside an opaque term: (div {y} 2)"
+        code, data = run_check(path)
+        assert (code, data["result"], data["phase"], data["detail"]) == (
+            2, "unknown", "rec", detail), y
+        assert cli.main(["accelerate", str(path)]) == 1
+        assert capsys.readouterr().out == f"failure(rec): {detail}\n"
+    # the unwritten m is a constant: s' = 4 * (5 div 2)
+    path = write(tmp_path, "halving", HALVING.format(x="s", y="m", k=4, start=0, end=8))
+    code, data = run_check(path)
+    assert (code, data["result"], data["reverified"]) == (0, "unsafe", True)
+    assert data["witness"]["n"] == 4 and replays(parse_problem(path), data["witness"])
+
+
 def test_a_negated_disjunction_is_the_conjunction_of_the_negations(tmp_path, run_check):
     # hoare13 with post a != b and i != 4, spelled three ways: each array
     # disequality is a conjunct of its own for lamsolve
