@@ -92,15 +92,14 @@ def cmd_closed_form(args) -> int:
         payload: dict = {"ok": True, "lvalues": {}, "arrays": {}}
         if args.show_rec:
             lines.append("rec system:")
-            for r, e in forms.system:
-                lv = forms.system.sigma.lvalue(r)
+            for lv, e in forms.system.items():
                 lines.append(f"  rec[{to_text(lv)}]' = {to_text(e)}")
             lines.append("solution:")
             payload["rec"] = {}
-            for lv, r in forms.system.sigma.pairs:
-                th = forms.solution.of(r)
-                lines.append(f"  theta(rec[{to_text(lv)}]) = {to_text(th)}")
-                payload["rec"][to_text(lv)] = to_text(th)
+            for lv in forms.system:
+                th = to_text(forms.solution.of(lv))
+                lines.append(f"  theta(rec[{to_text(lv)}]) = {th}")
+                payload["rec"][to_text(lv)] = th
         lines.append("closed forms (lvalues):")
         for lv, e in forms.table.items():
             lines.append(f"  {to_text(lv)} -> {to_text(e)}")

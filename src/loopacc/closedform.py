@@ -13,9 +13,7 @@ from .arrayform import ArrayFormError, closed_form_array
 from .expr import Expr, Sel, Var, free_vars, lval_set, substitute_lvalues
 from .classify import LvalueClass, SolvabilityVerdict, check_a_solvable, classify_lvalue
 from .loop import Loop
-from .recurrence import (
-    N, RecSolution, RecurrenceSystem, Unsolvable, build_rec, solve_rec, verify_solution,
-)
+from .recurrence import RecSolution, Unsolvable, build_rec, solve_rec, verify_solution
 from .sexpr import to_text
 from .simplify import simplify
 
@@ -46,17 +44,9 @@ class Failure:
     detail: str = ""
 
 
-def closed_form_inductive(lv: Sel, system: RecurrenceSystem, sol: RecSolution) -> Expr:
-    """theta(rec_lv) with the inverse lvalue substitution; theta images only
-    contain rec symbols and n, which is asserted, so inversion is plain
-    variable replacement."""
-    rec = system.sigma.symbol(lv)
-    body = sol.of(rec)
-    allowed = set(system.sigma.symbols()) | {N}
-    extra = free_vars(body) - allowed
-    if extra:
-        raise ClosedFormError(f"theta image mentions non-rec symbols: {extra}")
-    return simplify(system.sigma.unapply(body))
+def closed_form_inductive(lv: Sel, sol: RecSolution) -> Expr:
+    """theta(lv): a polynomial over lvalues before the first iteration and n."""
+    return simplify(sol.of(simplify(lv)))
 
 
 def closed_form_of(lv: Sel, loop: Loop, table: ClosedFormTable, verdict: SolvabilityVerdict,
@@ -88,7 +78,7 @@ def closed_form_of(lv: Sel, loop: Loop, table: ClosedFormTable, verdict: Solvabi
 class ClosedForms:
     table: ClosedFormTable
     verdict: SolvabilityVerdict
-    system: RecurrenceSystem
+    system: dict[Sel, Expr]  # lvalue in normal form -> its recurrence's rhs
     solution: RecSolution
     # x -> x^(n) for every loop variable in name order (a lambda for a written
     # array, x itself when unwritten), or the Failure of x's closed form
@@ -122,7 +112,7 @@ def closed_forms_all(loop: Loop, session) -> ClosedForms | Failure:
         if label == LvalueClass.TRIVIAL:
             table.entries[lv] = lv
         elif label == LvalueClass.INDUCTIVE:
-            table.entries[lv] = closed_form_inductive(lv, system, sol)
+            table.entries[lv] = closed_form_inductive(lv, sol)
     # an a-solvable verdict labels every index lvalue of the closure, so each
     # displacing lvalue resolves (and is stored) here
     for lv in verdict.closure:

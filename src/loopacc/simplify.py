@@ -117,22 +117,20 @@ def poly_atoms(p: Poly) -> list:
     return list(dict.fromkeys([a for m in p for _, a in m]))
 
 
-def poly_by_degree(p: Poly, x: Var) -> dict:
-    """p grouped by its degree in the scalar x: degree -> the x-free
+def poly_by_degree(p: Poly, atom) -> dict:
+    """p grouped by its degree in the atom: degree -> the atom-free
     coefficient polynomial, degrees in order of first occurrence."""
-    xa = sv(x)
     out: dict = {}
     for m, c in p.items():
-        rest = tuple([k for k in m if k[1] != xa])
-        # m is rest with len(m) - len(rest) factors x, so no two collide
+        rest = tuple([k for k in m if k[1] != atom])
+        # m is rest with len(m) - len(rest) factors atom, so no two collide
         out.setdefault(len(m) - len(rest), {})[rest] = c
     return out
 
 
 def poly_compose(p: Poly, images: dict) -> Poly:
-    """p with each scalar x in images (keyed by Var) replaced by the
-    polynomial images[x]; the atoms of other factors are left as they are."""
-    images = {sv(x): q for x, q in images.items()}
+    """p with each factor that is a key of images replaced by the polynomial
+    images[factor]; no factor is looked into, so x[i] keeps its i."""
     out: Poly = {}
     for m, c in p.items():
         term: Poly = {(): c}

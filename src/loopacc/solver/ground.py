@@ -237,13 +237,14 @@ class GroundProblem:
         [False] once one of them is false.
 
         arrays, from array_axioms, gives the congruence clauses, one
-        position per select pair after every conjunct, pairs in order.  Two
-        selects with equal index rows are equal: that pair's units join the
-        others from the start.  At the units' first fixpoint each select's
-        index takes the composed substitution once, and only the pairs that
-        no coordinate then tells apart by a nonzero constant get their
-        clause (_congruence), which then takes the substitution as every
-        clause does.  A pair told apart would be true there; it gets none.
+        position per select pair after every conjunct, pairs in order.  At
+        the units' first fixpoint each select's index takes the composed
+        substitution once, and only the pairs that no coordinate then tells
+        apart by a nonzero constant get their clause (_congruence), which
+        then takes the substitution as every clause does.  A pair told
+        apart would be true there; it gets none.  No two selects of one
+        array have equal index rows: check simplifies each formula before
+        hoisting, so equal indices make one select.
 
         Solving the units of a collapsed clause only after the other units
         changes the order of the eliminations when that clause precedes a
@@ -259,14 +260,7 @@ class GroundProblem:
                 _place((pos,), f, fvars(f), units, clauses)
         blocks, base = [], len(conjuncts)
         for rows, sels in arrays:
-            row_keys = [tuple(frozenset(p.items()) for p in row) for row in rows]
-            blocks.append((base, rows, sels, row_keys))
-            equal = _equal_pairs(row_keys)
-            for a, b in equal:
-                for j, g in enumerate(_top(_congruence(rows[a], sels[a], rows[b], sels[b]))):
-                    _place((base + _rank(a, b, len(rows)), j), g, fvars(g), units, clauses)
-            if equal:
-                units.sort()
+            blocks.append((base, rows, sels))
             base += len(rows) * (len(rows) - 1) // 2
         applied = 0  # the log entries every clause has taken
         start = 0
@@ -281,8 +275,8 @@ class GroundProblem:
                 sub = _composed(self.presolve_log[applied:])
                 applied = len(self.presolve_log)
                 old, clauses, fresh = clauses, [], []
-                for base, rows, sels, row_keys in blocks:
-                    for a, b in _open_pairs(rows, row_keys, sub):
+                for base, rows, sels in blocks:
+                    for a, b in _open_pairs(rows, sub):
                         self.tick()
                         # the clause's names and any its indices cancel, a superset
                         # as _substituted_names gives
@@ -341,19 +335,10 @@ def _rank(a, b, n) -> int:
     return a * (2 * n - a - 1) // 2 + b - a - 1
 
 
-def _equal_pairs(row_keys):
-    """The pairs (a, b), a < b, with row_keys[a] == row_keys[b]."""
-    groups = {}
-    for t, k in enumerate(row_keys):
-        groups.setdefault(k, []).append(t)
-    return [pair for ts in groups.values() for pair in itertools.combinations(ts, 2)]
-
-
-def _open_pairs(rows, row_keys, sub) -> list:
+def _open_pairs(rows, sub) -> list:
     """The pairs (a, b), a < b, of selects whose index rows, with sub
-    applied, no coordinate tells apart by a nonzero constant, but for the
-    pairs of equal rows (row_keys): they are units already.  The selects are
-    grouped by the rows' name parts and, within a group, by their
+    applied, no coordinate tells apart by a nonzero constant.  The selects
+    are grouped by the rows' name parts and, within a group, by their
     constants, so a pair told apart is never visited."""
     groups = {}
     for t, row in enumerate(rows):
@@ -365,7 +350,7 @@ def _open_pairs(rows, row_keys, sub) -> list:
     groups = list(groups.items())
     for n, (names, buckets) in enumerate(groups):
         for ts in buckets.values():
-            out += [(a, b) for a, b in itertools.combinations(ts, 2) if row_keys[a] != row_keys[b]]
+            out += list(itertools.combinations(ts, 2))
         for names2, buckets2 in groups[n + 1:]:
             same = [k for k, (u, w) in enumerate(zip(names, names2)) if u == w]
             for c1, ts1 in buckets.items():

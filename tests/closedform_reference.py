@@ -46,7 +46,7 @@ def closed_forms_by_pick(loop, session):
         if label == LvalueClass.TRIVIAL:
             table.entries[lv] = lv
         elif label == LvalueClass.INDUCTIVE:
-            table.entries[lv] = closed_form_inductive(lv, system, sol)
+            table.entries[lv] = closed_form_inductive(lv, sol)
         else:
             pending.append(lv)
     while pending:

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from loopacc.classify import LvalueClass
 from loopacc.expr import Rel, lval_set
-from loopacc.recurrence import LvalueSubstitution, RecurrenceSystem
+from loopacc.simplify import simplify
 
 
-def build_rec_by_search(loop, verdict, up, session) -> RecurrenceSystem:
-    sigma = LvalueSubstitution.over(verdict.closure)
+def build_rec_by_search(loop, verdict, up, session) -> dict:
     known = set(verdict.closure)
     equations = {}
     for lv in verdict.closure:
@@ -29,5 +28,5 @@ def build_rec_by_search(loop, verdict, up, session) -> RecurrenceSystem:
         missing = lval_set(rhs) - known
         if missing:
             raise AssertionError(f"rhs reads lvalues outside the closure: {missing!r}")
-        equations[sigma.symbol(lv)] = sigma.apply(rhs)
-    return RecurrenceSystem(equations, sigma)
+        equations[simplify(lv)] = rhs
+    return equations

@@ -22,9 +22,7 @@ from loopacc.gen import gen_loop
 from loopacc.lamsolve import solve, verify_model
 from loopacc.loop import build_up, run_n
 from loopacc.oracle import check_loop
-from loopacc.recurrence import (
-    LvalueSubstitution, N, RecurrenceSystem, solve_rec, verify_solution,
-)
+from loopacc.recurrence import N, solve_rec, verify_solution
 
 from conftest import A, B, I, J, K, decrement_loop, mixing_loop, overview_loop, plus, swap_loop
 
@@ -162,16 +160,14 @@ def test_criterion_08_dependent_recurrence():
     t0 = time.monotonic()
     from fractions import Fraction
 
-    sig = LvalueSubstitution.over([Sel(I, ()), Sel(J, ())])
-    ri, rj = sig.symbol(Sel(I, ())), sig.symbol(Sel(J, ()))
-    system = RecurrenceSystem({ri: plus(sv(ri), 1), rj: Bin("+", sv(rj), sv(ri))}, sig)
+    system = {sv(I): plus(sv(I), 1), sv(J): Bin("+", sv(J), sv(I))}
     sol = solve_rec(system)
     assert verify_solution(system, sol) is None
     rnd = random.Random(88)
     for _ in range(100):
         iv, jv, nv = rnd.randint(-10, 10), rnd.randint(-10, 10), rnd.randint(0, 10)
-        got = eval_expr(substitute(sol.of(rj),
-                                   {ri: Const(iv), rj: Const(jv), N: Const(nv)}), State({}))
+        got = eval_expr(substitute(sol.of(sv(J)),
+                                   {I: Const(iv), J: Const(jv), N: Const(nv)}), State({}))
         assert got == jv + Fraction(1, 2) * nv * nv + nv * iv - Fraction(1, 2) * nv
     report(8, t0)
 

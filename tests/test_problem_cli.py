@@ -208,7 +208,7 @@ def test_closed_form_show_rec_array_and_check_in_process(capsys):
     argv = ["closed-form", swap, "--show-rec", "--array", "a", "--check", "n=4"]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
-    assert "  rec[i]' = " in out and "  theta(rec[i]) = " in out
+    assert "  rec[i]' = (+ i 1)\n" in out and "  theta(rec[i]) = (+ i n)\n" in out
     assert [l.split(" = ")[0] for l in out.splitlines() if "^(n) = (lambda" in l] == ["a^(n)"]
     assert "oracle check (n<=4): ok" in out
     assert cli.main(argv + ["--json"]) == 0
@@ -217,6 +217,98 @@ def test_closed_form_show_rec_array_and_check_in_process(capsys):
     assert list(data["arrays"]) == ["a"] and data["arrays"]["a"].startswith("(lambda")
     assert cli.main(["closed-form", swap, "--array", "zz"]) == 2
     assert "unknown array 'zz'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(EXAMPLES.glob("*.loop")), ids=lambda p: p.name)
+def test_show_rec_names_the_loop_lvalues(path, capsys):
+    # the recurrences are over the loop's own lvalues: no fresh rec symbol
+    code = cli.main(["closed-form", str(path), "--show-rec", "--json"])
+    out = capsys.readouterr().out
+    assert not re.search(r"rec[^\s\"()]*!", out), out
+    if code == 0:
+        data = json.loads(out)
+        assert set(data["rec"]) <= set(data["lvalues"])
+
+
+RESET_TEXT = """
+(declare (i 0) (k 0) (x 0) (y 0))
+(loop
+  (guard (< i k))
+  (update
+    ((lhs i) (rhs (+ i 1)))
+    ((lhs y) (rhs (+ y x)))
+    ((lhs x) (rhs 5))))
+(post (>= i k) (= y 0))
+"""
+
+
+def test_a_self_coefficient_refusal_names_the_lvalue(tmp_path, capsys):
+    path = str(tmp_path / "reset.loop")
+    Path(path).write_text(RESET_TEXT)
+    reason = "equation for x is not rec' = rec + q (self coefficient 0)"
+    assert cli.main(["accelerate", path]) == 1
+    assert capsys.readouterr().out == f"failure(rec): {reason}\n"
+    assert cli.main(["check", path]) == 2
+    assert capsys.readouterr().out == f"unknown (rec: {reason})\n"
+
+
+_DECL = "(declare (i 0) (k 0) (a 1))\n"
+_UPD = "(update ((lhs i) (rhs (+ i 1))))"
+
+
+def _looped(part):
+    return f"{_DECL}(loop (guard (< i k)) {part})"
+
+
+def _rhs(form):
+    return f"{_DECL}(loop (update ((lhs i) (rhs {form}))))"
+
+
+def _post(form):
+    return f"{_DECL}(loop {_UPD})\n(post {form})"
+
+
+# (problem text, the ParseError's message)
+MALFORMED = [
+    ("stray", "expected a block, got 'stray'"),
+    ("(declare (i))", "declare entries are (name arity)"),
+    ("(declare (12 0))", "numeric variable name '12'"),
+    ("(declare (a x))", "arity of a must be a natural number"),
+    ("(declare (a 0) (a 1))", "a redeclared with a different arity"),
+    (_DECL + "(pre (= i 0))", "unknown block 'pre'"),
+    (_DECL, "no (loop ...) block"),
+    (_DECL + f"(init (= i (nondet 0)))\n(loop {_UPD})", "(nondet lo hi)"),
+    (_looped("x"), "bad loop part 'x'"),
+    (f"{_DECL}(loop (guard (< i 1) (< i 2)) {_UPD})", "(guard f)"),
+    (f"{_DECL}(loop (body) {_UPD})", "unknown loop part 'body'"),
+    (f"{_DECL}(loop (guard (< i k)))", "loop without updates"),
+    (_looped("(update ((lhs i) (rhs 1)) ((lhs i) (rhs 2)))"), "syntactically duplicate lvalues"),
+    (_looped("(update (i (+ i 1)))"), "updates are ((lhs l) (rhs r))"),
+    (_looped("(update ((lhs (+ i 1)) (rhs 0)))"), "lhs is not an lvalue: ['+', 'i', '1']"),
+    (f"{_DECL}(loop (guard (< (ite (< i 1) i k) k)) {_UPD})",
+     "guard atoms must relate rvalues"),
+    (_rhs("()"), "empty form"),
+    (_rhs("(select)"), "(select ...) needs an array"),
+    (_rhs("(ite (< i 1) 0)"), "(ite guard then else)"),
+    (_rhs("(select b i)"), "undeclared variable 'b'"),
+    (_rhs("(select (lambda (c)) i)"), "(lambda (params...) body)"),
+    (_rhs("(select (lambda (1) 0) i)"), "lambda parameters must be symbols"),
+    (_rhs("(select (lambda (c c) c) i i)"), "duplicate lambda parameters"),
+    (f"{_DECL}(loop (guard ()) {_UPD})", "empty formula"),
+    (_post("(< i)"), "(< ...) takes two arguments"),
+    (_post("(divides 2)"), "(divides d e)"),
+    (_post("(not)"), "(not f)"),
+    (_post("(<=> true)"), "(<=> f g)"),
+    (_post("(xor true false)"), "unknown formula head 'xor'"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED, ids=[m for _, m in MALFORMED])
+def test_a_malformed_problem_is_a_parse_error(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.loop"
+    path.write_text(text)
+    assert cli.main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [["oracle"], ["closed-form", "--check", "4"]])

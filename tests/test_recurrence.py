@@ -7,16 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from loopacc.classify import LvalueClass, check_a_solvable
-from loopacc.expr import (
-    Bin, Const, FiniteFn, Sel, State, Var, eval_expr, reset_fresh_counter, substitute, sv,
-)
+from loopacc.expr import Bin, Const, FiniteFn, Sel, State, Var, eval_expr, substitute, sv
 from loopacc.gen import gen_loop
 from loopacc.loop import Loop, Rel, run_n
 from loopacc.problem import parse_problem
-from loopacc.recurrence import (
-    LvalueSubstitution, N, RecSolution, RecurrenceSystem, Unsolvable,
-    build_rec, solve_rec, verify_solution,
-)
+from loopacc.recurrence import N, RecSolution, Unsolvable, build_rec, solve_rec, verify_solution
 from loopacc.sexpr import to_text
 from loopacc.simplify import linearize
 
@@ -26,16 +21,8 @@ from rec_reference import build_rec_by_search
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_problems"
 
 
-def _theta_text(system, sol):
-    from loopacc.sexpr import to_text
-
-    return {to_text(lv): to_text(sol.of(r)) for lv, r in system.sigma.pairs}
-
-
-def _equations_text(build, loop, verdict):
-    """build's equations as text, from a reset fresh-name counter."""
-    reset_fresh_counter()
-    return [(to_text(r), to_text(e)) for r, e in build(loop, verdict)]
+def _equations_text(system):
+    return [(to_text(lv), to_text(e)) for lv, e in system.items()]
 
 
 class TestBuildRec:
@@ -49,9 +36,8 @@ class TestBuildRec:
             verdict = check_a_solvable(loop, session)
             if not verdict.a_solvable:
                 continue
-            got = _equations_text(build_rec, loop, verdict)
-            want = _equations_text(lambda l, v: build_rec_by_search(l, v, v.up, session),
-                                   loop, verdict)
+            got = _equations_text(build_rec(loop, verdict))
+            want = _equations_text(build_rec_by_search(loop, verdict, verdict.up, session))
             assert got == want, to_text(loop.guard)
             assert all(c.partner is not None for c in verdict.labels.values()
                        if c.label == LvalueClass.INDUCTIVE)
@@ -61,18 +47,15 @@ class TestBuildRec:
     def test_swap(self, session):
         loop = swap_loop()
         system = build_rec(loop, check_a_solvable(loop, session))
-        sigma = system.sigma
-        ri = sigma.symbol(Sel(I, ()))
-        rai = sigma.symbol(Sel(A, (sv(I),)))
-        assert system.equations[ri] == plus(sv(ri), 1)
-        assert system.equations[rai] == sv(rai)
-        assert len(system.equations) == 2  # a[i+1] is displacing: no equation
+        ai = Sel(A, (sv(I),))
+        assert system[sv(I)] == plus(sv(I), 1)
+        assert system[ai] == ai
+        assert len(system) == 2  # a[i+1] is displacing: no equation
 
     def test_decrement(self, session):
         loop = decrement_loop()
         system = build_rec(loop, check_a_solvable(loop, session))
-        ri = system.sigma.symbol(Sel(I, ()))
-        assert system.equations[ri] == Bin("-", sv(ri), Const(1))
+        assert system[sv(I)] == Bin("-", sv(I), Const(1))
 
     def test_dependent_scalars(self, session):
         # i <- i+1, j <- j+i
@@ -80,17 +63,12 @@ class TestBuildRec:
                     (Sel(I, ()), Sel(J, ())),
                     (plus(sv(I), 1), Bin("+", sv(J), sv(I))))
         system = build_rec(loop, check_a_solvable(loop, session))
-        ri = system.sigma.symbol(Sel(I, ()))
-        rj = system.sigma.symbol(Sel(J, ()))
-        assert system.equations[rj] == Bin("+", sv(rj), sv(ri))
+        assert system[sv(J)] == Bin("+", sv(J), sv(I))
 
 
 class TestSolve:
     def test_dependent_counters_polynomial_solution(self):
-        sig = LvalueSubstitution.over([Sel(I, ()), Sel(J, ())])
-        ri, rj = (sig.symbol(Sel(I, ())), sig.symbol(Sel(J, ())))
-        system = RecurrenceSystem(
-            {ri: plus(sv(ri), 1), rj: Bin("+", sv(rj), sv(ri))}, sig)
+        system = {sv(I): plus(sv(I), 1), sv(J): Bin("+", sv(J), sv(I))}
         sol = solve_rec(system)
         assert not isinstance(sol, Unsolvable)
         assert verify_solution(system, sol) is None
@@ -98,85 +76,75 @@ class TestSolve:
         rnd = random.Random(17)
         for _ in range(100):
             iv, jv, nv = rnd.randint(-10, 10), rnd.randint(-10, 10), rnd.randint(0, 10)
-            closed = substitute(sol.of(rj), {ri: Const(iv), rj: Const(jv), N: Const(nv)})
+            closed = substitute(sol.of(sv(J)), {I: Const(iv), J: Const(jv), N: Const(nv)})
             got = eval_expr(closed, State({}))
             want = jv + Fraction(1, 2) * nv * nv + nv * iv - Fraction(1, 2) * nv
             assert got == want
 
     def test_constant_equation_identity(self):
-        sig = LvalueSubstitution.over([Sel(A, (sv(I),))])
-        r = sig.symbol(Sel(A, (sv(I),)))
-        system = RecurrenceSystem({r: sv(r)}, sig)
+        ai = Sel(A, (sv(I),))
+        system = {ai: ai}
         sol = solve_rec(system)
-        assert sol.of(r) == sv(r)
+        assert sol.of(ai) == ai
         assert verify_solution(system, sol) is None
 
     def test_geometric_unsolvable(self):
-        sig = LvalueSubstitution.over([Sel(I, ())])
-        r = sig.symbol(Sel(I, ()))
-        out = solve_rec(RecurrenceSystem({r: Bin("*", Const(2), sv(r))}, sig))
+        out = solve_rec({sv(I): Bin("*", Const(2), sv(I))})
         assert isinstance(out, Unsolvable)
 
     def test_cycle_unsolvable(self):
-        sig = LvalueSubstitution.over([Sel(I, ()), Sel(J, ())])
-        x, y = sig.symbols()
-        out = solve_rec(RecurrenceSystem({x: sv(y), y: sv(x)}, sig))
+        out = solve_rec({sv(I): sv(J), sv(J): sv(I)})
         assert isinstance(out, Unsolvable)
 
     def test_equation_less_symbols_are_constants(self):
         # i <- i + k with k unwritten: theta(i) = i + n*k
-        sig = LvalueSubstitution.over([Sel(I, ()), Sel(K, ())])
-        ri, rk = (sig.symbol(Sel(I, ())), sig.symbol(Sel(K, ())))
-        system = RecurrenceSystem({ri: Bin("+", sv(ri), sv(rk))}, sig)
+        system = {sv(I): Bin("+", sv(I), sv(K))}
         sol = solve_rec(system)
         assert verify_solution(system, sol) is None
-        got = substitute(sol.of(ri), {ri: Const(2), rk: Const(5), N: Const(4)})
+        got = substitute(sol.of(sv(I)), {I: Const(2), K: Const(5), N: Const(4)})
         assert eval_expr(got, State({})) == 2 + 4 * 5
 
     def test_self_coefficient_other_than_one_is_named(self):
-        sig = LvalueSubstitution.over([Sel(I, ()), Sel(K, ())])
-        ri, rk = sig.symbols()
-        for rhs, coeff in ((Const(5), "0"), (Bin("*", Const(2), sv(ri)), "2"),
-                           (Bin("*", sv(ri), sv(ri)), "0"), (Bin("-", Const(0), sv(ri)), "-1")):
-            out = solve_rec(RecurrenceSystem({ri: rhs}, sig))
-            assert out == Unsolvable(f"equation for {ri.name} is not rec' = rec + q "
+        i = sv(I)
+        for rhs, coeff in ((Const(5), "0"), (Bin("*", Const(2), i), "2"),
+                           (Bin("*", i, i), "0"), (Bin("-", Const(0), i), "-1")):
+            out = solve_rec({i: rhs})
+            assert out == Unsolvable(f"equation for i is not rec' = rec + q "
                                      f"(self coefficient {coeff})"), to_text(rhs)
-        out = solve_rec(RecurrenceSystem({ri: Bin("*", sv(ri), Bin("+", sv(rk), Const(1)))}, sig))
-        assert out == Unsolvable(f"equation for {ri.name} is not rec' = rec + q "
-                                 f"(self coefficient (+ {rk.name} 1))")
+        out = solve_rec({i: Bin("*", i, Bin("+", sv(K), Const(1)))})
+        assert out == Unsolvable("equation for i is not rec' = rec + q "
+                                 "(self coefficient (+ k 1))")
+        ai = Sel(A, (i,))
+        out = solve_rec({ai: Bin("*", Const(2), ai)})
+        assert out == Unsolvable("equation for (select a i) is not rec' = rec + q "
+                                 "(self coefficient 2)")
 
     def test_an_opaque_term_over_an_inductive_symbol_is_unsolvable(self):
         # s <- s + (div i 2) with i <- i + 1: (div i 2) changes every
         # iteration, so summing it as a constant would be wrong
-        sig = LvalueSubstitution.over([Sel(I, ()), Sel(J, ()), Sel(K, ())])
-        ri, rj, rk = sig.symbols()
-        half = lambda r: Bin("div", sv(r), Const(2))
-        for eqs, term in (({ri: plus(sv(ri), 1), rj: Bin("+", sv(rj), half(ri))}, "(div i 2)"),
-                          ({rj: Bin("+", sv(rj), half(rj))}, "(div j 2)")):
-            out = solve_rec(RecurrenceSystem(eqs, sig))
+        half = lambda x: Bin("div", sv(x), Const(2))
+        for eqs, term in (({sv(I): plus(sv(I), 1), sv(J): Bin("+", sv(J), half(I))}, "(div i 2)"),
+                          ({sv(J): Bin("+", sv(J), half(J))}, "(div j 2)")):
+            out = solve_rec(eqs)
             assert out == Unsolvable(f"inductive lvalue inside an opaque term: {term}")
         # over the equation-less k it is a constant: theta(j) = j + n * (k div 2)
-        system = RecurrenceSystem({ri: plus(sv(ri), 1), rj: Bin("+", sv(rj), half(rk))}, sig)
+        system = {sv(I): plus(sv(I), 1), sv(J): Bin("+", sv(J), half(K))}
         sol = solve_rec(system)
         assert verify_solution(system, sol) is None
-        got = substitute(sol.of(rj), {rj: Const(1), rk: Const(7), N: Const(4)})
+        got = substitute(sol.of(sv(J)), {J: Const(1), K: Const(7), N: Const(4)})
         assert eval_expr(got, State({})) == 1 + 4 * 3
 
 
 class TestVerify:
     def test_off_by_one_counterexample(self):
-        sig = LvalueSubstitution.over([Sel(I, ())])
-        r = sig.symbol(Sel(I, ()))
-        system = RecurrenceSystem({r: plus(sv(r), 1)}, sig)
-        bad = RecSolution({r: linearize(Bin("+", plus(sv(r), 1), sv(N)))})
+        system = {sv(I): plus(sv(I), 1)}
+        bad = RecSolution({sv(I): linearize(Bin("+", plus(sv(I), 1), sv(N)))})
         out = verify_solution(system, bad)
         assert out is not None and "[n/0]" in out
 
     def test_shift_identity_counterexample(self):
-        sig = LvalueSubstitution.over([Sel(I, ())])
-        r = sig.symbol(Sel(I, ()))
-        system = RecurrenceSystem({r: plus(sv(r), 2)}, sig)
-        bad = RecSolution({r: linearize(plus(sv(r), 0))})
+        system = {sv(I): plus(sv(I), 2)}
+        bad = RecSolution({sv(I): linearize(plus(sv(I), 0))})
         out = verify_solution(system, bad)
         assert out is not None and "[n/n+1]" in out
 
@@ -187,45 +155,37 @@ class TestRoundTrips:
         rnd = random.Random(23)
         for trial in range(40):
             count = rnd.randint(1, 4)
-            lvs = [Sel(Var(f"v{k}"), ()) for k in range(count)]
-            sig = LvalueSubstitution.over(lvs)
-            syms = sig.symbols()
+            lvs = [sv(Var(f"v{k}")) for k in range(count)]
             eqs = {}
-            for pos, r in enumerate(syms):
+            for pos, lv in enumerate(lvs):
                 q = Const(rnd.randint(-3, 3))
-                for prev in syms[:pos]:
+                for prev in lvs[:pos]:
                     if rnd.random() < 0.6:
-                        q = Bin("+", q, prev if False else sv(prev))
-                eqs[r] = Bin("+", sv(r), q)
-            system = RecurrenceSystem(eqs, sig)
-            sol = solve_rec(system)
+                        q = Bin("+", q, prev)
+                eqs[lv] = Bin("+", lv, q)
+            sol = solve_rec(eqs)
             assert not isinstance(sol, Unsolvable)
-            assert verify_solution(system, sol) is None
+            assert verify_solution(eqs, sol) is None
 
     def test_solutions_are_integral(self):
         # rational coefficients always cancel on integer inputs
-        sig = LvalueSubstitution.over([Sel(I, ()), Sel(J, ()), Sel(K, ())])
-        ri, rj, rk = sig.symbols()
-        system = RecurrenceSystem(
-            {ri: plus(sv(ri), 1), rj: Bin("+", sv(rj), sv(ri)),
-             rk: Bin("+", sv(rk), sv(rj))}, sig)
+        system = {sv(I): plus(sv(I), 1), sv(J): Bin("+", sv(J), sv(I)),
+                  sv(K): Bin("+", sv(K), sv(J))}
         sol = solve_rec(system)
         rnd = random.Random(29)
         for _ in range(200):
-            env = {ri: Const(rnd.randint(-9, 9)), rj: Const(rnd.randint(-9, 9)),
-                   rk: Const(rnd.randint(-9, 9)), N: Const(rnd.randint(0, 12))}
-            for r in (ri, rj, rk):
-                v = eval_expr(substitute(sol.of(r), env), State({}))
+            env = {I: Const(rnd.randint(-9, 9)), J: Const(rnd.randint(-9, 9)),
+                   K: Const(rnd.randint(-9, 9)), N: Const(rnd.randint(0, 12))}
+            for lv in system:
+                v = eval_expr(substitute(sol.of(lv), env), State({}))
                 assert isinstance(v, int)
 
     def test_theorem_2_concrete(self, session):
         # closed forms from Rec match run_n probes for n <= 10
         loop = swap_loop()
         verdict = check_a_solvable(loop, session)
-        system = build_rec(loop, verdict)
-        sol = solve_rec(system)
+        sol = solve_rec(build_rec(loop, verdict))
         rnd = random.Random(31)
-        sigma = system.sigma
         for _ in range(10):
             fn = FiniteFn.const(1, rnd.randint(-3, 3),
                                 {(p,): rnd.randint(-9, 9) for p in range(-4, 16)})
@@ -233,6 +193,5 @@ class TestRoundTrips:
             for n in range(0, 11):
                 r = run_n(loop, s, n)
                 for lv in (Sel(I, ()), Sel(A, (sv(I),))):
-                    closed = sigma.unapply(sol.of(sigma.symbol(lv)))
-                    got = eval_expr(substitute(closed, {N: Const(n)}), s)
+                    got = eval_expr(substitute(sol.of(lv), {N: Const(n)}), s)
                     assert got == eval_expr(lv, r.state)

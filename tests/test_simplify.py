@@ -171,7 +171,7 @@ def _generated_terms(seeds, session):
         loop = gen_loop(seed).loop
         terms += [loop.guard, *loop.rhs]
         forms = closed_forms_all(loop, session)
-        terms += [e for _, e in forms.system] + list(forms.table.entries.values())
+        terms += list(forms.system.values()) + list(forms.table.entries.values())
         polys += forms.solution.polys.values()
         up = build_up(loop)
         terms += [closed_form_array(loop, x, forms.table, up)
@@ -352,10 +352,10 @@ def test_poly_compose_evaluates_like_substitution(pipeline_polys):
         xs = sorted(_plain_scalars(p) - opaque - {N}, key=lambda v: v.name)
         images = {}
         for x in rnd.sample(xs, min(len(xs), 2)) + [N] * (N not in opaque):
-            images[x] = rnd.choice([poly_const(0), poly_add(poly_var(x), poly_const(1)),
-                                    linearize(gen_expr(rnd, 2, SC, AR))])
+            images[sv(x)] = rnd.choice([poly_const(0), poly_add(poly_var(x), poly_const(1)),
+                                        linearize(gen_expr(rnd, 2, SC, AR))])
         got = poly_to_expr(poly_compose(p, images))
-        want = substitute(poly_to_expr(p), {x: poly_to_expr(q) for x, q in images.items()})
+        want = substitute(poly_to_expr(p), {a.arr: poly_to_expr(q) for a, q in images.items()})
         for _ in range(3):
             s = _state(rnd, [got, want])
             ok, value = _try_eval(want, s)
@@ -370,7 +370,7 @@ def test_poly_by_degree_recombines_to_the_polynomial(pipeline_polys):
     for p in pipeline_polys:
         for x in _plain_scalars(p) | {N, Var("absent")}:
             power, total = poly_const(1), {}
-            parts = poly_by_degree(p, x)
+            parts = poly_by_degree(p, sv(x))
             for d in range(max(parts, default=0) + 1):
                 cp = parts.get(d, {})
                 assert sv(x) not in poly_atoms(cp)
