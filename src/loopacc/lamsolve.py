@@ -1,16 +1,22 @@
 """Theory solver for conjunctions with lambda array terms, layered over the
 ground backend.  Array (in)equalities must be conjuncts of their own; any
 other conjunct, a disjunction of scalar atoms too, reaches the backend as it
-is.  Eliminate array disequalities through extensionality, propagate
+is.  Eliminate array disequalities through extensionality, then propagate
 equalities and beta-reduce to a fixpoint (``simplify.eliminate``, with this
-module's rule for which literal defines which variable), and send the backend
-the scalar conjuncts left; literals whose bounds on one linear form
-contradict are unsat without a check (``simplify._contradicting``).  Lemmas
-on demand: each round evaluates every array equality p = q at the query's
-syntactic index vectors e in the backend's model, and each violated
-instance adds the lemma p[e] = q[e].  Only a model that no instance refutes
-is checked at every index (``check_model``); it lifts, or no lemma is left
-(unknown).  Unsat ends the rounds.
+module's ``_definition`` of which literal defines which variable).  An array
+equality defines its array variable; a scalar equality, in the simplifier's
+normal form q = c, defines the least name with coefficient +-1, as the
+backend's presolve solves one, so the equalities of init, the closed forms
+and post shrink every beta-reduced lambda application before the backend
+hoists its ite terms.  Each literal takes the definitions lazily, all at
+once when the scan reaches it.  The backend gets the scalar conjuncts left;
+literals whose bounds on one linear form contradict are unsat without a
+check (``simplify._contradicting``).  Lemmas on demand: each round evaluates
+every array equality p = q at the query's syntactic index vectors e in the
+backend's model, and each violated instance adds the lemma p[e] = q[e].
+Only a model that no instance refutes is checked at every index
+(``check_model``); it lifts, or no lemma is left (unknown).  Unsat ends the
+rounds.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from .expr import (
 )
 from .sexpr import to_text
 from .simplify import (
-    _contradicting, eliminate, normal_form_scope, simplify, simplify_formula,
+    _contradicting, eliminate, linearize, normal_form_scope, poly_add, poly_scale,
+    poly_terms, poly_to_expr, poly_var, simplify, simplify_formula,
 )
 
 
@@ -70,34 +77,42 @@ class Propagated:
 
 
 def propagate_and_reduce(lits: list[Formula]) -> Propagated:
-    """Fixpoint of equality propagation and beta reduction.  Propagated
-    literals turn into p = p and are simplified away; the ordered log lets a
-    model re-derive the removed variables afterwards."""
+    """Fixpoint of equality propagation and beta reduction.  A literal that
+    defines a variable is dropped; the ordered log lets a model re-derive the
+    removed variables afterwards."""
     return Propagated(*eliminate([simplify_formula(beta_reduce(f)) for f in lits], _definition))
 
 
 def _definition(f: Formula):
-    """(x, t) for an equality x = t or t = x, tried left side first, that
-    propagation may substitute: a scalar x and an integer term t, or an array
-    x and an array variable or lambda t of its arity; x not free in t."""
+    """(x, t) for an equality that propagation may substitute, x not free in
+    t.  An array equality x = t or t = x, tried left side first, gives an
+    array variable x and an array variable or lambda t of its arity.  A
+    scalar equality, whose normal form is q = c, is solved as presolve
+    solves one (``ground._definition``): x is the least name among the
+    scalars whose monomial in q - c is the scalar alone with coefficient
+    +-1, and t is the rest of q - c scaled by minus that coefficient, so
+    x = numeral gives its numeral.  It is refused when x is also free in
+    t, under a select index, a div or a product."""
     if not (isinstance(f, Rel) and f.op == "="):
         return None
-    for side, other in ((f.left, f.right), (f.right, f.left)):
-        if isinstance(side, Sel) and isinstance(side.arr, Var) and not side.idx:
-            cand = side.arr
-        elif isinstance(side, Var):
-            cand = side
-        else:
-            continue
-        if cand.arity == 0:
-            if isinstance(other, (Var, Lam)):
-                continue  # ill-typed; leave for the backend
-        elif not isinstance(other, (Var, Lam)) or arity_of(other) != cand.arity:
-            continue
-        if cand in free_vars(other):
-            continue
-        return cand, other
+    if not (isinstance(f.left, (Var, Lam)) or isinstance(f.right, (Var, Lam))):
+        p = poly_add(linearize(f.left), linearize(f.right), sign=-1)
+        scalars = [(atoms[0].arr, c) for atoms, c in poly_terms(p)
+                   if len(atoms) == 1 and abs(c) == 1 and _is_scalar(atoms[0])]
+        if not scalars:
+            return None
+        x, c = min(scalars, key=lambda xc: xc[0].name)
+        t = poly_to_expr(poly_scale(poly_add(p, poly_scale(poly_var(x), c), sign=-1), -c))
+        return None if x in free_vars(t) else (x, t)
+    for x, t in ((f.left, f.right), (f.right, f.left)):
+        if isinstance(x, Var) and x.arity and isinstance(t, (Var, Lam)) \
+                and arity_of(t) == x.arity and x not in free_vars(t):
+            return x, t
     return None
+
+
+def _is_scalar(e) -> bool:
+    return type(e) is Sel and not e.idx and type(e.arr) is Var
 
 
 def collect_idx(lits: list[Formula]) -> list[tuple[Expr, ...]]:
@@ -273,6 +288,11 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
     all_vars = set()
     for f in phi:
         all_vars |= free_vars(f)
+    # a name that only the logged images mention is free (x = y + 5 alone
+    # solves x); it takes the default value, so that the images close
+    for _, t in prop.log:
+        all_vars |= free_vars(t)
+    all_vars -= {x for x, _ in prop.log}
 
     tried: set[tuple[int, tuple[Expr, ...]]] = set()
     lemmas = 0

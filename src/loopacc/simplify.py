@@ -317,39 +317,63 @@ def simplify_formula(f: Formula) -> Formula:
 
 
 def eliminate(literals: list[Formula], definition):
-    """Solve-and-substitute to a fixpoint over simplified literals: true
-    literals are dropped; the first literal for which definition(lit) gives
-    (x, t), x free in lit but not in t, is solved, and t replaces x in every
-    literal that mentions x, which alone are re-simplified (and dropped once
-    true).  Returns the remaining literals and the (x, t) log in elimination
-    order."""
+    """Solve-and-substitute to a fixpoint over simplified literals, applied
+    lazily.  A scan takes the literals in order.  The first one for which
+    definition(lit) gives (x, t), lit equivalent to x = t and x not free in
+    t, is solved: it is dropped and (x, t) is logged with t as found.  A
+    literal takes the definitions only when the scan reaches it, all of
+    them in one substitution: each solved name it mentions becomes its
+    image with the later definitions applied (``_resolved``), and the
+    result is re-simplified (and dropped once true).  After a definition
+    the scan resumes at the first literal that mentions x, so the literals
+    before it define nothing, and each definition is the first in literal
+    order, as when every literal takes each definition at once.  Returns
+    the remaining literals and the (x, t) log in elimination order."""
     work = [f for f in literals if f != TRUE]
     names = [free_vars(f) for f in work]  # each literal's, kept until it changes
     log: list[tuple[Var, object]] = []
-    start = 0
-    while True:
-        for i in range(start, len(work)):
-            found = definition(work[i])
-            if found is not None:
-                break
-        else:
-            return work, log
+    images: dict = {}  # solved name -> (image, its names), brought up to date on demand
+    i = 0
+    while i < len(work):
+        f = work[i]
+        stale = names[i] & images.keys()
+        if stale:
+            f = simplify_formula(beta_reduce(substitute(f, _resolved(images, stale))))
+            work[i], names[i] = f, free_vars(f)
+        found = definition(f)
+        if found is None:
+            i += 1
+            continue
         x, t = found
         log.append(found)
-        done, work, done_names, names = work, [], names, []
-        start = None
-        for g, vs in zip(done, done_names):
-            if x in vs:
-                if start is None:
-                    # the literals before the first changed one were scanned
-                    # unchanged and define nothing
-                    start = len(work)
-                g = simplify_formula(beta_reduce(substitute(g, {x: t})))
-                if g == TRUE:
-                    continue
-                vs = free_vars(g)
-            work.append(g)
-            names.append(vs)
+        images[x] = (t, free_vars(t))
+        work[i], names[i] = TRUE, set()  # under x := t it reads t = t
+        # the literals before i have taken every definition but this one
+        i = next((k for k in range(i) if x in names[k]), i + 1)
+    return [f for f in work if f != TRUE], log
+
+
+def _resolved(images: dict, stale) -> dict:
+    """{x: x's image with every definition applied} for the solved names in
+    stale.  An image takes the up-to-date images of the solved names it
+    mentions, innermost first, is simplified and is stored back, so each
+    image is rewritten only after a name it mentions is solved.  Names are
+    taken in order, since a substitution may draw fresh names."""
+    order = sorted(stale, key=lambda v: v.name)
+    todo = list(order)
+    while todo:
+        x = todo[-1]
+        t, vs = images[x]
+        inner = sorted(vs & images.keys(), key=lambda v: v.name)
+        pending = [y for y in inner if images[y][1] & images.keys()]
+        if pending:
+            todo += pending
+            continue
+        todo.pop()
+        if inner:
+            t = simplify(beta_reduce(substitute(t, {y: images[y][0] for y in inner})))
+            images[x] = t, free_vars(t)
+    return {x: images[x][0] for x in order}
 
 
 def _simplify_rel(f: Rel) -> Formula:

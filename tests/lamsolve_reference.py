@@ -1,15 +1,21 @@
-"""Reference refinement loop for differential tests of loopacc.lamsolve:
-``solve`` as it was when each round checked the backend's model with
-``check_model`` first and only then looked for violated instances
-p[e] = q[e] at the query's index vectors.  The preprocessing, the model
-check and the model completion are lamsolve's own."""
+"""References for differential tests of loopacc.lamsolve.
+
+``solve_check_first`` is ``solve`` as it was when each round checked the
+backend's model with ``check_model`` first and only then looked for violated
+instances p[e] = q[e] at the query's index vectors.  The preprocessing, the
+model check and the model completion are lamsolve's own.
+
+``definition_x_equals_t`` is the propagation rule as it was before lamsolve
+solved the simplifier's normal form q = c of a scalar equality: only an
+equality whose side is a variable defines it, so a scalar is propagated only
+from x = numeral."""
 
 from __future__ import annotations
 
 from loopacc.backend import BackendSession
 from loopacc.expr import (
-    BoolConst, EvalError, Expr, FiniteFn, Formula, Rel, Sel, arity_of, beta_reduce,
-    free_vars,
+    BoolConst, EvalError, Expr, FiniteFn, Formula, Lam, Rel, Sel, Var, arity_of,
+    beta_reduce, free_vars,
 )
 from loopacc.lamsolve import (
     SolveError, SolveResult, _eval_apply, _finish_model, array_equalities, check_model,
@@ -73,3 +79,27 @@ def solve_check_first(lits: list[Formula], session: BackendSession) -> SolveResu
                     progress = True
         if not progress:
             return SolveResult("unknown", diagnostic="refinement failed", lemmas=lemmas)
+
+
+def definition_x_equals_t(f: Formula):
+    """(x, t) for an equality x = t or t = x, tried left side first, that
+    propagation may substitute: a scalar x and an integer term t, or an array
+    x and an array variable or lambda t of its arity; x not free in t."""
+    if not (isinstance(f, Rel) and f.op == "="):
+        return None
+    for side, other in ((f.left, f.right), (f.right, f.left)):
+        if isinstance(side, Sel) and isinstance(side.arr, Var) and not side.idx:
+            cand = side.arr
+        elif isinstance(side, Var):
+            cand = side
+        else:
+            continue
+        if cand.arity == 0:
+            if isinstance(other, (Var, Lam)):
+                continue  # ill-typed; leave for the backend
+        elif not isinstance(other, (Var, Lam)) or arity_of(other) != cand.arity:
+            continue
+        if cand in free_vars(other):
+            continue
+        return cand, other
+    return None

@@ -1,10 +1,14 @@
 """Theory solver with lambdas: preprocessing steps, the refinement loop, the
 documented unknown case, and sat-soundness on forward-constructed formulas."""
 
+import importlib
 import random
 from pathlib import Path
 
-from loopacc.accel import accelerate, encode_reachability
+import pytest
+
+from loopacc import expr, lamsolve
+from loopacc.accel import accelerate, check_reachability, conjuncts_of, encode_reachability
 from loopacc.closedform import Failure
 from loopacc.expr import (
     Bin, Const, FiniteFn, Ite, Lam, Or, Rel, Sel, State, Var, arity_of, eval_expr,
@@ -12,11 +16,20 @@ from loopacc.expr import (
 )
 from loopacc.backend import BackendSession, SatResult
 from loopacc.lamsolve import (
-    check_model, collect_idx, eliminate_diseq, propagate_and_reduce, solve, verify_model,
+    _definition, check_model, collect_idx, eliminate_diseq, propagate_and_reduce, solve,
+    verify_model,
 )
 from loopacc.problem import parse_problem
+from loopacc.sexpr import parse_formula, read_all, to_text
+from loopacc.simplify import normal_form_scope
 
 from conftest import A, B, J, plus, same_function
+from lamsolve_reference import definition_x_equals_t
+from test_backend import _hoare_k
+from test_refinement_order import CORPUS_REFINE, FAMILY
+from test_verdicts import random_problem
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_problems"
 
 X = Var("x")
 
@@ -71,6 +84,45 @@ class TestPropagate:
         lit = Rel("=", sv(X), plus(sv(X), 1))
         prop = propagate_and_reduce([lit])
         assert prop.log == []
+
+    def test_a_chain_of_scalar_equalities_logs_each_image_as_found(self):
+        # m1 = i + 1 meets i after i := j and solves j; i's logged image stays j
+        env = {"i": 0, "j": 0, "k": 0, "m1": 0}
+        lits = [_formula(t, env) for t in ("(= j i)", "(= m1 (+ i 1))", "(< m1 k)")]
+        prop = propagate_and_reduce(lits)
+        assert [(x.name, to_text(t)) for x, t in prop.log] == [("i", "j"), ("j", "(- m1 1)")]
+        assert [to_text(f) for f in prop.literals] == ["(>= (- k m1) 1)"]
+
+
+# ---------------------------------------------------------------------------
+# which equality defines which variable
+
+
+DECLARED = {"i": 0, "i'": 0, "j": 0, "n": 0, "x": 0, "y": 0, "z": 0, "a": 1, "a'": 1, "b": 1}
+LAMBDA = "(lambda (c) (ite (= c i) 0 (select a c)))"
+
+
+def _formula(text: str, env=DECLARED):
+    (form,) = read_all(text)
+    return parse_formula(form, env)
+
+
+@pytest.mark.parametrize("equality, definition", [
+    ("(= (- i j) 0)", ("i", "j")),
+    ("(= (+ (- i i') n) 0)", ("i", "(- i' n)")),
+    ("(= (- (* 2 x) y) 1)", ("y", "(- (* 2 x) 1)")),
+    ("(= (+ (* 2 x) (* 3 y)) 1)", None),  # no coefficient +-1
+    ("(= (- x (select a x)) 0)", None),  # x is free in its image
+    ("(= (- z (* x y)) 0)", ("z", "(* x y)")),  # never a factor of a product
+    ("(= (- y (div x 2)) 0)", ("y", "(div x 2)")),  # never x under the div
+    ("(= x 3)", ("x", "3")),
+    ("(= b a)", ("b", "a")),
+    (f"(= a' {LAMBDA})", ("a'", LAMBDA)),
+    ("(<= (- i j) 0)", None),
+])
+def test_definition_solves_for_the_least_name_with_a_unit_coefficient(equality, definition):
+    found = _definition(_formula(equality))
+    assert (found and (found[0].name, to_text(found[1]))) == definition
 
 
 class TestCollectIdx:
@@ -128,6 +180,15 @@ class TestSolve:
         assert r.status == "model"
         assert r.model.scalars["x"] == 2
         assert "a'" in r.model.derived  # closed lambda value
+        assert verify_model(r.model, lits, session)
+
+    def test_a_name_only_a_solved_equality_mentions_gets_a_value(self, session):
+        # x = y + 5 solves x, and no literal left mentions y
+        y = Var("y")
+        lits = [Rel("=", sv(X), plus(sv(y), 5)), Rel(">=", sv(J), Const(0))]
+        r = solve(lits, session)
+        assert r.status == "model"
+        assert (r.model.scalars["x"], r.model.scalars["y"]) == (5, 0)
         assert verify_model(r.model, lits, session)
 
     def test_array_equality_chain_is_unsat(self, session):
@@ -329,3 +390,69 @@ def test_arrays_equal_after_the_loop_get_a_checked_model(session):
     lits = encode_reachability(pf.init, accelerate(pf.loop, session), pf.post)
     r = solve(lits, session)
     assert r.status == "model" and verify_model(r.model, lits, session)
+
+
+# ---------------------------------------------------------------------------
+# the rule against the x = t-only rule of lamsolve_reference.py
+
+
+def _problems() -> list[str]:
+    texts = [path.read_text() for path in sorted(EXAMPLES.glob("*.loop"))]
+    texts += [_hoare_k(k, mutated) for k in range(1, 9) for mutated in (False, True)]
+    texts += CORPUS_REFINE + FAMILY
+    rng = random.Random(0)
+    return texts + [random_problem(rng)[0] for _ in range(50)]
+
+
+def _verdict(pf, session):
+    """check_reachability's status, each model re-verified on its query."""
+    res = check_reachability(pf.init, pf.loop, pf.post, session)
+    if isinstance(res, Failure):
+        return "failure"
+    if res.status == "model":
+        if res.model.scalars["n"]:
+            lits = encode_reachability(pf.init, accelerate(pf.loop, session), pf.post)
+        else:
+            lits = [c for f in pf.init + pf.post for c in conjuncts_of(f)]
+        assert verify_model(res.model, lits, session)
+    return res.status
+
+
+def test_the_rule_keeps_every_verdict_of_the_x_equals_t_rule(monkeypatch):
+    statuses = set()
+    for text in _problems():
+        pf = parse_problem(text, is_path=False)
+        if pf.post is None:
+            continue
+        verdicts = []
+        for rule in (_definition, definition_x_equals_t):
+            monkeypatch.setattr(lamsolve, "_definition", rule)
+            expr.reset_fresh_counter()
+            with BackendSession() as ses:
+                verdicts.append(_verdict(pf, ses))
+        assert verdicts[0] == verdicts[1], text
+        statuses.add(verdicts[0])
+    assert statuses == {"model", "unsat", "failure"}
+
+
+# ---------------------------------------------------------------------------
+# the cost of eliminate: each literal takes the definitions when reached
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+def test_eliminate_resimplifies_each_literal_about_once(k, session, monkeypatch):
+    pf = parse_problem(_hoare_k(k, False), is_path=False)
+    lits = eliminate_diseq(encode_reachability(pf.init, accelerate(pf.loop, session), pf.post))
+    simplify_module = importlib.import_module("loopacc.simplify")
+    real = simplify_module.beta_reduce
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return real(e)
+
+    monkeypatch.setattr(simplify_module, "beta_reduce", counting)
+    normal_form_scope(propagate_and_reduce)(lits)
+    # substituting each definition into every literal at once took 925 for
+    # the 137 literals of K = 64
+    assert 0 < len(calls) <= 2 * len(lits)
