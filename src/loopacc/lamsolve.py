@@ -9,11 +9,14 @@ normal form q = c, defines the least name with coefficient +-1, as the
 backend's presolve solves one, so the equalities of init, the closed forms
 and post shrink every beta-reduced lambda application before the backend
 hoists its ite terms.  Each literal takes the definitions lazily, all at
-once when the scan reaches it.  The backend gets the scalar conjuncts left;
-literals whose bounds on one linear form contradict are unsat without a
-check (``simplify._contradicting``).  Lemmas on demand: each round evaluates
-every array equality p = q at the query's syntactic index vectors e in the
-backend's model, and each violated instance adds the lemma p[e] = q[e].
+once when the scan reaches it.  Then the unit bounds decide what they can
+of the rest (``_fold``): a form they pin becomes an equality to propagate,
+and the ite conditions they decide collapse, so most case splits of the
+closed forms never reach the backend; bounds that leave a form no value
+are unsat without a check.  The backend gets the scalar conjuncts left.
+Lemmas on demand: each round evaluates every array equality p = q at the
+query's syntactic index vectors e in the backend's model, and each
+violated instance adds the lemma p[e] = q[e].
 Only a model that no instance refutes is checked at every index
 (``check_model``); it lifts, or no lemma is left (unknown).  Unsat ends the
 rounds.
@@ -32,8 +35,8 @@ from .expr import (
 )
 from .sexpr import to_text
 from .simplify import (
-    _contradicting, eliminate, linearize, normal_form_scope, poly_add, poly_scale,
-    poly_terms, poly_to_expr, poly_var, simplify, simplify_formula,
+    _contradicting, decided, eliminate, is_unit, linearize, normal_form_scope, poly_add,
+    poly_scale, poly_terms, poly_to_expr, poly_var, simplify, simplify_formula, unit_bounds,
 )
 
 
@@ -77,10 +80,48 @@ class Propagated:
 
 
 def propagate_and_reduce(lits: list[Formula]) -> Propagated:
-    """Fixpoint of equality propagation and beta reduction.  A literal that
-    defines a variable is dropped; the ordered log lets a model re-derive the
-    removed variables afterwards."""
-    return Propagated(*eliminate([simplify_formula(beta_reduce(f)) for f in lits], _definition))
+    """Fixpoint of equality propagation and beta reduction (``eliminate``)
+    and of ``_fold``, at most eight folds (no query of the tests needs five).
+    The ordered log lets a model re-derive the variables propagated away."""
+    lits, log = eliminate([simplify_formula(beta_reduce(f)) for f in lits], _definition)
+    for _ in range(8):
+        folded = _fold(lits)
+        if folded is lits:
+            break
+        lits, more = eliminate(folded, _definition)
+        log += more
+    return Propagated(lits, log)
+
+
+def _fold(lits: list[Formula]) -> list[Formula]:
+    """lits under the bounds of their units (``unit_bounds``), each literal
+    rewritten under the others; [FALSE] when the bounds leave a form no
+    value, lits itself when nothing changes.  Inside every literal, the atoms
+    the bounds decide (``decided``) become TRUE or FALSE, and simplifying
+    collapses the ite terms they guarded.  A form pinned to one value gets
+    q = c in place of its units; a unit another of its form implies, and a
+    literal another repeats, is dropped."""
+    table = unit_bounds(lits)
+    if table is None:
+        return [FALSE]
+    out = []
+    for f in lits:
+        # a unit's bounds are on its whole form, never on an atom inside it
+        g = map_children(f, _replace_atoms, table)
+        if g is not f:
+            g = simplify_formula(g)
+            if g == FALSE:
+                return [FALSE]
+        elif is_unit(f):
+            lo, hi, _ = table[f.left]
+            c = f.right.value
+            if lo == hi and f.op != "!=":
+                g = f if f.op == "=" else Rel("=", f.left, Const(lo))
+            elif not lo <= c <= hi or f.op != "!=" and c != (lo if f.op == ">=" else hi):
+                continue  # another unit of its form implies it
+        out.append(g)
+    out = list(dict.fromkeys(out))  # and a literal another repeats
+    return lits if out == lits else out
 
 
 def _definition(f: Formula):
@@ -239,17 +280,23 @@ def _index_atom(e, index):
 
 def _assume(e, case: Rel):
     """e simplified under the case, the atom or its negation: an index fixed
-    by an equality is substituted, else both are replaced by their truth."""
+    by an equality is substituted, else the atoms the case decides are."""
     if case.op == "=":
         return simplify(substitute(e, {case.left.arr: case.right}))
-    truth = {case: TRUE, simplify_formula(Not(case)): FALSE}
-    return simplify(_replace_atoms(e, truth))
+    return simplify(_replace_atoms(e, unit_bounds([case])))
 
 
-def _replace_atoms(e, truth: dict):
-    if type(e) is Rel:
-        return truth.get(e, e)
-    return map_children(e, _replace_atoms, truth)
+def _replace_atoms(e, table: dict):
+    """e with each atom that the bounds of table decide replaced by its truth
+    (``decided``), inside the sides of an atom left as it is too."""
+    k = type(e)
+    if k is Rel:
+        t = decided(e, table)
+        if t is not None:
+            return t
+    elif k is Const or k is Sel and not e.idx:  # a leaf or a scalar
+        return e
+    return map_children(e, _replace_atoms, table)
 
 
 def finite_fn_expr(fn: FiniteFn) -> Lam:
@@ -278,7 +325,7 @@ def solve(lits: list[Formula], session: BackendSession) -> SolveResult:
         return SolveResult("unknown", diagnostic=str(exc))
     prop = propagate_and_reduce(lits)
     phi = prop.literals
-    if any(f == BoolConst(False) for f in phi) or _contradicting(phi):
+    if FALSE in phi:
         return SolveResult("unsat")
     # the backend sees the scalar literals and the lemmas; check_model checks
     # the array equalities

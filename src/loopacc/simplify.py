@@ -26,7 +26,7 @@ import threading
 from collections import defaultdict
 from fractions import Fraction
 from functools import partial, wraps
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .expr import (
     And, Bin, BoolConst, Const, FALSE, Formula, Ite, Lam, NEGATED, Not, Or, RELATIONS, Rel,
@@ -438,34 +438,47 @@ def _simplify_rel(f: Rel) -> Formula:
     return Rel(op, poly_to_expr(q), Const(bound))
 
 
-def _contradicting(parts) -> bool:
-    """Cheap unsat check on a conjunction: per linear form, intersect the
-    integer interval implied by <=, >= and = atoms; also spot p=k vs p!=k."""
-    lo: dict = {}
-    hi: dict = {}
-    eqs: dict = {}
-    neqs: dict[object, set] = {}
-    for a in parts:
-        if not (isinstance(a, Rel) and isinstance(a.right, Const)):
-            continue
-        key = a.left
+def is_unit(f) -> bool:
+    """Whether f is a bound q op c on a linear form q, op one of <=, >=, =, !=."""
+    return type(f) is Rel and type(f.right) is Const and f.op in ("<=", ">=", "=", "!=")
+
+
+def unit_bounds(parts) -> dict | None:
+    """The unit atoms among parts per linear form q: q -> [lo, hi, excluded],
+    its integer interval (infinite open ends) and the values q != c excludes;
+    None when they leave some form no value."""
+    table: dict = {}
+    for a in filter(is_unit, parts):
+        b = table.setdefault(a.left, [-inf, inf, set()])
         k = a.right.value
-        if a.op == "<=":
-            hi[key] = min(hi.get(key, k), k)
-        elif a.op == ">=":
-            lo[key] = max(lo.get(key, k), k)
-        elif a.op == "=":
-            if key in eqs and eqs[key] != k:
-                return True
-            eqs[key] = k
-            lo[key] = max(lo.get(key, k), k)
-            hi[key] = min(hi.get(key, k), k)
-        elif a.op == "!=":
-            neqs.setdefault(key, set()).add(k)
-    for key in set(lo) & set(hi):
-        if lo[key] > hi[key]:
-            return True
-    for key, k in eqs.items():
-        if k in neqs.get(key, ()):
-            return True
-    return False
+        if a.op == "!=":
+            b[2].add(k)
+        if a.op in (">=", "="):
+            b[0] = max(b[0], k)
+        if a.op in ("<=", "="):
+            b[1] = min(b[1], k)
+    for lo, hi, excluded in table.values():
+        if lo > hi or lo == hi and lo in excluded:
+            return None
+    return table
+
+
+def decided(atom, table: dict) -> Formula | None:
+    """TRUE or FALSE when atom is a unit q op c that the table's bounds on q
+    decide, else None."""
+    if not is_unit(atom) or atom.left not in table:
+        return None
+    lo, hi, excluded = table[atom.left]
+    c = atom.right.value
+    if atom.op in ("<=", ">="):  # monotone in q: decided when both ends agree
+        ends = {RELATIONS[atom.op](lo, c), RELATIONS[atom.op](hi, c)}
+        return BoolConst(ends.pop()) if len(ends) == 1 else None
+    if lo == hi == c or not lo <= c <= hi or c in excluded:
+        return BoolConst((lo == hi == c) == (atom.op == "="))
+    return None
+
+
+def _contradicting(parts) -> bool:
+    """Cheap unsat check on a conjunction: its unit atoms leave some linear
+    form no value."""
+    return unit_bounds(parts) is None

@@ -11,7 +11,7 @@ from loopacc import expr, lamsolve
 from loopacc.accel import accelerate, check_reachability, conjuncts_of, encode_reachability
 from loopacc.closedform import Failure
 from loopacc.expr import (
-    Bin, Const, FiniteFn, Ite, Lam, Or, Rel, Sel, State, Var, arity_of, eval_expr,
+    And, Bin, Const, FiniteFn, Ite, Lam, Or, Rel, Sel, State, Var, arity_of, conj, eval_expr,
     eval_formula, sv,
 )
 from loopacc.backend import BackendSession, SatResult
@@ -21,7 +21,7 @@ from loopacc.lamsolve import (
 )
 from loopacc.problem import parse_problem
 from loopacc.sexpr import parse_formula, read_all, to_text
-from loopacc.simplify import normal_form_scope
+from loopacc.simplify import normal_form_scope, simplify_formula
 
 from conftest import A, B, J, plus, same_function
 from lamsolve_reference import definition_x_equals_t
@@ -312,6 +312,101 @@ def test_literals_that_bound_one_form_from_both_sides_need_no_check(session, mon
     i, k = sv(Var("i")), sv(Var("k"))
     res = solve([Rel("<", i, k), Rel(">=", i, k), Rel("!=", A, B)], session)
     assert (res.status, res.lemmas) == ("unsat", 0)
+
+
+# ---------------------------------------------------------------------------
+# the fold under the unit literals
+
+
+_NAMES = (Var("x"), Var("y"), Var("z"))
+
+
+def _random_fold_literals(rnd: random.Random) -> list:
+    """Unit bounds on a few linear forms over 2-3 names, and literals that
+    read the same forms in ite conditions, under And/Or and in the body of
+    an applied lambda, each simplified as propagation leaves it."""
+    names = [sv(x) for x in _NAMES[:rnd.randint(2, 3)]]
+    forms = names + [Bin("-", names[0], names[1]), Bin("+", names[-1], names[0])]
+
+    def atom():
+        op = rnd.choice(["<", "<=", ">", ">=", "=", "!="])
+        return Rel(op, rnd.choice(forms), Const(rnd.randint(-3, 3)))
+
+    def term():
+        return rnd.choice([rnd.choice(names), Const(rnd.randint(-2, 2)),
+                           Ite(atom(), rnd.choice(names), Const(rnd.randint(-2, 2)))])
+
+    p = Var("p")
+    makers = [
+        atom,
+        lambda: Rel(rnd.choice(["=", "!=", "<="]), Ite(atom(), term(), term()),
+                    Const(rnd.randint(-2, 2))),
+        lambda: And((atom(), Or((atom(), atom())))),
+        lambda: Or((atom(), Rel(">=", term(), term()))),
+        lambda: Rel("!=", Sel(Lam((p,), Ite(And((atom(), Rel(">=", sv(p), rnd.choice(forms)))),
+                                            sv(p), term())), (term(),)),
+                    Const(rnd.randint(-2, 2))),
+    ]
+    lits = [atom() for _ in range(rnd.randint(1, 4))]
+    lits += [rnd.choice(makers)() for _ in range(rnd.randint(1, 4))]
+    rnd.shuffle(lits)
+    return [simplify_formula(f) for f in lits]
+
+
+@normal_form_scope
+def test_the_fold_keeps_the_models_of_the_conjunction():
+    rnd = random.Random(38)
+    changed = 0
+    for trial in range(400):
+        lits = _random_fold_literals(rnd)
+        folded = lamsolve._fold(lits)
+        changed += folded is not lits
+        for _ in range(30):
+            state = State({x: rnd.randint(-4, 4) for x in _NAMES})
+            assert eval_formula(conj(lits), state) == eval_formula(conj(folded), state), \
+                (trial, [to_text(f) for f in lits], [to_text(f) for f in folded])
+    assert changed >= 200
+
+
+def test_a_form_the_bounds_pin_is_solved_and_comes_back_in_the_model(session):
+    # 3 <= x - y <= 3 pins x - y: x = y + 3 is logged; y >= 0 implies
+    # y > -2, and its copy goes too
+    y = Var("y")
+    lits = [Rel(">=", Bin("-", sv(X), sv(y)), Const(3)), Rel(">=", sv(y), Const(0)),
+            Rel("<=", Bin("-", sv(X), sv(y)), Const(3)), Rel(">", sv(y), Const(-2)),
+            Rel(">=", sv(y), Const(0))]
+    prop = propagate_and_reduce(lits)
+    assert [(x.name, to_text(t)) for x, t in prop.log] == [("x", "(+ y 3)")]
+    assert [to_text(f) for f in prop.literals] == ["(>= y 0)"]
+    r = solve(lits, session)
+    assert r.status == "model" and r.model.scalars["x"] == r.model.scalars["y"] + 3
+    assert verify_model(r.model, lits, session)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 64])
+def test_valid_hoare_k_folds_to_unsat_without_a_check(k, session, monkeypatch):
+    # the bounds on n and on k' - m_{K-1} - n decide every ite condition of
+    # the beta-reduced posts, and each disequality then reads 0 != 0
+    pf = parse_problem(_hoare_k(k, False), is_path=False)
+    lits = encode_reachability(pf.init, accelerate(pf.loop, session), pf.post)
+
+    def check(formulas, want_model=True):
+        raise AssertionError("a check-sat for a query the fold decides")
+
+    monkeypatch.setattr(session, "check", check)
+    assert solve(lits, session).status == "unsat"
+    monkeypatch.undo()
+    res = check_reachability(pf.init, pf.loop, pf.post, session)
+    assert res.status == "unsat"
+
+
+def test_mutated_hoare_k64_gets_a_reverified_model():
+    pf = parse_problem(_hoare_k(64, True), is_path=False)
+    with BackendSession() as ses:
+        res = check_reachability(pf.init, pf.loop, pf.post, ses)
+        assert res.status == "model"  # counted only once verify_model holds
+        assert verify_model(res.model, encode_reachability(
+            pf.init, accelerate(pf.loop, ses), pf.post), ses)
 
 
 def test_alpha_equivalent_recursive_lambdas_decided_by_a_lemma():
