@@ -35,8 +35,8 @@ from .expr import (
 )
 from .sexpr import to_text
 from .simplify import (
-    _contradicting, decided, eliminate, is_unit, linearize, normal_form_scope, poly_add,
-    poly_scale, poly_terms, poly_to_expr, poly_var, simplify, simplify_formula, unit_bounds,
+    decided, eliminate, is_unit, linearize, normal_form_scope, poly_add, poly_scale,
+    poly_terms, poly_to_expr, poly_var, simplify, simplify_formula, unit_bounds,
 )
 
 
@@ -256,7 +256,7 @@ def _equal_by_cases(lhs, rhs, index, session: BackendSession) -> bool | None:
             continue
         for case in (simplify_formula(Not(atom)), atom):
             branch = path + (case,)
-            if not _contradicting(branch):
+            if unit_bounds(branch) is not None:
                 cases.append((branch, _assume(l, case), _assume(r, case)))
     return None if undecided else True
 
@@ -296,6 +296,8 @@ def _replace_atoms(e, table: dict):
             return t
     elif k is Const or k is Sel and not e.idx:  # a leaf or a scalar
         return e
+    elif k is Lam and any(not free_vars(q).isdisjoint(e.params) for q in table):
+        return e  # the bounds on a name it binds say nothing of its parameter
     return map_children(e, _replace_atoms, table)
 
 

@@ -300,7 +300,7 @@ def simplify_formula(f: Formula) -> Formula:
         flat = list(dict.fromkeys(flat))
         if k is Or:
             return disj(flat)
-        return FALSE if _contradicting(flat) else conj(flat)
+        return FALSE if unit_bounds(flat) is None else conj(flat)
     if k is BoolConst:
         return f
     if k is Not:
@@ -476,9 +476,3 @@ def decided(atom, table: dict) -> Formula | None:
     if lo == hi == c or not lo <= c <= hi or c in excluded:
         return BoolConst((lo == hi == c) == (atom.op == "="))
     return None
-
-
-def _contradicting(parts) -> bool:
-    """Cheap unsat check on a conjunction: its unit atoms leave some linear
-    form no value."""
-    return unit_bounds(parts) is None

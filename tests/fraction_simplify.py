@@ -14,7 +14,7 @@ from loopacc.expr import (
     Sel, TRUE, Var, conj, disj,
 )
 from loopacc.sexpr import to_text
-from loopacc.simplify import _FLIP, _contradicting
+from loopacc.simplify import _FLIP, unit_bounds
 
 
 def poly_const(c):
@@ -200,7 +200,7 @@ def simplify_formula(f: Formula) -> Formula:
         flat = list(dict.fromkeys(flat))
         if isinstance(f, Or):
             return disj(flat)
-        return FALSE if _contradicting(flat) else conj(flat)
+        return FALSE if unit_bounds(flat) is None else conj(flat)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -336,16 +336,21 @@ def _random_fold_literals(rnd: random.Random) -> list:
         return rnd.choice([rnd.choice(names), Const(rnd.randint(-2, 2)),
                            Ite(atom(), rnd.choice(names), Const(rnd.randint(-2, 2)))])
 
-    p = Var("p")
+    def applied_lambda():
+        # its parameter may shadow a name, and its condition read that name
+        # as a unit does
+        p = rnd.choice((Var("p"),) + _NAMES)
+        cond = rnd.choice([rnd.choice(lits), And((atom(), Rel(">=", sv(p), rnd.choice(forms))))])
+        return Rel("!=", Sel(Lam((p,), Ite(cond, sv(p), term())), (term(),)),
+                   Const(rnd.randint(-2, 2)))
+
     makers = [
         atom,
         lambda: Rel(rnd.choice(["=", "!=", "<="]), Ite(atom(), term(), term()),
                     Const(rnd.randint(-2, 2))),
         lambda: And((atom(), Or((atom(), atom())))),
         lambda: Or((atom(), Rel(">=", term(), term()))),
-        lambda: Rel("!=", Sel(Lam((p,), Ite(And((atom(), Rel(">=", sv(p), rnd.choice(forms)))),
-                                            sv(p), term())), (term(),)),
-                    Const(rnd.randint(-2, 2))),
+        applied_lambda,
     ]
     lits = [atom() for _ in range(rnd.randint(1, 4))]
     lits += [rnd.choice(makers)() for _ in range(rnd.randint(1, 4))]
@@ -381,6 +386,20 @@ def test_a_form_the_bounds_pin_is_solved_and_comes_back_in_the_model(session):
     r = solve(lits, session)
     assert r.status == "model" and r.model.scalars["x"] == r.model.scalars["y"] + 3
     assert verify_model(r.model, lits, session)
+
+
+def test_the_fold_leaves_a_lambda_whose_parameter_shadows_a_bounded_name(session):
+    # i >= 5 bounds the free i, not the parameter i: c[-1] = 1 and c[0] = 2
+    # have the model c[j] = ite(j >= 0, 2, 1).  Folded as if it bound the
+    # parameter, the lambda would read c[0] everywhere and the lemma
+    # c[-1] = c[0] would make the query unsat; the recursive definition
+    # leaves the refinement no lemma to add, so the answer is unknown.
+    env = {"i": 0, "c": 1}
+    lits = [parse_formula(read_all(text)[0], env) for text in (
+        "(>= i 5)", "(= c (lambda (i) (ite (>= i 0) (select c 0) 1)))",
+        "(= (select c (- 1)) 1)", "(= (select c 0) 2)")]
+    assert lits[1] in propagate_and_reduce(lits).literals
+    assert solve(lits, session).status != "unsat"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 64])
